@@ -43,13 +43,16 @@ class DimensionMismatchError(RoundnessError):
 # -- spectral -----------------------------------------------------------------
 
 class NoConvergenceError(RoundnessError):
-    def __init__(self, sweeps: int, residual: float):
-        self.sweeps = sweeps
+    """The eigensolver failed, or its reconstruction residual is too large."""
+
+    def __init__(self, residual: float | None = None, reason: str | None = None):
         self.residual = residual
-        super().__init__(
-            f"eigensolver did not converge within {sweeps} sweeps "
-            f"(reconstruction residual {residual:.3e})"
-        )
+        detail = reason if residual is None else f"reconstruction residual {residual:.3e}"
+        super().__init__(f"eigensolver did not converge ({detail})")
+
+
+class NonFiniteMatrixError(RoundnessError):
+    """A matrix handed to the eigensolver has NaN or infinite entries."""
 
 
 # -- graphs -------------------------------------------------------------------

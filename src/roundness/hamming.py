@@ -14,6 +14,7 @@ exact integer rank computation.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -306,6 +307,12 @@ def _scan_one(args):
     return indices, cls.strict, q, unbounded
 
 
+def _pool_size(jobs: int, n_tasks: int) -> int:
+    """Worker count for `jobs` requested workers: never more than the CPUs
+    or the tasks."""
+    return min(jobs, os.cpu_count() or 1, n_tasks)
+
+
 def scan_subsets(
     n: int,
     max_size: int | None = None,
@@ -321,7 +328,8 @@ def scan_subsets(
     spaces have negative type at every exponent). Strict subsets whose
     roundness exceeds p_max count as unbounded and are likewise excluded.
     Ties in the minimum break lexicographically on the index set, so output
-    is deterministic regardless of `jobs`.
+    is deterministic regardless of `jobs`. `jobs` below 1 raises
+    BadParamsError; the pool is capped at the CPU count and the task count.
     """
     if not 1 <= n <= 4:
         raise DimensionTooLargeError(f"exhaustive scan supports n in 1..4, got {n}")
@@ -330,14 +338,17 @@ def scan_subsets(
         max_size = min(n + 1, size_cap)  # larger subsets are never strict
     if not 1 <= max_size <= size_cap:
         raise BadParamsError(f"max_size must be in 1..{size_cap}")
+    if jobs < 1:
+        raise BadParamsError(f"jobs must be at least 1, got {jobs}")
 
     tasks = [
         (n, indices, p_max, tol_p, tol_eig)
         for size in range(1, max_size + 1)
         for indices in itertools.combinations(range(size_cap), size)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_one, tasks, chunksize=32))
     else:
         results = [_scan_one(t) for t in tasks]

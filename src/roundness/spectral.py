@@ -1,8 +1,8 @@
 """Dense symmetric eigendecomposition and exact integer linear algebra.
 
-Floating-point side: a cyclic Jacobi eigensolver (high relative accuracy for
-the near-zero eigenvalues that matter here; all matrices are small and dense)
-plus determinants and numerical null spaces derived from it.
+Floating-point side: a symmetric eigensolver on LAPACK (`numpy.linalg.eigh`)
+with a deterministic sort and sign convention and a checked reconstruction
+residual, plus determinants and numerical null spaces derived from it.
 
 Exact side: fraction-free (Bareiss) elimination over Python integers, giving
 rank over the rationals, exact determinants, and integer kernel bases with no
@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotSymmetricError
+from .errors import NoConvergenceError, NonFiniteMatrixError, NotSymmetricError
 
 SYMMETRY_RTOL = 1e-12
 RESIDUAL_RTOL = 1e-9
@@ -42,78 +42,35 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def eigensym(a, max_sweeps: int = 100) -> SpectralData:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+def eigensym(a) -> SpectralData:
+    """Full eigendecomposition of a symmetric matrix by LAPACK (`eigh`).
 
-    Deterministic for identical input: fixed sweep order, stable descending
-    sort, and each eigenvector's largest-magnitude entry made positive.
-    Raises NoConvergenceError if the sweep cap is hit or the reconstruction
-    residual ends up above 1e-9 relative.
+    Deterministic for identical input: stable descending sort, and each
+    eigenvector's largest-magnitude entry made positive. Raises
+    NonFiniteMatrixError on NaN or infinite entries, and NoConvergenceError
+    if LAPACK fails or the reconstruction residual is above 1e-9 relative.
     """
     a0 = np.array(a, dtype=float)
+    if not np.all(np.isfinite(a0)):
+        raise NonFiniteMatrixError("matrix contains non-finite entries")
     A = _check_symmetric(a0)
-    n = A.shape[0]
-    V = np.eye(n)
-    if n > 1:
-        fro = max(1.0, float(np.linalg.norm(A)))
-        off_tol = n * np.finfo(float).eps * fro
-        skip_tol = off_tol / (n * n)
-        sweeps = 0
-        while True:
-            off = float(np.sqrt(2.0 * np.sum(np.triu(A, 1) ** 2)))
-            if off <= off_tol:
-                break
-            if sweeps >= max_sweeps:
-                resid = _reconstruction_residual(a0, A, V)
-                raise NoConvergenceError(max_sweeps, resid)
-            sweeps += 1
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p, q]
-                    if abs(apq) <= skip_tol:
-                        continue
-                    tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                    if tau >= 0:
-                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    col_p = A[:, p].copy()
-                    col_q = A[:, q].copy()
-                    A[:, p] = c * col_p - s * col_q
-                    A[:, q] = s * col_p + c * col_q
-                    row_p = A[p, :].copy()
-                    row_q = A[q, :].copy()
-                    A[p, :] = c * row_p - s * row_q
-                    A[q, :] = s * row_p + c * row_q
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
-                    vp = V[:, p].copy()
-                    vq = V[:, q].copy()
-                    V[:, p] = c * vp - s * vq
-                    V[:, q] = s * vp + c * vq
+    try:
+        w, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(reason=str(exc)) from exc
 
-    w = np.diagonal(A).copy()
     order = np.argsort(-w, kind="stable")
     w = w[order]
     V = V[:, order]
-    for j in range(n):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
+    lead = V[np.argmax(np.abs(V), axis=0), np.arange(w.size)]
+    V = V * np.where(lead < 0, -1.0, 1.0)
 
-    resid = _reconstruction_residual(a0, np.diag(w), V)
+    resid = float(np.max(np.abs(a0 - (V * w) @ V.T)))
     if resid > RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(a0)))):
-        raise NoConvergenceError(max_sweeps, resid)
+        raise NoConvergenceError(residual=resid)
     w.setflags(write=False)
     V.setflags(write=False)
     return SpectralData(eigenvalues=w, eigenvectors=V, residual=resid)
-
-
-def _reconstruction_residual(a0: np.ndarray, diag: np.ndarray, V: np.ndarray) -> float:
-    w = np.diagonal(diag)
-    return float(np.max(np.abs(a0 - (V * w) @ V.T)))
 
 
 def determinant(a) -> float:

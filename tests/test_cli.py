@@ -168,6 +168,13 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cube_scan_rejects_bad_jobs(capsys, jobs):
+    code, report = run_cli(capsys, "cube", "scan", "--n", "2", "--jobs", jobs)
+    assert code == 2
+    assert report["error"]["type"] == "BadParamsError"
+
+
 def test_reports_are_byte_identical(capsys):
     main(["roundness", "--graph", "petersen"])
     first = capsys.readouterr().out

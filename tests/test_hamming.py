@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -26,10 +27,12 @@ from roundness import (
 )
 from roundness.errors import (
     BadBlockExponentError,
+    BadParamsError,
     DimensionTooLargeError,
     NotATreeError,
     SearchSpaceTooLargeError,
 )
+from roundness.hamming import _pool_size
 
 
 def popcount_matrix(n):
@@ -190,6 +193,16 @@ def test_scan_jobs_deterministic():
 def test_scan_guards():
     with pytest.raises(DimensionTooLargeError):
         scan_subsets(5)
+    for jobs in (0, -3):
+        with pytest.raises(BadParamsError):
+            scan_subsets(2, jobs=jobs)
+
+
+def test_scan_pool_size_is_capped():
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10**6, 10**9) == cpus
+    assert _pool_size(10**6, 3) == min(cpus, 3)
+    assert _pool_size(1, 100) == 1
 
 
 def test_h1_full_subset_strict_but_unbounded():

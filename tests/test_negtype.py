@@ -191,6 +191,13 @@ def test_kernel_coincidence_fleet(fleet):
         assert report.form_kernel_dim == report.matrix_kernel_dim
 
 
+def test_hypercube_six_roundness_and_kernel_coincidence():
+    cube = space("hypercube:6")  # 64 points, a 63x63 form
+    res = generalized_roundness(cube)
+    assert res.q == pytest.approx(1.0, abs=1e-6)
+    assert kernel_coincidence_check(cube, res.q).holds
+
+
 def test_kernel_coincidence_rejects_non_row_permutation():
     sp = build_metric_space(P3_MATRIX)
     with pytest.raises(HypothesisViolatedError):

@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roundness import (
+    build_metric_space,
     cube_distance_matrix,
     det_exact,
     determinant,
     eigensym,
+    gen_family,
+    generalized_roundness,
     kernel_basis_exact,
     null_space,
+    path_metric,
     rank_exact,
 )
-from roundness.errors import NotSymmetricError
+from roundness.errors import (
+    NoConvergenceError,
+    NonFiniteMatrixError,
+    NotSymmetricError,
+    RoundnessError,
+)
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -76,6 +87,71 @@ def test_eigensym_reconstruction_and_oracle(n):
     # independent oracle: LAPACK
     expected = np.linalg.eigvalsh(a)[::-1]
     assert np.max(np.abs(sd.eigenvalues - expected)) <= 1e-9 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spectrum=st.lists(st.sampled_from([-3.0, -1.0, 0.0, 0.5, 2.0, 1e3]), min_size=1, max_size=12),
+    dense=st.booleans(),
+)
+def test_eigensym_property(seed, spectrum, dense):
+    """Random symmetric matrices up to 12x12; the drawn spectrum is mostly
+    repeated eigenvalues, `dense` switches to a generic Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    n = len(spectrum)
+    if dense:
+        a = random_symmetric(rng, n, scale=3.0)
+    else:
+        basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        a = (basis * np.array(spectrum)) @ basis.T
+        a = (a + a.T) / 2
+    sd = eigensym(a)
+    w, v = sd.eigenvalues, sd.eigenvectors
+    scale = max(1.0, np.max(np.abs(a)))
+    assert np.max(np.abs(w - np.linalg.eigvalsh(a)[::-1])) <= 1e-9 * scale
+    assert np.all(np.diff(w) <= 0)
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-9
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    assert np.all(lead > 0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_eigensym_rejects_non_finite(bad):
+    a = np.array([[0.0, 1.0, bad], [1.0, 0.0, 1.0], [bad, 1.0, 0.0]])
+    with pytest.raises(NonFiniteMatrixError):
+        eigensym(a)
+
+
+def test_eigensym_maps_lapack_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergenceError, match="did not converge") as info:
+        eigensym(np.eye(3))
+    assert "sweeps" not in str(info.value)
+    assert info.value.residual is None
+
+
+def test_eigensym_residual_bound(monkeypatch):
+    true_eigh = np.linalg.eigh
+
+    def shifted(a):
+        w, v = true_eigh(a)
+        return w + 1e-6, v
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    with pytest.raises(NoConvergenceError) as info:
+        eigensym(np.diag([3.0, 1.0, -2.0]))
+    assert info.value.residual == pytest.approx(1e-6)
+
+
+def test_overflowing_powers_raise_roundness_error():
+    d = np.asarray(path_metric(gen_family("cycle", 5)).dist)
+    space = build_metric_space(1e200 * d)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RoundnessError):
+        generalized_roundness(space)
 
 
 def test_determinant_examples():
