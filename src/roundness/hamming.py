@@ -33,10 +33,30 @@ from .metric import FiniteMetricSpace, _readonly
 from .negtype import generalized_roundness
 from .spectral import det_exact, kernel_basis_exact, rank_exact
 
-MAX_CUBE_DIM = 12
+# Largest cube dimension n each operation accepts (the smallest is 1). Outside
+# 1..cap, DimensionTooLargeError is raised before any work. The caps bound
+# memory and time: the distance matrix has 4^n int64 entries (128 MiB at
+# n = 12), the exact rank check runs pure-Python Bareiss elimination on the
+# 2^n x 2^n matrix, and the exhaustive scan solves one roundness problem per
+# subset of up to n+1 of the 2^n vertices.
+DIMENSION_CAPS = {
+    "cube distance matrix": 12,
+    "identity check": 10,
+    "sign matrix": 10,
+    "vertex matrix": 10,
+    "factor matrix": 10,
+    "rank check": 8,
+    "exhaustive scan": 4,
+}
 MAX_TREE_VERTICES = 7
 MAX_TREE_CUBE_DIM = 6
 MIN_SUBSET_SIZE_FOR_Q = 3  # 1- and 2-point subsets have unbounded roundness
+
+
+def _check_dimension(operation: str, n: int) -> None:
+    cap = DIMENSION_CAPS[operation]
+    if not 1 <= n <= cap:
+        raise DimensionTooLargeError(f"{operation} supports n in 1..{cap}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +161,7 @@ class ScanSummary:
 def cube_distance_matrix(n: int) -> np.ndarray:
     """Hamming distance matrix of the n-cube in binary-counting vertex order,
     built by the block recursion from the 1-cube."""
-    if not 1 <= n <= MAX_CUBE_DIM:
-        raise DimensionTooLargeError(f"cube dimension must be in 1..{MAX_CUBE_DIM}, got {n}")
+    _check_dimension("cube distance matrix", n)
     d = np.array([[0, 1], [1, 0]], dtype=np.int64)
     for _ in range(n - 1):
         d = np.block([[d, d + 1], [d + 1, d]])
@@ -164,8 +183,7 @@ def eigen_identity_check(n: int) -> dict:
     """Verify, in exact integer arithmetic, that the all-ones vector is an
     eigenvector of the cube distance matrix with eigenvalue n*2^(n-1) and
     each proper sign vector one with eigenvalue -2^(n-1)."""
-    if not 1 <= n <= 10:
-        raise DimensionTooLargeError(f"identity check supports n in 1..10, got {n}")
+    _check_dimension("identity check", n)
     d = cube_distance_matrix(n)
     failures = []
     v = sign_vector(n, n).entries
@@ -183,8 +201,7 @@ def eigen_identity_check(n: int) -> dict:
 def sign_matrix(n: int) -> np.ndarray:
     """(n+1) x 2^n matrix whose rows are the sign vectors with block sizes
     2^n, 2^(n-1), ..., 1."""
-    if not 1 <= n <= 10:
-        raise DimensionTooLargeError(f"sign matrix supports n in 1..10, got {n}")
+    _check_dimension("sign matrix", n)
     rows = [sign_vector(n, j).entries for j in range(n, -1, -1)]
     return _readonly(np.vstack(rows))
 
@@ -192,8 +209,7 @@ def sign_matrix(n: int) -> np.ndarray:
 def lifted_vertex_matrix(n: int) -> np.ndarray:
     """(n+1) x 2^n matrix whose column i is 1 followed by the bits of vertex
     i, most significant first."""
-    if not 1 <= n <= 10:
-        raise DimensionTooLargeError(f"vertex matrix supports n in 1..10, got {n}")
+    _check_dimension("vertex matrix", n)
     idx = np.arange(1 << n, dtype=np.int64)
     rows = [np.ones(1 << n, dtype=np.int64)]
     for k in range(n):
@@ -205,8 +221,7 @@ def factor_matrix(n: int) -> np.ndarray:
     """The (n+1) x (n+1) lower-triangular factor relating lifted vertex
     coordinates to sign vectors: all-ones first column, -2 on the rest of
     the diagonal."""
-    if not 1 <= n <= 10:
-        raise DimensionTooLargeError(f"factor matrix supports n in 1..10, got {n}")
+    _check_dimension("factor matrix", n)
     m = np.zeros((n + 1, n + 1), dtype=np.int64)
     m[:, 0] = 1
     for i in range(1, n + 1):
@@ -231,8 +246,7 @@ def null_dimension_check(n: int) -> dict:
     the sign matrix has full row rank n+1 and its exact kernel annihilates
     the distance matrix.
     """
-    if not 1 <= n <= 8:
-        raise DimensionTooLargeError(f"rank check supports n in 1..8, got {n}")
+    _check_dimension("rank check", n)
     d = cube_distance_matrix(n)
     size = 1 << n
     expected = size - n - 1
@@ -331,8 +345,7 @@ def scan_subsets(
     is deterministic regardless of `jobs`. `jobs` below 1 raises
     BadParamsError; the pool is capped at the CPU count and the task count.
     """
-    if not 1 <= n <= 4:
-        raise DimensionTooLargeError(f"exhaustive scan supports n in 1..4, got {n}")
+    _check_dimension("exhaustive scan", n)
     size_cap = 1 << n
     if max_size is None:
         max_size = min(n + 1, size_cap)  # larger subsets are never strict

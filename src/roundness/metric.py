@@ -4,7 +4,8 @@ The central object is :class:`FiniteMetricSpace`: n points with a validated
 symmetric distance matrix. From it the p-th power distance matrix is built
 (with the convention 0^p = 0 for every p >= 0, so the 0-th power matrix is
 the all-ones matrix minus the identity), and quadratic forms over weight
-vectors summing to zero are evaluated.
+vectors summing to zero are evaluated. Matrices are passed as plain
+read-only numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from .errors import (
     NegativeEntryError,
     NegativeExponentError,
     NonzeroDiagonalError,
-    NotSymmetricError,
     TriangleViolationError,
     ZeroDistanceError,
 )
-
-SYMMETRY_RTOL = 1e-12
+from .spectral import SYMMETRY_RTOL, symmetrized
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -47,30 +46,6 @@ class FiniteMetricSpace:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
-
-
-@dataclass(frozen=True)
-class PowerMatrix:
-    """Elementwise p-th power of a distance matrix."""
-
-    p: float
-    entries: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class HyperplaneBasis:
-    """Orthonormal basis of the hyperplane of vectors orthogonal to all-ones.
-
-    `columns` is n x (n-1); columns^T columns = I and columns^T 1 = 0, both
-    within 1e-12.
-    """
-
-    n: int
-    columns: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,11 +78,7 @@ def build_metric_space(matrix, labels=None, validate: bool = True) -> FiniteMetr
 
     if not np.all(np.isfinite(d)):
         raise ValueError("distance matrix contains non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(d))))
-    if np.max(np.abs(d - d.T)) > SYMMETRY_RTOL * scale:
-        i, j = np.unravel_index(np.argmax(np.abs(d - d.T)), d.shape)
-        raise NotSymmetricError(f"matrix[{i}][{j}] = {d[i, j]} != matrix[{j}][{i}] = {d[j, i]}")
-    d = (d + d.T) / 2.0
+    d = symmetrized(d)
 
     diag = np.diagonal(d)
     if np.any(diag != 0.0):
@@ -122,7 +93,7 @@ def build_metric_space(matrix, labels=None, validate: bool = True) -> FiniteMetr
         raise ZeroDistanceError(f"zero distance between distinct points {i} and {j}")
 
     if validate:
-        slack = SYMMETRY_RTOL * scale
+        slack = SYMMETRY_RTOL * max(1.0, float(np.max(d)))
         for k in range(n):
             gap = d - (d[:, k][:, None] + d[k, :][None, :])
             if np.any(gap > slack):
@@ -132,14 +103,14 @@ def build_metric_space(matrix, labels=None, validate: bool = True) -> FiniteMetr
     return FiniteMetricSpace(labels=labels, dist=_readonly(d))
 
 
-def power_matrix(space: FiniteMetricSpace, p: float) -> PowerMatrix:
+def power_matrix(space: FiniteMetricSpace, p: float) -> np.ndarray:
     """Raise all distances to the power p, with 0^p = 0 for every p >= 0."""
     if not (p >= 0 and np.isfinite(p)):
         raise NegativeExponentError(f"exponent must be a nonnegative real, got {p}")
     d = space.dist
     entries = np.where(d > 0, d, 1.0) ** p
     entries[d == 0] = 0.0
-    return PowerMatrix(p=float(p), entries=_readonly(entries))
+    return _readonly(entries)
 
 
 def has_row_permutation_property(space: FiniteMetricSpace, rel_tol: float | None = None) -> bool:
@@ -155,33 +126,27 @@ def has_row_permutation_property(space: FiniteMetricSpace, rel_tol: float | None
     rows = np.sort(d, axis=1)
     if rel_tol == 0.0:
         return bool(np.all(rows == rows[0]))
-    return bool(np.all(np.abs(rows - rows[0]) <= rel_tol * max(1.0, float(np.max(d)))))
+    return bool(np.all(np.abs(rows - rows[0]) <= rel_tol * float(np.max(d))))
 
 
-def quadratic_form(pm: PowerMatrix, eta) -> float:
-    """Evaluate eta^T E eta for the powered distance matrix E."""
+def quadratic_form(dp: np.ndarray, eta) -> float:
+    """Evaluate eta^T D_p eta for the powered distance matrix D_p."""
     eta = np.asarray(eta, dtype=float)
-    if eta.shape != (pm.n,):
-        raise DimensionMismatchError(f"weight vector has shape {eta.shape}, expected ({pm.n},)")
-    return float(eta @ pm.entries @ eta)
+    n = dp.shape[0]
+    if eta.shape != (n,):
+        raise DimensionMismatchError(f"weight vector has shape {eta.shape}, expected ({n},)")
+    return float(eta @ dp @ eta)
 
 
 @lru_cache(maxsize=None)
-def hyperplane_basis(n: int) -> HyperplaneBasis:
-    """Deterministic orthonormal basis of the zero-sum hyperplane.
-
-    Gram-Schmidt on e_0 - e_1, e_0 - e_2, ... in that order, with a second
-    orthogonalization pass so both invariants hold to 1e-12.
-    """
+def hyperplane_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the zero-sum hyperplane, as the read-only
+    n x (n-1) Helmert matrix: column j (1-based) is (1, ..., 1, -j, 0, ..., 0)
+    / sqrt(j (j+1)) with j leading ones, which is what Gram-Schmidt on
+    e_0 - e_1, e_0 - e_2, ... gives in exact arithmetic."""
     if n < 2:
         raise ValueError("hyperplane basis needs n >= 2")
-    cols = np.zeros((n, n - 1))
-    for j in range(1, n):
-        v = np.zeros(n)
-        v[0] = 1.0
-        v[j] = -1.0
-        for _ in range(2):
-            for b in range(j - 1):
-                v -= (cols[:, b] @ v) * cols[:, b]
-        cols[:, j - 1] = v / np.linalg.norm(v)
-    return HyperplaneBasis(n=n, columns=_readonly(cols))
+    j = np.arange(1, n)
+    cols = np.triu(np.ones((n, n - 1)))
+    cols[j, j - 1] = -j
+    return _readonly(cols / np.sqrt(j * (j + 1.0)))

@@ -12,7 +12,9 @@ vertex-transitive graphs), q is also the first exponent where det(D_p)
 vanishes; that criterion is run as a cross-check and yields a null-vector
 certificate. At q the zero-sum vectors nullifying the form coincide with the
 null space of D_q; `kernel_coincidence_check` verifies both inclusions
-numerically.
+numerically. Every tolerance is relative to the scale of the matrix it tests
+(the spectral radius of M(p), or max |D_q|), so no result depends on the unit
+of distance.
 """
 
 from __future__ import annotations
@@ -92,9 +94,8 @@ class GrInequalityResult:
 def negtype_form_matrix(space: FiniteMetricSpace, p: float) -> np.ndarray:
     """The powered-distance quadratic form restricted to zero-sum vectors:
     B^T D_p B, symmetrized."""
-    b = hyperplane_basis(space.n).columns
-    dp = power_matrix(space, p).entries
-    m = b.T @ dp @ b
+    b = hyperplane_basis(space.n)
+    m = b.T @ power_matrix(space, p) @ b
     return (m + m.T) / 2.0
 
 
@@ -109,10 +110,11 @@ def _clamped_product(eigenvalues: np.ndarray) -> float:
 
 
 def _form_spectrum(space, p):
+    """Spectrum of M(p), its largest eigenvalue, and its spectral radius: the
+    scale every form tolerance is relative to."""
     sd = eigensym(negtype_form_matrix(space, p))
     w = sd.eigenvalues
-    scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
-    return sd, float(w[0]), scale
+    return sd, float(w[0]), max(abs(float(w[0])), abs(float(w[-1])))
 
 
 def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-9) -> NegTypeVerdict:
@@ -130,8 +132,7 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
     strict = lmax < -tol_eig * scale
     witness = None
     if not strict:
-        b = hyperplane_basis(space.n).columns
-        eta = b @ sd.eigenvectors[:, 0]
+        eta = hyperplane_basis(space.n) @ sd.eigenvectors[:, 0]
         eta = eta / np.linalg.norm(eta)
         eta = _sign_normalize(eta)
         eta.setflags(write=False)
@@ -206,7 +207,7 @@ def generalized_roundness(
     certificate = None
     det_norm = None
     if row_perm:
-        dq = power_matrix(space, q).entries
+        dq = power_matrix(space, q)
         sd = eigensym(dq)
         det_norm = _clamped_product(sd.eigenvalues)
         if abs(det_norm) > CERTIFICATE_TOL:
@@ -225,8 +226,7 @@ def _null_certificate(sd, dq, n):
     if norm == 0.0:
         return None
     u = _sign_normalize(u / norm)
-    scale = max(1.0, float(np.max(np.abs(dq))))
-    if np.max(np.abs(dq @ u)) > CERTIFICATE_TOL * scale:
+    if np.max(np.abs(dq @ u)) > CERTIFICATE_TOL * float(np.max(np.abs(dq))):
         return None
     u.setflags(write=False)
     return u
@@ -252,34 +252,20 @@ def kernel_coincidence_check(
         )
     if q is None or not np.isfinite(q):
         raise ValueError("kernel coincidence requires a finite roundness exponent")
-    n = space.n
-    b = hyperplane_basis(n).columns
-    dq = power_matrix(space, q).entries
-    scale_d = max(1.0, float(np.max(np.abs(dq))))
-
-    sd_m = eigensym(negtype_form_matrix(space, q))
-    wm = sd_m.eigenvalues
-    scale_m = max(1.0, abs(float(wm[0])), abs(float(wm[-1])))
-    defects = [0.0]
-    form_dim = 0
-    for i in range(wm.size):
-        if abs(float(wm[i])) <= tol * scale_m:
-            form_dim += 1
-            u = b @ sd_m.eigenvectors[:, i]
-            defects.append(float(np.max(np.abs(dq @ u))) / scale_d)
-
+    dq = power_matrix(space, q)
+    scale_d = float(np.max(np.abs(dq)))
+    sd_m, _, scale_m = _form_spectrum(space, q)
+    form_kernel = np.abs(sd_m.eigenvalues) <= tol * scale_m
+    u = hyperplane_basis(space.n) @ sd_m.eigenvectors[:, form_kernel]
     sd_d = eigensym(dq)
-    wd = sd_d.eigenvalues
-    matrix_dim = 0
-    for i in range(wd.size):
-        if abs(float(wd[i])) <= tol * scale_d:
-            matrix_dim += 1
-            v = sd_d.eigenvectors[:, i]
-            defects.append(abs(float(np.sum(v))) / np.sqrt(n))
-
-    max_defect = max(defects)
+    matrix_kernel = np.abs(sd_d.eigenvalues) <= tol * scale_d
+    v = sd_d.eigenvectors[:, matrix_kernel]
+    defects = np.concatenate(([0.0], np.max(np.abs(dq @ u), axis=0) / scale_d,
+                              np.abs(np.sum(v, axis=0)) / np.sqrt(space.n)))
+    max_defect = float(np.max(defects))
     return KernelCoincidenceReport(holds=max_defect <= tol, max_defect=max_defect,
-                                   form_kernel_dim=form_dim, matrix_kernel_dim=matrix_dim)
+                                   form_kernel_dim=int(np.sum(form_kernel)),
+                                   matrix_kernel_dim=int(np.sum(matrix_kernel)))
 
 
 def gr_inequality_check(
@@ -304,7 +290,7 @@ def gr_inequality_check(
     for i in a + bb:
         if not 0 <= i < space.n:
             raise IndexOutOfRangeError(f"point index {i} out of range for {space.n} points")
-    dp = power_matrix(space, p).entries
+    dp = power_matrix(space, p)
     m = len(a)
     lhs = 0.0
     for k in range(m):

@@ -1,8 +1,8 @@
 """Dense symmetric eigendecomposition and exact integer linear algebra.
 
-Floating-point side: a symmetric eigensolver on LAPACK (`numpy.linalg.eigh`)
-with a deterministic sort and sign convention and a checked reconstruction
-residual, plus determinants and numerical null spaces derived from it.
+Floating-point side: the one symmetry guard (`symmetrized`) and a symmetric
+eigensolver on LAPACK (`numpy.linalg.eigh`) with a deterministic sort and
+sign convention and a checked reconstruction residual.
 
 Exact side: fraction-free (Bareiss) elimination over Python integers, giving
 rank over the rationals, exact determinants, and integer kernel bases with no
@@ -33,12 +33,16 @@ class SpectralData:
     residual: float
 
 
-def _check_symmetric(a: np.ndarray) -> np.ndarray:
+def symmetrized(a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2 for a square matrix within SYMMETRY_RTOL of symmetric,
+    relative to max(1, max |a_ij|); NotSymmetricError naming the worst entry
+    otherwise."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale:
-        raise NotSymmetricError("matrix is not symmetric within 1e-12 relative tolerance")
+    gap = np.abs(a - a.T)
+    if np.max(gap) > SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(a)))):
+        i, j = np.unravel_index(int(np.argmax(gap)), a.shape)
+        raise NotSymmetricError(f"matrix[{i}][{j}] = {a[i, j]} != matrix[{j}][{i}] = {a[j, i]}")
     return (a + a.T) / 2.0
 
 
@@ -53,7 +57,7 @@ def eigensym(a) -> SpectralData:
     a0 = np.array(a, dtype=float)
     if not np.all(np.isfinite(a0)):
         raise NonFiniteMatrixError("matrix contains non-finite entries")
-    A = _check_symmetric(a0)
+    A = symmetrized(a0)
     try:
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
@@ -66,28 +70,11 @@ def eigensym(a) -> SpectralData:
     V = V * np.where(lead < 0, -1.0, 1.0)
 
     resid = float(np.max(np.abs(a0 - (V * w) @ V.T)))
-    if resid > RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(a0)))):
+    if resid > RESIDUAL_RTOL * float(np.max(np.abs(a0))):
         raise NoConvergenceError(residual=resid)
     w.setflags(write=False)
     V.setflags(write=False)
     return SpectralData(eigenvalues=w, eigenvectors=V, residual=resid)
-
-
-def determinant(a) -> float:
-    """Determinant via LU with partial pivoting (LAPACK)."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    return float(np.linalg.det(a))
-
-
-def null_space(a, tol: float) -> list[np.ndarray]:
-    """Orthonormal eigenvectors whose eigenvalue is within tol (relative to
-    the leading eigenvalue) of zero."""
-    sd = eigensym(a)
-    w = sd.eigenvalues
-    cutoff = tol * max(1.0, abs(float(w[0])) if w.size else 0.0)
-    return [sd.eigenvectors[:, i].copy() for i in range(w.size) if abs(float(w[i])) <= cutoff]
 
 
 # -- exact integer elimination --------------------------------------------------

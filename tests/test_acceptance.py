@@ -119,7 +119,7 @@ def test_criterion_05_determinant_criterion_consistency():
             res = generalized_roundness(sp)
             ok &= res.status == "Finite"
             ok &= abs(res.det_normalized) <= 1e-6
-            half = normalized_determinant(power_matrix(sp, res.q / 2).entries)
+            half = normalized_determinant(power_matrix(sp, res.q / 2))
             ok &= abs(half) > 1e-6
             details.append(f"{spec}:q={res.q:.6f}")
         for n in range(3, 7):

@@ -63,20 +63,20 @@ def test_no_validate_skips_triangle_only():
 def test_power_matrix_two_point_p1():
     sp = build_metric_space([[0, 1], [1, 0]])
     pm = power_matrix(sp, 1.0)
-    assert np.array_equal(pm.entries, [[0, 1], [1, 0]])
+    assert np.array_equal(pm, [[0, 1], [1, 0]])
 
 
 def test_power_matrix_p0_is_ones_minus_identity():
     for matrix in (C4_MATRIX, P3_MATRIX):
         sp = build_metric_space(matrix)
         pm = power_matrix(sp, 0.0)
-        assert np.array_equal(pm.entries + np.eye(sp.n), np.ones((sp.n, sp.n)))
+        assert np.array_equal(pm + np.eye(sp.n), np.ones((sp.n, sp.n)))
 
 
 def test_power_matrix_c4_squared():
     sp = build_metric_space(C4_MATRIX)
     pm = power_matrix(sp, 2.0)
-    assert np.array_equal(pm.entries[0], [0, 1, 4, 1])
+    assert np.array_equal(pm[0], [0, 1, 4, 1])
 
 
 def test_power_matrix_rejects_negative_exponent():
@@ -104,7 +104,7 @@ def test_power_matrix_symmetric_zero_diagonal():
         d = np.abs(pts[:, None] - pts[None, :])
         sp = build_metric_space(d)
         for p in (0.0, 0.5, 1.0, 2.7):
-            e = power_matrix(sp, p).entries
+            e = power_matrix(sp, p)
             assert np.array_equal(e, e.T)
             assert np.all(np.diagonal(e) == 0.0)
 
@@ -152,8 +152,20 @@ def test_two_point_form_closed_form():
             assert val == pytest.approx(-2 * 2.5**p * eta1**2)
 
 
+def gram_schmidt_basis(n):
+    """Reference zero-sum basis: Gram-Schmidt, twice over, on e_0 - e_j."""
+    cols = np.zeros((n, n - 1))
+    for j in range(1, n):
+        v = np.zeros(n)
+        v[0], v[j] = 1.0, -1.0
+        for _ in range(2):
+            v -= cols[:, : j - 1] @ (cols[:, : j - 1].T @ v)
+        cols[:, j - 1] = v / np.linalg.norm(v)
+    return cols
+
+
 def test_hyperplane_basis_two_points():
-    b = hyperplane_basis(2).columns
+    b = hyperplane_basis(2)
     assert b.shape == (2, 1)
     assert b[0, 0] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
     assert b[1, 0] == pytest.approx(-1 / np.sqrt(2), abs=1e-15)
@@ -161,7 +173,12 @@ def test_hyperplane_basis_two_points():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 17])
 def test_hyperplane_basis_invariants(n):
-    b = hyperplane_basis(n).columns
+    b = hyperplane_basis(n)
     assert b.shape == (n, n - 1)
+    assert not b.flags.writeable
+    for j in range(1, n):  # Helmert column j: j ones, then -j, then zeros
+        expected = np.concatenate((np.ones(j), [-j], np.zeros(n - j - 1))) / np.sqrt(j * (j + 1))
+        assert np.max(np.abs(b[:, j - 1] - expected)) <= 1e-15
+    assert np.max(np.abs(b - gram_schmidt_basis(n))) <= 1e-12
     assert np.max(np.abs(b.T @ b - np.eye(n - 1))) <= 1e-12
     assert np.max(np.abs(b.T @ np.ones(n))) <= 1e-12

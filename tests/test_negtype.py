@@ -115,7 +115,7 @@ def test_roundness_result_invariants(fleet):
         assert res.iterations > 0
         u = res.certificate
         assert u is not None
-        dq = power_matrix(sp, res.q).entries
+        dq = power_matrix(sp, res.q)
         assert np.max(np.abs(dq @ u)) <= 1e-6 * max(1.0, np.max(np.abs(dq)))
         assert abs(np.sum(u)) <= 1e-9
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
@@ -148,6 +148,12 @@ def test_non_row_permutation_space_uses_spectral_path():
     # the 3-point path nullifies its form at p = 2 with weights (1, -2, 1)
     assert res.q == pytest.approx(2.0, abs=1e-6)
     assert quadratic_form(power_matrix(sp, 2.0), [1, -2, 1]) == 0.0
+    # tolerances are relative, so a tiny copy is neither taken for a
+    # row-permutation space nor found to have negative type at every p
+    tiny = generalized_roundness(build_metric_space(1e-13 * np.array(P3_MATRIX)))
+    assert tiny.method == METHOD_SPECTRAL_BISECTION
+    assert tiny.status == "Finite"
+    assert tiny.q == pytest.approx(2.0, abs=1e-6)
 
 
 def test_interval_property(fleet):
@@ -167,7 +173,7 @@ def test_roundness_invariant_under_relabeling_and_scaling(fleet):
         perm = rng.permutation(sp.n)
         q_perm = generalized_roundness(build_metric_space(d[np.ix_(perm, perm)])).q
         assert q_perm == pytest.approx(q, abs=1e-6)
-        for c in (0.25, 3.75):
+        for c in (1e-6, 1e-3, 0.25, 3.75, 1e3):
             q_scaled = generalized_roundness(build_metric_space(c * d)).q
             assert q_scaled == pytest.approx(q, abs=1e-6)
 
@@ -176,7 +182,7 @@ def test_determinant_fast_path_agreement(fleet):
     for spec, sp in fleet.items():
         res = generalized_roundness(sp)
         assert abs(res.det_normalized) <= 1e-6, spec
-        half = normalized_determinant(power_matrix(sp, res.q / 2).entries)
+        half = normalized_determinant(power_matrix(sp, res.q / 2))
         assert abs(half) > 1e-6, spec
 
 

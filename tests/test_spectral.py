@@ -7,12 +7,10 @@ from roundness import (
     build_metric_space,
     cube_distance_matrix,
     det_exact,
-    determinant,
     eigensym,
     gen_family,
     generalized_roundness,
     kernel_basis_exact,
-    null_space,
     path_metric,
     rank_exact,
 )
@@ -27,6 +25,14 @@ from roundness.errors import (
 def random_symmetric(rng, n, scale=1.0):
     a = rng.normal(size=(n, n)) * scale
     return (a + a.T) / 2
+
+
+def kernel_vectors(a, tol):
+    """Eigenvectors of `a` whose eigenvalue is within tol times the spectral
+    radius of zero: the numerical null space as the library masks it."""
+    sd = eigensym(a)
+    w = sd.eigenvalues
+    return list(sd.eigenvectors[:, np.abs(w) <= tol * np.max(np.abs(w))].T)
 
 
 def test_eigensym_ones_minus_identity():
@@ -154,24 +160,6 @@ def test_overflowing_powers_raise_roundness_error():
         generalized_roundness(space)
 
 
-def test_determinant_examples():
-    assert determinant(np.ones((3, 3)) - np.eye(3)) == pytest.approx(2.0, rel=1e-12)
-    assert determinant([[0, 1], [1, 0]]) == pytest.approx(-1.0, rel=1e-12)
-    assert abs(determinant(np.asarray(cube_distance_matrix(2), dtype=float))) <= 1e-9
-
-
-@pytest.mark.parametrize("n", [2, 4, 9, 20])
-def test_determinant_matches_eigenvalue_product(n):
-    rng = np.random.default_rng(100 + n)
-    a = random_symmetric(rng, n)
-    prod = float(np.prod(eigensym(a).eigenvalues))
-    det = determinant(a)
-    if abs(prod) < 1e-9:
-        assert abs(det - prod) <= 1e-9
-    else:
-        assert det == pytest.approx(prod, rel=1e-6)
-
-
 def test_rank_exact_examples():
     assert rank_exact([(1, 0), (0, 1)]) == 2
     assert rank_exact([(1, 0), (0, 1), (1, 1)]) == 2
@@ -255,7 +243,7 @@ def test_kernel_basis_exact():
 
 def test_null_space_cube_two():
     d2 = np.asarray(cube_distance_matrix(2), dtype=float)
-    vecs = null_space(d2, 1e-9)
+    vecs = kernel_vectors(d2, 1e-9)
     assert len(vecs) == 1
     assert np.allclose(np.abs(vecs[0]), 0.5, atol=1e-12)
     assert abs(vecs[0] @ [1, -1, -1, 1]) == pytest.approx(2.0, abs=1e-12)
@@ -263,11 +251,11 @@ def test_null_space_cube_two():
 
 def test_null_space_cube_three_dimension():
     d3 = np.asarray(cube_distance_matrix(3), dtype=float)
-    assert len(null_space(d3, 1e-9)) == 4  # 2^3 - 3 - 1
+    assert len(kernel_vectors(d3, 1e-9)) == 4  # 2^3 - 3 - 1
 
 
 def test_null_space_identity_empty():
-    assert null_space(np.eye(5), 1e-3) == []
+    assert kernel_vectors(np.eye(5), 1e-3) == []
 
 
 @pytest.mark.parametrize("n", [3, 8, 20])
@@ -281,7 +269,7 @@ def test_null_space_residual_property(n):
     a = (sd.eigenvectors * w) @ sd.eigenvectors.T
     a = (a + a.T) / 2
     tol = 1e-9
-    vecs = null_space(a, tol)
+    vecs = kernel_vectors(a, tol)
     assert len(vecs) >= 2
     scale = max(1.0, np.max(np.abs(a)))
     for v in vecs:
