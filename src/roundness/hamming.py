@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .graphs import Graph, adjacency, path_metric
 from .metric import FiniteMetricSpace, _readonly
-from .negtype import generalized_roundness
+from .negtype import _check_search_params, generalized_roundness
 from .spectral import det_exact, kernel_basis_exact, rank_exact
 
 # Largest cube dimension n each operation accepts (the smallest is 1). Outside
@@ -284,8 +285,8 @@ def classify_subset(s: CubeSubset) -> ClassificationResult:
     content-reduced integer dependency with positive leading coefficient is
     extracted from the exact kernel.
     """
-    base = s.vertices[0].bits
-    diffs = [[x.bits[c] - base[c] for c in range(s.n)] for x in s.vertices[1:]]
+    base, *rest = [v.bits for v in s.vertices]
+    diffs = [[b - b0 for b, b0 in zip(bits, base)] for bits in rest]
     k = len(diffs)
     rank = rank_exact(diffs)
     if rank == k:
@@ -306,25 +307,30 @@ def subset_metric(s: CubeSubset) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels=labels, dist=_readonly(d))
 
 
-def _scan_one(args):
-    n, indices, p_max, tol_p, tol_eig = args
-    s = CubeSubset.from_indices(n, indices)
-    cls = classify_subset(s)
-    q = None
-    unbounded = False
-    if cls.strict and len(indices) >= MIN_SUBSET_SIZE_FOR_Q:
-        res = generalized_roundness(subset_metric(s), p_max=p_max, tol_p=tol_p, tol_eig=tol_eig)
-        if res.status == "Finite":
-            q = res.q
-        else:
-            unbounded = True
-    return indices, cls.strict, q, unbounded
+def _classify(args) -> bool:
+    n, indices = args
+    return classify_subset(CubeSubset.from_indices(n, indices)).strict
+
+
+def _solve(args) -> float | None:
+    """q of one subset metric, or None when it is unbounded below p_max."""
+    space, p_max, tol_p, tol_eig = args
+    res = generalized_roundness(space, p_max=p_max, tol_p=tol_p, tol_eig=tol_eig)
+    return res.q if res.status == "Finite" else None
 
 
 def _pool_size(jobs: int, n_tasks: int) -> int:
     """Worker count for `jobs` requested workers: never more than the CPUs
     or the tasks."""
     return min(jobs, os.cpu_count() or 1, n_tasks)
+
+
+def _fan_out(pool: ProcessPoolExecutor | None, workers: int, fn, tasks: list) -> list:
+    """[fn(t) for t in tasks], in order; on the pool when there is one, in
+    about four chunks per worker."""
+    if pool is None:
+        return [fn(t) for t in tasks]
+    return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 def scan_subsets(
@@ -342,8 +348,18 @@ def scan_subsets(
     spaces have negative type at every exponent). Strict subsets whose
     roundness exceeds p_max count as unbounded and are likewise excluded.
     Ties in the minimum break lexicographically on the index set, so output
-    is deterministic regardless of `jobs`. `jobs` below 1 raises
-    BadParamsError; the pool is capped at the CPU count and the task count.
+    is deterministic regardless of `jobs`.
+
+    Every subset is classified exactly. q depends only on the distance
+    matrix, so the strict subsets of size >= 3 are grouped by the exact
+    bytes of their `subset_metric` (vertices in sorted index order) and
+    `generalized_roundness` runs once per distinct matrix; each subset gets
+    the q of its group, bit for bit what a solve of its own would give. The
+    grouping lives for one call only. With `jobs` > 1 one process pool runs
+    both the classification and the distinct solves. `jobs` below 1, and
+    root-search parameters `generalized_roundness` would reject, raise
+    BadParamsError before any work; the pool is capped at the CPU count and
+    the subset count.
     """
     _check_dimension("exhaustive scan", n)
     size_cap = 1 << n
@@ -353,27 +369,40 @@ def scan_subsets(
         raise BadParamsError(f"max_size must be in 1..{size_cap}")
     if jobs < 1:
         raise BadParamsError(f"jobs must be at least 1, got {jobs}")
+    _check_search_params(p_max, tol_p, tol_eig)
 
-    tasks = [
-        (n, indices, p_max, tol_p, tol_eig)
+    subsets = [
+        indices
         for size in range(1, max_size + 1)
         for indices in itertools.combinations(range(size_cap), size)
     ]
-    workers = _pool_size(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_one, tasks, chunksize=32))
-    else:
-        results = [_scan_one(t) for t in tasks]
+    workers = _pool_size(jobs, len(subsets))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        strict = _fan_out(pool, workers, _classify, [(n, indices) for indices in subsets])
+        keys: list[bytes | None] = []  # per subset: its metric's bytes when q is needed
+        spaces: dict[bytes, FiniteMetricSpace] = {}
+        for indices, is_strict in zip(subsets, strict):
+            key = None
+            if is_strict and len(indices) >= MIN_SUBSET_SIZE_FOR_Q:
+                space = subset_metric(CubeSubset.from_indices(n, indices))
+                key = space.dist.tobytes()
+                spaces.setdefault(key, space)
+            keys.append(key)
+        tasks = [(space, p_max, tol_p, tol_eig) for space in spaces.values()]
+        q_of = dict(zip(spaces, _fan_out(pool, workers, _solve, tasks)))
 
     counts: dict[tuple[int, bool], int] = {}
     best: tuple[float, tuple[int, ...]] | None = None
     unbounded_strict = 0
-    for indices, strict, q, unbounded in results:
-        key = (len(indices), strict)
-        counts[key] = counts.get(key, 0) + 1
-        unbounded_strict += unbounded
-        if q is not None and (best is None or (q, indices) < best):
+    for indices, is_strict, key in zip(subsets, strict, keys):
+        size_class = (len(indices), is_strict)
+        counts[size_class] = counts.get(size_class, 0) + 1
+        if key is None:
+            continue
+        q = q_of[key]
+        if q is None:
+            unbounded_strict += 1
+        elif best is None or (q, indices) < best:
             best = (q, indices)
     return ScanSummary(
         n=n,

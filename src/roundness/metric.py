@@ -59,8 +59,9 @@ class NegativeTypeWitness:
 def build_metric_space(matrix, labels=None, validate: bool = True) -> FiniteMetricSpace:
     """Validate a distance matrix and wrap it as a FiniteMetricSpace.
 
-    Near-symmetric input (within 1e-12 relative) is symmetrized; anything
-    worse raises NotSymmetricError. `validate=False` skips only the O(n^3)
+    Near-symmetric input (within 1e-12 of max |d|) is symmetrized; anything
+    worse raises NotSymmetricError. The triangle inequality is checked to the
+    same relative slack. `validate=False` skips only the O(n^3)
     triangle-inequality check, for matrices already known to be metrics.
     """
     d = np.array(matrix, dtype=float)
@@ -93,7 +94,7 @@ def build_metric_space(matrix, labels=None, validate: bool = True) -> FiniteMetr
         raise ZeroDistanceError(f"zero distance between distinct points {i} and {j}")
 
     if validate:
-        slack = SYMMETRY_RTOL * max(1.0, float(np.max(d)))
+        slack = SYMMETRY_RTOL * float(np.max(d))
         for k in range(n):
             gap = d - (d[:, k][:, None] + d[k, :][None, :])
             if np.any(gap > slack):

@@ -20,11 +20,13 @@ of distance.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BadParamsError,
     BracketFailureError,
     HypothesisViolatedError,
     IndexOutOfRangeError,
@@ -148,6 +150,17 @@ def _sign_normalize(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _check_search_params(p_max: float, tol_p: float, tol_eig: float) -> None:
+    """Reject root-search parameters with which the search cannot end (tol_p
+    <= 0 bisects forever) or has no meaning (NaN, infinity, negative)."""
+    if not (math.isfinite(tol_p) and tol_p > 0):
+        raise BadParamsError(f"tol_p must be finite and > 0, got {tol_p}")
+    if not (math.isfinite(tol_eig) and tol_eig >= 0):
+        raise BadParamsError(f"tol_eig must be finite and >= 0, got {tol_eig}")
+    if not (math.isfinite(p_max) and p_max > 0):
+        raise BadParamsError(f"p_max must be finite and > 0, got {p_max}")
+
+
 def generalized_roundness(
     space: FiniteMetricSpace,
     p_max: float = 64.0,
@@ -164,8 +177,11 @@ def generalized_roundness(
     exponent). On row-permutation inputs the determinant of D_q is checked
     to vanish (normalized by clamping eigenvalues to unit magnitude) and a
     unit null vector of D_q orthogonal to all-ones is attached as a
-    certificate.
+    certificate. tol_p and p_max must be finite and > 0, tol_eig finite and
+    >= 0; anything else raises BadParamsError before any work.
     """
+    _check_search_params(p_max, tol_p, tol_eig)
+
     def predicate(p: float) -> bool:
         _, lmax, scale = _form_spectrum(space, p)
         return lmax <= tol_eig * scale

@@ -35,12 +35,12 @@ class SpectralData:
 
 def symmetrized(a: np.ndarray) -> np.ndarray:
     """(a + a^T) / 2 for a square matrix within SYMMETRY_RTOL of symmetric,
-    relative to max(1, max |a_ij|); NotSymmetricError naming the worst entry
+    relative to max |a_ij|; NotSymmetricError naming the worst entry
     otherwise."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     gap = np.abs(a - a.T)
-    if np.max(gap) > SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(a)))):
+    if np.max(gap) > SYMMETRY_RTOL * float(np.max(np.abs(a))):
         i, j = np.unravel_index(int(np.argmax(gap)), a.shape)
         raise NotSymmetricError(f"matrix[{i}][{j}] = {a[i, j]} != matrix[{j}][{i}] = {a[j, i]}")
     return (a + a.T) / 2.0

@@ -175,6 +175,18 @@ def test_cube_scan_rejects_bad_jobs(capsys, jobs):
     assert report["error"]["type"] == "BadParamsError"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tol-p", "0"], ["--tol-p", "-1"], ["--tol-eig", "-1"], ["--p-max", "0"],
+    ["--tol-p", "nan"],
+])
+@pytest.mark.parametrize("command", [["roundness", "--graph", "cycle:5"],
+                                     ["cube", "scan", "--n", "2"]])
+def test_bad_search_params_exit_2(capsys, command, flags):
+    code, report = run_cli(capsys, *command, *flags)
+    assert code == 2
+    assert report["error"]["type"] == "BadParamsError"
+
+
 def test_reports_are_byte_identical(capsys):
     main(["roundness", "--graph", "petersen"])
     first = capsys.readouterr().out

@@ -32,7 +32,8 @@ from roundness.errors import (
     NotATreeError,
     SearchSpaceTooLargeError,
 )
-from roundness.hamming import _pool_size
+from roundness import hamming
+from roundness.hamming import ScanSummary, _pool_size
 
 
 def popcount_matrix(n):
@@ -185,9 +186,8 @@ def test_scan_h2_full_size():
 
 
 def test_scan_jobs_deterministic():
-    serial = scan_subsets(2)
-    parallel = scan_subsets(2, jobs=2)
-    assert serial == parallel
+    for n in (2, 3):
+        assert scan_subsets(n, jobs=2) == scan_subsets(n, jobs=1)
 
 
 def test_scan_guards():
@@ -203,6 +203,55 @@ def test_scan_pool_size_is_capped():
     assert _pool_size(10**6, 10**9) == cpus
     assert _pool_size(10**6, 3) == min(cpus, 3)
     assert _pool_size(1, 100) == 1
+
+
+def brute_force_scan(n, max_size):
+    """Reference scan: one roundness solve for every strict subset of size >= 3."""
+    counts = {}
+    best = None
+    unbounded = 0
+    for size in range(1, max_size + 1):
+        for indices in itertools.combinations(range(1 << n), size):
+            s = CubeSubset.from_indices(n, indices)
+            strict = classify_subset(s).strict
+            counts[(size, strict)] = counts.get((size, strict), 0) + 1
+            if strict and size >= 3:
+                res = generalized_roundness(subset_metric(s))
+                if res.status != "Finite":
+                    unbounded += 1
+                elif best is None or (res.q, indices) < best:
+                    best = (res.q, indices)
+    return ScanSummary(n=n, max_size=max_size, counts=counts,
+                       min_q_over_strict=best[0], argmin_subset=best[1],
+                       unbounded_strict_count=unbounded)
+
+
+@pytest.mark.parametrize("n, max_size, distinct", [(3, 8, 36), (4, 3, 22)])
+def test_scan_solves_each_distinct_metric_once(monkeypatch, n, max_size, distinct):
+    expected = brute_force_scan(n, max_size)
+    solved = []
+
+    def counting(space, **kwargs):
+        solved.append(space.dist.tobytes())
+        return generalized_roundness(space, **kwargs)
+
+    monkeypatch.setattr(hamming, "generalized_roundness", counting)
+    assert scan_subsets(n, max_size=max_size) == expected
+    assert len(solved) == len(set(solved)) == distinct
+
+
+@pytest.mark.parametrize("params", [
+    {"tol_p": 0.0}, {"tol_p": -1.0}, {"tol_p": float("nan")},
+    {"tol_eig": -1.0}, {"tol_eig": float("inf")},
+    {"p_max": 0.0}, {"p_max": -1.0}, {"p_max": float("inf")},
+])
+def test_scan_rejects_bad_search_params_before_classifying(monkeypatch, params):
+    def fail(s):
+        raise AssertionError("classification started")
+
+    monkeypatch.setattr(hamming, "classify_subset", fail)
+    with pytest.raises(BadParamsError):
+        scan_subsets(2, **params)
 
 
 def test_h1_full_subset_strict_but_unbounded():

@@ -53,6 +53,14 @@ def test_construction_errors():
         build_metric_space([[0]])
 
 
+def test_input_guards_are_relative_to_scale():
+    with pytest.raises(TriangleViolationError):
+        build_metric_space(1e-13 * np.array([[0, 1, 3], [1, 0, 1], [3, 1, 0]]))
+    with pytest.raises(NotSymmetricError):
+        build_metric_space(1e-13 * np.array([[0, 1, 3], [2, 0, 1], [3, 1, 0]]))
+    assert build_metric_space(1e-13 * np.array(C4_MATRIX)).n == 4
+
+
 def test_no_validate_skips_triangle_only():
     sp = build_metric_space([[0, 1, 3], [1, 0, 1], [3, 1, 0]], validate=False)
     assert sp.n == 3

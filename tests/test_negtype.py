@@ -21,6 +21,7 @@ from roundness import (
     quadratic_form,
 )
 from roundness.errors import (
+    BadParamsError,
     HypothesisViolatedError,
     IndexOutOfRangeError,
     LengthMismatchError,
@@ -91,6 +92,21 @@ def test_complete_graphs_unbounded(n):
     res = generalized_roundness(space(f"complete:{n}"))
     assert res.status == "Unbounded"
     assert res.q is None and res.bracket is None and res.certificate is None
+
+
+@pytest.mark.parametrize("params", [
+    {"tol_p": 0.0}, {"tol_p": -1.0}, {"tol_p": float("nan")}, {"tol_p": float("inf")},
+    {"tol_eig": -1.0}, {"tol_eig": float("nan")},
+    {"p_max": 0.0}, {"p_max": -1.0}, {"p_max": float("inf")},
+])
+def test_roundness_rejects_bad_search_params(params):
+    with pytest.raises(BadParamsError):
+        generalized_roundness(space("cycle:5"), **params)
+
+
+def test_roundness_accepts_search_param_edges():
+    assert generalized_roundness(space("cycle:5"), tol_eig=0.0).status == "Finite"
+    assert generalized_roundness(space("cycle:5"), p_max=0.5).status == "Unbounded"
 
 
 def test_fleet_roundness_matches_closed_forms(fleet):

@@ -57,6 +57,13 @@ def test_eigensym_rejects_asymmetric():
         eigensym([[0, 1], [2, 0]])
 
 
+def test_symmetry_guard_is_relative_to_scale():
+    with pytest.raises(NotSymmetricError):
+        eigensym(1e-13 * np.array([[0.0, 1.0], [2.0, 0.0]]))
+    sd = eigensym(np.zeros((3, 3)))
+    assert np.array_equal(sd.eigenvalues, [0, 0, 0])
+
+
 def test_eigensym_deterministic():
     rng = np.random.default_rng(0)
     a = random_symmetric(rng, 12)
