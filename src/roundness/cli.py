@@ -42,7 +42,7 @@ from .hamming import (
     sign_matrix,
     tree_embedding_search,
 )
-from .metric import build_metric_space, has_row_permutation_property
+from .metric import _check_tolerance, build_metric_space, has_row_permutation_property
 from .negtype import check_negative_type, generalized_roundness, kernel_coincidence_check
 from .spectral import det_exact
 
@@ -175,6 +175,7 @@ def cmd_negtype(args) -> int:
 
 def cmd_verify(args) -> int:
     space, desc = resolve_space(args)
+    _check_tolerance("tol", args.tol)
     if not has_row_permutation_property(space, rel_tol=args.row_perm_tol):
         raise HypothesisViolatedError(
             "rows of the distance matrix are not permutations of each other"

@@ -7,8 +7,8 @@ Its 2^n x 2^n distance matrix is built by a block recursion and has an
 explicit eigenbasis of block-alternating sign vectors, which pins its rank at
 n+1. That rank structure yields an exact dichotomy for subsets: a subset
 {x_0, ..., x_k} fails strict 1-negative type precisely when the difference
-vectors x_i - x_0 are linearly dependent, so classification reduces to an
-exact integer rank computation.
+vectors x_i - x_0 are linearly dependent, so classification reduces to one
+exact integer kernel computation.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .spectral import det_exact, kernel_basis_exact, rank_exact
 # Largest cube dimension n each operation accepts (the smallest is 1). Outside
 # 1..cap, DimensionTooLargeError is raised before any work. The caps bound
 # memory and time: the distance matrix has 4^n int64 entries (128 MiB at
-# n = 12), the exact rank check runs pure-Python Bareiss elimination on the
-# 2^n x 2^n matrix, and the exhaustive scan solves one roundness problem per
+# n = 12), the exact rank check runs pure-Python fraction-free elimination on
+# the 2^n x 2^n matrix, and the exhaustive scan solves one roundness problem per
 # subset of up to n+1 of the 2^n vertices.
 DIMENSION_CAPS = {
     "cube distance matrix": 12,
@@ -141,15 +141,6 @@ class ClassificationResult:
 
 
 @dataclass(frozen=True)
-class SignVector:
-    """Length-2^i vector of +1/-1 entries alternating in blocks of 2^j."""
-
-    i: int
-    j: int
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class ScanSummary:
     n: int
     max_size: int
@@ -169,15 +160,15 @@ def cube_distance_matrix(n: int) -> np.ndarray:
     return _readonly(d)
 
 
-def sign_vector(i: int, j: int) -> SignVector:
-    """The 2^i-vector whose entries are +1 on even blocks of length 2^j and
-    -1 on odd blocks."""
+def sign_vector(i: int, j: int) -> np.ndarray:
+    """The read-only int64 2^i-vector whose entries are +1 on even blocks of
+    length 2^j and -1 on odd blocks."""
     if i < 0:
         raise BadParamsError(f"size exponent must be nonnegative, got {i}")
     if not 0 <= j <= i:
         raise BadBlockExponentError(f"block exponent must satisfy 0 <= j <= i, got j={j}, i={i}")
     entries = 1 - 2 * ((np.arange(1 << i, dtype=np.int64) >> j) & 1)
-    return SignVector(i=i, j=j, entries=_readonly(entries))
+    return _readonly(entries)
 
 
 def eigen_identity_check(n: int) -> dict:
@@ -187,12 +178,12 @@ def eigen_identity_check(n: int) -> dict:
     _check_dimension("identity check", n)
     d = cube_distance_matrix(n)
     failures = []
-    v = sign_vector(n, n).entries
+    v = sign_vector(n, n)
     err = int(np.max(np.abs(d @ v - n * (1 << (n - 1)) * v)))
     if err:
         failures.append({"vector": [n, n], "max_error": err})
     for i in range(n):
-        v = sign_vector(n, i).entries
+        v = sign_vector(n, i)
         err = int(np.max(np.abs(d @ v + (1 << (n - 1)) * v)))
         if err:
             failures.append({"vector": [n, i], "max_error": err})
@@ -203,7 +194,7 @@ def sign_matrix(n: int) -> np.ndarray:
     """(n+1) x 2^n matrix whose rows are the sign vectors with block sizes
     2^n, 2^(n-1), ..., 1."""
     _check_dimension("sign matrix", n)
-    rows = [sign_vector(n, j).entries for j in range(n, -1, -1)]
+    rows = [sign_vector(n, j) for j in range(n, -1, -1)]
     return _readonly(np.vstack(rows))
 
 
@@ -235,7 +226,7 @@ def factorization_check(n: int) -> bool:
     +/- 2^n) and that factor @ lifted_vertex equals the sign matrix."""
     m = factor_matrix(n)
     det = det_exact(m)
-    if det != (-2) ** n or det == 0:
+    if det != (-2) ** n:
         return False
     return bool(np.array_equal(m @ lifted_vertex_matrix(n), sign_matrix(n)))
 
@@ -245,7 +236,9 @@ def null_dimension_check(n: int) -> dict:
 
     The distance matrix has rank n+1, hence kernel dimension 2^n - n - 1;
     the sign matrix has full row rank n+1 and its exact kernel annihilates
-    the distance matrix.
+    the distance matrix. Two exact eliminations: the rank of the distance
+    matrix, and the kernel of the sign matrix, whose rank is 2^n minus the
+    kernel size.
     """
     _check_dimension("rank check", n)
     d = cube_distance_matrix(n)
@@ -253,20 +246,13 @@ def null_dimension_check(n: int) -> dict:
     expected = size - n - 1
     rank_d = rank_exact(d)
     computed = size - rank_d
-    a = sign_matrix(n)
-    rank_a = rank_exact(a)
-    kernel = kernel_basis_exact(a)
+    kernel = kernel_basis_exact(sign_matrix(n))
+    rank_a = size - len(kernel)
     annihilates = True
     if kernel:
         k = np.array(kernel, dtype=np.int64).T  # columns are kernel vectors
         annihilates = not np.any(d @ k)
-    ok = (
-        expected == computed
-        and rank_d == n + 1
-        and rank_a == n + 1
-        and len(kernel) == expected
-        and annihilates
-    )
+    ok = expected == computed and rank_d == n + 1 and rank_a == n + 1 and annihilates
     return {
         "expected": expected,
         "computed": computed,
@@ -281,19 +267,16 @@ def classify_subset(s: CubeSubset) -> ClassificationResult:
     """Exact strictness dichotomy for a cube subset.
 
     Strict 1-negative type holds iff the k difference vectors x_i - x_0 are
-    linearly independent; decided by exact integer rank. When dependent, a
-    content-reduced integer dependency with positive leading coefficient is
-    extracted from the exact kernel.
+    linearly independent, that is iff the n x k matrix with those vectors as
+    columns has an empty exact kernel. One elimination decides it: the rank
+    is k minus the kernel size, and when dependent the first kernel vector
+    is the dependency (content-reduced, first nonzero coefficient positive).
     """
     base, *rest = [v.bits for v in s.vertices]
-    diffs = [[b - b0 for b, b0 in zip(bits, base)] for bits in rest]
-    k = len(diffs)
-    rank = rank_exact(diffs)
-    if rank == k:
-        return ClassificationResult(strict=True, rank=rank, dependency=None)
-    transpose = [[diffs[r][c] for r in range(k)] for c in range(s.n)]
-    dependency = tuple(kernel_basis_exact(transpose)[0])
-    return ClassificationResult(strict=False, rank=rank, dependency=dependency)
+    diffs = [[bits[c] - base[c] for bits in rest] for c in range(s.n)]  # column i: x_i - x_0
+    kernel = kernel_basis_exact(diffs)
+    return ClassificationResult(strict=not kernel, rank=len(rest) - len(kernel),
+                                dependency=tuple(kernel[0]) if kernel else None)
 
 
 def subset_metric(s: CubeSubset) -> FiniteMetricSpace:

@@ -10,12 +10,14 @@ read-only numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
+    BadParamsError,
     DimensionMismatchError,
     NegativeEntryError,
     NegativeExponentError,
@@ -29,6 +31,12 @@ from .spectral import SYMMETRY_RTOL, symmetrized
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    """Reject a tolerance that has no meaning: NaN, infinite or negative."""
+    if not (math.isfinite(value) and value >= 0):
+        raise BadParamsError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -119,11 +127,14 @@ def has_row_permutation_property(space: FiniteMetricSpace, rel_tol: float | None
 
     Rows are compared as sorted vectors. Integer-valued matrices (all graph
     metrics) are compared exactly; otherwise entries match within `rel_tol`
-    times the largest distance (default 1e-12).
+    times the largest distance (default 1e-12). A given `rel_tol` must be
+    finite and >= 0, else BadParamsError.
     """
     d = space.dist
     if rel_tol is None:
         rel_tol = 0.0 if np.all(d == np.round(d)) else 1e-12
+    else:
+        _check_tolerance("row_perm_tol", rel_tol)
     rows = np.sort(d, axis=1)
     if rel_tol == 0.0:
         return bool(np.all(rows == rows[0]))

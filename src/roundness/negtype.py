@@ -36,6 +36,7 @@ from .errors import (
 from .metric import (
     FiniteMetricSpace,
     NegativeTypeWitness,
+    _check_tolerance,
     has_row_permutation_property,
     hyperplane_basis,
     power_matrix,
@@ -126,9 +127,11 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
     strict iff lmax < -tol (tolerances relative to the spectral radius of
     M(p)). When not strict, the witness is the top eigenvector lifted back to
     a zero-sum weight vector, unit norm, first nonzero entry positive.
+    tol_eig must be finite and >= 0, else BadParamsError.
     """
     if p < 0:
         raise NegativeExponentError(f"exponent must be nonnegative, got {p}")
+    _check_tolerance("tol_eig", tol_eig)
     sd, lmax, scale = _form_spectrum(space, p)
     holds = lmax <= tol_eig * scale
     strict = lmax < -tol_eig * scale
@@ -155,8 +158,7 @@ def _check_search_params(p_max: float, tol_p: float, tol_eig: float) -> None:
     <= 0 bisects forever) or has no meaning (NaN, infinity, negative)."""
     if not (math.isfinite(tol_p) and tol_p > 0):
         raise BadParamsError(f"tol_p must be finite and > 0, got {tol_p}")
-    if not (math.isfinite(tol_eig) and tol_eig >= 0):
-        raise BadParamsError(f"tol_eig must be finite and >= 0, got {tol_eig}")
+    _check_tolerance("tol_eig", tol_eig)
     if not (math.isfinite(p_max) and p_max > 0):
         raise BadParamsError(f"p_max must be finite and > 0, got {p_max}")
 
@@ -177,10 +179,12 @@ def generalized_roundness(
     exponent). On row-permutation inputs the determinant of D_q is checked
     to vanish (normalized by clamping eigenvalues to unit magnitude) and a
     unit null vector of D_q orthogonal to all-ones is attached as a
-    certificate. tol_p and p_max must be finite and > 0, tol_eig finite and
-    >= 0; anything else raises BadParamsError before any work.
+    certificate. tol_p and p_max must be finite and > 0, tol_eig and a given
+    row_perm_tol finite and >= 0; anything else raises BadParamsError before
+    any work.
     """
     _check_search_params(p_max, tol_p, tol_eig)
+    row_perm = has_row_permutation_property(space, rel_tol=row_perm_tol)
 
     def predicate(p: float) -> bool:
         _, lmax, scale = _form_spectrum(space, p)
@@ -189,7 +193,6 @@ def generalized_roundness(
     if not predicate(0.0):
         raise BracketFailureError("negative type fails at p = 0; input is numerically corrupt")
 
-    row_perm = has_row_permutation_property(space, rel_tol=row_perm_tol)
     method = METHOD_DETERMINANT_FAST_PATH if row_perm else METHOD_SPECTRAL_BISECTION
 
     p_lo = 0.0
@@ -260,8 +263,10 @@ def kernel_coincidence_check(
     Forward: every kernel vector of the restricted form M(q), lifted back to
     a zero-sum vector u, must satisfy D_q u = 0 (max-norm, relative).
     Backward: every null vector of D_q must be orthogonal to all-ones.
-    Requires the row-permutation property and a finite q.
+    Requires the row-permutation property and a finite q; tol and a given
+    row_perm_tol must be finite and >= 0, else BadParamsError.
     """
+    _check_tolerance("tol", tol)
     if not has_row_permutation_property(space, rel_tol=row_perm_tol):
         raise HypothesisViolatedError(
             "rows of the distance matrix are not permutations of each other"

@@ -4,15 +4,15 @@ Floating-point side: the one symmetry guard (`symmetrized`) and a symmetric
 eigensolver on LAPACK (`numpy.linalg.eigh`) with a deterministic sort and
 sign convention and a checked reconstruction residual.
 
-Exact side: fraction-free (Bareiss) elimination over Python integers, giving
-rank over the rationals, exact determinants, and integer kernel bases with no
-floating point involved.
+Exact side: one fraction-free Gauss-Jordan elimination over Python integers
+(Bareiss's one-step form), whose single pass gives the rank over the
+rationals, the exact determinant and an integer kernel basis, with no
+floating point or fractions involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -95,10 +95,15 @@ def _int_rows(mat) -> list[list[int]]:
     return rows
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[int, list[int], int, int]:
-    """In-place fraction-free row echelon. Returns (rank, pivot columns,
-    swap sign, last pivot). All divisions are exact by construction; a
-    nonzero remainder would mean corrupted input and raises."""
+def _gauss_jordan(rows: list[list[int]]) -> tuple[int, list[int], int, int]:
+    """In-place one-step fraction-free Gauss-Jordan elimination (Bareiss).
+
+    Each pivot column is cleared from every other row, above and below, and
+    each update divides exactly by the previous pivot, so on return row i is
+    d times row i of the reduced row echelon form, d being the last pivot.
+    Returns (rank, pivot columns, row-swap sign, d). A nonzero remainder
+    would mean corrupted input and raises ArithmeticError.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
     rank = 0
@@ -112,18 +117,18 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[int, list[int], int, int]:
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
             sign = -sign
-        pv = rows[rank][col]
-        for r in range(rank + 1, m):
-            rc = rows[r][col]
+        row_k = rows[rank]
+        pv = row_k[col]
+        for r in range(m):
+            if r == rank:
+                continue
             row_r = rows[r]
-            row_k = rows[rank]
-            for c in range(col + 1, n):
-                num = pv * row_r[c] - rc * row_k[c]
-                q, rem = divmod(num, prev)
+            rc = row_r[col]
+            for c in range(n):
+                q, rem = divmod(pv * row_r[c] - rc * row_k[c], prev)
                 if rem:
                     raise ArithmeticError("inexact division in fraction-free elimination")
                 row_r[c] = q
-            row_r[col] = 0
         pivots.append(col)
         prev = pv
         rank += 1
@@ -135,66 +140,40 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[int, list[int], int, int]:
 def rank_exact(mat) -> int:
     """Rank over the rationals of an integer matrix, by fraction-free
     elimination. The empty matrix has rank 0."""
-    rows = _int_rows(mat)
-    if not rows or not rows[0]:
-        return 0
-    rank, _, _, _ = _bareiss_echelon(rows)
-    return rank
+    return _gauss_jordan(_int_rows(mat))[0]
 
 
 def det_exact(mat) -> int:
-    """Exact integer determinant (Bareiss: the last pivot, up to swap sign)."""
+    """Exact integer determinant: the last fraction-free pivot times the
+    row-swap sign, or 0 below full rank."""
     rows = _int_rows(mat)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    rank, _, sign, last = _bareiss_echelon(rows)
-    if rank < n:
-        return 0
-    return sign * last
+    rank, _, sign, d = _gauss_jordan(rows)
+    return sign * d if rank == len(rows) else 0
 
 
 def kernel_basis_exact(mat) -> list[list[int]]:
     """Integer basis of the rational kernel of an integer matrix.
 
-    One basis vector per free column, content-reduced with the first nonzero
-    entry positive. Exact throughout (echelon over integers, back substitution
-    over fractions).
+    One basis vector per free column f, read off the fraction-free reduced
+    echelon form: d at f and -row_i[f] at the i-th pivot column. Each is
+    content-reduced with its first nonzero entry positive.
     """
     rows = _int_rows(mat)
-    if not rows:
-        return []
-    n = len(rows[0])
-    if n == 0:
-        return []
-    rank, pivots, _, _ = _bareiss_echelon(rows)
+    _, pivots, _, d = _gauss_jordan(rows)
+    n = len(rows[0]) if rows else 0
     pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
     basis: list[list[int]] = []
-    for f in free_cols:
-        x: list[Fraction] = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for i in reversed(range(rank)):
-            pc = pivots[i]
-            s = rows[i][f] * x[f] if f > pc else Fraction(0)
-            for j in range(i + 1, rank):
-                cj = pivots[j]
-                if x[cj]:
-                    s += rows[i][cj] * x[cj]
-            x[pc] = -s / rows[i][pc]
-        lcm = 1
-        for v in x:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        ints = [int(v * lcm) for v in x]
-        content = 0
-        for v in ints:
-            content = gcd(content, abs(v))
-        if content > 1:
-            ints = [v // content for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        basis.append(ints)
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        x = [0] * n
+        x[f] = d
+        for row, pc in zip(rows, pivots):
+            x[pc] = -row[f]
+        content = gcd(*x)
+        if next(v for v in x if v) < 0:
+            content = -content
+        basis.append([v // content for v in x])
     return basis

@@ -17,6 +17,21 @@ FLEET_Q = {
 }
 
 
+def sympy_kernel(rows):
+    """sympy's rational kernel basis of an integer matrix, each vector scaled
+    to canonical form: primitive integers, first nonzero entry positive."""
+    import sympy
+
+    basis = []
+    for vec in sympy.Matrix(rows).nullspace():
+        ints = [int(x) for x in vec * math.lcm(*(sympy.Rational(x).q for x in vec))]
+        g = math.gcd(*ints)
+        if next(x for x in ints if x) < 0:
+            g = -g
+        basis.append([x // g for x in ints])
+    return basis
+
+
 def build_fleet():
     spaces = {}
     for spec in FLEET_Q:

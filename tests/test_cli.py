@@ -175,12 +175,26 @@ def test_cube_scan_rejects_bad_jobs(capsys, jobs):
     assert report["error"]["type"] == "BadParamsError"
 
 
-@pytest.mark.parametrize("flags", [
+SEARCH_COMMANDS = [["roundness", "--graph", "cycle:5"], ["cube", "scan", "--n", "2"]]
+SEARCH_FLAGS = [
     ["--tol-p", "0"], ["--tol-p", "-1"], ["--tol-eig", "-1"], ["--p-max", "0"],
     ["--tol-p", "nan"],
+]
+
+
+@pytest.mark.parametrize("command,flags", [
+    # every bad root-search flag on both commands that run the root search
+    *(pytest.param(command, flags, id=f"command{i}-flags{j}")
+      for j, flags in enumerate(SEARCH_FLAGS) for i, command in enumerate(SEARCH_COMMANDS)),
+    # bad tolerances outside the root search, each on a command that takes it
+    pytest.param(["negtype", "--graph", "cycle:4", "--p", "1"], ["--tol-eig", "nan"],
+                 id="negtype-tol-eig-nan"),
+    pytest.param(["verify", "--graph", "cycle:4"], ["--tol", "-1"], id="verify-tol-negative"),
+    pytest.param(["roundness", "--graph", "cycle:5"], ["--row-perm-tol", "-1"],
+                 id="roundness-row-perm-tol-negative"),
+    pytest.param(["verify", "--graph", "petersen"], ["--row-perm-tol", "nan"],
+                 id="verify-row-perm-tol-nan"),
 ])
-@pytest.mark.parametrize("command", [["roundness", "--graph", "cycle:5"],
-                                     ["cube", "scan", "--n", "2"]])
 def test_bad_search_params_exit_2(capsys, command, flags):
     code, report = run_cli(capsys, *command, *flags)
     assert code == 2

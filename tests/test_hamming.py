@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import sympy_kernel
 
 from roundness import (
     CubeSubset,
@@ -69,9 +70,9 @@ def test_cube_dimension_guard():
 
 
 def test_sign_vectors():
-    assert sign_vector(2, 2).entries.tolist() == [1, 1, 1, 1]
-    assert sign_vector(2, 1).entries.tolist() == [1, 1, -1, -1]
-    assert sign_vector(2, 0).entries.tolist() == [1, -1, 1, -1]
+    assert sign_vector(2, 2).tolist() == [1, 1, 1, 1]
+    assert sign_vector(2, 1).tolist() == [1, 1, -1, -1]
+    assert sign_vector(2, 0).tolist() == [1, -1, 1, -1]
     with pytest.raises(BadBlockExponentError):
         sign_vector(2, 3)
 
@@ -85,10 +86,10 @@ def test_eigen_identities_base_case_by_hand():
 
 def test_eigen_identities_n3_eigenvalues():
     d3 = cube_distance_matrix(3)
-    full = sign_vector(3, 3).entries
+    full = sign_vector(3, 3)
     assert np.array_equal(d3 @ full, 12 * full)
     for j in range(3):
-        v = sign_vector(3, j).entries
+        v = sign_vector(3, j)
         assert np.array_equal(d3 @ v, -4 * v)
 
 
@@ -143,6 +144,21 @@ def test_classify_examples():
     assert full.rank == 2
     single = classify_subset(CubeSubset.from_indices(3, [5]))
     assert single.strict and single.rank == 0 and single.dependency is None
+
+
+def test_classify_subset_matches_sympy_on_the_3_cube():
+    sympy = pytest.importorskip("sympy")
+    subsets = [c for size in range(1, 9) for c in itertools.combinations(range(8), size)]
+    assert len(subsets) == 255
+    for indices in subsets:
+        s = CubeSubset.from_indices(3, indices)
+        base = s.vertices[0].bits
+        diffs = [[b - b0 for b, b0 in zip(v.bits, base)] for v in s.vertices[1:]]
+        rank = sympy.Matrix(diffs).rank() if diffs else 0
+        strict = rank == len(diffs)
+        dependency = None if strict else tuple(sympy_kernel(np.array(diffs).T.tolist())[0])
+        cls = classify_subset(s)
+        assert (cls.strict, cls.rank, cls.dependency) == (strict, rank, dependency), indices
 
 
 def test_dependency_certificates_exact():

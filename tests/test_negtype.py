@@ -26,6 +26,7 @@ from roundness.errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
 )
+from roundness import negtype
 from roundness.negtype import METHOD_DETERMINANT_FAST_PATH, METHOD_SPECTRAL_BISECTION
 
 P3_MATRIX = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -102,6 +103,26 @@ def test_complete_graphs_unbounded(n):
 def test_roundness_rejects_bad_search_params(params):
     with pytest.raises(BadParamsError):
         generalized_roundness(space("cycle:5"), **params)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sp: check_negative_type(sp, 1.0, tol_eig=float("nan")),
+    lambda sp: check_negative_type(sp, 1.0, tol_eig=-1.0),
+    lambda sp: kernel_coincidence_check(sp, 1.0, tol=-1.0),
+    lambda sp: kernel_coincidence_check(sp, 1.0, tol=float("inf")),
+    lambda sp: kernel_coincidence_check(sp, 1.0, row_perm_tol=float("nan")),
+    lambda sp: generalized_roundness(sp, row_perm_tol=-1.0),
+    lambda sp: generalized_roundness(sp, row_perm_tol=float("nan")),
+], ids=["negtype-tol_eig-nan", "negtype-tol_eig-negative", "coincidence-tol-negative",
+        "coincidence-tol-inf", "coincidence-row_perm_tol-nan", "roundness-row_perm_tol-negative",
+        "roundness-row_perm_tol-nan"])
+def test_bad_tolerances_rejected_before_any_solve(monkeypatch, call):
+    def fail(*args, **kwargs):
+        raise AssertionError("a form spectrum was computed")
+
+    monkeypatch.setattr(negtype, "_form_spectrum", fail)
+    with pytest.raises(BadParamsError):
+        call(space("cycle:4"))
 
 
 def test_roundness_accepts_search_param_edges():

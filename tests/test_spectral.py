@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import sympy_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -202,15 +203,17 @@ def test_rank_exact_rejects_non_integers():
 def test_exact_elimination_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = np.random.default_rng(13)
-    for _ in range(25):
-        m = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 7))
-        a = rng.integers(-3, 4, size=(m, n))
+    for _ in range(120):
+        m = int(rng.integers(1, 8))
+        n = int(rng.integers(1, 8))
+        a = rng.integers(-9, 10, size=(m, n))
         if rng.random() < 0.5 and m > 1:  # force extra rank deficiency
             a[m - 1] = a[0] * int(rng.integers(-2, 3))
+        if rng.random() < 0.5 and n > 2:  # force a column dependency
+            a[:, n - 1] = a[:, 0] * int(rng.integers(-3, 4)) + a[:, 1] * int(rng.integers(-3, 4))
         mat = sympy.Matrix(a.tolist())
         assert rank_exact(a) == mat.rank()
-        assert len(kernel_basis_exact(a)) == len(mat.nullspace())
+        assert kernel_basis_exact(a) == sympy_kernel(a.tolist())
         if m == n:
             assert det_exact(a) == int(mat.det())
 
