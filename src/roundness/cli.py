@@ -30,7 +30,6 @@ import sys
 from .errors import HypothesisViolatedError, RoundnessError
 from .graphs import SOLIDS, gen_family, load_edge_list, load_solid, path_metric
 from .hamming import (
-    CubeSubset,
     classify_subset,
     eigen_identity_check,
     factor_matrix,
@@ -205,23 +204,23 @@ def cmd_verify(args) -> int:
     return 0 if report.holds else 1
 
 
-def parse_subset(n: int, text: str) -> CubeSubset:
+def parse_subset(n: int, text: str) -> list[int]:
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise RoundnessError("empty subset")
     if all(len(t) == n and set(t) <= {"0", "1"} for t in tokens):
-        return CubeSubset.from_bitstrings(tokens)
-    return CubeSubset.from_indices(n, [int(t) for t in tokens])
+        return [int(t, 2) for t in tokens]
+    return [int(t) for t in tokens]
 
 
 def cmd_cube(args) -> int:
     if args.cube_cmd == "classify":
         subset = parse_subset(args.n, args.subset)
-        cls = classify_subset(subset)
+        cls = classify_subset(args.n, subset)
         result = {
             "n": args.n,
-            "indices": list(subset.index_set),
-            "bitstrings": [v.bitstring() for v in subset.vertices],
+            "indices": sorted(subset),
+            "bitstrings": [format(i, f"0{args.n}b") for i in subset],
             "strict": cls.strict,
             "rank": cls.rank,
             "dependency": list(cls.dependency) if cls.dependency else None,
@@ -283,7 +282,7 @@ def cmd_tree(args) -> int:
             "n": args.n,
             "found": embedding is not None,
             "embedding": (
-                {str(v): embedding[v].bitstring() for v in sorted(embedding)}
+                {str(v): format(embedding[v], f"0{args.n}b") for v in sorted(embedding)}
                 if embedding is not None
                 else None
             ),
@@ -296,7 +295,7 @@ def cmd_tree(args) -> int:
         result = {
             "k": args.k,
             "dimension": args.k - 1,
-            "images": [v.bitstring() for v in images],
+            "images": [format(i, f"0{args.k - 1}b") for i in images],
             "verified": True,
         }
         emit("tree.witness", {"k": args.k}, result, {}, args.pretty)

@@ -1,10 +1,12 @@
 """Hamming-cube machinery: distance matrices, sign-vector eigenstructure,
 exact subset classification, and tree embeddings.
 
-The cube on n bits is the vertex set {0,1}^n with the Hamming metric; vertex
-i carries the n-digit binary representation of i, most significant bit first.
-Its 2^n x 2^n distance matrix is built by a block recursion and has an
-explicit eigenbasis of block-alternating sign vectors, which pins its rank at
+The cube on n bits is the vertex set {0,1}^n with the Hamming metric. A
+vertex is a plain int index i in 0..2^n - 1, standing for the n-digit binary
+representation of i, most significant bit first; a subset is a sequence of
+indices, and the Hamming distance of i and j is the popcount of i ^ j. The
+2^n x 2^n distance matrix is built by a block recursion and has an explicit
+eigenbasis of block-alternating sign vectors, which pins its rank at
 n+1. That rank structure yields an exact dichotomy for subsets: a subset
 {x_0, ..., x_k} fails strict 1-negative type precisely when the difference
 vectors x_i - x_0 are linearly dependent, so classification reduces to one
@@ -38,8 +40,11 @@ from .spectral import det_exact, kernel_basis_exact, rank_exact
 # 1..cap, DimensionTooLargeError is raised before any work. The caps bound
 # memory and time: the distance matrix has 4^n int64 entries (128 MiB at
 # n = 12), the exact rank check runs pure-Python fraction-free elimination on
-# the 2^n x 2^n matrix, and the exhaustive scan solves one roundness problem per
-# subset of up to n+1 of the 2^n vertices.
+# the 2^n x 2^n matrix, and the exhaustive scan classifies every subset of up
+# to n+1 of the 2^n vertices and solves one roundness problem per distinct
+# subset metric. Classifying a few points and the path witness (capped on its
+# cube dimension k-1) are cheap at any n; those caps bound input and report
+# size, which grow with n (the witness as n^2).
 DIMENSION_CAPS = {
     "cube distance matrix": 12,
     "identity check": 10,
@@ -48,6 +53,8 @@ DIMENSION_CAPS = {
     "factor matrix": 10,
     "rank check": 8,
     "exhaustive scan": 4,
+    "classification": 64,
+    "path witness": 64,
 }
 MAX_TREE_VERTICES = 7
 MAX_TREE_CUBE_DIM = 6
@@ -60,71 +67,20 @@ def _check_dimension(operation: str, n: int) -> None:
         raise DimensionTooLargeError(f"{operation} supports n in 1..{cap}, got {n}")
 
 
-@dataclass(frozen=True)
-class CubeVertex:
-    """A vertex of the n-cube: an index and its n-bit binary expansion."""
-
-    n: int
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < (1 << self.n):
-            raise ValueError(f"index {self.index} out of range for an {self.n}-cube")
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.index >> (self.n - 1 - k)) & 1 for k in range(self.n))
-
-    @classmethod
-    def from_bits(cls, bits) -> "CubeVertex":
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"bits must be 0/1, got {bits}")
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        return cls(n=len(bits), index=idx)
-
-    def bitstring(self) -> str:
-        return format(self.index, f"0{self.n}b")
-
-
-def hamming_distance(u: CubeVertex, v: CubeVertex) -> int:
-    if u.n != v.n:
-        raise ValueError("vertices live in cubes of different dimension")
-    return (u.index ^ v.index).bit_count()
-
-
-@dataclass(frozen=True)
-class CubeSubset:
-    """An ordered subset {x_0, ..., x_k} of cube vertices; x_0 is the
-    base point for difference vectors."""
-
-    n: int
-    vertices: tuple[CubeVertex, ...]
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("subset must be nonempty")
-        if any(v.n != self.n for v in self.vertices):
-            raise ValueError("all vertices must share the subset dimension")
-        if len({v.index for v in self.vertices}) != len(self.vertices):
-            raise ValueError("subset vertices must be distinct")
-
-    @property
-    def index_set(self) -> tuple[int, ...]:
-        return tuple(sorted(v.index for v in self.vertices))
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "CubeSubset":
-        return cls(n=n, vertices=tuple(CubeVertex(n, int(i)) for i in indices))
-
-    @classmethod
-    def from_bitstrings(cls, strings) -> "CubeSubset":
-        vertices = tuple(CubeVertex.from_bits(s) for s in strings)
-        if not vertices:
-            raise ValueError("subset must be nonempty")
-        return cls(n=vertices[0].n, vertices=vertices)
+def _subset_indices(n: int, indices) -> tuple[int, ...]:
+    """`indices` as a tuple of ints, order kept. DimensionTooLargeError if n
+    is outside the classification cap; ValueError unless the indices are
+    nonempty, in 0..2^n - 1 and distinct."""
+    _check_dimension("classification", n)
+    idx = tuple(int(i) for i in indices)
+    if not idx:
+        raise ValueError("subset must be nonempty")
+    for i in idx:
+        if not 0 <= i < (1 << n):
+            raise ValueError(f"index {i} out of range for an {n}-cube")
+    if len(set(idx)) != len(idx):
+        raise ValueError("subset vertices must be distinct")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -263,8 +219,9 @@ def null_dimension_check(n: int) -> dict:
     }
 
 
-def classify_subset(s: CubeSubset) -> ClassificationResult:
-    """Exact strictness dichotomy for a cube subset.
+def classify_subset(n: int, indices) -> ClassificationResult:
+    """Exact strictness dichotomy for the subset {x_0, ..., x_k} of the
+    n-cube given by its vertex indices, x_0 first.
 
     Strict 1-negative type holds iff the k difference vectors x_i - x_0 are
     linearly independent, that is iff the n x k matrix with those vectors as
@@ -272,27 +229,25 @@ def classify_subset(s: CubeSubset) -> ClassificationResult:
     is k minus the kernel size, and when dependent the first kernel vector
     is the dependency (content-reduced, first nonzero coefficient positive).
     """
-    base, *rest = [v.bits for v in s.vertices]
-    diffs = [[bits[c] - base[c] for bits in rest] for c in range(s.n)]  # column i: x_i - x_0
+    base, *rest = _subset_indices(n, indices)
+    # row per bit, most significant first; column i is x_i - x_0
+    diffs = [[((i >> s) & 1) - ((base >> s) & 1) for i in rest] for s in range(n - 1, -1, -1)]
     kernel = kernel_basis_exact(diffs)
     return ClassificationResult(strict=not kernel, rank=len(rest) - len(kernel),
                                 dependency=tuple(kernel[0]) if kernel else None)
 
 
-def subset_metric(s: CubeSubset) -> FiniteMetricSpace:
-    """The induced Hamming metric on a subset of at least two vertices."""
-    k = len(s.vertices)
-    d = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            d[i, j] = d[j, i] = hamming_distance(s.vertices[i], s.vertices[j])
-    labels = tuple(v.bitstring() for v in s.vertices)
+def subset_metric(n: int, indices) -> FiniteMetricSpace:
+    """The induced Hamming metric on a subset of at least two vertices of
+    the n-cube, labelled by their n-bit strings in the given order."""
+    idx = _subset_indices(n, indices)
+    d = np.array([[(i ^ j).bit_count() for j in idx] for i in idx], dtype=float)
+    labels = tuple(format(i, f"0{n}b") for i in idx)
     return FiniteMetricSpace(labels=labels, dist=_readonly(d))
 
 
 def _classify(args) -> bool:
-    n, indices = args
-    return classify_subset(CubeSubset.from_indices(n, indices)).strict
+    return classify_subset(*args).strict
 
 
 def _solve(args) -> float | None:
@@ -367,7 +322,7 @@ def scan_subsets(
         for indices, is_strict in zip(subsets, strict):
             key = None
             if is_strict and len(indices) >= MIN_SUBSET_SIZE_FOR_Q:
-                space = subset_metric(CubeSubset.from_indices(n, indices))
+                space = subset_metric(n, indices)
                 key = space.dist.tobytes()
                 spaces.setdefault(key, space)
             keys.append(key)
@@ -407,14 +362,15 @@ def _tree_distances(t: Graph) -> np.ndarray:
     return space.dist.astype(np.int64)
 
 
-def tree_embedding_search(t: Graph, n: int) -> dict[int, CubeVertex] | None:
+def tree_embedding_search(t: Graph, n: int) -> dict[int, int] | None:
     """Exhaustive backtracking search for a distance-preserving map of a tree
     into the n-cube.
 
     Vertices are placed in breadth-first order; a candidate image must match
     the tree distance to every placed vertex. The first vertex is pinned to
     index 0, which loses no generality: translating all images by a fixed
-    bitmask preserves Hamming distances. Returns an embedding or None.
+    bitmask preserves Hamming distances. Returns the map from tree vertex to
+    cube index, or None.
     """
     if t.n > MAX_TREE_VERTICES or n > MAX_TREE_CUBE_DIM:
         raise SearchSpaceTooLargeError(
@@ -424,7 +380,7 @@ def tree_embedding_search(t: Graph, n: int) -> dict[int, CubeVertex] | None:
     if n < 1:
         raise BadParamsError("cube dimension must be at least 1")
     if t.n == 1:
-        return {0: CubeVertex(n, 0)}
+        return {0: 0}
     dist = _tree_distances(t)
     if int(dist.max()) > n:
         return None  # Hamming distances cannot exceed the dimension
@@ -461,19 +417,21 @@ def tree_embedding_search(t: Graph, n: int) -> dict[int, CubeVertex] | None:
         return False
 
     if place(1):
-        return {v: CubeVertex(n, images[v]) for v in range(t.n)}
+        return {v: images[v] for v in range(t.n)}
     return None
 
 
-def path_embedding_witness(k: int) -> list[CubeVertex]:
+def path_embedding_witness(k: int) -> list[int]:
     """Isometric embedding of the k-vertex path into the (k-1)-cube: vertex j
-    maps to the vector of j leading ones. Verified exactly before returning."""
+    maps to the index whose k-1 bits are j leading ones. Verified exactly
+    before returning."""
     if k < 2:
         raise BadParamsError(f"path needs at least 2 vertices, got {k}")
     dim = k - 1
-    vertices = [CubeVertex.from_bits([1] * j + [0] * (dim - j)) for j in range(k)]
+    _check_dimension("path witness", dim)
+    images = [((1 << j) - 1) << (dim - j) for j in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            if hamming_distance(vertices[i], vertices[j]) != j - i:
+            if (images[i] ^ images[j]).bit_count() != j - i:
                 raise AssertionError("prefix embedding failed exact distance check")
-    return vertices
+    return images

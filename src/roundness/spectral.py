@@ -124,7 +124,9 @@ def _gauss_jordan(rows: list[list[int]]) -> tuple[int, list[int], int, int]:
                 continue
             row_r = rows[r]
             rc = row_r[col]
-            for c in range(n):
+            # rows below the pivot row are zero left of col, as is the pivot
+            # row, so only columns from col on change there
+            for c in range(col if r > rank else 0, n):
                 q, rem = divmod(pv * row_r[c] - rc * row_k[c], prev)
                 if rem:
                     raise ArithmeticError("inexact division in fraction-free elimination")

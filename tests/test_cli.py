@@ -149,6 +149,22 @@ def test_tree_commands(tmp_path, capsys):
     assert report["result"]["images"] == ["0000", "1000", "1100", "1110", "1111"]
 
 
+def test_cube_inputs_are_capped_at_dimension_64(capsys):
+    code, report = run_cli(capsys, "cube", "classify", "--n", "65", "--subset", "0,1,2")
+    assert code == 2
+    assert report["error"]["type"] == "DimensionTooLargeError"
+    code, report = run_cli(capsys, "tree", "witness", "--k", "66")
+    assert code == 2
+    assert report["error"]["type"] == "DimensionTooLargeError"
+
+    code, report = run_cli(capsys, "cube", "classify", "--n", "64", "--subset", "0,1,2")
+    assert code == 0
+    assert report["result"]["strict"] and report["result"]["bitstrings"][2] == "0" * 62 + "10"
+    code, report = run_cli(capsys, "tree", "witness", "--k", "65")
+    assert code == 0
+    assert report["result"]["images"][-1] == "1" * 64
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     code, report = run_cli(capsys, "roundness", "--graph", "moebius:5")
     assert code == 2

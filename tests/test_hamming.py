@@ -4,10 +4,10 @@ import os
 import numpy as np
 import pytest
 from conftest import sympy_kernel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roundness import (
-    CubeSubset,
-    CubeVertex,
     Graph,
     check_negative_type,
     classify_subset,
@@ -16,10 +16,10 @@ from roundness import (
     factor_matrix,
     factorization_check,
     generalized_roundness,
-    hamming_distance,
     lifted_vertex_matrix,
     null_dimension_check,
     path_embedding_witness,
+    rank_exact,
     scan_subsets,
     sign_matrix,
     sign_vector,
@@ -35,6 +35,17 @@ from roundness.errors import (
 )
 from roundness import hamming
 from roundness.hamming import ScanSummary, _pool_size
+
+
+def bits(n, i):
+    """The n bits of cube vertex i, most significant first."""
+    return [(i >> (n - 1 - c)) & 1 for c in range(n)]
+
+
+def difference_rows(n, indices):
+    """The 0/+-1 difference vectors x_i - x_0 of a cube subset, one per row."""
+    base = bits(n, indices[0])
+    return [[b - b0 for b, b0 in zip(bits(n, i), base)] for i in indices[1:]]
 
 
 def popcount_matrix(n):
@@ -123,26 +134,53 @@ def test_null_dimension_examples():
     assert r5["expected"] == 26 and r5["computed"] == 26 and r5["ok"]
 
 
-def test_cube_vertex_round_trip():
-    v = CubeVertex(3, 5)
-    assert v.bits == (1, 0, 1)
-    assert CubeVertex.from_bits((1, 0, 1)) == v
-    assert v.bitstring() == "101"
-    for n in (1, 4, 6):
-        for i in range(1 << n):
-            assert CubeVertex.from_bits(CubeVertex(n, i).bits).index == i
-    with pytest.raises(ValueError):
-        CubeVertex(2, 4)
-    with pytest.raises(ValueError):
-        CubeVertex.from_bits((0, 2))
+@pytest.mark.parametrize("fn", [classify_subset, subset_metric])
+def test_subset_validation_reaches_both_entry_points(fn):
+    with pytest.raises(ValueError, match="^subset must be nonempty$"):
+        fn(3, [])
+    with pytest.raises(ValueError, match="^index 8 out of range for an 3-cube$"):
+        fn(3, [0, 8])
+    with pytest.raises(ValueError, match="^index -1 out of range for an 3-cube$"):
+        fn(3, [-1, 0])
+    with pytest.raises(ValueError, match="^subset vertices must be distinct$"):
+        fn(3, [1, 2, 1])
+    for n in (0, 65):
+        with pytest.raises(DimensionTooLargeError):
+            fn(n, [0, 1])
+    fn(64, [0, (1 << 64) - 1])  # the largest accepted dimension
+
+
+@st.composite
+def cube_subsets(draw):
+    n = draw(st.integers(1, 6))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                            max_size=min(1 << n, 9), unique=True))
+
+
+def reference_rank(rows) -> int:
+    try:
+        import sympy
+    except ImportError:
+        return rank_exact(rows)
+    return sympy.Matrix(rows).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(subset=cube_subsets())
+def test_subset_metric_and_strictness_from_index_bits(subset):
+    n, idx = subset
+    assert np.array_equal(subset_metric(n, idx).dist, cube_distance_matrix(n)[np.ix_(idx, idx)])
+    diffs = difference_rows(n, idx)
+    full_rank = not diffs or reference_rank(np.array(diffs).T.tolist()) == len(diffs)
+    assert classify_subset(n, idx).strict == full_rank
 
 
 def test_classify_examples():
-    assert classify_subset(CubeSubset.from_bitstrings(["00", "01", "10"])).strict
-    full = classify_subset(CubeSubset.from_bitstrings(["00", "01", "10", "11"]))
+    assert classify_subset(2, [0b00, 0b01, 0b10]).strict
+    full = classify_subset(2, [0b00, 0b01, 0b10, 0b11])
     assert not full.strict  # 4 points in a 2-cube can never be strict
     assert full.rank == 2
-    single = classify_subset(CubeSubset.from_indices(3, [5]))
+    single = classify_subset(3, [5])
     assert single.strict and single.rank == 0 and single.dependency is None
 
 
@@ -151,13 +189,11 @@ def test_classify_subset_matches_sympy_on_the_3_cube():
     subsets = [c for size in range(1, 9) for c in itertools.combinations(range(8), size)]
     assert len(subsets) == 255
     for indices in subsets:
-        s = CubeSubset.from_indices(3, indices)
-        base = s.vertices[0].bits
-        diffs = [[b - b0 for b, b0 in zip(v.bits, base)] for v in s.vertices[1:]]
+        diffs = difference_rows(3, indices)
         rank = sympy.Matrix(diffs).rank() if diffs else 0
         strict = rank == len(diffs)
         dependency = None if strict else tuple(sympy_kernel(np.array(diffs).T.tolist())[0])
-        cls = classify_subset(s)
+        cls = classify_subset(3, indices)
         assert (cls.strict, cls.rank, cls.dependency) == (strict, rank, dependency), indices
 
 
@@ -167,21 +203,19 @@ def test_dependency_certificates_exact():
         n = int(rng.integers(1, 6))
         size = int(rng.integers(1, min(9, 1 << n) + 1))
         ids = rng.choice(1 << n, size=size, replace=False).tolist()
-        s = CubeSubset.from_indices(n, ids)
-        cls = classify_subset(s)
+        cls = classify_subset(n, ids)
         assert cls.strict == (cls.rank == size - 1)
         if cls.dependency is not None:
             assert any(cls.dependency)
-            base = np.array(s.vertices[0].bits)
+            base = np.array(bits(n, ids[0]))
             total = np.zeros(n, dtype=int)
-            for a, v in zip(cls.dependency, s.vertices[1:]):
-                total += a * (np.array(v.bits) - base)
+            for a, i in zip(cls.dependency, ids[1:]):
+                total += a * (np.array(bits(n, i)) - base)
             assert not total.any()
 
 
 def test_subset_metric_distances():
-    s = CubeSubset.from_bitstrings(["000", "011", "101"])
-    sp = subset_metric(s)
+    sp = subset_metric(3, [0b000, 0b011, 0b101])
     assert sp.labels == ("000", "011", "101")
     assert sp.dist.tolist() == [[0, 2, 2], [2, 0, 2], [2, 2, 0]]
 
@@ -228,11 +262,10 @@ def brute_force_scan(n, max_size):
     unbounded = 0
     for size in range(1, max_size + 1):
         for indices in itertools.combinations(range(1 << n), size):
-            s = CubeSubset.from_indices(n, indices)
-            strict = classify_subset(s).strict
+            strict = classify_subset(n, indices).strict
             counts[(size, strict)] = counts.get((size, strict), 0) + 1
             if strict and size >= 3:
-                res = generalized_roundness(subset_metric(s))
+                res = generalized_roundness(subset_metric(n, indices))
                 if res.status != "Finite":
                     unbounded += 1
                 elif best is None or (res.q, indices) < best:
@@ -262,7 +295,7 @@ def test_scan_solves_each_distinct_metric_once(monkeypatch, n, max_size, distinc
     {"p_max": 0.0}, {"p_max": -1.0}, {"p_max": float("inf")},
 ])
 def test_scan_rejects_bad_search_params_before_classifying(monkeypatch, params):
-    def fail(s):
+    def fail(n, indices):
         raise AssertionError("classification started")
 
     monkeypatch.setattr(hamming, "classify_subset", fail)
@@ -271,17 +304,15 @@ def test_scan_rejects_bad_search_params_before_classifying(monkeypatch, params):
 
 
 def test_h1_full_subset_strict_but_unbounded():
-    s = CubeSubset.from_indices(1, [0, 1])
-    assert classify_subset(s).strict
-    assert generalized_roundness(subset_metric(s)).status == "Unbounded"
+    assert classify_subset(1, [0, 1]).strict
+    assert generalized_roundness(subset_metric(1, [0, 1])).status == "Unbounded"
 
 
 def test_classifier_agrees_with_spectral_oracle_h2():
     for size in range(2, 5):
         for ids in itertools.combinations(range(4), size):
-            s = CubeSubset.from_indices(2, ids)
-            strict_exact = classify_subset(s).strict
-            verdict = check_negative_type(subset_metric(s), 1.0)
+            strict_exact = classify_subset(2, ids).strict
+            verdict = check_negative_type(subset_metric(2, ids), 1.0)
             assert verdict.holds
             assert strict_exact == verdict.strict, ids
 
@@ -299,7 +330,7 @@ def test_path_embeds_in_three_cube():
     assert emb is not None
     for i in range(4):
         for j in range(i + 1, 4):
-            assert hamming_distance(emb[i], emb[j]) == j - i
+            assert (emb[i] ^ emb[j]).bit_count() == j - i
 
 
 def test_path_does_not_embed_in_two_cube():
@@ -348,7 +379,7 @@ def test_successful_embeddings_satisfy_dimension_bound():
                 for i in range(tree.n):
                     for j in range(tree.n):
                         if i != j:
-                            assert hamming_distance(emb[i], emb[j]) == dist[i, j]
+                            assert (emb[i] ^ emb[j]).bit_count() == dist[i, j]
 
 
 def test_largest_supported_searches():
@@ -359,20 +390,29 @@ def test_largest_supported_searches():
     emb = tree_embedding_search(star7, 6)
     assert emb is not None
     for i in range(1, 7):
-        assert hamming_distance(emb[0], emb[i]) == 1
+        assert (emb[0] ^ emb[i]).bit_count() == 1
     assert tree_embedding_search(star7, 5) is None
 
 
 def test_single_vertex_tree_embeds_trivially():
-    assert tree_embedding_search(Graph(1, ()), 3) == {0: CubeVertex(3, 0)}
+    assert tree_embedding_search(Graph(1, ()), 3) == {0: 0}
 
 
 def test_path_embedding_witness_examples():
-    assert [v.bitstring() for v in path_embedding_witness(2)] == ["0", "1"]
-    assert [v.bitstring() for v in path_embedding_witness(4)] == ["000", "100", "110", "111"]
+    assert [format(i, "01b") for i in path_embedding_witness(2)] == ["0", "1"]
+    assert [format(i, "03b") for i in path_embedding_witness(4)] == ["000", "100", "110", "111"]
     for k in range(2, 8):
         images = path_embedding_witness(k)
         assert len(images) == k
         for i in range(k):
             for j in range(i + 1, k):
-                assert hamming_distance(images[i], images[j]) == j - i
+                assert (images[i] ^ images[j]).bit_count() == j - i
+
+
+def test_path_embedding_witness_dimension_cap():
+    images = path_embedding_witness(65)  # into the 64-cube, the largest accepted
+    assert images[0] == 0 and images[-1] == (1 << 64) - 1
+    with pytest.raises(DimensionTooLargeError):
+        path_embedding_witness(66)
+    with pytest.raises(BadParamsError):
+        path_embedding_witness(1)
