@@ -27,7 +27,7 @@ import logging
 import os
 import sys
 
-from .errors import HypothesisViolatedError, RoundnessError
+from .errors import BadParamsError, HypothesisViolatedError, RoundnessError
 from .graphs import SOLIDS, gen_family, load_edge_list, load_solid, path_metric
 from .hamming import (
     classify_subset,
@@ -333,8 +333,16 @@ def _add_row_perm_flag(p: argparse.ArgumentParser) -> None:
                         "(default: exact for integer matrices, 1e-12 otherwise)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises BadParamsError on bad arguments, so they
+    get the JSON error report, instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise BadParamsError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gr",
         description="Generalized roundness and negative type of finite metric spaces.",
     )
@@ -411,7 +419,11 @@ def main(argv=None) -> int:
         logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO),
                             stream=sys.stderr)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except BadParamsError as exc:
+        emit_error(exc, pretty=False)
+        return 2
     try:
         return args.func(args)
     except HypothesisViolatedError as exc:

@@ -10,7 +10,9 @@ eigenbasis of block-alternating sign vectors, which pins its rank at
 n+1. That rank structure yields an exact dichotomy for subsets: a subset
 {x_0, ..., x_k} fails strict 1-negative type precisely when the difference
 vectors x_i - x_0 are linearly dependent, so classification reduces to one
-exact integer kernel computation.
+exact integer kernel computation. The exhaustive scan classifies every
+subset and then finds the roundness of each distinct strict subset metric,
+all matrices of one size in one lock-step root search.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ from .errors import (
 )
 from .graphs import Graph, adjacency, path_metric
 from .metric import FiniteMetricSpace, _readonly
-from .negtype import _check_search_params, generalized_roundness
-from .spectral import det_exact, kernel_basis_exact, rank_exact
+from .negtype import _check_search_params, roundness_search
+from .spectral import _kernel_basis, det_exact, kernel_basis_exact, rank_exact
 
 # Largest cube dimension n each operation accepts (the smallest is 1). Outside
 # 1..cap, DimensionTooLargeError is raised before any work. The caps bound
@@ -230,9 +231,10 @@ def classify_subset(n: int, indices) -> ClassificationResult:
     is the dependency (content-reduced, first nonzero coefficient positive).
     """
     base, *rest = _subset_indices(n, indices)
-    # row per bit, most significant first; column i is x_i - x_0
+    # row per bit, most significant first; column i is x_i - x_0. Built here
+    # from ints, so the elimination needs no re-validation of its entries.
     diffs = [[((i >> s) & 1) - ((base >> s) & 1) for i in rest] for s in range(n - 1, -1, -1)]
-    kernel = kernel_basis_exact(diffs)
+    kernel = _kernel_basis(diffs)
     return ClassificationResult(strict=not kernel, rank=len(rest) - len(kernel),
                                 dependency=tuple(kernel[0]) if kernel else None)
 
@@ -250,25 +252,10 @@ def _classify(args) -> bool:
     return classify_subset(*args).strict
 
 
-def _solve(args) -> float | None:
-    """q of one subset metric, or None when it is unbounded below p_max."""
-    space, p_max, tol_p, tol_eig = args
-    res = generalized_roundness(space, p_max=p_max, tol_p=tol_p, tol_eig=tol_eig)
-    return res.q if res.status == "Finite" else None
-
-
 def _pool_size(jobs: int, n_tasks: int) -> int:
     """Worker count for `jobs` requested workers: never more than the CPUs
     or the tasks."""
     return min(jobs, os.cpu_count() or 1, n_tasks)
-
-
-def _fan_out(pool: ProcessPoolExecutor | None, workers: int, fn, tasks: list) -> list:
-    """[fn(t) for t in tasks], in order; on the pool when there is one, in
-    about four chunks per worker."""
-    if pool is None:
-        return [fn(t) for t in tasks]
-    return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 def scan_subsets(
@@ -288,16 +275,16 @@ def scan_subsets(
     Ties in the minimum break lexicographically on the index set, so output
     is deterministic regardless of `jobs`.
 
-    Every subset is classified exactly. q depends only on the distance
-    matrix, so the strict subsets of size >= 3 are grouped by the exact
-    bytes of their `subset_metric` (vertices in sorted index order) and
-    `generalized_roundness` runs once per distinct matrix; each subset gets
-    the q of its group, bit for bit what a solve of its own would give. The
-    grouping lives for one call only. With `jobs` > 1 one process pool runs
-    both the classification and the distinct solves. `jobs` below 1, and
-    root-search parameters `generalized_roundness` would reject, raise
-    BadParamsError before any work; the pool is capped at the CPU count and
-    the subset count.
+    Every subset is classified exactly, on a process pool of `jobs` workers
+    when `jobs` > 1 (capped at the CPU count and the subset count). q
+    depends only on the distance matrix, so the strict subsets of size >= 3
+    are grouped by the exact bytes of their `subset_metric` (vertices in
+    sorted index order), and the distinct matrices of each size go through
+    one `roundness_search` in the calling process, which solves them all in
+    lock-step; each subset gets the q of its group, bit for bit what a
+    `generalized_roundness` of its own would give. The grouping lives for
+    one call only. `jobs` below 1, and root-search parameters the search
+    would reject, raise BadParamsError before any work.
     """
     _check_dimension("exhaustive scan", n)
     size_cap = 1 << n
@@ -314,20 +301,29 @@ def scan_subsets(
         for size in range(1, max_size + 1)
         for indices in itertools.combinations(range(size_cap), size)
     ]
+    tasks = [(n, indices) for indices in subsets]
     workers = _pool_size(jobs, len(subsets))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        strict = _fan_out(pool, workers, _classify, [(n, indices) for indices in subsets])
-        keys: list[bytes | None] = []  # per subset: its metric's bytes when q is needed
-        spaces: dict[bytes, FiniteMetricSpace] = {}
-        for indices, is_strict in zip(subsets, strict):
-            key = None
-            if is_strict and len(indices) >= MIN_SUBSET_SIZE_FOR_Q:
-                space = subset_metric(n, indices)
-                key = space.dist.tobytes()
-                spaces.setdefault(key, space)
-            keys.append(key)
-        tasks = [(space, p_max, tol_p, tol_eig) for space in spaces.values()]
-        q_of = dict(zip(spaces, _fan_out(pool, workers, _solve, tasks)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            strict = list(pool.map(_classify, tasks,
+                                   chunksize=max(1, len(tasks) // (4 * workers))))
+    else:
+        strict = [_classify(t) for t in tasks]
+
+    keys: list[bytes | None] = []  # per subset: its metric's bytes when q is needed
+    by_size: dict[int, dict[bytes, np.ndarray]] = {}
+    for indices, is_strict in zip(subsets, strict):
+        key = None
+        if is_strict and len(indices) >= MIN_SUBSET_SIZE_FOR_Q:
+            dist = subset_metric(n, indices).dist
+            key = dist.tobytes()
+            by_size.setdefault(len(indices), {}).setdefault(key, dist)
+        keys.append(key)
+    q_of: dict[bytes, float | None] = {}
+    for group in by_size.values():
+        found = roundness_search(np.stack(list(group.values())),
+                                 p_max=p_max, tol_p=tol_p, tol_eig=tol_eig)
+        q_of.update(zip(group, (f[0] if f else None for f in found)))
 
     counts: dict[tuple[int, bool], int] = {}
     best: tuple[float, tuple[int, ...]] | None = None

@@ -112,14 +112,33 @@ def build_metric_space(matrix, labels=None, validate: bool = True) -> FiniteMetr
     return FiniteMetricSpace(labels=labels, dist=_readonly(d))
 
 
-def power_matrix(space: FiniteMetricSpace, p: float) -> np.ndarray:
-    """Raise all distances to the power p, with 0^p = 0 for every p >= 0."""
+def power_matrix(space, p) -> np.ndarray:
+    """Raise all distances to the power p, with 0^p = 0 for every p >= 0.
+
+    `space` is a FiniteMetricSpace, or a stack (m, k, k) of distance
+    matrices with `p` a scalar or an array of one exponent per matrix.
+    """
+    d = space.dist if isinstance(space, FiniteMetricSpace) else space
+    exponents = set(np.ravel(p).tolist())
+    if len(exponents) == 1:
+        return _readonly(_power(d, exponents.pop()))
+    # one scalar power per distinct exponent: numpy takes fast paths for
+    # `array ** float` (square at 2, sqrt at 0.5) that can differ in the last
+    # bit from a power against an exponent array, and this way every matrix
+    # gets exactly the entries a call of its own would give
+    entries = np.empty(d.shape)
+    for e in exponents:
+        at = p == e
+        entries[at] = _power(d[at], e)
+    return _readonly(entries)
+
+
+def _power(d: np.ndarray, p: float) -> np.ndarray:
     if not (p >= 0 and np.isfinite(p)):
         raise NegativeExponentError(f"exponent must be a nonnegative real, got {p}")
-    d = space.dist
     entries = np.where(d > 0, d, 1.0) ** p
     entries[d == 0] = 0.0
-    return _readonly(entries)
+    return entries
 
 
 def has_row_permutation_property(space: FiniteMetricSpace, rel_tol: float | None = None) -> bool:

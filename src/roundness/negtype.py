@@ -5,7 +5,10 @@ by the (n-1)x(n-1) matrix M(p) = B^T D_p B, with B an orthonormal basis of the
 zero-sum hyperplane. The space has p-negative type exactly when M(p) is
 negative semidefinite, and strict p-negative type when M(p) is negative
 definite. The exponents with p-negative type form an interval [0, q], so q is
-found by bisection on the sign of the largest eigenvalue of M(p).
+found by bisection on the sign of the largest eigenvalue of M(p). The search
+(`roundness_search`) runs on a stack of same-size distance matrices in
+lock-step, one stacked eigensolve per step, each matrix making the decisions
+a search of its own would; `generalized_roundness` is its stack of one.
 
 For spaces whose distance-matrix rows are permutations of each other (all
 vertex-transitive graphs), q is also the first exponent where det(D_p)
@@ -94,12 +97,14 @@ class GrInequalityResult:
     holds: bool
 
 
-def negtype_form_matrix(space: FiniteMetricSpace, p: float) -> np.ndarray:
+def negtype_form_matrix(space, p) -> np.ndarray:
     """The powered-distance quadratic form restricted to zero-sum vectors:
-    B^T D_p B, symmetrized."""
-    b = hyperplane_basis(space.n)
-    m = b.T @ power_matrix(space, p) @ b
-    return (m + m.T) / 2.0
+    B^T D_p B, symmetrized. Takes what `power_matrix` takes, so a stack of
+    distance matrices gives the stack of their forms."""
+    dp = power_matrix(space, p)
+    b = hyperplane_basis(dp.shape[-1])
+    m = b.T @ dp @ b
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def normalized_determinant(a) -> float:
@@ -114,10 +119,11 @@ def _clamped_product(eigenvalues: np.ndarray) -> float:
 
 def _form_spectrum(space, p):
     """Spectrum of M(p), its largest eigenvalue, and its spectral radius: the
-    scale every form tolerance is relative to."""
+    scale every form tolerance is relative to. For a stack of distance
+    matrices, the last two are arrays over the stack."""
     sd = eigensym(negtype_form_matrix(space, p))
-    w = sd.eigenvalues
-    return sd, float(w[0]), max(abs(float(w[0])), abs(float(w[-1])))
+    lmax, lmin = sd.eigenvalues[..., 0], sd.eigenvalues[..., -1]
+    return sd, lmax, np.maximum(lmax, -lmin)  # = max(|lmax|, |lmin|) as lmax >= lmin
 
 
 def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-9) -> NegTypeVerdict:
@@ -133,6 +139,7 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
         raise NegativeExponentError(f"exponent must be nonnegative, got {p}")
     _check_tolerance("tol_eig", tol_eig)
     sd, lmax, scale = _form_spectrum(space, p)
+    lmax, scale = float(lmax), float(scale)
     holds = lmax <= tol_eig * scale
     strict = lmax < -tol_eig * scale
     witness = None
@@ -163,6 +170,76 @@ def _check_search_params(p_max: float, tol_p: float, tol_eig: float) -> None:
         raise BadParamsError(f"p_max must be finite and > 0, got {p_max}")
 
 
+def _bisection(p_max: float, tol_p: float):
+    """The root search for one matrix, as a generator: it yields each p to
+    test, is sent whether the predicate holds there, and returns (q,
+    (p_lo, p_hi), bisection iterations), or None when the predicate still
+    holds at p_max."""
+    if not (yield 0.0):
+        raise BracketFailureError("negative type fails at p = 0; input is numerically corrupt")
+    p_lo = 0.0
+    probe = 1.0
+    while True:
+        probe = min(probe, p_max)
+        if (yield probe):
+            p_lo = probe
+            if probe >= p_max:
+                return None
+            probe *= 2.0
+        else:
+            p_hi = probe
+            break
+    iterations = 0
+    while p_hi - p_lo > tol_p:
+        mid = (p_lo + p_hi) / 2.0
+        if (yield mid):
+            p_lo = mid
+        else:
+            p_hi = mid
+        iterations += 1
+    return (p_lo + p_hi) / 2.0, (p_lo, p_hi), iterations
+
+
+def roundness_search(
+    dists,
+    p_max: float = 64.0,
+    tol_p: float = 1e-9,
+    tol_eig: float = 1e-9,
+) -> list[tuple[float, tuple[float, float], int] | None]:
+    """The root search on p, run in lock-step on a stack (m, k, k) of
+    distance matrices.
+
+    The predicate "largest eigenvalue of M(p) <= tol_eig times its spectral
+    radius" is true exactly on [0, q]. Each matrix runs its own search and
+    makes exactly the decisions a search of its own would: the predicate
+    must hold at p = 0 (else BracketFailureError), the bracket is grown by
+    doubling from 1 up to p_max, and then bisected while wider than tol_p.
+    Each step evaluates every matrix still searching at its own p, with one
+    stacked eigensolve. Returns, per matrix, (q, (p_lo, p_hi), bisection
+    iterations), or None when the predicate still holds at p_max
+    (Unbounded). Bad tol_p, p_max or tol_eig raise BadParamsError first.
+    """
+    _check_search_params(p_max, tol_p, tol_eig)
+    d = np.asarray(dists, dtype=float)
+    found: list[tuple[float, tuple[float, float], int] | None] = [None] * len(d)
+    # the matrices still searching, in the order of their distances in d
+    live = [(i, _bisection(p_max, tol_p)) for i in range(len(d))]
+    probes = [next(search) for _, search in live]
+    while live:
+        _, lmax, scale = _form_spectrum(d, np.array(probes))
+        keep, probes = [], []
+        for j, (lm, sc) in enumerate(zip(lmax.tolist(), scale.tolist())):
+            i, search = live[j]
+            try:
+                probes.append(search.send(lm <= tol_eig * sc))
+                keep.append(j)
+            except StopIteration as stop:
+                found[i] = stop.value
+        if len(keep) < len(live):
+            d, live = d[keep], [live[j] for j in keep]
+    return found
+
+
 def generalized_roundness(
     space: FiniteMetricSpace,
     p_max: float = 64.0,
@@ -172,9 +249,9 @@ def generalized_roundness(
 ) -> RoundnessResult:
     """Compute the supremal exponent q with p-negative type, by bisection.
 
-    The predicate "largest eigenvalue of M(p) <= tol" is true exactly on
-    [0, q]; the bracket is grown by doubling from 1 and bisected to width
-    tol_p. If the predicate still holds at p_max the result is Unbounded
+    The root search is `roundness_search` on the stack of this one matrix:
+    the bracket is grown by doubling from 1 and bisected to width tol_p. If
+    the predicate still holds at p_max the result is Unbounded
     (constant-distance spaces, for example, have negative type at every
     exponent). On row-permutation inputs the determinant of D_q is checked
     to vanish (normalized by clamping eigenvalues to unit magnitude) and a
@@ -185,42 +262,15 @@ def generalized_roundness(
     """
     _check_search_params(p_max, tol_p, tol_eig)
     row_perm = has_row_permutation_property(space, rel_tol=row_perm_tol)
-
-    def predicate(p: float) -> bool:
-        _, lmax, scale = _form_spectrum(space, p)
-        return lmax <= tol_eig * scale
-
-    if not predicate(0.0):
-        raise BracketFailureError("negative type fails at p = 0; input is numerically corrupt")
-
     method = METHOD_DETERMINANT_FAST_PATH if row_perm else METHOD_SPECTRAL_BISECTION
 
-    p_lo = 0.0
-    p_hi = None
-    probe = 1.0
-    while True:
-        probe = min(probe, p_max)
-        if predicate(probe):
-            p_lo = probe
-            if probe >= p_max:
-                log.debug("negative type still holds at p_max=%g; unbounded", p_max)
-                return RoundnessResult(status="Unbounded", q=None, bracket=None,
-                                       iterations=0, method=method,
-                                       certificate=None, det_normalized=None)
-            probe *= 2.0
-        else:
-            p_hi = probe
-            break
-
-    iterations = 0
-    while p_hi - p_lo > tol_p:
-        mid = (p_lo + p_hi) / 2.0
-        if predicate(mid):
-            p_lo = mid
-        else:
-            p_hi = mid
-        iterations += 1
-    q = (p_lo + p_hi) / 2.0
+    (found,) = roundness_search(space.dist[None], p_max=p_max, tol_p=tol_p, tol_eig=tol_eig)
+    if found is None:
+        log.debug("negative type still holds at p_max=%g; unbounded", p_max)
+        return RoundnessResult(status="Unbounded", q=None, bracket=None,
+                               iterations=0, method=method,
+                               certificate=None, det_normalized=None)
+    q, bracket, iterations = found
     log.debug("bisection converged: q=%.12g in %d iterations", q, iterations)
 
     certificate = None
@@ -232,7 +282,7 @@ def generalized_roundness(
         if abs(det_norm) > CERTIFICATE_TOL:
             log.warning("determinant cross-check at q=%.12g is %.3e, expected ~0", q, det_norm)
         certificate = _null_certificate(sd, dq, space.n)
-    return RoundnessResult(status="Finite", q=q, bracket=(p_lo, p_hi),
+    return RoundnessResult(status="Finite", q=q, bracket=bracket,
                            iterations=iterations, method=method,
                            certificate=certificate, det_normalized=det_norm)
 

@@ -2,7 +2,9 @@
 
 Floating-point side: the one symmetry guard (`symmetrized`) and a symmetric
 eigensolver on LAPACK (`numpy.linalg.eigh`) with a deterministic sort and
-sign convention and a checked reconstruction residual.
+sign convention and a checked reconstruction residual. Both take a single
+matrix or a stack (..., k, k), which LAPACK solves in one call, and check
+every matrix of a stack as they would check it alone.
 
 Exact side: one fraction-free Gauss-Jordan elimination over Python integers
 (Bareiss's one-step form), whose single pass gives the rank over the
@@ -26,55 +28,84 @@ RESIDUAL_RTOL = 1e-9
 @dataclass(frozen=True)
 class SpectralData:
     """Eigenvalues sorted descending, orthonormal eigenvectors as columns,
-    and the max-norm reconstruction residual of V diag(w) V^T."""
+    and the max-norm reconstruction residual of V diag(w) V^T; for a stack
+    of matrices, each field has the stack's leading axes."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
 
 def symmetrized(a: np.ndarray) -> np.ndarray:
-    """(a + a^T) / 2 for a square matrix within SYMMETRY_RTOL of symmetric,
-    relative to max |a_ij|; NotSymmetricError naming the worst entry
-    otherwise."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """(a + a^T) / 2 for a square matrix, or for each matrix of a stack
+    (..., k, k), within SYMMETRY_RTOL of symmetric relative to its own
+    max |a_ij|; NotSymmetricError naming the worst entry of the first matrix
+    that is not."""
+    _check_square(a)
+    return _symmetrized(a, np.abs(a).max(axis=(-2, -1)))
+
+
+def _check_square(a: np.ndarray) -> None:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    gap = np.abs(a - a.T)
-    if np.max(gap) > SYMMETRY_RTOL * float(np.max(np.abs(a))):
-        i, j = np.unravel_index(int(np.argmax(gap)), a.shape)
+
+
+def _symmetrized(a: np.ndarray, amax: np.ndarray) -> np.ndarray:
+    """`symmetrized`, given max |a_ij| of each matrix."""
+    at = a.swapaxes(-1, -2)
+    gap = np.abs(a - at)
+    over = gap.max(axis=(-2, -1)) > SYMMETRY_RTOL * amax
+    if np.count_nonzero(over):
+        first = tuple(np.argwhere(over)[0])
+        a, gap = a[first], gap[first]
+        i, j = np.unravel_index(int(gap.argmax()), a.shape)
         raise NotSymmetricError(f"matrix[{i}][{j}] = {a[i, j]} != matrix[{j}][{i}] = {a[j, i]}")
-    return (a + a.T) / 2.0
+    return (a + at) / 2.0
 
 
 def eigensym(a) -> SpectralData:
-    """Full eigendecomposition of a symmetric matrix by LAPACK (`eigh`).
+    """Full eigendecomposition of a symmetric matrix, or of every matrix of a
+    stack (..., k, k) in one call, by LAPACK (`eigh`).
 
     Deterministic for identical input: stable descending sort, and each
-    eigenvector's largest-magnitude entry made positive. Raises
-    NonFiniteMatrixError on NaN or infinite entries, and NoConvergenceError
-    if LAPACK fails or the reconstruction residual is above 1e-9 relative.
+    eigenvector's largest-magnitude entry made positive. Each matrix of a
+    stack is checked as a single one is: NonFiniteMatrixError on NaN or
+    infinite entries, NotSymmetricError past the symmetry guard, and
+    NoConvergenceError if LAPACK fails or its reconstruction residual is
+    above 1e-9 relative to its own max |a_ij|. For a stack, every field has
+    the stack's leading axes (`residual` is then an array).
     """
-    a0 = np.array(a, dtype=float)
-    if not np.all(np.isfinite(a0)):
+    a0 = np.asarray(a, dtype=float)
+    _check_square(a0)
+    amax = np.abs(a0).max(axis=(-2, -1))  # NaN or inf exactly when an entry is
+    if not np.isfinite(amax).all():
         raise NonFiniteMatrixError("matrix contains non-finite entries")
-    A = symmetrized(a0)
+    sym = _symmetrized(a0, amax)
+    stack, k = a0.shape[:-2], a0.shape[-1]
+    a0, sym, amax = a0.reshape(-1, k, k), sym.reshape(-1, k, k), amax.reshape(-1)
     try:
-        w, V = np.linalg.eigh(A)
+        w, V = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(reason=str(exc)) from exc
 
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    lead = V[np.argmax(np.abs(V), axis=0), np.arange(w.size)]
-    V = V * np.where(lead < 0, -1.0, 1.0)
+    # per matrix: stable descending order, then the sign rule
+    m = np.arange(len(w))[:, None]
+    order = (-w).argsort(axis=-1, kind="stable")
+    w = w[m, order]
+    V = np.ascontiguousarray(V.swapaxes(1, 2)[m, order].swapaxes(1, 2))
+    lead = V[m, np.abs(V).argmax(axis=1), np.arange(k)]
+    V = V * np.sign(lead)[:, None, :]  # lead is nonzero: V has unit columns
 
-    resid = float(np.max(np.abs(a0 - (V * w) @ V.T)))
-    if resid > RESIDUAL_RTOL * float(np.max(np.abs(a0))):
-        raise NoConvergenceError(residual=resid)
+    resid = np.abs(a0 - (V * w[:, None, :]) @ V.swapaxes(1, 2)).max(axis=(1, 2))
+    over = resid > RESIDUAL_RTOL * amax
+    if np.count_nonzero(over):
+        raise NoConvergenceError(residual=float(resid[over].max()))
+    w, V, resid = w.reshape(*stack, k), V.reshape(*stack, k, k), resid.reshape(stack)
     w.setflags(write=False)
     V.setflags(write=False)
-    return SpectralData(eigenvalues=w, eigenvectors=V, residual=resid)
+    resid.setflags(write=False)
+    return SpectralData(eigenvalues=w, eigenvectors=V,
+                        residual=resid if stack else float(resid))
 
 
 # -- exact integer elimination --------------------------------------------------
@@ -162,7 +193,12 @@ def kernel_basis_exact(mat) -> list[list[int]]:
     echelon form: d at f and -row_i[f] at the i-th pivot column. Each is
     content-reduced with its first nonzero entry positive.
     """
-    rows = _int_rows(mat)
+    return _kernel_basis(_int_rows(mat))
+
+
+def _kernel_basis(rows: list[list[int]]) -> list[list[int]]:
+    """`kernel_basis_exact` on rows already known to be equal-length lists
+    of Python ints, which it overwrites."""
     _, pivots, _, d = _gauss_jordan(rows)
     n = len(rows[0]) if rows else 0
     pivot_set = set(pivots)

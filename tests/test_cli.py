@@ -210,11 +210,23 @@ SEARCH_FLAGS = [
                  id="roundness-row-perm-tol-negative"),
     pytest.param(["verify", "--graph", "petersen"], ["--row-perm-tol", "nan"],
                  id="verify-row-perm-tol-nan"),
+    # arguments argparse itself rejects
+    pytest.param(["cube", "classify", "--n", "3"], [], id="classify-missing-subset"),
+    pytest.param(["cube", "scan"], ["--n", "x"], id="scan-non-integer-n"),
+    pytest.param(["cube", "classify", "--n", "3"], ["--subset", "-1,2"],
+                 id="classify-subset-read-as-flag"),
 ])
 def test_bad_search_params_exit_2(capsys, command, flags):
     code, report = run_cli(capsys, *command, *flags)
     assert code == 2
     assert report["error"]["type"] == "BadParamsError"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["cube", "scan", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gr cube scan")
 
 
 def test_reports_are_byte_identical(capsys):

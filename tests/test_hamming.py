@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from roundness import (
     Graph,
+    build_metric_space,
     check_negative_type,
     classify_subset,
     cube_distance_matrix,
@@ -35,6 +36,7 @@ from roundness.errors import (
 )
 from roundness import hamming
 from roundness.hamming import ScanSummary, _pool_size
+from roundness.negtype import roundness_search
 
 
 def bits(n, i):
@@ -280,13 +282,39 @@ def test_scan_solves_each_distinct_metric_once(monkeypatch, n, max_size, distinc
     expected = brute_force_scan(n, max_size)
     solved = []
 
-    def counting(space, **kwargs):
-        solved.append(space.dist.tobytes())
-        return generalized_roundness(space, **kwargs)
+    def counting(dists, **kwargs):
+        solved.extend(d.tobytes() for d in dists)
+        return roundness_search(dists, **kwargs)
 
-    monkeypatch.setattr(hamming, "generalized_roundness", counting)
+    monkeypatch.setattr(hamming, "roundness_search", counting)
     assert scan_subsets(n, max_size=max_size) == expected
     assert len(solved) == len(set(solved)) == distinct
+
+
+@pytest.mark.parametrize("n, max_size", [(3, 8), (4, 3)])
+def test_stacked_search_equals_single_solves(n, max_size):
+    """Every distinct strict subset metric a scan solves, stacked by size as
+    the scan stacks them: the lock-step search gives, member by member, the
+    status, q, bracket and iteration count of a solve of its own."""
+    by_size = {}
+    for size in range(3, max_size + 1):
+        for indices in itertools.combinations(range(1 << n), size):
+            if classify_subset(n, indices).strict:
+                dist = subset_metric(n, indices).dist
+                by_size.setdefault(size, {}).setdefault(dist.tobytes(), dist)
+    statuses = set()
+    for group in by_size.values():
+        stack = np.stack(list(group.values()))
+        for dist, found in zip(stack, roundness_search(stack)):
+            single = generalized_roundness(build_metric_space(dist))
+            statuses.add(single.status)
+            if found is None:
+                assert single.status == "Unbounded"
+                continue
+            q, bracket, iterations = found
+            assert single.status == "Finite"
+            assert (q, bracket, iterations) == (single.q, single.bracket, single.iterations)
+    assert statuses == {"Finite", "Unbounded"}
 
 
 @pytest.mark.parametrize("params", [

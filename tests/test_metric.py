@@ -95,6 +95,26 @@ def test_power_matrix_rejects_negative_exponent():
         power_matrix(sp, float("nan"))
 
 
+def test_power_matrix_stack_equals_single_calls():
+    # a stack with one exponent per matrix gives each matrix bit for bit the
+    # entries of a call of its own, also at the exponents (0.5, 2) where
+    # numpy's scalar power takes a different route than an exponent array
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(size=(4, 12, 3))
+    stack = np.linalg.norm(pts[:, :, None, :] - pts[:, None, :, :], axis=-1)
+    exponents = np.array([0.5, 2.0, 1.3, 0.5])
+    spaces = [build_metric_space(d) for d in stack]
+    stacked = power_matrix(np.stack([sp.dist for sp in spaces]), exponents)
+    for sp, e, got in zip(spaces, exponents, stacked):
+        assert np.array_equal(got, power_matrix(sp, float(e)))
+    assert np.array_equal(power_matrix(stack, 2.0), stack ** 2.0)
+    assert not stacked.flags.writeable
+    with pytest.raises(NegativeExponentError):
+        power_matrix(stack, np.array([1.0, -0.5, 1.0, 1.0]))
+    with pytest.raises(NegativeExponentError):
+        power_matrix(stack, np.array([1.0, np.nan, 2.0, 1.0]))
+
+
 def test_non_finite_entries_rejected():
     with pytest.raises(ValueError):
         build_metric_space([[0, float("nan")], [float("nan"), 0]])

@@ -23,11 +23,16 @@ from roundness import (
 from roundness.errors import (
     BadParamsError,
     HypothesisViolatedError,
+    RoundnessError,
     IndexOutOfRangeError,
     LengthMismatchError,
 )
 from roundness import negtype
-from roundness.negtype import METHOD_DETERMINANT_FAST_PATH, METHOD_SPECTRAL_BISECTION
+from roundness.negtype import (
+    METHOD_DETERMINANT_FAST_PATH,
+    METHOD_SPECTRAL_BISECTION,
+    roundness_search,
+)
 
 P3_MATRIX = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
@@ -123,6 +128,36 @@ def test_bad_tolerances_rejected_before_any_solve(monkeypatch, call):
     monkeypatch.setattr(negtype, "_form_spectrum", fail)
     with pytest.raises(BadParamsError):
         call(space("cycle:4"))
+
+
+def test_stacked_search_mixes_finite_and_unbounded_members():
+    # 4-point metrics that stop at different steps: during doubling (K4),
+    # and after bisections from different brackets
+    spaces = [space("cycle:4"), space("complete:4"), space("hypercube:2"),
+              build_metric_space([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]),
+              space("complete_bipartite:2")]
+    found = roundness_search(np.stack([sp.dist for sp in spaces]))
+    statuses = []
+    for sp, f in zip(spaces, found):
+        single = generalized_roundness(sp)
+        statuses.append(single.status)
+        got = ("Unbounded", None, None, 0) if f is None else ("Finite", *f)
+        assert got == (single.status, single.q, single.bracket, single.iterations)
+    assert statuses.count("Unbounded") == 1 and statuses.count("Finite") == 4
+
+
+def test_stacked_search_raises_what_the_single_search_raises():
+    good = space("cycle:5").dist
+    huge = 1e200 * good  # its powers overflow at p = 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RoundnessError) as single:
+            generalized_roundness(build_metric_space(huge))
+        with pytest.raises(type(single.value)) as stacked:
+            roundness_search(np.stack([good, huge, good]))
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(BadParamsError):
+        roundness_search(np.stack([good]), tol_p=0.0)
+    assert roundness_search(np.empty((0, 3, 3))) == []
 
 
 def test_roundness_accepts_search_param_edges():

@@ -161,6 +161,73 @@ def test_eigensym_residual_bound(monkeypatch):
     assert info.value.residual == pytest.approx(1e-6)
 
 
+def test_eigensym_stack_equals_single_calls():
+    rng = np.random.default_rng(7)
+    # random members, plus exact ties (identity, zeros, ones - identity) whose
+    # eigenvector order depends on the stable sort
+    members = [random_symmetric(rng, 5, scale) for scale in (1e-6, 1.0, 1e6)]
+    members += [np.eye(5), np.zeros((5, 5)), np.ones((5, 5)) - np.eye(5)]
+    sd = eigensym(np.stack(members))
+    assert sd.eigenvalues.shape == (6, 5) and sd.eigenvectors.shape == (6, 5, 5)
+    for j, a in enumerate(members):
+        one = eigensym(a)
+        assert np.array_equal(sd.eigenvalues[j], one.eigenvalues)
+        assert np.array_equal(sd.eigenvectors[j], one.eigenvectors)
+        assert sd.residual[j] == one.residual
+    assert not sd.eigenvalues.flags.writeable and not sd.residual.flags.writeable
+
+
+def test_eigensym_sort_and_sign_rule_against_raw_eigh():
+    # the rule written out on LAPACK's own output, one matrix at a time:
+    # stable descending sort (ties keep LAPACK's order), then each column's
+    # largest-magnitude entry made positive
+    members = [np.diag([1.0, 2.0, 1.0, 2.0]), np.ones((4, 4)) - np.eye(4),
+               random_symmetric(np.random.default_rng(5), 4)]
+    sd = eigensym(np.stack(members))
+    for j, a in enumerate(members):
+        w, v = np.linalg.eigh(a)
+        order = np.argsort(-w, kind="stable")
+        w, v = w[order], v[:, order]
+        v = v * np.where(v[np.argmax(np.abs(v), axis=0), np.arange(4)] < 0, -1.0, 1.0)
+        assert np.array_equal(sd.eigenvalues[j], w)
+        assert np.array_equal(sd.eigenvectors[j], v)
+
+
+GOOD = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 1.0], [np.nan, 1.0, 0.0]]),
+    np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]]),
+    1e-13 * np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]]),
+], ids=["non-finite", "asymmetric", "asymmetric-tiny-scale"])
+def test_eigensym_stack_checks_every_member(bad):
+    with pytest.raises(RoundnessError) as single:
+        eigensym(bad)
+    with pytest.raises(type(single.value)) as stacked:
+        eigensym(np.stack([GOOD, 1e6 * GOOD, bad, GOOD]))
+    assert str(stacked.value) == str(single.value)
+
+
+def test_eigensym_stack_residual_bound_per_member(monkeypatch):
+    true_eigh = np.linalg.eigh
+    bad = np.diag([3.0, 1.0, -2.0])
+
+    def shifted(a):
+        # shifts the eigenvalues of the members whose [0, 0] entry is 3 only
+        w, v = true_eigh(a)
+        return w + 1e-6 * (a[..., :1, 0] == 3.0), v
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    eigensym(np.stack([GOOD, 1e12 * GOOD]))
+    with pytest.raises(NoConvergenceError) as single:
+        eigensym(bad)
+    with pytest.raises(NoConvergenceError) as stacked:
+        eigensym(np.stack([1e12 * GOOD, bad, GOOD]))
+    assert stacked.value.residual == single.value.residual == pytest.approx(1e-6)
+    assert str(stacked.value) == str(single.value)
+
+
 def test_overflowing_powers_raise_roundness_error():
     d = np.asarray(path_metric(gen_family("cycle", 5)).dist)
     space = build_metric_space(1e200 * d)
