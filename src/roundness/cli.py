@@ -8,12 +8,13 @@ cube        classify / spectrum / scan / lemmas for Hamming-cube subsets
 tree        embed a tree into a cube, or emit the prefix path embedding
 verify      kernel-coincidence check at the computed exponent
 
-Inputs are graph specs (``cycle:5``, ``circulant:8:1,3``, ``petersen``,
-``dodecahedron``), matrix files (JSON ``{"labels": [...], "matrix": [[...]]}``
-or bare CSV), or edge-list files (first line the vertex count, then ``u v``
-lines). Reports are byte-identical for identical inputs and flags. Exit codes:
-0 success/holds, 1 semantic negative (violated, hypothesis failed, none
-found), 2 input error. Set ROUNDNESS_LOG=DEBUG for diagnostics on stderr.
+Inputs, exactly one per command, are graph specs (``cycle:5``,
+``circulant:8:1,3``, ``petersen``, ``dodecahedron``), matrix files (JSON
+``{"labels": [...], "matrix": [[...]]}`` or bare CSV), or edge-list files
+(first line the vertex count, then ``u v`` lines). Reports are
+byte-identical for identical inputs and flags. Exit codes: 0 success/holds,
+1 semantic negative (violated, hypothesis failed, none found), 2 input
+error. Set ROUNDNESS_LOG=DEBUG for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -80,24 +81,24 @@ def load_matrix_file(path: str):
     except json.JSONDecodeError:
         rows = [[float(x) for x in row] for row in csv.reader(io.StringIO(text)) if row]
         return rows, None
-    if not isinstance(obj, dict) or "matrix" not in obj:
-        raise RoundnessError('matrix JSON must be an object with a "matrix" key')
-    return obj["matrix"], obj.get("labels")
+    if not isinstance(obj, dict) or not isinstance(obj.get("matrix"), list):
+        raise RoundnessError('matrix JSON must be an object with a "matrix" list')
+    labels = obj.get("labels")
+    if not (labels is None or isinstance(labels, list)):
+        raise RoundnessError('"labels" in matrix JSON must be a list')
+    return obj["matrix"], labels
 
 
 def resolve_space(args):
-    """Turn --graph/--matrix/--edges into a metric space plus a canonical
-    description used for the input digest."""
-    if getattr(args, "graph", None):
-        g = graph_from_spec(args.graph)
-        space = path_metric(g)
-    elif getattr(args, "matrix", None):
-        matrix, labels = load_matrix_file(args.matrix)
-        space = build_metric_space(matrix, labels, validate=not args.no_validate)
-    elif getattr(args, "edges", None):
-        space = path_metric(load_edge_list(args.edges))
+    """Turn --graph/--matrix/--edges (exactly one, which the parser
+    enforces) into a metric space plus a canonical description used for the
+    input digest."""
+    if args.graph is not None:
+        space = path_metric(graph_from_spec(args.graph))
+    elif args.matrix is not None:
+        space = build_metric_space(*load_matrix_file(args.matrix))
     else:
-        raise RoundnessError("one of --graph, --matrix or --edges is required")
+        space = path_metric(load_edge_list(args.edges))
     desc = {"labels": list(space.labels), "matrix": [[float(x) for x in row] for row in space.dist]}
     return space, desc
 
@@ -134,8 +135,7 @@ def emit_error(exc: Exception, pretty: bool) -> None:
 
 def cmd_roundness(args) -> int:
     space, desc = resolve_space(args)
-    res = generalized_roundness(space, p_max=args.p_max, tol_p=args.tol_p,
-                                tol_eig=args.tol_eig, row_perm_tol=args.row_perm_tol)
+    res = generalized_roundness(space, p_max=args.p_max, tol_p=args.tol_p, tol_eig=args.tol_eig)
     result = {
         "status": res.status,
         "q": res.q,
@@ -175,12 +175,11 @@ def cmd_negtype(args) -> int:
 def cmd_verify(args) -> int:
     space, desc = resolve_space(args)
     _check_tolerance("tol", args.tol)
-    if not has_row_permutation_property(space, rel_tol=args.row_perm_tol):
+    if not has_row_permutation_property(space):
         raise HypothesisViolatedError(
             "rows of the distance matrix are not permutations of each other"
         )
-    res = generalized_roundness(space, p_max=args.p_max, tol_p=args.tol_p,
-                                tol_eig=args.tol_eig, row_perm_tol=args.row_perm_tol)
+    res = generalized_roundness(space, p_max=args.p_max, tol_p=args.tol_p, tol_eig=args.tol_eig)
     diag = {"p_max": args.p_max, "tol_p": args.tol_p, "tol_eig": args.tol_eig, "tol": args.tol}
     if res.status != "Finite":
         result = {
@@ -190,8 +189,7 @@ def cmd_verify(args) -> int:
         }
         emit("verify", desc, result, diag, args.pretty)
         return 1
-    report = kernel_coincidence_check(space, res.q, tol=args.tol,
-                                      row_perm_tol=args.row_perm_tol)
+    report = kernel_coincidence_check(space, res.q, tol=args.tol)
     result = {
         "status": "Finite",
         "q": res.q,
@@ -311,11 +309,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", help="graph spec, e.g. cycle:5, hypercube:3, circulant:8:1,3")
-    p.add_argument("--matrix", help="matrix file (JSON or CSV)")
-    p.add_argument("--edges", help="edge-list file")
-    p.add_argument("--no-validate", action="store_true",
-                   help="skip the triangle-inequality check on matrix input")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help="graph spec, e.g. cycle:5, hypercube:3, circulant:8:1,3")
+    source.add_argument("--matrix", help="matrix file (JSON or CSV)")
+    source.add_argument("--edges", help="edge-list file")
 
 
 def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
@@ -325,12 +322,6 @@ def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
                    help="bisection width in the exponent (default 1e-9)")
     p.add_argument("--tol-eig", type=float, default=1e-9, dest="tol_eig",
                    help="relative eigenvalue tolerance (default 1e-9)")
-
-
-def _add_row_perm_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--row-perm-tol", type=float, default=None, dest="row_perm_tol",
-                   help="relative tolerance for the row-permutation test "
-                        "(default: exact for integer matrices, 1e-12 otherwise)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -352,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     _add_input_flags(p)
     _add_tolerance_flags(p)
-    _add_row_perm_flag(p)
     p.set_defaults(func=cmd_roundness)
 
     p = sub.add_parser("negtype", help="decide (strict) p-negative type")
@@ -370,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tolerance_flags(p)
     p.add_argument("--tol", type=float, default=1e-6,
                    help="defect tolerance for the coincidence check (default 1e-6)")
-    _add_row_perm_flag(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cube", help="Hamming-cube subset tooling")

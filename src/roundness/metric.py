@@ -44,8 +44,7 @@ class FiniteMetricSpace:
     """n labelled points with pairwise distances.
 
     The matrix is symmetric with zero diagonal and strictly positive
-    off-diagonal entries, and satisfies the triangle inequality (unless
-    construction was told to skip that check).
+    off-diagonal entries, and satisfies the triangle inequality.
     """
 
     labels: tuple[str, ...]
@@ -64,13 +63,13 @@ class NegativeTypeWitness:
     form_value: float
 
 
-def build_metric_space(matrix, labels=None, validate: bool = True) -> FiniteMetricSpace:
+def build_metric_space(matrix, labels=None) -> FiniteMetricSpace:
     """Validate a distance matrix and wrap it as a FiniteMetricSpace.
 
-    Near-symmetric input (within 1e-12 of max |d|) is symmetrized; anything
-    worse raises NotSymmetricError. The triangle inequality is checked to the
-    same relative slack. `validate=False` skips only the O(n^3)
-    triangle-inequality check, for matrices already known to be metrics.
+    Near-symmetric input (within SYMMETRY_RTOL = 1e-12 of max |d|) is
+    symmetrized; anything worse raises NotSymmetricError. The triangle
+    inequality is always checked, to the same relative slack
+    (TriangleViolationError).
     """
     d = np.array(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -101,13 +100,12 @@ def build_metric_space(matrix, labels=None, validate: bool = True) -> FiniteMetr
         i, j = np.unravel_index(int(np.argmin(off != 0.0)), d.shape)
         raise ZeroDistanceError(f"zero distance between distinct points {i} and {j}")
 
-    if validate:
-        slack = SYMMETRY_RTOL * float(np.max(d))
-        for k in range(n):
-            gap = d - (d[:, k][:, None] + d[k, :][None, :])
-            if np.any(gap > slack):
-                i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-                raise TriangleViolationError(i, k, j, d[i, j], d[i, k], d[k, j])
+    slack = SYMMETRY_RTOL * float(np.max(d))
+    for k in range(n):
+        gap = d - (d[:, k][:, None] + d[k, :][None, :])
+        if np.any(gap > slack):
+            i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            raise TriangleViolationError(i, k, j, d[i, j], d[i, k], d[k, j])
 
     return FiniteMetricSpace(labels=labels, dist=_readonly(d))
 
@@ -141,23 +139,13 @@ def _power(d: np.ndarray, p: float) -> np.ndarray:
     return entries
 
 
-def has_row_permutation_property(space: FiniteMetricSpace, rel_tol: float | None = None) -> bool:
-    """True iff each row of the distance matrix is a permutation of row 0.
-
-    Rows are compared as sorted vectors. Integer-valued matrices (all graph
-    metrics) are compared exactly; otherwise entries match within `rel_tol`
-    times the largest distance (default 1e-12). A given `rel_tol` must be
-    finite and >= 0, else BadParamsError.
-    """
+def has_row_permutation_property(space: FiniteMetricSpace) -> bool:
+    """True iff each row of the distance matrix is a permutation of row 0:
+    the rows, sorted, agree entry by entry within SYMMETRY_RTOL = 1e-12
+    times the largest distance."""
     d = space.dist
-    if rel_tol is None:
-        rel_tol = 0.0 if np.all(d == np.round(d)) else 1e-12
-    else:
-        _check_tolerance("row_perm_tol", rel_tol)
     rows = np.sort(d, axis=1)
-    if rel_tol == 0.0:
-        return bool(np.all(rows == rows[0]))
-    return bool(np.all(np.abs(rows - rows[0]) <= rel_tol * float(np.max(d))))
+    return bool(np.all(np.abs(rows - rows[0]) <= SYMMETRY_RTOL * float(np.max(d))))
 
 
 def quadratic_form(dp: np.ndarray, eta) -> float:

@@ -16,8 +16,8 @@ vanishes; that criterion is run as a cross-check and yields a null-vector
 certificate. At q the zero-sum vectors nullifying the form coincide with the
 null space of D_q; `kernel_coincidence_check` verifies both inclusions
 numerically. Every tolerance is relative to the scale of the matrix it tests
-(the spectral radius of M(p), or max |D_q|), so no result depends on the unit
-of distance.
+(the spectral radius of M(p) or of D_q, max |D_q|, or the larger side of the
+roundness inequality), so no result depends on the unit of distance.
 """
 
 from __future__ import annotations
@@ -105,16 +105,6 @@ def negtype_form_matrix(space, p) -> np.ndarray:
     b = hyperplane_basis(dp.shape[-1])
     m = b.T @ dp @ b
     return (m + m.swapaxes(-1, -2)) / 2.0
-
-
-def normalized_determinant(a) -> float:
-    """Product of eigenvalues with each clamped to unit magnitude: a
-    scale-free indicator of a vanishing determinant."""
-    return _clamped_product(eigensym(np.asarray(a, dtype=float)).eigenvalues)
-
-
-def _clamped_product(eigenvalues: np.ndarray) -> float:
-    return float(np.prod([v / max(1.0, abs(v)) for v in eigenvalues.tolist()]))
 
 
 def _form_spectrum(space, p):
@@ -245,7 +235,6 @@ def generalized_roundness(
     p_max: float = 64.0,
     tol_p: float = 1e-9,
     tol_eig: float = 1e-9,
-    row_perm_tol: float | None = None,
 ) -> RoundnessResult:
     """Compute the supremal exponent q with p-negative type, by bisection.
 
@@ -253,15 +242,15 @@ def generalized_roundness(
     the bracket is grown by doubling from 1 and bisected to width tol_p. If
     the predicate still holds at p_max the result is Unbounded
     (constant-distance spaces, for example, have negative type at every
-    exponent). On row-permutation inputs the determinant of D_q is checked
-    to vanish (normalized by clamping eigenvalues to unit magnitude) and a
-    unit null vector of D_q orthogonal to all-ones is attached as a
-    certificate. tol_p and p_max must be finite and > 0, tol_eig and a given
-    row_perm_tol finite and >= 0; anything else raises BadParamsError before
-    any work.
+    exponent). On row-permutation inputs (`has_row_permutation_property`)
+    D_q must be singular: `det_normalized` is min |eigenvalue| / max
+    |eigenvalue| of D_q, a scale-free measure that is about 0 at q (a
+    warning is logged above CERTIFICATE_TOL), and a unit null vector of D_q
+    orthogonal to all-ones is attached as a certificate. tol_p and p_max
+    must be finite and > 0 and tol_eig finite and >= 0; anything else
+    raises BadParamsError before any eigensolve.
     """
-    _check_search_params(p_max, tol_p, tol_eig)
-    row_perm = has_row_permutation_property(space, rel_tol=row_perm_tol)
+    row_perm = has_row_permutation_property(space)
     method = METHOD_DETERMINANT_FAST_PATH if row_perm else METHOD_SPECTRAL_BISECTION
 
     (found,) = roundness_search(space.dist[None], p_max=p_max, tol_p=tol_p, tol_eig=tol_eig)
@@ -278,8 +267,9 @@ def generalized_roundness(
     if row_perm:
         dq = power_matrix(space, q)
         sd = eigensym(dq)
-        det_norm = _clamped_product(sd.eigenvalues)
-        if abs(det_norm) > CERTIFICATE_TOL:
+        magnitudes = np.abs(sd.eigenvalues)
+        det_norm = float(np.min(magnitudes) / np.max(magnitudes))
+        if det_norm > CERTIFICATE_TOL:
             log.warning("determinant cross-check at q=%.12g is %.3e, expected ~0", q, det_norm)
         certificate = _null_certificate(sd, dq, space.n)
     return RoundnessResult(status="Finite", q=q, bracket=bracket,
@@ -305,7 +295,6 @@ def kernel_coincidence_check(
     space: FiniteMetricSpace,
     q: float,
     tol: float = 1e-6,
-    row_perm_tol: float | None = None,
 ) -> KernelCoincidenceReport:
     """Verify that zero-sum form-nullifying vectors and null vectors of D_q
     coincide at the supremal exponent q.
@@ -313,11 +302,12 @@ def kernel_coincidence_check(
     Forward: every kernel vector of the restricted form M(q), lifted back to
     a zero-sum vector u, must satisfy D_q u = 0 (max-norm, relative).
     Backward: every null vector of D_q must be orthogonal to all-ones.
-    Requires the row-permutation property and a finite q; tol and a given
-    row_perm_tol must be finite and >= 0, else BadParamsError.
+    Requires the row-permutation property (`has_row_permutation_property`,
+    else HypothesisViolatedError) and a finite q; tol must be finite and
+    >= 0, else BadParamsError.
     """
     _check_tolerance("tol", tol)
-    if not has_row_permutation_property(space, rel_tol=row_perm_tol):
+    if not has_row_permutation_property(space):
         raise HypothesisViolatedError(
             "rows of the distance matrix are not permutations of each other"
         )
@@ -350,8 +340,11 @@ def gr_inequality_check(
 
     lhs sums d(a_k, a_l)^p + d(b_k, b_l)^p over pairs k < l inside each
     family; rhs sums d(a_j, b_i)^p over all cross pairs. Repeated indices are
-    allowed (the inequality quantifies over all choices of points).
+    allowed (the inequality quantifies over all choices of points). It holds
+    when lhs <= rhs + tol * max(lhs, rhs), so the verdict does not depend on
+    the unit of distance; tol must be finite and >= 0, else BadParamsError.
     """
+    _check_tolerance("tol", tol)
     a = [int(i) for i in a_idx]
     bb = [int(i) for i in b_idx]
     if len(a) != len(bb):
@@ -369,4 +362,4 @@ def gr_inequality_check(
             lhs += dp[a[k], a[l]] + dp[bb[k], bb[l]]
     rhs = float(np.sum(dp[np.ix_(a, bb)]))
     lhs = float(lhs)
-    return GrInequalityResult(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol))
+    return GrInequalityResult(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol * max(lhs, rhs)))

@@ -11,6 +11,7 @@ from conftest import build_fleet
 
 from roundness import (
     Graph,
+    build_metric_space,
     check_negative_type,
     classify_subset,
     cube_distance_matrix,
@@ -20,7 +21,6 @@ from roundness import (
     generalized_roundness,
     gr_inequality_check,
     kernel_coincidence_check,
-    normalized_determinant,
     null_dimension_check,
     path_embedding_witness,
     path_metric,
@@ -107,21 +107,34 @@ def test_criterion_04_classifier_cross_oracle():
            f"{disagreements} disagreements")
 
 
+def relative_min_eigenvalue(a) -> float:
+    """min |eigenvalue| / max |eigenvalue|, the measure `det_normalized`
+    reports for D_q."""
+    magnitudes = np.abs(np.linalg.eigvalsh(a))
+    return float(magnitudes.min() / magnitudes.max())
+
+
 def test_criterion_05_determinant_criterion_consistency():
     with Timer() as t:
         ok = True
-        details = []
-        for spec, sp in build_fleet().items():
-            res = generalized_roundness(sp)
-            ok &= res.status == "Finite"
-            ok &= abs(res.det_normalized) <= 1e-6
-            half = normalized_determinant(power_matrix(sp, res.q / 2))
-            ok &= abs(half) > 1e-6
-            details.append(f"{spec}:q={res.q:.6f}")
+        fleet = build_fleet()
+        fleet["hypercube:6"] = path_metric(gen_family("hypercube", 6))
+        worst_q, least_half = 0.0, 1.0
+        for spec, sp in fleet.items():
+            for c in (1e-3, 1.0, 1e3):
+                scaled = build_metric_space(c * sp.dist)
+                res = generalized_roundness(scaled)
+                ok &= res.status == "Finite"
+                ok &= 0 <= res.det_normalized <= 1e-6
+                half = relative_min_eigenvalue(power_matrix(scaled, res.q / 2))
+                ok &= half > 1e-6
+                worst_q, least_half = max(worst_q, res.det_normalized), min(least_half, half)
         for n in range(3, 7):
             res = generalized_roundness(path_metric(gen_family("complete", n)))
             ok &= res.status == "Unbounded"
-    report(5, ok, t.elapsed, 30, "det(D_q)~0, det(D_q/2)!=0; complete graphs unbounded")
+    report(5, ok, t.elapsed, 30,
+           f"relative min |eig| of D_q <= {worst_q:.1e}, of D_q/2 >= {least_half:.1e} "
+           "at c in {1e-3, 1, 1e3}; complete graphs unbounded")
 
 
 def test_criterion_06_kernel_coincidence():

@@ -176,12 +176,25 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
     assert report["error"]["type"] == "TriangleViolationError"
 
-    # escape hatch: skip the triangle check
-    code, _ = run_cli(capsys, "roundness", "--matrix", str(bad), "--no-validate")
-    assert code == 0
+    # the triangle check cannot be skipped
+    code, report = run_cli(capsys, "roundness", "--matrix", str(bad), "--no-validate")
+    assert code == 2
+    assert report["error"]["type"] == "BadParamsError"
 
     code, report = run_cli(capsys, "roundness")
     assert code == 2
+
+    # labels that are not a list: a JSON error, not a traceback
+    for labels in (5, "abc", {"a": 1}):
+        f = tmp_path / "labels.json"
+        f.write_text(json.dumps({"labels": labels, "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}))
+        code, report = run_cli(capsys, "roundness", "--matrix", str(f))
+        assert code == 2
+        assert "labels" in report["error"]["message"]
+    f.write_text(json.dumps({"matrix": {"0": [0, 1]}}))
+    code, report = run_cli(capsys, "roundness", "--matrix", str(f))
+    assert code == 2
+    assert report["error"]["type"] == "RoundnessError"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -206,10 +219,23 @@ SEARCH_FLAGS = [
     pytest.param(["negtype", "--graph", "cycle:4", "--p", "1"], ["--tol-eig", "nan"],
                  id="negtype-tol-eig-nan"),
     pytest.param(["verify", "--graph", "cycle:4"], ["--tol", "-1"], id="verify-tol-negative"),
+    # flags that no longer exist: every check runs at the one relative tolerance
     pytest.param(["roundness", "--graph", "cycle:5"], ["--row-perm-tol", "-1"],
                  id="roundness-row-perm-tol-negative"),
     pytest.param(["verify", "--graph", "petersen"], ["--row-perm-tol", "nan"],
                  id="verify-row-perm-tol-nan"),
+    pytest.param(["roundness", "--graph", "cycle:5"], ["--row-perm-tol", "0"],
+                 id="roundness-row-perm-tol-0"),
+    pytest.param(["roundness", "--graph", "cycle:5"], ["--no-validate"], id="roundness-no-validate"),
+    pytest.param(["negtype", "--graph", "cycle:5", "--p", "1"], ["--no-validate"],
+                 id="negtype-no-validate"),
+    pytest.param(["verify", "--graph", "cycle:5"], ["--no-validate"], id="verify-no-validate"),
+    # exactly one of --graph, --matrix and --edges
+    pytest.param(["roundness", "--graph", "cycle:5"], ["--matrix", "m.json"],
+                 id="roundness-graph-and-matrix"),
+    pytest.param(["verify", "--edges", "e.txt"], ["--graph", "cycle:5"],
+                 id="verify-edges-and-graph"),
+    pytest.param(["negtype", "--p", "1"], [], id="negtype-no-input"),
     # arguments argparse itself rejects
     pytest.param(["cube", "classify", "--n", "3"], [], id="classify-missing-subset"),
     pytest.param(["cube", "scan"], ["--n", "x"], id="scan-non-integer-n"),

@@ -61,11 +61,12 @@ def test_input_guards_are_relative_to_scale():
     assert build_metric_space(1e-13 * np.array(C4_MATRIX)).n == 4
 
 
-def test_no_validate_skips_triangle_only():
-    sp = build_metric_space([[0, 1, 3], [1, 0, 1], [3, 1, 0]], validate=False)
-    assert sp.n == 3
+def test_triangle_check_always_runs():
+    # there is no switch that skips the triangle check
+    with pytest.raises(TypeError):
+        build_metric_space([[0, 1, 3], [1, 0, 1], [3, 1, 0]], validate=False)
     with pytest.raises(NonzeroDiagonalError):
-        build_metric_space([[1, 1], [1, 0]], validate=False)
+        build_metric_space([[1, 1], [1, 0]])
 
 
 def test_power_matrix_two_point_p1():

@@ -15,7 +15,6 @@ from roundness import (
     gr_inequality_check,
     kernel_coincidence_check,
     negtype_form_matrix,
-    normalized_determinant,
     path_metric,
     power_matrix,
     quadratic_form,
@@ -41,6 +40,13 @@ def space(spec):
     family, _, param = spec.partition(":")
     args = (int(param),) if param else ()
     return path_metric(gen_family(family, *args))
+
+
+def relative_min_eigenvalue(a):
+    """min |eigenvalue| / max |eigenvalue| of a symmetric matrix: the
+    measure `det_normalized` reports for D_q."""
+    magnitudes = np.abs(np.linalg.eigvalsh(a))
+    return magnitudes.min() / magnitudes.max()
 
 
 def test_form_matrix_two_points():
@@ -115,12 +121,12 @@ def test_roundness_rejects_bad_search_params(params):
     lambda sp: check_negative_type(sp, 1.0, tol_eig=-1.0),
     lambda sp: kernel_coincidence_check(sp, 1.0, tol=-1.0),
     lambda sp: kernel_coincidence_check(sp, 1.0, tol=float("inf")),
-    lambda sp: kernel_coincidence_check(sp, 1.0, row_perm_tol=float("nan")),
-    lambda sp: generalized_roundness(sp, row_perm_tol=-1.0),
-    lambda sp: generalized_roundness(sp, row_perm_tol=float("nan")),
+    lambda sp: gr_inequality_check(sp, 1.0, [0], [1], tol=float("nan")),
+    lambda sp: gr_inequality_check(sp, 1.0, [0], [1], tol=-1.0),
+    lambda sp: gr_inequality_check(sp, 1.0, [0], [1], tol=float("inf")),
 ], ids=["negtype-tol_eig-nan", "negtype-tol_eig-negative", "coincidence-tol-negative",
-        "coincidence-tol-inf", "coincidence-row_perm_tol-nan", "roundness-row_perm_tol-negative",
-        "roundness-row_perm_tol-nan"])
+        "coincidence-tol-inf", "inequality-tol-nan", "inequality-tol-negative",
+        "inequality-tol-inf"])
 def test_bad_tolerances_rejected_before_any_solve(monkeypatch, call):
     def fail(*args, **kwargs):
         raise AssertionError("a form spectrum was computed")
@@ -200,16 +206,22 @@ def test_four_cycle_is_relabelled_two_cube():
     assert np.array_equal(c4.dist, d2[np.ix_(perm, perm)])
 
 
-def test_row_perm_tolerance_is_configurable():
+def test_row_perm_tolerance_is_relative():
+    # sorted rows must agree within 1e-12 times the largest distance, at any
+    # scale: a 1e-13-noisy 4-cycle passes, a 1e-10-noisy one does not
     eps = 1e-13
-    noisy = [[0, 1, 2 + eps, 1], [1, 0, 1, 2], [2 + eps, 1, 0, 1], [1, 2, 1, 0]]
-    sp = build_metric_space(noisy)
-    res = generalized_roundness(sp)  # non-integer entries: 1e-12 tolerance
-    assert res.method == METHOD_DETERMINANT_FAST_PATH
-    strict_res = generalized_roundness(sp, row_perm_tol=0.0)
-    assert strict_res.method == METHOD_SPECTRAL_BISECTION
-    with pytest.raises(HypothesisViolatedError):
-        kernel_coincidence_check(sp, res.q, row_perm_tol=0.0)
+    close = np.array([[0, 1, 2 + eps, 1], [1, 0, 1, 2], [2 + eps, 1, 0, 1], [1, 2, 1, 0]])
+    eps = 1e-10
+    far = np.array([[0, 1 + eps, 2, 1], [1 + eps, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+    for scale in (1e-3, 1.0, 1e3):
+        sp = build_metric_space(scale * close)
+        res = generalized_roundness(sp)
+        assert res.method == METHOD_DETERMINANT_FAST_PATH
+        assert kernel_coincidence_check(sp, res.q).holds
+        sp = build_metric_space(scale * far)
+        assert generalized_roundness(sp).method == METHOD_SPECTRAL_BISECTION
+        with pytest.raises(HypothesisViolatedError):
+            kernel_coincidence_check(sp, res.q)
 
 
 def test_non_row_permutation_space_uses_spectral_path():
@@ -251,11 +263,22 @@ def test_roundness_invariant_under_relabeling_and_scaling(fleet):
 
 
 def test_determinant_fast_path_agreement(fleet):
-    for spec, sp in fleet.items():
-        res = generalized_roundness(sp)
-        assert abs(res.det_normalized) <= 1e-6, spec
-        half = normalized_determinant(power_matrix(sp, res.q / 2))
-        assert abs(half) > 1e-6, spec
+    # det_normalized is min |eigenvalue| / max |eigenvalue| of D_q: about 0
+    # at q, clearly not at q/2 (1.6e-3 on the 7-cube), and the same for
+    # every unit of distance
+    spaces = {**fleet, "hypercube:6": space("hypercube:6"), "hypercube:7": space("hypercube:7")}
+    for spec, sp in spaces.items():
+        readings = []
+        for c in (1e-3, 1.0, 1e3):
+            scaled = build_metric_space(c * sp.dist)
+            res = generalized_roundness(scaled)
+            at_q = relative_min_eigenvalue(power_matrix(scaled, res.q))
+            assert res.det_normalized == pytest.approx(at_q, rel=1e-3)
+            assert 0 <= res.det_normalized <= 1e-6, (spec, c)
+            half = relative_min_eigenvalue(power_matrix(scaled, res.q / 2))
+            assert half > 1e-6, (spec, c)
+            readings.append((res.det_normalized, half))
+        assert np.allclose(readings, readings[1], rtol=1e-3, atol=0), spec
 
 
 def test_kernel_coincidence_fleet(fleet):
@@ -307,6 +330,19 @@ def test_gr_inequality_errors(fleet):
         gr_inequality_check(sp, 1.0, [], [])
     with pytest.raises(IndexOutOfRangeError):
         gr_inequality_check(sp, 1.0, [0, 4], [1, 2])
+
+
+@pytest.mark.parametrize("c", [1e-5, 1.0, 1e3])
+def test_gr_inequality_tolerance_is_relative(fleet, c):
+    # on the 5-cycle at p = 2 > q these families give lhs = 16 c^2 > 12 c^2
+    # = rhs, a 33 % violation at every scale
+    sp = build_metric_space(c * fleet["cycle:5"].dist)
+    r = gr_inequality_check(sp, 2.0, [0, 0, 2], [1, 1, 4])
+    assert r.lhs == pytest.approx(16 * c**2) and r.rhs == pytest.approx(12 * c**2)
+    assert not r.holds
+    # equality (the 2-cube at p = 1) holds at every scale
+    sq = build_metric_space(c * fleet["hypercube:2"].dist)
+    assert gr_inequality_check(sq, 1.0, [0, 3], [1, 2]).holds
 
 
 def test_witness_converts_to_inequality_violation(fleet):

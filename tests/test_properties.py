@@ -1,0 +1,112 @@
+"""Invariants of the roundness computation, property-tested on random small
+metric spaces: 3 to 7 points, Euclidean in R^3 or shortest paths of random
+1..9 edge weights (on the complete graph, or on a circulant, whose rows are
+permutations of each other)."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from roundness import (
+    build_metric_space,
+    check_negative_type,
+    generalized_roundness,
+    gr_inequality_check,
+)
+from roundness.negtype import METHOD_DETERMINANT_FAST_PATH
+
+P_MAX = 64.0
+
+
+def shortest_paths(w: np.ndarray) -> np.ndarray:
+    d = w.astype(float)
+    for k in range(len(d)):
+        d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
+    return d
+
+
+@st.composite
+def euclidean(draw):
+    points = draw(st.lists(st.tuples(*[st.integers(0, 9)] * 3), min_size=3, max_size=7,
+                           unique=True))
+    x = np.array(points, dtype=float)
+    return np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+
+
+@st.composite
+def weighted_graph(draw):
+    n = draw(st.integers(3, 7))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n * (n - 1) // 2,
+                            max_size=n * (n - 1) // 2))
+    w = np.zeros((n, n), dtype=int)
+    for (i, j), x in zip(itertools.combinations(range(n), 2), weights):
+        w[i, j] = w[j, i] = x
+    return shortest_paths(w)
+
+
+@st.composite
+def weighted_circulant(draw):
+    n = draw(st.integers(3, 7))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n // 2, max_size=n // 2))
+    offset = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    offset = np.minimum(offset, n - offset)  # 0..n//2
+    return shortest_paths(np.array([0, *weights])[offset])
+
+
+metrics = st.one_of(euclidean(), weighted_graph(), weighted_circulant())
+scales = st.floats(1e-3, 1e3)
+
+
+def relabelled(d: np.ndarray, perm) -> np.ndarray:
+    return d[np.ix_(perm, perm)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=metrics, c=scales, data=st.data())
+def test_roundness_invariant_under_relabelling_and_scaling(d, c, data):
+    perm = data.draw(st.permutations(range(len(d))))
+    res = generalized_roundness(build_metric_space(d))
+    for other in (relabelled(d, perm), c * d):
+        got = generalized_roundness(build_metric_space(other))
+        assert (got.status, got.method) == (res.status, res.method)
+        if res.status == "Finite":
+            assert got.q == pytest.approx(res.q, abs=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=weighted_circulant(), c=scales)
+def test_det_normalized_vanishes_at_every_scale(d, c):
+    for dist in (d, c * d):
+        res = generalized_roundness(build_metric_space(dist))
+        assert res.method == METHOD_DETERMINANT_FAST_PATH
+        if res.status == "Finite":
+            assert 0 <= res.det_normalized <= 1e-6
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=metrics)
+def test_bracket_ends_decide_negative_type(d):
+    sp = build_metric_space(d)
+    res = generalized_roundness(sp, p_max=P_MAX)
+    if res.status == "Unbounded":
+        assert check_negative_type(sp, P_MAX).holds
+        return
+    lo, hi = res.bracket
+    assert check_negative_type(sp, lo).holds
+    assert check_negative_type(sp, lo / 2).holds
+    assert not check_negative_type(sp, hi).holds
+    if 2 * hi <= P_MAX:
+        assert not check_negative_type(sp, 2 * hi).holds
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=metrics, c=scales, p=st.floats(0.0, 4.0), data=st.data())
+def test_gr_inequality_verdict_invariant_under_scaling(d, c, p, data):
+    points = st.lists(st.integers(0, len(d) - 1), min_size=1, max_size=4)
+    a = data.draw(points)
+    b = data.draw(st.lists(st.integers(0, len(d) - 1), min_size=len(a), max_size=len(a)))
+    verdict = gr_inequality_check(build_metric_space(d), p, a, b).holds
+    assert gr_inequality_check(build_metric_space(c * d), p, a, b).holds == verdict
