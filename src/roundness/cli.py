@@ -319,7 +319,7 @@ def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-max", type=float, default=64.0, dest="p_max",
                    help="exponent cutoff before reporting Unbounded (default 64)")
     p.add_argument("--tol-p", type=float, default=1e-9, dest="tol_p",
-                   help="bisection width in the exponent (default 1e-9)")
+                   help="final bracket width in the exponent (default 1e-9)")
     p.add_argument("--tol-eig", type=float, default=1e-9, dest="tol_eig",
                    help="relative eigenvalue tolerance (default 1e-9)")
 

@@ -52,7 +52,8 @@ class NoConvergenceError(RoundnessError):
 
 
 class NonFiniteMatrixError(RoundnessError):
-    """A matrix handed to the eigensolver has NaN or infinite entries."""
+    """A matrix handed to the eigensolver, or a distance matrix handed to
+    the root search, has NaN or infinite entries."""
 
 
 # -- graphs -------------------------------------------------------------------

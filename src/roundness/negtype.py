@@ -5,10 +5,13 @@ by the (n-1)x(n-1) matrix M(p) = B^T D_p B, with B an orthonormal basis of the
 zero-sum hyperplane. The space has p-negative type exactly when M(p) is
 negative semidefinite, and strict p-negative type when M(p) is negative
 definite. The exponents with p-negative type form an interval [0, q], so q is
-found by bisection on the sign of the largest eigenvalue of M(p). The search
-(`roundness_search`) runs on a stack of same-size distance matrices in
-lock-step, one stacked eigensolve per step, each matrix making the decisions
-a search of its own would; `generalized_roundness` is its stack of one.
+where the largest eigenvalue of M(p) changes sign. The root search
+(`roundness_search`) brackets q by doubling and narrows the bracket by ITP,
+which reads the eigenvalue's value to place each probe and keeps
+bisection's worst-case step count. It runs on the distances divided by their
+maximum, on a stack of same-size distance matrices in lock-step, one stacked
+eigensolve per step, each matrix making the decisions a search of its own
+would; `generalized_roundness` is its stack of one.
 
 For spaces whose distance-matrix rows are permutations of each other (all
 vertex-transitive graphs), q is also the first exponent where det(D_p)
@@ -17,7 +20,9 @@ certificate. At q the zero-sum vectors nullifying the form coincide with the
 null space of D_q; `kernel_coincidence_check` verifies both inclusions
 numerically. Every tolerance is relative to the scale of the matrix it tests
 (the spectral radius of M(p) or of D_q, max |D_q|, or the larger side of the
-roundness inequality), so no result depends on the unit of distance.
+roundness inequality), so no result depends on the unit of distance, and the
+root search and the D_q checks power d / max d, which neither overflows nor
+underflows at any unit.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NegativeExponentError,
+    NonFiniteMatrixError,
 )
 from .metric import (
     FiniteMetricSpace,
@@ -152,7 +158,7 @@ def _sign_normalize(v: np.ndarray) -> np.ndarray:
 
 def _check_search_params(p_max: float, tol_p: float, tol_eig: float) -> None:
     """Reject root-search parameters with which the search cannot end (tol_p
-    <= 0 bisects forever) or has no meaning (NaN, infinity, negative)."""
+    <= 0 narrows forever) or has no meaning (NaN, infinity, negative)."""
     if not (math.isfinite(tol_p) and tol_p > 0):
         raise BadParamsError(f"tol_p must be finite and > 0, got {tol_p}")
     _check_tolerance("tol_eig", tol_eig)
@@ -160,34 +166,74 @@ def _check_search_params(p_max: float, tol_p: float, tol_eig: float) -> None:
         raise BadParamsError(f"p_max must be finite and > 0, got {p_max}")
 
 
-def _bisection(p_max: float, tol_p: float):
+def _itp(p_max: float, tol_p: float):
     """The root search for one matrix, as a generator: it yields each p to
-    test, is sent whether the predicate holds there, and returns (q,
-    (p_lo, p_hi), bisection iterations), or None when the predicate still
-    holds at p_max."""
-    if not (yield 0.0):
+    test, is sent (holds, value) there, and returns (q, (p_lo, p_hi), ITP
+    iterations), or None when the predicate still holds at p_max.
+
+    `holds` alone moves the bracket ends. `value`, which is <= 0 about where
+    the predicate holds, only places the next probe: ITP (Oliveira and
+    Takahashi, ACM TOMS 2020) takes the regula falsi point, truncates it
+    towards the midpoint by kappa_1 * width^2 (kappa_2 = 2) and projects it
+    into the ball around the midpoint that keeps bisection's step bound with
+    n_0 = 1. The probe is then snapped to a dyadic grid far below tol_p, so
+    that values differing in their last bits, as under d -> c * d, give the
+    same probe; a snapped probe that leaves the ball or the open bracket
+    falls back to the midpoint. That fallback also keeps the step bound when
+    a value's sign disagrees with `holds`.
+    """
+    holds, f_lo = yield 0.0
+    if not holds:
         raise BracketFailureError("negative type fails at p = 0; input is numerically corrupt")
     p_lo = 0.0
     probe = 1.0
     while True:
         probe = min(probe, p_max)
-        if (yield probe):
-            p_lo = probe
+        holds, value = yield probe
+        if holds:
+            p_lo, f_lo = probe, value
             if probe >= p_max:
                 return None
             probe *= 2.0
         else:
-            p_hi = probe
+            p_hi, f_hi = probe, value
             break
+    w0 = p_hi - p_lo
+    kappa1 = 0.2 / w0  # truncation scale, relative to the doubled bracket
+    grid = 2.0 ** (math.floor(math.log2(tol_p)) - 8)
     iterations = 0
     while p_hi - p_lo > tol_p:
+        width = p_hi - p_lo
         mid = (p_lo + p_hi) / 2.0
-        if (yield mid):
-            p_lo = mid
+        # ITP's projection radius eps * 2^(n_max - j) - width / 2, n_0 = 1,
+        # with eps = w0 / 2^(n_half + 1) the half-width that n_half =
+        # ceil(log2(w0 / tol_p)) bisections reach (<= tol_p / 2): after j
+        # steps the bracket is at most w0 * 2^(1 - j) wide, so the search
+        # ends within n_half + 1 steps; w0 * 2^-j is exact in floats
+        radius = w0 * 2.0 ** -iterations - width / 2.0
+        x_f = (p_lo * f_hi - p_hi * f_lo) / (f_hi - f_lo) if f_hi > f_lo else mid
+        sigma = 1.0 if mid >= x_f else -1.0
+        delta = kappa1 * width * width
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        probe = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+        probe = round(probe / grid) * grid
+        if not (p_lo < probe < p_hi and abs(probe - mid) <= radius):
+            probe = mid
+        holds, value = yield probe
+        if holds:
+            p_lo, f_lo = probe, value
         else:
-            p_hi = mid
+            p_hi, f_hi = probe, value
         iterations += 1
     return (p_lo + p_hi) / 2.0, (p_lo, p_hi), iterations
+
+
+def _unit_distances(dists: np.ndarray) -> np.ndarray:
+    """A distance matrix, or each matrix of a stack, divided by its largest
+    entry. The eigenvalues of M(p) and D_p then scale by (max d)^-p, so no
+    sign and no relative test changes, and no power of a distance in (0, 1]
+    overflows or makes a matrix all zero."""
+    return dists / dists.max(axis=(-2, -1), keepdims=True)
 
 
 def roundness_search(
@@ -203,25 +249,34 @@ def roundness_search(
     radius" is true exactly on [0, q]. Each matrix runs its own search and
     makes exactly the decisions a search of its own would: the predicate
     must hold at p = 0 (else BracketFailureError), the bracket is grown by
-    doubling from 1 up to p_max, and then bisected while wider than tol_p.
-    Each step evaluates every matrix still searching at its own p, with one
-    stacked eigensolve. Returns, per matrix, (q, (p_lo, p_hi), bisection
-    iterations), or None when the predicate still holds at p_max
-    (Unbounded). Bad tol_p, p_max or tol_eig raise BadParamsError first.
+    doubling from 1 up to p_max, and then narrowed by ITP (`_itp`) while
+    wider than tol_p, in at most ceil(log2(w0 / tol_p)) + 1 steps for a
+    doubled bracket of width w0. The search runs on the distances divided
+    by their maximum, so it neither overflows nor underflows at any unit of
+    distance. Each step evaluates every matrix still searching at its own
+    p, with one stacked eigensolve. Returns, per matrix, (q, (p_lo, p_hi),
+    ITP iterations), or None when the predicate still holds at p_max
+    (Unbounded). Bad tol_p, p_max or tol_eig raise BadParamsError, and
+    non-finite distances NonFiniteMatrixError, before any eigensolve.
     """
     _check_search_params(p_max, tol_p, tol_eig)
     d = np.asarray(dists, dtype=float)
+    if not np.isfinite(d).all():
+        raise NonFiniteMatrixError("distance matrix contains non-finite entries")
+    d = _unit_distances(d)
     found: list[tuple[float, tuple[float, float], int] | None] = [None] * len(d)
     # the matrices still searching, in the order of their distances in d
-    live = [(i, _bisection(p_max, tol_p)) for i in range(len(d))]
+    live = [(i, _itp(p_max, tol_p)) for i in range(len(d))]
     probes = [next(search) for _, search in live]
     while live:
         _, lmax, scale = _form_spectrum(d, np.array(probes))
+        # scale > 0: the largest entry of D_p is 1, so M(p) is not 0
+        holds, values = lmax <= tol_eig * scale, lmax / scale - tol_eig
         keep, probes = [], []
-        for j, (lm, sc) in enumerate(zip(lmax.tolist(), scale.tolist())):
+        for j, sent in enumerate(zip(holds.tolist(), values.tolist())):
             i, search = live[j]
             try:
-                probes.append(search.send(lm <= tol_eig * sc))
+                probes.append(search.send(sent))
                 keep.append(j)
             except StopIteration as stop:
                 found[i] = stop.value
@@ -236,19 +291,21 @@ def generalized_roundness(
     tol_p: float = 1e-9,
     tol_eig: float = 1e-9,
 ) -> RoundnessResult:
-    """Compute the supremal exponent q with p-negative type, by bisection.
+    """Compute the supremal exponent q with p-negative type.
 
     The root search is `roundness_search` on the stack of this one matrix:
-    the bracket is grown by doubling from 1 and bisected to width tol_p. If
+    the bracket is grown by doubling from 1 and narrowed by ITP to width
+    tol_p; q is its midpoint and `iterations` counts the ITP steps. If
     the predicate still holds at p_max the result is Unbounded
     (constant-distance spaces, for example, have negative type at every
     exponent). On row-permutation inputs (`has_row_permutation_property`)
     D_q must be singular: `det_normalized` is min |eigenvalue| / max
     |eigenvalue| of D_q, a scale-free measure that is about 0 at q (a
     warning is logged above CERTIFICATE_TOL), and a unit null vector of D_q
-    orthogonal to all-ones is attached as a certificate. tol_p and p_max
-    must be finite and > 0 and tol_eig finite and >= 0; anything else
-    raises BadParamsError before any eigensolve.
+    orthogonal to all-ones is attached as a certificate; both read D_q of
+    d / max d, which has the same eigenvectors and eigenvalue ratios. tol_p
+    and p_max must be finite and > 0 and tol_eig finite and >= 0; anything
+    else raises BadParamsError before any eigensolve.
     """
     row_perm = has_row_permutation_property(space)
     method = METHOD_DETERMINANT_FAST_PATH if row_perm else METHOD_SPECTRAL_BISECTION
@@ -260,12 +317,12 @@ def generalized_roundness(
                                iterations=0, method=method,
                                certificate=None, det_normalized=None)
     q, bracket, iterations = found
-    log.debug("bisection converged: q=%.12g in %d iterations", q, iterations)
+    log.debug("ITP search converged: q=%.12g in %d iterations", q, iterations)
 
     certificate = None
     det_norm = None
     if row_perm:
-        dq = power_matrix(space, q)
+        dq = power_matrix(_unit_distances(space.dist), q)
         sd = eigensym(dq)
         magnitudes = np.abs(sd.eigenvalues)
         det_norm = float(np.min(magnitudes) / np.max(magnitudes))
@@ -301,7 +358,8 @@ def kernel_coincidence_check(
 
     Forward: every kernel vector of the restricted form M(q), lifted back to
     a zero-sum vector u, must satisfy D_q u = 0 (max-norm, relative).
-    Backward: every null vector of D_q must be orthogonal to all-ones.
+    Backward: every null vector of D_q must be orthogonal to all-ones. Both
+    read D_q and M(q) of d / max d, so no unit of distance overflows them.
     Requires the row-permutation property (`has_row_permutation_property`,
     else HypothesisViolatedError) and a finite q; tol must be finite and
     >= 0, else BadParamsError.
@@ -313,9 +371,10 @@ def kernel_coincidence_check(
         )
     if q is None or not np.isfinite(q):
         raise ValueError("kernel coincidence requires a finite roundness exponent")
-    dq = power_matrix(space, q)
+    unit = _unit_distances(space.dist)
+    dq = power_matrix(unit, q)
     scale_d = float(np.max(np.abs(dq)))
-    sd_m, _, scale_m = _form_spectrum(space, q)
+    sd_m, _, scale_m = _form_spectrum(unit, q)
     form_kernel = np.abs(sd_m.eigenvalues) <= tol * scale_m
     u = hyperplane_basis(space.n) @ sd_m.eigenvectors[:, form_kernel]
     sd_d = eigensym(dq)

@@ -22,9 +22,9 @@ from roundness import (
 from roundness.errors import (
     BadParamsError,
     HypothesisViolatedError,
-    RoundnessError,
     IndexOutOfRangeError,
     LengthMismatchError,
+    NonFiniteMatrixError,
 )
 from roundness import negtype
 from roundness.negtype import (
@@ -154,16 +154,65 @@ def test_stacked_search_mixes_finite_and_unbounded_members():
 
 def test_stacked_search_raises_what_the_single_search_raises():
     good = space("cycle:5").dist
-    huge = 1e200 * good  # its powers overflow at p = 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RoundnessError) as single:
-            generalized_roundness(build_metric_space(huge))
-        with pytest.raises(type(single.value)) as stacked:
-            roundness_search(np.stack([good, huge, good]))
+    bad = good.copy()
+    bad[0, 2] = bad[2, 0] = np.inf
+    with pytest.raises(NonFiniteMatrixError) as single:
+        roundness_search(bad[None])
+    with pytest.raises(type(single.value)) as stacked:
+        roundness_search(np.stack([good, bad, good]))
     assert str(stacked.value) == str(single.value)
     with pytest.raises(BadParamsError):
         roundness_search(np.stack([good]), tol_p=0.0)
     assert roundness_search(np.empty((0, 3, 3))) == []
+
+
+def test_search_needs_few_evaluations(monkeypatch):
+    # ITP: doubling plus about 7 steps where bisection took 30
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(24, 3))
+    eucl = build_metric_space(np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1)))
+    spaces = [space(s) for s in ("cycle:5", "petersen", "hypercube:4", "hypercube:5",
+                                 "cycle:25")] + [eucl]
+    calls = []
+    form_spectrum = negtype._form_spectrum
+
+    def counted(*args):
+        calls.append(1)
+        return form_spectrum(*args)
+
+    monkeypatch.setattr(negtype, "_form_spectrum", counted)
+    evaluations = []
+    for sp in spaces:
+        calls.clear()
+        assert generalized_roundness(sp).status == "Finite"
+        evaluations.append(len(calls))
+    assert np.median(evaluations) <= 12, evaluations
+
+
+@pytest.mark.parametrize("spec", ["cycle:5", "petersen", "hypercube:5", "cycle:25"])
+def test_roundness_bit_identical_under_scaling(spec):
+    d = space(spec).dist
+    res = generalized_roundness(build_metric_space(d))
+    for c in (1e-6, 1e-3, 0.25, 3.75, 1e3):
+        scaled = generalized_roundness(build_metric_space(c * d))
+        assert (scaled.q, scaled.bracket, scaled.iterations) == (res.q, res.bracket, res.iterations)
+
+
+def test_tiny_distances_do_not_underflow():
+    # q = 59.68: at p = 64 every power of 1e-6 * d underflows to 0 unless the
+    # search divides d by its maximum first
+    d = np.array([[0, 1, 1], [1, 0, 1.0235], [1, 1.0235, 0]])
+    res = generalized_roundness(build_metric_space(d))
+    tiny = generalized_roundness(build_metric_space(1e-6 * d))
+    assert res.status == tiny.status == "Finite"
+    assert res.q == pytest.approx(59.6817, abs=1e-4)
+    assert tiny.q == pytest.approx(res.q, abs=1e-6)
+
+
+def test_large_distances_do_not_overflow():
+    with np.errstate(over="raise", invalid="raise"):
+        res = generalized_roundness(build_metric_space(1e5 * space("complete:4").dist))
+    assert res.status == "Unbounded"
 
 
 def test_roundness_accepts_search_param_edges():

@@ -4,10 +4,11 @@ metric spaces: 3 to 7 points, Euclidean in R^3 or shortest paths of random
 permutations of each other)."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roundness import (
@@ -16,9 +17,10 @@ from roundness import (
     generalized_roundness,
     gr_inequality_check,
 )
-from roundness.negtype import METHOD_DETERMINANT_FAST_PATH
+from roundness.negtype import METHOD_DETERMINANT_FAST_PATH, _itp
 
 P_MAX = 64.0
+TOL_P = 1e-9
 
 
 def shortest_paths(w: np.ndarray) -> np.ndarray:
@@ -58,6 +60,9 @@ def weighted_circulant(draw):
 
 metrics = st.one_of(euclidean(), weighted_graph(), weighted_circulant())
 scales = st.floats(1e-3, 1e3)
+# the root search and the D_q checks run on d / max d, so q is the same over
+# the whole float range
+wide_scales = st.floats(1e-100, 1e100)
 
 
 def relabelled(d: np.ndarray, perm) -> np.ndarray:
@@ -65,7 +70,7 @@ def relabelled(d: np.ndarray, perm) -> np.ndarray:
 
 
 @settings(max_examples=80, deadline=None)
-@given(d=metrics, c=scales, data=st.data())
+@given(d=metrics, c=wide_scales, data=st.data())
 def test_roundness_invariant_under_relabelling_and_scaling(d, c, data):
     perm = data.draw(st.permutations(range(len(d))))
     res = generalized_roundness(build_metric_space(d))
@@ -77,7 +82,7 @@ def test_roundness_invariant_under_relabelling_and_scaling(d, c, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(d=weighted_circulant(), c=scales)
+@given(d=weighted_circulant(), c=wide_scales)
 def test_det_normalized_vanishes_at_every_scale(d, c):
     for dist in (d, c * d):
         res = generalized_roundness(build_metric_space(dist))
@@ -100,6 +105,51 @@ def test_bracket_ends_decide_negative_type(d):
     assert not check_negative_type(sp, hi).holds
     if 2 * hi <= P_MAX:
         assert not check_negative_type(sp, 2 * hi).holds
+
+
+def doubled_bracket(p_hi: float, p_max: float = P_MAX) -> tuple[float, float]:
+    """The bracket the doubling probes 1, 2, 4, ... (capped at p_max) had
+    found when the search ended at (p_lo, p_hi)."""
+    lo, hi = 0.0, 1.0
+    while hi < p_hi:
+        lo, hi = hi, min(2 * hi, p_max)
+    return lo, hi
+
+
+def itp_bound(p_hi: float, p_max: float = P_MAX, tol_p: float = TOL_P) -> int:
+    """Bisection's step count on the doubled bracket, plus ITP's n_0 = 1."""
+    lo, hi = doubled_bracket(p_hi, p_max)
+    return math.ceil(math.log2((hi - lo) / tol_p)) + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=metrics)
+def test_search_keeps_the_bisection_step_bound(d):
+    res = generalized_roundness(build_metric_space(d), p_max=P_MAX, tol_p=TOL_P)
+    if res.status == "Finite":
+        assert res.iterations <= itp_bound(res.bracket[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(root=st.floats(0.0, P_MAX, exclude_min=True, exclude_max=True),
+       tol_p=st.floats(1e-12, 1e-2),
+       values=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=50))
+# a positive value at every probe pins the regula falsi point to p_lo, so
+# every step below the root lands on the edge of ITP's projection ball; with
+# w0 / tol_p a power of two the bound has no slack for a probe past that edge
+@example(root=1 - 2.0**-40, tol_p=2.0**-30, values=[1.0])
+@example(root=63.9, tol_p=1e-9, values=[1.0])
+def test_itp_step_bound_holds_whatever_values_it_is_sent(root, tol_p, values):
+    # the values only place probes, so even values unrelated to the
+    # predicate (or of the wrong sign) cannot cost more than n_half + 1 steps
+    search = _itp(P_MAX, tol_p)
+    p = next(search)
+    with pytest.raises(StopIteration) as stop:
+        for step in range(100):
+            p = search.send((p <= root, values[step % len(values)]))
+    q, (lo, hi), iterations = stop.value.value
+    assert lo <= root < hi and hi - lo <= tol_p and q == (lo + hi) / 2
+    assert iterations <= itp_bound(hi, tol_p=tol_p)
 
 
 @settings(max_examples=80, deadline=None)

@@ -12,6 +12,7 @@ from roundness import (
     gen_family,
     generalized_roundness,
     kernel_basis_exact,
+    kernel_coincidence_check,
     path_metric,
     rank_exact,
 )
@@ -228,11 +229,18 @@ def test_eigensym_stack_residual_bound_per_member(monkeypatch):
     assert str(stacked.value) == str(single.value)
 
 
-def test_overflowing_powers_raise_roundness_error():
+def test_huge_distances_give_the_unscaled_roundness():
+    # powers of 1e200 * d overflow at p = 2; the search and the D_q checks
+    # run on d / max d, whose powers cannot
     d = np.asarray(path_metric(gen_family("cycle", 5)).dist)
-    space = build_metric_space(1e200 * d)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RoundnessError):
-        generalized_roundness(space)
+    res = generalized_roundness(build_metric_space(d))
+    for c in (1e200, 1e300):
+        space = build_metric_space(c * d)
+        with np.errstate(over="raise", invalid="raise"):
+            got = generalized_roundness(space)
+            assert kernel_coincidence_check(space, got.q).holds
+        assert got.q == res.q
+        assert got.det_normalized <= 1e-6 and got.certificate is not None
 
 
 def test_rank_exact_examples():
