@@ -42,8 +42,9 @@ from .hamming import (
     sign_matrix,
     tree_embedding_search,
 )
-from .metric import _check_tolerance, build_metric_space, has_row_permutation_property
-from .negtype import check_negative_type, generalized_roundness, kernel_coincidence_check
+from .metric import build_metric_space, has_row_permutation_property
+from .negtype import (check_negative_type, generalized_roundness, kernel_coincidence_check,
+                      roundness_search)
 from .spectral import det_exact
 
 log = logging.getLogger("roundness")
@@ -174,14 +175,14 @@ def cmd_negtype(args) -> int:
 
 def cmd_verify(args) -> int:
     space, desc = resolve_space(args)
-    _check_tolerance("tol", args.tol)
     if not has_row_permutation_property(space):
         raise HypothesisViolatedError(
             "rows of the distance matrix are not permutations of each other"
         )
-    res = generalized_roundness(space, p_max=args.p_max, tol_p=args.tol_p, tol_eig=args.tol_eig)
-    diag = {"p_max": args.p_max, "tol_p": args.tol_p, "tol_eig": args.tol_eig, "tol": args.tol}
-    if res.status != "Finite":
+    # the report prints only q, so the search runs without the certificate
+    (found,) = roundness_search(space.dist[None], args.p_max, args.tol_p, args.tol_eig)
+    diag = {"p_max": args.p_max, "tol_p": args.tol_p, "tol_eig": args.tol_eig}
+    if found is None:
         result = {
             "status": "Unbounded",
             "holds": None,
@@ -189,10 +190,11 @@ def cmd_verify(args) -> int:
         }
         emit("verify", desc, result, diag, args.pretty)
         return 1
-    report = kernel_coincidence_check(space, res.q, tol=args.tol)
+    q = found[0]
+    report = kernel_coincidence_check(space, q)
     result = {
         "status": "Finite",
-        "q": res.q,
+        "q": q,
         "holds": report.holds,
         "max_defect": report.max_defect,
         "form_kernel_dim": report.form_kernel_dim,
@@ -358,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     _add_input_flags(p)
     _add_tolerance_flags(p)
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="defect tolerance for the coincidence check (default 1e-6)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cube", help="Hamming-cube subset tooling")

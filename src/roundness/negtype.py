@@ -19,10 +19,10 @@ vanishes; that criterion is run as a cross-check and yields a null-vector
 certificate. At q the zero-sum vectors nullifying the form coincide with the
 null space of D_q; `kernel_coincidence_check` verifies both inclusions
 numerically. Every tolerance is relative to the scale of the matrix it tests
-(the spectral radius of M(p) or of D_q, max |D_q|, or the larger side of the
-roundness inequality), so no result depends on the unit of distance, and the
-root search and the D_q checks power d / max d, which neither overflows nor
-underflows at any unit.
+(the spectral radius of M(p), max |D_q| or the larger side of the roundness
+inequality), so no result depends on the unit of distance. The root search
+and the D_q tests power d / max d, which neither overflows nor underflows at
+any unit, and every D_q test uses CERTIFICATE_TOL.
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ def _check_search_params(p_max: float, tol_p: float, tol_eig: float) -> None:
 def _itp(p_max: float, tol_p: float):
     """The root search for one matrix, as a generator: it yields each p to
     test, is sent (holds, value) there, and returns (q, (p_lo, p_hi), ITP
-    iterations), or None when the predicate still holds at p_max.
+    iterations), or None when the predicate still holds at p_max. The bracket
+    is narrowed to width tol_p, or to two adjacent floats below that.
 
     `holds` alone moves the bracket ends. `value`, which is <= 0 about where
     the predicate holds, only places the next probe: ITP (Oliveira and
@@ -205,6 +206,8 @@ def _itp(p_max: float, tol_p: float):
     while p_hi - p_lo > tol_p:
         width = p_hi - p_lo
         mid = (p_lo + p_hi) / 2.0
+        if not p_lo < mid < p_hi:  # the ends are adjacent floats
+            break
         # ITP's projection radius eps * 2^(n_max - j) - width / 2, n_0 = 1,
         # with eps = w0 / 2^(n_half + 1) the half-width that n_half =
         # ceil(log2(w0 / tol_p)) bisections reach (<= tol_p / 2): after j
@@ -251,13 +254,14 @@ def roundness_search(
     must hold at p = 0 (else BracketFailureError), the bracket is grown by
     doubling from 1 up to p_max, and then narrowed by ITP (`_itp`) while
     wider than tol_p, in at most ceil(log2(w0 / tol_p)) + 1 steps for a
-    doubled bracket of width w0. The search runs on the distances divided
-    by their maximum, so it neither overflows nor underflows at any unit of
-    distance. Each step evaluates every matrix still searching at its own
-    p, with one stacked eigensolve. Returns, per matrix, (q, (p_lo, p_hi),
-    ITP iterations), or None when the predicate still holds at p_max
-    (Unbounded). Bad tol_p, p_max or tol_eig raise BadParamsError, and
-    non-finite distances NonFiniteMatrixError, before any eigensolve.
+    doubled bracket of width w0 (or until its ends are adjacent floats).
+    The search runs on the distances divided by their maximum, so it
+    neither overflows nor underflows at any unit of distance. Each step
+    evaluates every matrix still searching at its own p, with one stacked
+    eigensolve. Returns, per matrix, (q, (p_lo, p_hi), ITP iterations), or
+    None when the predicate still holds at p_max (Unbounded). Bad tol_p,
+    p_max or tol_eig raise BadParamsError, and non-finite distances
+    NonFiniteMatrixError, before any eigensolve.
     """
     _check_search_params(p_max, tol_p, tol_eig)
     d = np.asarray(dists, dtype=float)
@@ -342,29 +346,25 @@ def _null_certificate(sd, dq, n):
     if norm == 0.0:
         return None
     u = _sign_normalize(u / norm)
-    if np.max(np.abs(dq @ u)) > CERTIFICATE_TOL * float(np.max(np.abs(dq))):
+    if np.max(np.abs(dq @ u)) > CERTIFICATE_TOL:  # relative: max |D_q| is 1
         return None
     u.setflags(write=False)
     return u
 
 
-def kernel_coincidence_check(
-    space: FiniteMetricSpace,
-    q: float,
-    tol: float = 1e-6,
-) -> KernelCoincidenceReport:
+def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoincidenceReport:
     """Verify that zero-sum form-nullifying vectors and null vectors of D_q
     coincide at the supremal exponent q.
 
     Forward: every kernel vector of the restricted form M(q), lifted back to
-    a zero-sum vector u, must satisfy D_q u = 0 (max-norm, relative).
-    Backward: every null vector of D_q must be orthogonal to all-ones. Both
-    read D_q and M(q) of d / max d, so no unit of distance overflows them.
-    Requires the row-permutation property (`has_row_permutation_property`,
-    else HypothesisViolatedError) and a finite q; tol must be finite and
-    >= 0, else BadParamsError.
+    a zero-sum vector u, must satisfy D_q u = 0 (max-norm). Backward: every
+    null vector of D_q must be orthogonal to all-ones. Both read D_q and
+    M(q) of d / max d, whose largest entry is exactly 1, so the kernel
+    masks and the verdict use CERTIFICATE_TOL relative to the spectral
+    radius of M(q) and to max |D_q| = 1 with no scale to compute. Requires
+    the row-permutation property (`has_row_permutation_property`, else
+    HypothesisViolatedError) and a finite q.
     """
-    _check_tolerance("tol", tol)
     if not has_row_permutation_property(space):
         raise HypothesisViolatedError(
             "rows of the distance matrix are not permutations of each other"
@@ -373,17 +373,16 @@ def kernel_coincidence_check(
         raise ValueError("kernel coincidence requires a finite roundness exponent")
     unit = _unit_distances(space.dist)
     dq = power_matrix(unit, q)
-    scale_d = float(np.max(np.abs(dq)))
     sd_m, _, scale_m = _form_spectrum(unit, q)
-    form_kernel = np.abs(sd_m.eigenvalues) <= tol * scale_m
+    form_kernel = np.abs(sd_m.eigenvalues) <= CERTIFICATE_TOL * scale_m
     u = hyperplane_basis(space.n) @ sd_m.eigenvectors[:, form_kernel]
     sd_d = eigensym(dq)
-    matrix_kernel = np.abs(sd_d.eigenvalues) <= tol * scale_d
+    matrix_kernel = np.abs(sd_d.eigenvalues) <= CERTIFICATE_TOL
     v = sd_d.eigenvectors[:, matrix_kernel]
-    defects = np.concatenate(([0.0], np.max(np.abs(dq @ u), axis=0) / scale_d,
+    defects = np.concatenate(([0.0], np.max(np.abs(dq @ u), axis=0),
                               np.abs(np.sum(v, axis=0)) / np.sqrt(space.n)))
     max_defect = float(np.max(defects))
-    return KernelCoincidenceReport(holds=max_defect <= tol, max_defect=max_defect,
+    return KernelCoincidenceReport(holds=max_defect <= CERTIFICATE_TOL, max_defect=max_defect,
                                    form_kernel_dim=int(np.sum(form_kernel)),
                                    matrix_kernel_dim=int(np.sum(matrix_kernel)))
 

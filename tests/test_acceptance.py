@@ -142,7 +142,7 @@ def test_criterion_06_kernel_coincidence():
         ok = True
         for spec, sp in build_fleet().items():
             res = generalized_roundness(sp)
-            rep = kernel_coincidence_check(sp, res.q, tol=1e-6)
+            rep = kernel_coincidence_check(sp, res.q)
             ok &= rep.holds and rep.max_defect <= 1e-6
     report(6, ok, t.elapsed, 30, "form kernel = matrix kernel at q, defect <= 1e-6")
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from roundness import negtype
 from roundness.cli import main
 
 
@@ -84,11 +85,29 @@ def test_verify_hypercube3(capsys):
 
 
 def test_verify_rejects_path(tmp_path, capsys):
-    f = tmp_path / "p3.json"
-    f.write_text(json.dumps({"matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
-    code, report = run_cli(capsys, "verify", "--matrix", str(f))
-    assert code == 1
-    assert report["error"]["type"] == "HypothesisViolatedError"
+    # the 3-point path, and an ultrametric: negative type at every exponent,
+    # so without the hypothesis check before the search it would report
+    # Unbounded
+    for matrix in ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [[0, 1, 2], [1, 0, 2], [2, 2, 0]]):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"matrix": matrix}))
+        code, report = run_cli(capsys, "verify", "--matrix", str(f))
+        assert code == 1
+        assert report["error"]["type"] == "HypothesisViolatedError"
+
+
+def test_verify_eigendecomposes_d_q_once(monkeypatch, capsys):
+    shapes = []
+    eigensym = negtype.eigensym
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigensym(a)
+
+    monkeypatch.setattr(negtype, "eigensym", counted)
+    code, report = run_cli(capsys, "verify", "--graph", "petersen")
+    assert code == 0 and report["result"]["holds"]
+    assert shapes.count((10, 10)) == 1, shapes
 
 
 def test_verify_unbounded_is_semantic_negative(capsys):
@@ -218,8 +237,10 @@ SEARCH_FLAGS = [
     # bad tolerances outside the root search, each on a command that takes it
     pytest.param(["negtype", "--graph", "cycle:4", "--p", "1"], ["--tol-eig", "nan"],
                  id="negtype-tol-eig-nan"),
-    pytest.param(["verify", "--graph", "cycle:4"], ["--tol", "-1"], id="verify-tol-negative"),
     # flags that no longer exist: every check runs at the one relative tolerance
+    # (argparse reads --tol as an ambiguous prefix of --tol-p and --tol-eig)
+    pytest.param(["verify", "--graph", "cycle:4"], ["--tol", "-1"], id="verify-tol-negative"),
+    pytest.param(["verify", "--graph", "petersen"], ["--tol", "1e-6"], id="verify-tol"),
     pytest.param(["roundness", "--graph", "cycle:5"], ["--row-perm-tol", "-1"],
                  id="roundness-row-perm-tol-negative"),
     pytest.param(["verify", "--graph", "petersen"], ["--row-perm-tol", "nan"],

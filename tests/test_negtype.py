@@ -119,14 +119,11 @@ def test_roundness_rejects_bad_search_params(params):
 @pytest.mark.parametrize("call", [
     lambda sp: check_negative_type(sp, 1.0, tol_eig=float("nan")),
     lambda sp: check_negative_type(sp, 1.0, tol_eig=-1.0),
-    lambda sp: kernel_coincidence_check(sp, 1.0, tol=-1.0),
-    lambda sp: kernel_coincidence_check(sp, 1.0, tol=float("inf")),
     lambda sp: gr_inequality_check(sp, 1.0, [0], [1], tol=float("nan")),
     lambda sp: gr_inequality_check(sp, 1.0, [0], [1], tol=-1.0),
     lambda sp: gr_inequality_check(sp, 1.0, [0], [1], tol=float("inf")),
-], ids=["negtype-tol_eig-nan", "negtype-tol_eig-negative", "coincidence-tol-negative",
-        "coincidence-tol-inf", "inequality-tol-nan", "inequality-tol-negative",
-        "inequality-tol-inf"])
+], ids=["negtype-tol_eig-nan", "negtype-tol_eig-negative", "inequality-tol-nan",
+        "inequality-tol-negative", "inequality-tol-inf"])
 def test_bad_tolerances_rejected_before_any_solve(monkeypatch, call):
     def fail(*args, **kwargs):
         raise AssertionError("a form spectrum was computed")
@@ -187,6 +184,25 @@ def test_search_needs_few_evaluations(monkeypatch):
         assert generalized_roundness(sp).status == "Finite"
         evaluations.append(len(calls))
     assert np.median(evaluations) <= 12, evaluations
+
+
+@pytest.mark.parametrize("tol_p", [1e-17, 1e-300])
+def test_search_ends_at_adjacent_floats_below_tol_p(tol_p):
+    # below the float spacing the bracket cannot reach width tol_p; the
+    # search must stop once its ends are adjacent floats
+    search = negtype._itp(64.0, tol_p)
+    p = next(search)
+    for _ in range(200):
+        try:
+            p = search.send((p <= 1.3, p - 1.3))
+        except StopIteration as stop:
+            q, (p_lo, p_hi), _ = stop.value
+            break
+    else:
+        pytest.fail("the search did not end within 200 probes")
+    assert p_lo <= 1.3 < p_hi and np.nextafter(p_lo, np.inf) == p_hi and q in (p_lo, p_hi)
+    res = generalized_roundness(space("cycle:5"), tol_p=tol_p)
+    assert res.q == pytest.approx(generalized_roundness(space("cycle:5")).q, abs=1e-9)
 
 
 @pytest.mark.parametrize("spec", ["cycle:5", "petersen", "hypercube:5", "cycle:25"])
