@@ -1,7 +1,8 @@
 """Graph families and shortest-path metrics.
 
 Everything here feeds the metric layer: a graph becomes a finite metric
-space via breadth-first search from every vertex. The generated families
+space via breadth-first search, from every vertex or, on circulant and
+cube-order edge sets, from vertex 0 alone. The generated families
 (cycles, complete and complete bipartite graphs, hypercubes, the Petersen
 graph, circulants) are all vertex-transitive, so their path metrics have the
 row-permutation property. Two Platonic solids ship as edge-list data files.
@@ -58,32 +59,76 @@ def adjacency(g: Graph) -> list[list[int]]:
 
 
 def path_metric(g: Graph) -> FiniteMetricSpace:
-    """Shortest-path distance matrix via BFS from every vertex.
+    """Shortest-path distance matrix by breadth-first search.
 
-    Distances are integers stored exactly; the result is a metric by
-    construction, so the triangle-inequality revalidation is skipped.
+    When the edge set is invariant under i -> i + 1 mod n (circulants) or
+    under every i -> i xor 2^b (Cayley graphs of Z_2^k in cube order), one
+    BFS from vertex 0 gives row 0, and the other rows are its rolls or its
+    XOR block copies; otherwise BFS runs from every vertex. Distances are
+    integers stored exactly; the result is a metric by construction, so
+    the triangle-inequality revalidation is skipped.
     """
     if g.n < 2:
         raise ValueError("a metric space needs at least 2 vertices")
     adj = adjacency(g)
     n = g.n
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if dist[s, w] < 0:
-                        dist[s, w] = dist[s, u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        if np.any(dist[s] < 0):
-            t = int(np.argmax(dist[s] < 0))
-            raise DisconnectedError(f"no path between vertices {s} and {t}")
+    expand = _row0_expansion(g)
+    if expand:
+        dist = expand(_bfs(adj, 0))
+    else:
+        dist = np.stack([_bfs(adj, s) for s in range(n)])
     labels = g.labels if g.labels is not None else tuple(str(i) for i in range(n))
     return FiniteMetricSpace(labels=tuple(labels), dist=_readonly(dist.astype(float)))
+
+
+def _bfs(adj: list[list[int]], s: int) -> np.ndarray:
+    """Distances from s; DisconnectedError naming s and the first vertex it
+    does not reach."""
+    row = np.full(len(adj), -1, dtype=np.int64)
+    row[s] = 0
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if row[w] < 0:
+                    row[w] = row[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    if np.any(row < 0):
+        t = int(np.argmax(row < 0))
+        raise DisconnectedError(f"no path between vertices {s} and {t}")
+    return row
+
+
+def _row0_expansion(g: Graph):
+    """The map from row 0 of the path metric to the whole matrix, when the
+    edge set is invariant under i -> i + 1 mod n (row i is row 0 rolled by
+    i) or under i -> i xor 2^b for every bit b (rows h..2h-1 are rows
+    0..h-1 with the column halves of each 2h-block swapped); else None."""
+    n = g.n
+    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    keys = edges[:, 0] * n + edges[:, 1]  # ascending: g.edges is sorted
+
+    def invariant(mapped):
+        mapped.sort(axis=1)
+        return np.array_equal(np.sort(mapped[:, 0] * n + mapped[:, 1]), keys)
+
+    if invariant((edges + 1) % n):
+        return lambda row: np.stack([np.roll(row, i) for i in range(n)])
+    if n & (n - 1) or not all(invariant(edges ^ (1 << b)) for b in range(n.bit_length() - 1)):
+        return None
+
+    def xor_blocks(row):
+        dist = np.empty((n, n), dtype=row.dtype)
+        dist[0] = row
+        h = 1
+        while h < n:
+            dist[h:2 * h] = dist[:h].reshape(h, -1, 2, h)[:, :, ::-1].reshape(h, n)
+            h *= 2
+        return dist
+
+    return xor_blocks
 
 
 def gen_family(family: str, *params) -> Graph:

@@ -9,16 +9,20 @@ where the largest eigenvalue of M(p) changes sign. The root search
 (`roundness_search`) brackets q by doubling and narrows the bracket by ITP,
 which reads the eigenvalue's value to place each probe and keeps
 bisection's worst-case step count. It runs on the distances divided by their
-maximum, on a stack of same-size distance matrices in lock-step, one stacked
-eigensolve per step, each matrix making the decisions a search of its own
-would; `generalized_roundness` is its stack of one.
+maximum, on a stack of same-size distance matrices in lock-step, each matrix
+making the decisions a search of its own would; `generalized_roundness` is
+its stack of one. Each step takes the spectrum of M(p) from one stacked
+eigensolve, or, for a stack of one circulant matrix or one in cube order
+(d[i, j] = f(i xor j)), from the FFT or the Walsh-Hadamard transform of row
+0 of D_p: D_p 1 = r(p) 1, so M(p) has the spectrum of D_p without r(p).
 
 For spaces whose distance-matrix rows are permutations of each other (all
 vertex-transitive graphs), q is also the first exponent where det(D_p)
 vanishes; that criterion is run as a cross-check and yields a null-vector
 certificate. At q the zero-sum vectors nullifying the form coincide with the
 null space of D_q; `kernel_coincidence_check` verifies both inclusions
-numerically. Every tolerance is relative to the scale of the matrix it tests
+numerically. Both checks eigendecompose D_q densely, whichever spectrum the
+search read. Every tolerance is relative to the scale of the matrix it tests
 (the spectral radius of M(p), max |D_q| or the larger side of the roundness
 inequality), so no result depends on the unit of distance. The root search
 and the D_q tests power d / max d, which neither overflows nor underflows at
@@ -46,6 +50,7 @@ from .metric import (
     FiniteMetricSpace,
     NegativeTypeWitness,
     _check_tolerance,
+    _power,
     has_row_permutation_property,
     hyperplane_basis,
     power_matrix,
@@ -122,6 +127,66 @@ def _form_spectrum(space, p):
     return sd, lmax, np.maximum(lmax, -lmin)  # = max(|lmax|, |lmin|) as lmax >= lmin
 
 
+def _row_transform(d: np.ndarray):
+    """For a circulant matrix (d[i, j] = f((j - i) mod n)), the real part
+    of `rfft`; for one in cube order (n = 2^k, d[i, j] = f(i xor j)), the
+    Walsh-Hadamard transform; else None. Applied to row 0 of a matrix with
+    the same structure, either gives the eigenvalues of its symmetric part,
+    each distinct one at least once, the row sum at frequency 0. Both
+    structures are detected exactly, by comparing d with a shifted or
+    flipped view of itself."""
+    n = len(d)
+    if n < 2:
+        return None
+    if np.array_equal(np.roll(d, 1, axis=(0, 1)), d):  # invariant under i -> i + 1
+        return lambda row: np.fft.rfft(row).real
+    if n & (n - 1):
+        return None
+    h = 1
+    while h < n:  # invariant under i -> i xor h
+        v = d.reshape(n // (2 * h), 2, h, n // (2 * h), 2, h)
+        if not np.array_equal(v[:, ::-1, :, :, ::-1], v):
+            return None
+        h *= 2
+    return _walsh_hadamard
+
+
+def _walsh_hadamard(row: np.ndarray) -> np.ndarray:
+    """y[t] = sum_j row[j] (-1)^popcount(j & t) for len(row) = 2^k, by
+    in-place butterflies on a copy of row."""
+    y = np.array(row, dtype=float)
+    h = 1
+    while h < len(y):
+        v = y.reshape(-1, 2, h)
+        top = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        v[:, 1] = top - v[:, 1]
+        h *= 2
+    return y
+
+
+def _search_spectrum(d: np.ndarray):
+    """The source of each search step's largest eigenvalue and spectral
+    radius of M(p), a function of the live stack and its exponents.
+
+    For a stack of one circulant or cube-order matrix (`_row_transform`),
+    D_p has the same structure, D_p 1 = r(p) 1 and D_p is symmetric, so
+    1^perp is invariant and the spectrum of M(p) is that of D_p without
+    r(p): the transform of row 0 of D_p with frequency 0 dropped. Every
+    other stack takes the dense form spectrum (`_form_spectrum`).
+    """
+    transform = _row_transform(d[0]) if len(d) == 1 else None
+    if transform is None:
+        return lambda d, p: _form_spectrum(d, p)[1:]
+
+    def row_spectrum(d, p):
+        values = transform(_power(d[0, 0], float(p[0])))[1:]
+        lmax = values.max()
+        return lmax[None], np.maximum(lmax, -values.min())[None]
+
+    return row_spectrum
+
+
 def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-9) -> NegTypeVerdict:
     """Decide (strict) p-negative type from the spectrum of the restricted form.
 
@@ -179,9 +244,10 @@ def _itp(p_max: float, tol_p: float):
     into the ball around the midpoint that keeps bisection's step bound with
     n_0 = 1. The probe is then snapped to a dyadic grid far below tol_p, so
     that values differing in their last bits, as under d -> c * d, give the
-    same probe; a snapped probe that leaves the ball or the open bracket
-    falls back to the midpoint. That fallback also keeps the step bound when
-    a value's sign disagrees with `holds`.
+    same probe (a grid finer than the float spacing at the probe, which
+    would not move it, is skipped); a snapped probe that leaves the ball or
+    the open bracket falls back to the midpoint. That fallback also keeps
+    the step bound when a value's sign disagrees with `holds`.
     """
     holds, f_lo = yield 0.0
     if not holds:
@@ -219,7 +285,8 @@ def _itp(p_max: float, tol_p: float):
         delta = kappa1 * width * width
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
         probe = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
-        probe = round(probe / grid) * grid
+        if grid >= math.ulp(probe):  # a finer grid would not move probe
+            probe = round(probe / grid) * grid
         if not (p_lo < probe < p_hi and abs(probe - mid) <= radius):
             probe = mid
         holds, value = yield probe
@@ -258,10 +325,12 @@ def roundness_search(
     The search runs on the distances divided by their maximum, so it
     neither overflows nor underflows at any unit of distance. Each step
     evaluates every matrix still searching at its own p, with one stacked
-    eigensolve. Returns, per matrix, (q, (p_lo, p_hi), ITP iterations), or
-    None when the predicate still holds at p_max (Unbounded). Bad tol_p,
-    p_max or tol_eig raise BadParamsError, and non-finite distances
-    NonFiniteMatrixError, before any eigensolve.
+    eigensolve; a stack of one circulant or cube-order matrix is evaluated
+    on the transform of row 0 of D_p instead (`_search_spectrum`), with the
+    same predicate and the same ITP. Returns, per matrix, (q, (p_lo, p_hi),
+    ITP iterations), or None when the predicate still holds at p_max
+    (Unbounded). Bad tol_p, p_max or tol_eig raise BadParamsError, and
+    non-finite distances NonFiniteMatrixError, before any eigensolve.
     """
     _check_search_params(p_max, tol_p, tol_eig)
     d = np.asarray(dists, dtype=float)
@@ -269,11 +338,12 @@ def roundness_search(
         raise NonFiniteMatrixError("distance matrix contains non-finite entries")
     d = _unit_distances(d)
     found: list[tuple[float, tuple[float, float], int] | None] = [None] * len(d)
+    spectrum = _search_spectrum(d)
     # the matrices still searching, in the order of their distances in d
     live = [(i, _itp(p_max, tol_p)) for i in range(len(d))]
     probes = [next(search) for _, search in live]
     while live:
-        _, lmax, scale = _form_spectrum(d, np.array(probes))
+        lmax, scale = spectrum(d, np.array(probes))
         # scale > 0: the largest entry of D_p is 1, so M(p) is not 0
         holds, values = lmax <= tol_eig * scale, lmax / scale - tol_eig
         keep, probes = [], []

@@ -50,6 +50,18 @@ def test_roundness_csv_matrix(tmp_path, capsys):
     assert report["result"]["q"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_tiny_tol_p_at_a_large_q(tmp_path, capsys):
+    # q = 1.39e6 with tol_p = 1e-300: snapping a probe to a grid that far
+    # below the float spacing at q would overflow
+    f = tmp_path / "near.csv"
+    f.write_text("0,1,1\n1,0,1.000001\n1,1.000001,0\n")
+    code, report = run_cli(capsys, "roundness", "--matrix", str(f), "--p-max", "1e7",
+                           "--tol-p", "1e-300")
+    assert code == 0
+    assert report["result"]["status"] == "Finite"
+    assert report["result"]["q"] == pytest.approx(1386295.057, abs=1e-3)
+
+
 def test_negtype_h2_equality(capsys):
     code, report = run_cli(capsys, "negtype", "--graph", "hypercube:2", "--p", "1")
     assert code == 0

@@ -12,6 +12,7 @@ from roundness import (
     parse_edge_list,
     path_metric,
 )
+from roundness import graphs
 from roundness.errors import BadParamsError, DisconnectedError, UnknownFamilyError
 
 
@@ -80,6 +81,78 @@ def test_graph_validation():
 def test_disconnected_names_pair():
     g = Graph(4, ((0, 1), (2, 3)))
     with pytest.raises(DisconnectedError, match="0 and 2"):
+        path_metric(g)
+
+
+def all_sources_bfs(g):
+    """Reference path metric: a breadth-first search from every vertex."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = np.full((g.n, g.n), -1)
+    for s in range(g.n):
+        dist[s, s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if dist[s, w] < 0:
+                        dist[s, w] = dist[s, u] + 1
+                        nxt.append(w)
+            frontier = nxt
+    return dist
+
+
+def one_bfs_graphs():
+    """Graphs whose edge sets are, but for four complete bipartite ones,
+    invariant under i -> i + 1 mod n or under every i -> i xor 2^b, where
+    path_metric searches from vertex 0 alone."""
+    graphs = [gen_family("cycle", n) for n in range(3, 41)]
+    graphs += [gen_family("circulant", n, s) for n, s in
+               ((8, [1, 3]), (9, [3, 4]), (12, [2, 3]), (11, [1, 2, 5]), (24, [1, 5]),
+                (64, [1, 5]))]
+    graphs += [gen_family("hypercube", n) for n in range(1, 9)]
+    graphs += [gen_family("complete", n) for n in range(2, 10)]
+    graphs += [gen_family("complete_bipartite", n) for n in range(1, 9)]
+    return graphs
+
+
+def test_one_bfs_shortcut_equals_all_sources_bfs():
+    searched_from_every_vertex = []
+    for g in one_bfs_graphs():
+        if graphs._row0_expansion(g) is None:
+            searched_from_every_vertex.append(g.n)
+        assert np.array_equal(path_metric(g).dist, all_sources_bfs(g)), g.n
+    # K_{n,n} with n > 1 is in cube order only when 2n is a power of two
+    assert searched_from_every_vertex == [6, 10, 12, 14]
+
+
+def test_one_bfs_shortcut_runs_one_search(monkeypatch):
+    sources = []
+    bfs = graphs._bfs
+
+    def spy(adj, s):
+        sources.append(s)
+        return bfs(adj, s)
+
+    monkeypatch.setattr(graphs, "_bfs", spy)
+    for g in (gen_family("cycle", 9), gen_family("circulant", 24, [1, 5]),
+              gen_family("hypercube", 5)):
+        sources.clear()
+        path_metric(g)
+        assert sources == [0]
+    sources.clear()
+    path_metric(gen_family("petersen"))
+    assert sources == list(range(10))
+
+
+def test_invariant_disconnected_edge_set_names_pair():
+    # invariant under i -> i + 1 mod 4 and under i -> i xor 1, i xor 2
+    g = Graph(4, ((0, 2), (1, 3)))
+    assert graphs._row0_expansion(g) is not None
+    with pytest.raises(DisconnectedError, match="vertices 0 and 1$"):
         path_metric(g)
 
 

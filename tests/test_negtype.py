@@ -14,6 +14,7 @@ from roundness import (
     generalized_roundness,
     gr_inequality_check,
     kernel_coincidence_check,
+    load_solid,
     negtype_form_matrix,
     path_metric,
     power_matrix,
@@ -37,9 +38,14 @@ P3_MATRIX = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
 
 def space(spec):
-    family, _, param = spec.partition(":")
-    args = (int(param),) if param else ()
-    return path_metric(gen_family(family, *args))
+    """The path metric of a graph spec: family:n, circulant:n:s1,s2,... or
+    a solid's name."""
+    family, *params = spec.split(":")
+    if family in ("dodecahedron", "icosahedron"):
+        return path_metric(load_solid(family))
+    if family == "circulant":
+        return path_metric(gen_family(family, int(params[0]), map(int, params[1].split(","))))
+    return path_metric(gen_family(family, *map(int, params)))
 
 
 def relative_min_eigenvalue(a):
@@ -171,6 +177,39 @@ def test_search_needs_few_evaluations(monkeypatch):
     spaces = [space(s) for s in ("cycle:5", "petersen", "hypercube:4", "hypercube:5",
                                  "cycle:25")] + [eucl]
     calls = []
+    search_spectrum = negtype._search_spectrum
+
+    def counted(d):
+        spectrum = search_spectrum(d)
+
+        def evaluation(*args):
+            calls.append(1)
+            return spectrum(*args)
+
+        return evaluation
+
+    # counts the evaluations of either spectrum source, dense or structured
+    monkeypatch.setattr(negtype, "_search_spectrum", counted)
+    evaluations = []
+    for sp in spaces:
+        calls.clear()
+        assert generalized_roundness(sp).status == "Finite"
+        evaluations.append(len(calls))
+    assert np.median(evaluations) <= 12, evaluations
+
+
+# the graphs of the benchmark's fleet_q workload, and three larger ones;
+# the circulants and cubes among them take the structured spectrum
+STRUCTURED = ["cycle:5", "hypercube:4", "hypercube:5", "circulant:24:1,5", "cycle:25",
+              "cycle:400", "circulant:256:1,5", "hypercube:8"]
+GENERIC = ["petersen", "icosahedron", "dodecahedron"]
+
+
+@pytest.mark.parametrize("spec", STRUCTURED + GENERIC)
+def test_structured_search_agrees_with_dense_search(monkeypatch, spec):
+    # swapping vertices 1 and 2 leaves every one of these spaces neither
+    # circulant nor in cube order, so its search runs on the dense form
+    calls = []
     form_spectrum = negtype._form_spectrum
 
     def counted(*args):
@@ -178,12 +217,17 @@ def test_search_needs_few_evaluations(monkeypatch):
         return form_spectrum(*args)
 
     monkeypatch.setattr(negtype, "_form_spectrum", counted)
-    evaluations = []
-    for sp in spaces:
-        calls.clear()
-        assert generalized_roundness(sp).status == "Finite"
-        evaluations.append(len(calls))
-    assert np.median(evaluations) <= 12, evaluations
+    d = space(spec).dist
+    perm = np.arange(len(d))
+    perm[[1, 2]] = [2, 1]
+    (found,) = roundness_search(d[None])
+    assert (not calls) == (spec in STRUCTURED)
+    calls.clear()
+    (dense,) = roundness_search(d[np.ix_(perm, perm)][None])
+    assert calls
+    (q, (lo, hi), _), (q_dense, (lo_dense, hi_dense), _) = found, dense
+    assert abs(q - q_dense) <= 1e-9
+    assert lo <= hi_dense and lo_dense <= hi
 
 
 @pytest.mark.parametrize("tol_p", [1e-17, 1e-300])

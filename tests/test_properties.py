@@ -1,7 +1,11 @@
 """Invariants of the roundness computation, property-tested on random small
-metric spaces: 3 to 7 points, Euclidean in R^3 or shortest paths of random
-1..9 edge weights (on the complete graph, or on a circulant, whose rows are
-permutations of each other)."""
+metric spaces: 3 to 8 points, Euclidean in R^3 or shortest paths of random
+1..9 edge weights (on the complete graph, or on a circulant or a Cayley
+graph of Z_2^k, whose rows are permutations of each other). The root search
+reads the circulants' spectra off an FFT and the Z_2^k metrics' off a
+Walsh-Hadamard transform, and a relabelled copy, which in general has
+neither structure, off the dense form, so the relabelling property pits the
+two against each other."""
 
 import itertools
 import math
@@ -58,7 +62,17 @@ def weighted_circulant(draw):
     return shortest_paths(np.array([0, *weights])[offset])
 
 
-metrics = st.one_of(euclidean(), weighted_graph(), weighted_circulant())
+@st.composite
+def weighted_cube_order(draw):
+    """Shortest paths on the Cayley graph of Z_2^k, k = 2 or 3, with a
+    weight 1..9 on each nonzero element: d[i, j] = f(i xor j)."""
+    n = 1 << draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n - 1, max_size=n - 1))
+    x = np.arange(n)
+    return shortest_paths(np.array([0, *weights])[x[:, None] ^ x[None, :]])
+
+
+metrics = st.one_of(euclidean(), weighted_graph(), weighted_circulant(), weighted_cube_order())
 scales = st.floats(1e-3, 1e3)
 # the root search and the D_q checks run on d / max d, so q is the same over
 # the whole float range
@@ -82,7 +96,7 @@ def test_roundness_invariant_under_relabelling_and_scaling(d, c, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(d=weighted_circulant(), c=wide_scales)
+@given(d=st.one_of(weighted_circulant(), weighted_cube_order()), c=wide_scales)
 def test_det_normalized_vanishes_at_every_scale(d, c):
     for dist in (d, c * d):
         res = generalized_roundness(build_metric_space(dist))
