@@ -1,94 +1,71 @@
-"""Generalized roundness and p-negative type of finite metric spaces."""
+"""Generalized roundness and p-negative type of finite metric spaces.
 
-from .errors import RoundnessError
-from .graphs import Graph, gen_family, load_edge_list, load_solid, parse_edge_list, path_metric
-from .hamming import (
-    ClassificationResult,
-    classify_subset,
-    cube_distance_matrix,
-    eigen_identity_check,
-    factor_matrix,
-    factorization_check,
-    lifted_vertex_matrix,
-    null_dimension_check,
-    path_embedding_witness,
-    scan_subsets,
-    sign_matrix,
-    sign_vector,
-    subset_metric,
-    tree_embedding_search,
-)
-from .metric import (
-    FiniteMetricSpace,
-    NegativeTypeWitness,
-    build_metric_space,
-    has_row_permutation_property,
-    hyperplane_basis,
-    power_matrix,
-    quadratic_form,
-)
-from .negtype import (
-    GrInequalityResult,
-    KernelCoincidenceReport,
-    NegTypeVerdict,
-    RoundnessResult,
-    check_negative_type,
-    generalized_roundness,
-    gr_inequality_check,
-    kernel_coincidence_check,
-    negtype_form_matrix,
-)
-from .spectral import (
-    SpectralData,
-    det_exact,
-    eigensym,
-    kernel_basis_exact,
-    rank_exact,
-)
+The package root is lazy (PEP 562): `import roundness` loads no submodule
+and no numpy, and each name in `__all__` is looked up in its submodule on
+every access, not cached here, so `roundness.X` is always the object that
+`roundness.<submodule>.X` holds now. The library never changes the
+environment of the process that imports it; the `gr` CLI alone defaults
+OPENBLAS_NUM_THREADS to 1 (see `roundness.cli`).
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassificationResult",
-    "FiniteMetricSpace",
-    "Graph",
-    "GrInequalityResult",
-    "KernelCoincidenceReport",
-    "NegTypeVerdict",
-    "NegativeTypeWitness",
-    "RoundnessError",
-    "RoundnessResult",
-    "SpectralData",
-    "build_metric_space",
-    "check_negative_type",
-    "classify_subset",
-    "cube_distance_matrix",
-    "det_exact",
-    "eigen_identity_check",
-    "eigensym",
-    "factor_matrix",
-    "factorization_check",
-    "gen_family",
-    "generalized_roundness",
-    "gr_inequality_check",
-    "has_row_permutation_property",
-    "hyperplane_basis",
-    "kernel_basis_exact",
-    "kernel_coincidence_check",
-    "lifted_vertex_matrix",
-    "load_edge_list",
-    "load_solid",
-    "negtype_form_matrix",
-    "null_dimension_check",
-    "parse_edge_list",
-    "path_embedding_witness",
-    "path_metric",
-    "power_matrix",
-    "quadratic_form",
-    "rank_exact",
-    "scan_subsets",
-    "sign_matrix",
-    "sign_vector",
-    "subset_metric",
-    "tree_embedding_search",
-]
+_SUBMODULE_NAMES = {
+    "errors": ("RoundnessError",),
+    "graphs": ("Graph", "gen_family", "load_edge_list", "load_solid", "parse_edge_list",
+               "path_metric"),
+    "hamming": (
+        "ClassificationResult",
+        "classify_subset",
+        "cube_distance_matrix",
+        "eigen_identity_check",
+        "factor_matrix",
+        "factorization_check",
+        "lifted_vertex_matrix",
+        "null_dimension_check",
+        "path_embedding_witness",
+        "scan_subsets",
+        "sign_matrix",
+        "sign_vector",
+        "subset_metric",
+        "tree_embedding_search",
+    ),
+    "metric": (
+        "FiniteMetricSpace",
+        "NegativeTypeWitness",
+        "build_metric_space",
+        "has_row_permutation_property",
+        "hyperplane_basis",
+        "power_matrix",
+        "quadratic_form",
+    ),
+    "negtype": (
+        "GrInequalityResult",
+        "KernelCoincidenceReport",
+        "NegTypeVerdict",
+        "RoundnessResult",
+        "check_negative_type",
+        "generalized_roundness",
+        "gr_inequality_check",
+        "kernel_coincidence_check",
+        "negtype_form_matrix",
+    ),
+    "spectral": ("SpectralData", "det_exact", "eigensym", "kernel_basis_exact", "rank_exact"),
+}
+
+_SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

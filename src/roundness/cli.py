@@ -15,6 +15,11 @@ Inputs, exactly one per command, are graph specs (``cycle:5``,
 byte-identical for identical inputs and flags. Exit codes: 0 success/holds,
 1 semantic negative (violated, hypothesis failed, none found), 2 input
 error. Set ROUNDNESS_LOG=DEBUG for diagnostics on stderr.
+
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
+set, before numpy loads, so a `gr` process runs OpenBLAS on one thread: most
+of its matrices are small, and on those helper threads only spin. A value
+set by the caller wins. The library modules never touch the environment.
 """
 
 from __future__ import annotations
@@ -25,8 +30,12 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import sys
+
+# before numpy is first imported, below: OpenBLAS reads it once, at load
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import BadParamsError, HypothesisViolatedError, RoundnessError
 from .graphs import SOLIDS, gen_family, load_edge_list, load_solid, path_metric
@@ -151,6 +160,12 @@ def cmd_roundness(args) -> int:
     return 0
 
 
+def _finite_or_none(x: float) -> float | None:
+    """x, or None (JSON null) where it is inf or nan, which JSON cannot hold:
+    a value in the unit of d can overflow where its verdict does not."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_negtype(args) -> int:
     space, desc = resolve_space(args)
     verdict = check_negative_type(space, args.p, tol_eig=args.tol_eig)
@@ -158,13 +173,13 @@ def cmd_negtype(args) -> int:
     if verdict.witness is not None:
         witness = {
             "eta": [float(x) for x in verdict.witness.eta],
-            "form_value": verdict.witness.form_value,
+            "form_value": _finite_or_none(verdict.witness.form_value),
         }
     result = {
         "p": verdict.p,
         "holds": verdict.holds,
         "strict": verdict.strict,
-        "max_form_eigenvalue": verdict.max_form_eigenvalue,
+        "max_form_eigenvalue": _finite_or_none(verdict.max_form_eigenvalue),
         "witness": witness,
     }
     diag = {"tol_eig": args.tol_eig, "require_strict": args.strict}

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,14 +275,15 @@ def scan_subsets(
     is deterministic regardless of `jobs`.
 
     Every subset is classified exactly, on a process pool of `jobs` workers
-    when `jobs` > 1 (capped at the CPU count and the subset count). q
-    depends only on the distance matrix, so the strict subsets of size >= 3
-    are grouped by the exact bytes of their `subset_metric` (vertices in
-    sorted index order), and the distinct matrices of each size go through
-    one `roundness_search` in the calling process, which solves them all in
-    lock-step; each subset gets the q of its group, bit for bit what a
-    `generalized_roundness` of its own would give. The grouping lives for
-    one call only. `jobs` below 1, and root-search parameters the search
+    when `jobs` > 1 (capped at the CPU count and the subset count); the
+    pool's modules are imported only then, so a call that runs no pool does
+    not pay for them. q depends only on the distance matrix, so the strict
+    subsets of size >= 3 are grouped by the exact bytes of their
+    `subset_metric` (vertices in sorted index order), and the distinct
+    matrices of each size go through one `roundness_search` in the calling
+    process, which solves them all in lock-step; each subset gets the q of
+    its group, bit for bit what a `generalized_roundness` of its own would
+    give. The grouping lives for one call only. `jobs` below 1, and root-search parameters the search
     would reject, raise BadParamsError before any work.
     """
     _check_dimension("exhaustive scan", n)
@@ -304,6 +304,8 @@ def scan_subsets(
     tasks = [(n, indices) for indices in subsets]
     workers = _pool_size(jobs, len(subsets))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms of imports
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             strict = list(pool.map(_classify, tasks,
                                    chunksize=max(1, len(tasks) // (4 * workers))))

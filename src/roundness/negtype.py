@@ -24,9 +24,10 @@ null space of D_q; `kernel_coincidence_check` verifies both inclusions
 numerically. Both checks eigendecompose D_q densely, whichever spectrum the
 search read. Every tolerance is relative to the scale of the matrix it tests
 (the spectral radius of M(p), max |D_q| or the larger side of the roundness
-inequality), so no result depends on the unit of distance. The root search
-and the D_q tests power d / max d, which neither overflows nor underflows at
-any unit, and every D_q test uses CERTIFICATE_TOL.
+inequality), so no result depends on the unit of distance. The root search,
+the D_q tests, `check_negative_type` and `gr_inequality_check` power
+d / max d, which neither overflows nor underflows at any unit, and every D_q
+test uses CERTIFICATE_TOL.
 """
 
 from __future__ import annotations
@@ -194,24 +195,42 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
     strict iff lmax < -tol (tolerances relative to the spectral radius of
     M(p)). When not strict, the witness is the top eigenvector lifted back to
     a zero-sum weight vector, unit norm, first nonzero entry positive.
-    tol_eig must be finite and >= 0, else BadParamsError.
+    The form is built on d / max d, so the verdict neither overflows nor
+    underflows at any unit of distance; `max_form_eigenvalue` and the
+    witness's `form_value` are reported in the unit of d, as their value on
+    d / max d times (max d)^p, which is inf or nan where that product is
+    out of float range. tol_eig must be finite and >= 0, else
+    BadParamsError.
     """
     if p < 0:
         raise NegativeExponentError(f"exponent must be nonnegative, got {p}")
     _check_tolerance("tol_eig", tol_eig)
-    sd, lmax, scale = _form_spectrum(space, p)
+    max_d = float(space.dist.max())
+    unit = space.dist / max_d
+    sd, lmax, scale = _form_spectrum(unit, p)
     lmax, scale = float(lmax), float(scale)
     holds = lmax <= tol_eig * scale
     strict = lmax < -tol_eig * scale
+    factor = _unit_factor(max_d, p)
     witness = None
     if not strict:
         eta = hyperplane_basis(space.n) @ sd.eigenvectors[:, 0]
         eta = eta / np.linalg.norm(eta)
         eta = _sign_normalize(eta)
         eta.setflags(write=False)
-        witness = NegativeTypeWitness(eta=eta, form_value=quadratic_form(power_matrix(space, p), eta))
+        form_value = quadratic_form(power_matrix(unit, p), eta) * factor
+        witness = NegativeTypeWitness(eta=eta, form_value=form_value)
     return NegTypeVerdict(p=float(p), holds=holds, strict=strict,
-                          max_form_eigenvalue=lmax, witness=witness)
+                          max_form_eigenvalue=lmax * factor, witness=witness)
+
+
+def _unit_factor(max_d: float, p: float) -> float:
+    """(max d)^p, which takes a value of degree p in the distances from
+    d / max d back to the unit of d; inf where it overflows."""
+    try:
+        return max_d**p
+    except OverflowError:
+        return math.inf
 
 
 def _sign_normalize(v: np.ndarray) -> np.ndarray:
@@ -469,8 +488,11 @@ def gr_inequality_check(
     lhs sums d(a_k, a_l)^p + d(b_k, b_l)^p over pairs k < l inside each
     family; rhs sums d(a_j, b_i)^p over all cross pairs. Repeated indices are
     allowed (the inequality quantifies over all choices of points). It holds
-    when lhs <= rhs + tol * max(lhs, rhs), so the verdict does not depend on
-    the unit of distance; tol must be finite and >= 0, else BadParamsError.
+    when lhs <= rhs + tol * max(lhs, rhs), decided on d / max d, so the
+    verdict does not depend on the unit of distance and no power overflows;
+    lhs and rhs are reported in the unit of d, as their value on d / max d
+    times (max d)^p, inf or nan where that is out of float range. tol must
+    be finite and >= 0, else BadParamsError.
     """
     _check_tolerance("tol", tol)
     a = [int(i) for i in a_idx]
@@ -482,7 +504,8 @@ def gr_inequality_check(
     for i in a + bb:
         if not 0 <= i < space.n:
             raise IndexOutOfRangeError(f"point index {i} out of range for {space.n} points")
-    dp = power_matrix(space, p)
+    max_d = float(space.dist.max())
+    dp = power_matrix(space.dist / max_d, p)
     m = len(a)
     lhs = 0.0
     for k in range(m):
@@ -490,4 +513,6 @@ def gr_inequality_check(
             lhs += dp[a[k], a[l]] + dp[bb[k], bb[l]]
     rhs = float(np.sum(dp[np.ix_(a, bb)]))
     lhs = float(lhs)
-    return GrInequalityResult(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol * max(lhs, rhs)))
+    holds = bool(lhs <= rhs + tol * max(lhs, rhs))
+    factor = _unit_factor(max_d, p)
+    return GrInequalityResult(lhs=lhs * factor, rhs=rhs * factor, holds=holds)

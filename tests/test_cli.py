@@ -87,6 +87,28 @@ def test_negtype_exit_codes(capsys):
     assert code == 1
 
 
+def test_negtype_at_1e200_scale_gives_the_verdict_of_cycle5(tmp_path, capsys):
+    # 1e200 times the 5-cycle: d^2 overflows unless the form is built on
+    # d / max d; values of degree p in d that overflow print as null
+    f = tmp_path / "big5.csv"
+    f.write_text("0,1e200,2e200,2e200,1e200\n1e200,0,1e200,2e200,2e200\n"
+                 "2e200,1e200,0,1e200,2e200\n2e200,2e200,1e200,0,1e200\n"
+                 "1e200,2e200,2e200,1e200,0\n")
+    reports = {}
+    for p, code_expected in (("1", 0), ("2", 1)):  # q of cycle:5 is 1.388
+        code, big = run_cli(capsys, "negtype", "--matrix", str(f), "--p", p)
+        _, unit = run_cli(capsys, "negtype", "--graph", "cycle:5", "--p", p)
+        assert code == code_expected
+        assert (big["result"]["holds"], big["result"]["strict"]) == \
+            (unit["result"]["holds"], unit["result"]["strict"])
+        reports[p] = big["result"], unit["result"]
+    big, unit = reports["1"]
+    assert big["max_form_eigenvalue"] == pytest.approx(1e200 * unit["max_form_eigenvalue"],
+                                                       rel=1e-12)
+    big, _ = reports["2"]
+    assert big["max_form_eigenvalue"] is None and big["witness"]["form_value"] is None
+
+
 def test_verify_hypercube3(capsys):
     code, report = run_cli(capsys, "verify", "--graph", "hypercube:3")
     assert code == 0

@@ -454,6 +454,23 @@ def test_gr_inequality_tolerance_is_relative(fleet, c):
     assert gr_inequality_check(sq, 1.0, [0, 3], [1, 2]).holds
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_verdicts_and_values_at_extreme_units(fleet, c):
+    # both checks power d / max d: the verdict of c * d is that of d, and
+    # the reported values are those of d times c^p, inf or 0 once out of range
+    for spec, p in (("cycle:5", 1.0), ("cycle:5", 2.0), ("hypercube:2", 1.0)):
+        sp = fleet[spec]
+        scaled = build_metric_space(c * sp.dist)
+        ref, got = check_negative_type(sp, p), check_negative_type(scaled, p)
+        assert (got.holds, got.strict) == (ref.holds, ref.strict), (spec, p)
+        with np.errstate(over="ignore", under="ignore"):
+            expected = ref.max_form_eigenvalue * np.float64(c) ** p
+        assert got.max_form_eigenvalue == pytest.approx(expected, rel=1e-12), (spec, p)
+        families = ([0, 0, 2], [1, 1, 3])
+        assert gr_inequality_check(scaled, p, *families).holds == \
+            gr_inequality_check(sp, p, *families).holds, (spec, p)
+
+
 def test_witness_converts_to_inequality_violation(fleet):
     # above the supremal exponent the witness weights, cleared to integers,
     # give point families that break the inequality

@@ -1,0 +1,111 @@
+"""What importing the package and starting the CLI load and set, each
+checked in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import roundness
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(roundness.__file__)))
+
+
+def fresh(code: str, *argv: str, **env_overrides: str) -> str:
+    """Run `code` with `argv` in a fresh interpreter that imports roundness
+    from SRC, with OPENBLAS_NUM_THREADS unset unless given; return its
+    stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_overrides)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_numpy_and_leaves_the_environment_alone():
+    out = fresh(
+        "import os, sys; before = dict(os.environ); import roundness; "
+        "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ); "
+        "[getattr(roundness, name) for name in roundness.__all__]; "
+        "print('numpy' in sys.modules, dict(os.environ) == before)"
+    )
+    assert out.split() == ["False", "False", "True", "True"]
+
+
+def test_root_names_are_the_submodule_objects():
+    out = fresh(
+        "import importlib, roundness\n"
+        "for name in roundness.__all__:\n"
+        "    obj = getattr(roundness, name)\n"
+        "    assert obj.__module__.startswith('roundness.'), name\n"
+        "    assert obj is getattr(importlib.import_module(obj.__module__), name), name\n"
+        "    assert name not in vars(roundness), name  # looked up, never cached\n"
+        "print(len(roundness.__all__))"
+    )
+    assert int(out) == len(roundness.__all__) > 0
+
+
+def test_root_names_follow_a_rebinding_in_their_submodule():
+    out = fresh(
+        "import roundness, roundness.negtype as negtype\n"
+        "original = roundness.generalized_roundness\n"
+        "negtype.generalized_roundness = marker = object()\n"
+        "print(roundness.generalized_roundness is marker, original is not marker)"
+    )
+    assert out.split() == ["True", "True"]
+
+
+def test_star_import_dir_and_unknown_names():
+    out = fresh(
+        "import json, roundness\n"
+        "scope = {}\n"
+        "exec('from roundness import *', scope)\n"
+        "star = sorted(k for k in scope if k != '__builtins__')\n"
+        "try:\n"
+        "    roundness.no_such_name\n"
+        "    unknown = 'bound'\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "print(json.dumps([star == sorted(roundness.__all__),\n"
+        "                  set(roundness.__all__) <= set(dir(roundness)), unknown]))"
+    )
+    star_is_all, dir_has_all, unknown = json.loads(out)
+    assert star_is_all and dir_has_all
+    assert "no_such_name" in unknown
+
+
+def test_cli_import_defaults_openblas_threads_to_one():
+    code = "import os, roundness.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh(code).strip() == "1"
+    assert fresh(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_cli_import_loads_blas_on_one_thread():
+    # the default is set before numpy loads OpenBLAS, so no helper thread starts
+    out = fresh(
+        "import sys, roundness.cli\n"
+        "assert 'numpy' in sys.modules\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(line for line in fh if line.startswith('Threads:')))"
+    )
+    assert out.split() == ["Threads:", "1"]
+
+
+def test_cube_scan_imports_the_pool_only_with_jobs():
+    code = (
+        "import sys, roundness.cli\n"
+        "roundness.cli.main(sys.argv[1:])\n"
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    serial = fresh(code, "cube", "scan", "--n", "3").splitlines()
+    pooled = fresh(code, "cube", "scan", "--n", "3", "--jobs", "2").splitlines()
+    assert serial[1] == "False"
+    assert pooled[1] == str((os.cpu_count() or 1) > 1)  # the pool never outnumbers the CPUs
+    # the reports differ only in the echoed --jobs
+    assert json.loads(serial[0])["diagnostics"]["jobs"] == 1
+    assert serial[0] == pooled[0].replace('"jobs":2', '"jobs":1')
