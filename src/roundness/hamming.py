@@ -10,14 +10,17 @@ eigenbasis of block-alternating sign vectors, which pins its rank at
 n+1. That rank structure yields an exact dichotomy for subsets: a subset
 {x_0, ..., x_k} fails strict 1-negative type precisely when the difference
 vectors x_i - x_0 are linearly dependent, so classification reduces to one
-exact integer kernel computation. The exhaustive scan classifies every
-subset and then finds the roundness of each distinct strict subset metric,
-all matrices of one size in one lock-step root search.
+exact integer kernel computation. The exhaustive scan classifies all
+subsets of one size together, by one exact int64 fraction-free elimination
+over the stack of their difference matrices, and then finds the roundness
+of each distinct strict subset metric, all matrices of one size in one
+lock-step root search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -44,7 +47,8 @@ from .spectral import _kernel_basis, det_exact, kernel_basis_exact, rank_exact
 # to n+1 of the 2^n vertices and solves one roundness problem per distinct
 # subset metric. Classifying a few points and the path witness (capped on its
 # cube dimension k-1) are cheap at any n; those caps bound input and report
-# size, which grow with n (the witness as n^2).
+# size, which grow with n (the witness as n^2). The batched classification
+# runs in int64, which cannot overflow up to its cap (see `_rank_stack`).
 DIMENSION_CAPS = {
     "cube distance matrix": 12,
     "identity check": 10,
@@ -54,6 +58,7 @@ DIMENSION_CAPS = {
     "rank check": 8,
     "exhaustive scan": 4,
     "classification": 64,
+    "batched classification": 15,
     "path witness": 64,
 }
 MAX_TREE_VERTICES = 7
@@ -247,14 +252,67 @@ def subset_metric(n: int, indices) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels=labels, dist=_readonly(d))
 
 
-def _classify(args) -> bool:
-    return classify_subset(*args).strict
-
-
 def _pool_size(jobs: int, n_tasks: int) -> int:
     """Worker count for `jobs` requested workers: never more than the CPUs
     or the tasks."""
     return min(jobs, os.cpu_count() or 1, n_tasks)
+
+
+def _rank_stack(a: np.ndarray) -> np.ndarray:
+    """Exact rank of every matrix in an (m, r, c) integer stack, by one-step
+    fraction-free (Bareiss) forward elimination run on the whole stack.
+
+    Column by column, each matrix takes as pivot its first row, among the
+    rows not yet used as pivots, with a nonzero entry there, and clears that
+    column from its other unused rows. Each update divides exactly by the
+    matrix's previous pivot, as in `spectral._gauss_jordan`, so every entry
+    stays a minor of the input; a remainder would mean a corrupted pivot or
+    wrapped int64 arithmetic and raises ArithmeticError. For a 0/+-1 input
+    with at most r rows, a k x k minor is at most k^(k/2) in absolute value
+    (Hadamard), so no product exceeds 2 r^r, which is below 2^63 for
+    r <= 15 (DIMENSION_CAPS["batched classification"]).
+    """
+    a = np.array(a, dtype=np.int64)
+    m, r, c = a.shape
+    used = np.zeros((m, r), dtype=bool)
+    prev = np.ones(m, dtype=np.int64)
+    every = np.arange(m)
+    for col in range(c):
+        candidates = ~used & (a[:, :, col] != 0)
+        found = candidates.any(axis=1)
+        piv = candidates.argmax(axis=1)  # row 0 where none is found: masked by `found`
+        block = a[:, :, col:]
+        pivot_row = block[every, piv]
+        num = pivot_row[:, :1, None] * block - block[:, :, :1] * pivot_row[:, None, :]
+        quot, rem = np.divmod(num, prev[:, None, None])
+        update = ~used & found[:, None]
+        update[every, piv] = False
+        if (update[:, :, None] & (rem != 0)).any():
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        block[...] = np.where(update[:, :, None], quot, block)
+        used[every, piv] |= found
+        prev = np.where(found, pivot_row[:, 0], prev)
+    return used.sum(axis=1)
+
+
+def _difference_ranks(n: int, idx: np.ndarray) -> np.ndarray:
+    """Exact rank of the difference vectors x_i - x_0 of each subset of the
+    n-cube in the (m, s) index array `idx`, x_0 first; row j is strict iff
+    its rank is s - 1. The verdicts and ranks of `classify_subset`, for a
+    whole array of subsets in one elimination."""
+    _check_dimension("batched classification", n)
+    idx = np.asarray(idx, dtype=np.int64)
+    # bits[j, b, i] is bit b of vertex i of subset j, most significant first
+    bits = (idx[:, None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    return _rank_stack(bits[:, :, 1:] - bits[:, :, :1])
+
+
+def _combinations(size_cap: int, size: int) -> np.ndarray:
+    """All `size`-subsets of range(size_cap) as an (m, size) int64 array, in
+    itertools.combinations (lexicographic) order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(size_cap), size))
+    count = math.comb(size_cap, size) * size
+    return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, size)
 
 
 def scan_subsets(
@@ -274,17 +332,20 @@ def scan_subsets(
     Ties in the minimum break lexicographically on the index set, so output
     is deterministic regardless of `jobs`.
 
-    Every subset is classified exactly, on a process pool of `jobs` workers
-    when `jobs` > 1 (capped at the CPU count and the subset count); the
-    pool's modules are imported only then, so a call that runs no pool does
-    not pay for them. q depends only on the distance matrix, so the strict
-    subsets of size >= 3 are grouped by the exact bytes of their
-    `subset_metric` (vertices in sorted index order), and the distinct
-    matrices of each size go through one `roundness_search` in the calling
+    The subsets of one size are an (m, s) index array, classified exactly
+    by one int64 fraction-free elimination over all of them
+    (`_difference_ranks`). With `jobs` > 1 the same elimination runs on a
+    process pool of that many workers (capped at the CPU count and the
+    subset count), each taking contiguous chunks of every size; the pool's
+    modules are imported only then, so a call that runs no pool does not
+    pay for them. q depends only on the distance matrix, so the strict
+    subsets of each size >= 3 get their metrics in one gather from a
+    popcount table, equal metrics are grouped by `np.unique`, and the
+    distinct matrices go through one `roundness_search` in the calling
     process, which solves them all in lock-step; each subset gets the q of
     its group, bit for bit what a `generalized_roundness` of its own would
-    give. The grouping lives for one call only. `jobs` below 1, and root-search parameters the search
-    would reject, raise BadParamsError before any work.
+    give. `jobs` below 1, and root-search parameters the search would
+    reject, raise BadParamsError before any work.
     """
     _check_dimension("exhaustive scan", n)
     size_cap = 1 << n
@@ -296,50 +357,44 @@ def scan_subsets(
         raise BadParamsError(f"jobs must be at least 1, got {jobs}")
     _check_search_params(p_max, tol_p, tol_eig)
 
-    subsets = [
-        indices
-        for size in range(1, max_size + 1)
-        for indices in itertools.combinations(range(size_cap), size)
-    ]
-    tasks = [(n, indices) for indices in subsets]
-    workers = _pool_size(jobs, len(subsets))
+    subsets = [_combinations(size_cap, size) for size in range(1, max_size + 1)]
+    workers = _pool_size(jobs, sum(len(idx) for idx in subsets))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms of imports
 
+        chunks = [np.array_split(idx, workers) for idx in subsets]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            strict = list(pool.map(_classify, tasks,
-                                   chunksize=max(1, len(tasks) // (4 * workers))))
+            done = pool.map(_difference_ranks, itertools.repeat(n),
+                            itertools.chain.from_iterable(chunks))
+            ranks = [np.concatenate([next(done) for _ in parts]) for parts in chunks]
     else:
-        strict = [_classify(t) for t in tasks]
+        ranks = [_difference_ranks(n, idx) for idx in subsets]
 
-    keys: list[bytes | None] = []  # per subset: its metric's bytes when q is needed
-    by_size: dict[int, dict[bytes, np.ndarray]] = {}
-    for indices, is_strict in zip(subsets, strict):
-        key = None
-        if is_strict and len(indices) >= MIN_SUBSET_SIZE_FOR_Q:
-            dist = subset_metric(n, indices).dist
-            key = dist.tobytes()
-            by_size.setdefault(len(indices), {}).setdefault(key, dist)
-        keys.append(key)
-    q_of: dict[bytes, float | None] = {}
-    for group in by_size.values():
-        found = roundness_search(np.stack(list(group.values())),
-                                 p_max=p_max, tol_p=tol_p, tol_eig=tol_eig)
-        q_of.update(zip(group, (f[0] if f else None for f in found)))
-
+    popcount = np.array([i.bit_count() for i in range(size_cap)], dtype=np.int64)
     counts: dict[tuple[int, bool], int] = {}
     best: tuple[float, tuple[int, ...]] | None = None
     unbounded_strict = 0
-    for indices, is_strict, key in zip(subsets, strict, keys):
-        size_class = (len(indices), is_strict)
-        counts[size_class] = counts.get(size_class, 0) + 1
-        if key is None:
+    for size, (idx, rank) in enumerate(zip(subsets, ranks), start=1):
+        strict = rank == size - 1
+        n_strict = int(strict.sum())
+        for is_strict, count in ((True, n_strict), (False, len(idx) - n_strict)):
+            if count:
+                counts[(size, is_strict)] = count
+        if size < MIN_SUBSET_SIZE_FOR_Q or not n_strict:
             continue
-        q = q_of[key]
-        if q is None:
-            unbounded_strict += 1
-        elif best is None or (q, indices) < best:
-            best = (q, indices)
+        strict_idx = idx[strict]
+        dist = popcount[strict_idx[:, :, None] ^ strict_idx[:, None, :]].reshape(n_strict, -1)
+        distinct, inverse = np.unique(dist, axis=0, return_inverse=True)
+        found = roundness_search(distinct.reshape(-1, size, size).astype(float),
+                                 p_max=p_max, tol_p=tol_p, tol_eig=tol_eig)
+        q = np.array([f[0] if f else np.nan for f in found])[inverse.ravel()]
+        bounded = ~np.isnan(q)
+        unbounded_strict += len(q) - int(bounded.sum())
+        if bounded.any():
+            j = int(np.nanargmin(q))  # the first, hence lexicographically smallest
+            candidate = (float(q[j]), tuple(strict_idx[j].tolist()))
+            if best is None or candidate < best:
+                best = candidate
     return ScanSummary(
         n=n,
         max_size=max_size,

@@ -505,14 +505,18 @@ def gr_inequality_check(
         if not 0 <= i < space.n:
             raise IndexOutOfRangeError(f"point index {i} out of range for {space.n} points")
     max_d = float(space.dist.max())
-    dp = power_matrix(space.dist / max_d, p)
     m = len(a)
+    within = [(k, l) for k in range(m) for l in range(k + 1, m)]
+    # only the entries the sums read: the pairs k < l inside each family,
+    # then the m x m cross block row by row
+    rows = [x[k] for x in (a, bb) for k, _ in within] + [i for i in a for _ in bb]
+    cols = [x[l] for x in (a, bb) for _, l in within] + bb * m
+    dp = _power(space.dist[rows, cols] / max_d, p)
+    pairs = len(within)
     lhs = 0.0
-    for k in range(m):
-        for l in range(k + 1, m):
-            lhs += dp[a[k], a[l]] + dp[bb[k], bb[l]]
-    rhs = float(np.sum(dp[np.ix_(a, bb)]))
-    lhs = float(lhs)
+    for v in (dp[:pairs] + dp[pairs:2 * pairs]).tolist():  # left to right over (k, l)
+        lhs += v
+    rhs = float(np.sum(dp[2 * pairs:].reshape(m, m)))
     holds = bool(lhs <= rhs + tol * max(lhs, rhs))
     factor = _unit_factor(max_d, p)
     return GrInequalityResult(lhs=lhs * factor, rhs=rhs * factor, holds=holds)

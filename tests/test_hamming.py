@@ -35,7 +35,13 @@ from roundness.errors import (
     SearchSpaceTooLargeError,
 )
 from roundness import hamming
-from roundness.hamming import ScanSummary, _pool_size
+from roundness.hamming import (
+    ScanSummary,
+    _combinations,
+    _difference_ranks,
+    _pool_size,
+    _rank_stack,
+)
 from roundness.negtype import roundness_search
 
 
@@ -216,6 +222,63 @@ def test_dependency_certificates_exact():
             assert not total.any()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_classification_matches_classify_subset_exhaustively(n):
+    for size in range(1, (1 << n) + 1):
+        idx = _combinations(1 << n, size)
+        ranks = _difference_ranks(n, idx).tolist()
+        for indices, rank in zip(idx.tolist(), ranks):
+            cls = classify_subset(n, indices)
+            assert (rank, rank == size - 1) == (cls.rank, cls.strict), indices
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_batched_classification_matches_classify_subset_on_a_sample(n):
+    rng = np.random.default_rng(1300 + n)
+    sizes = rng.integers(1, n + 3, size=5000)
+    for size in np.unique(sizes):
+        # distinct vertices in random order, so x_0 is not always the smallest
+        idx = np.array([rng.choice(1 << n, size=size, replace=False)
+                        for _ in range(int(np.sum(sizes == size)))])
+        for indices, rank in zip(idx.tolist(), _difference_ranks(n, idx).tolist()):
+            cls = classify_subset(n, indices)
+            assert (rank, rank == size - 1) == (cls.rank, cls.strict), indices
+
+
+@st.composite
+def sign_matrix_stacks(draw):
+    """Stacks of up to 5 random {-1, 0, 1} matrices of one shape up to 6 x 7,
+    each with a column possibly zeroed and a column possibly repeated."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    stack = []
+    for _ in range(draw(st.integers(1, 5))):
+        entries = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=rows * cols,
+                                max_size=rows * cols))
+        mat = np.array(entries, dtype=np.int64).reshape(rows, cols)
+        zero = draw(st.none() | st.integers(0, cols - 1))
+        if zero is not None:
+            mat[:, zero] = 0
+        src, dst = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+        mat[:, dst] = mat[:, src]
+        stack.append(mat)
+    return np.stack(stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=sign_matrix_stacks())
+def test_batched_rank_matches_rank_exact(stack):
+    assert _rank_stack(stack).tolist() == [rank_exact(mat) for mat in stack]
+
+
+def test_batched_rank_raises_on_a_corrupted_pivot():
+    good = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert _rank_stack(good[None]).tolist() == [3]
+    bad = good.copy()
+    bad[0, 0] = 10**12  # its products wrap int64, so a later division is inexact
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        _rank_stack(np.stack([good, bad]))
+
+
 def test_subset_metric_distances():
     sp = subset_metric(3, [0b000, 0b011, 0b101])
     assert sp.labels == ("000", "011", "101")
@@ -238,8 +301,20 @@ def test_scan_h2_full_size():
 
 
 def test_scan_jobs_deterministic():
-    for n in (2, 3):
-        assert scan_subsets(n, jobs=2) == scan_subsets(n, jobs=1)
+    for n, max_size in [(2, None), (3, None), (4, 3), (4, None)]:
+        assert scan_subsets(n, max_size=max_size, jobs=2) == scan_subsets(n, max_size=max_size, jobs=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scan_counts_are_translation_invariant(n):
+    """Translating by a vertex is an isometry of the cube, so counting the
+    pairs (strict k-subset S, vertex v of S) through S ^ v, which contains
+    0, gives k * #strict_k = 2^n * #(strict k-subsets containing 0)."""
+    counts = scan_subsets(n, max_size=1 << n).counts
+    for k in range(1, (1 << n) + 1):
+        with_0 = np.array([(0, *rest) for rest in itertools.combinations(range(1, 1 << n), k - 1)])
+        strict_with_0 = int(np.sum(_difference_ranks(n, with_0) == k - 1))
+        assert k * counts.get((k, True), 0) == (1 << n) * strict_with_0, k
 
 
 def test_scan_guards():
@@ -323,10 +398,10 @@ def test_stacked_search_equals_single_solves(n, max_size):
     {"p_max": 0.0}, {"p_max": -1.0}, {"p_max": float("inf")},
 ])
 def test_scan_rejects_bad_search_params_before_classifying(monkeypatch, params):
-    def fail(n, indices):
+    def fail(n, idx):
         raise AssertionError("classification started")
 
-    monkeypatch.setattr(hamming, "classify_subset", fail)
+    monkeypatch.setattr(hamming, "_difference_ranks", fail)
     with pytest.raises(BadParamsError):
         scan_subsets(2, **params)
 
