@@ -234,7 +234,7 @@ def cmd_cube(args) -> int:
         cls = classify_subset(args.n, subset)
         result = {
             "n": args.n,
-            "indices": sorted(subset),
+            "indices": subset,
             "bitstrings": [format(i, f"0{args.n}b") for i in subset],
             "strict": cls.strict,
             "rank": cls.rank,

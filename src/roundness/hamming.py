@@ -10,18 +10,18 @@ eigenbasis of block-alternating sign vectors, which pins its rank at
 n+1. That rank structure yields an exact dichotomy for subsets: a subset
 {x_0, ..., x_k} fails strict 1-negative type precisely when the difference
 vectors x_i - x_0 are linearly dependent, so classification reduces to one
-exact integer kernel computation. The exhaustive scan classifies all
-subsets of one size together, by one exact int64 fraction-free elimination
-over the stack of their difference matrices, and then finds the roundness
-of each distinct strict subset metric, all matrices of one size in one
-lock-step root search.
+exact integer elimination. A single subset and the exhaustive scan build
+the same 0/+-1 stack of difference matrices and hand it to the one
+fraction-free elimination of `spectral`; the scan classifies all subsets of
+one size in one such call, in a single process, and then finds the
+roundness of each distinct strict subset metric, all matrices of one size
+in one lock-step root search.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,18 +37,17 @@ from .errors import (
 from .graphs import Graph, adjacency, path_metric
 from .metric import FiniteMetricSpace, _readonly
 from .negtype import _check_search_params, roundness_search
-from .spectral import _kernel_basis, det_exact, kernel_basis_exact, rank_exact
+from .spectral import _kernel_basis, _ranks, det_exact, kernel_basis_exact, rank_exact
 
 # Largest cube dimension n each operation accepts (the smallest is 1). Outside
 # 1..cap, DimensionTooLargeError is raised before any work. The caps bound
 # memory and time: the distance matrix has 4^n int64 entries (128 MiB at
-# n = 12), the exact rank check runs pure-Python fraction-free elimination on
-# the 2^n x 2^n matrix, and the exhaustive scan classifies every subset of up
-# to n+1 of the 2^n vertices and solves one roundness problem per distinct
-# subset metric. Classifying a few points and the path witness (capped on its
-# cube dimension k-1) are cheap at any n; those caps bound input and report
-# size, which grow with n (the witness as n^2). The batched classification
-# runs in int64, which cannot overflow up to its cap (see `_rank_stack`).
+# n = 12), the exact rank check eliminates the 2^n x 2^n matrix in Python
+# ints, and the exhaustive scan classifies every subset of up to n+1 of the
+# 2^n vertices and solves one roundness problem per distinct subset metric.
+# Classifying a few points and the path witness (capped on its cube
+# dimension k-1) are cheap at any n; those caps bound input and report size,
+# which grow with n (the witness as n^2).
 DIMENSION_CAPS = {
     "cube distance matrix": 12,
     "identity check": 10,
@@ -58,7 +57,6 @@ DIMENSION_CAPS = {
     "rank check": 8,
     "exhaustive scan": 4,
     "classification": 64,
-    "batched classification": 15,
     "path witness": 64,
 }
 MAX_TREE_VERTICES = 7
@@ -75,12 +73,15 @@ def _check_dimension(operation: str, n: int) -> None:
 def _subset_indices(n: int, indices) -> tuple[int, ...]:
     """`indices` as a tuple of ints, order kept. DimensionTooLargeError if n
     is outside the classification cap; ValueError unless the indices are
-    nonempty, in 0..2^n - 1 and distinct."""
+    nonempty integers, in 0..2^n - 1 and distinct."""
     _check_dimension("classification", n)
-    idx = tuple(int(i) for i in indices)
-    if not idx:
+    given = tuple(indices)
+    if not given:
         raise ValueError("subset must be nonempty")
-    for i in idx:
+    idx = tuple(int(i) for i in given)
+    for i, g in zip(idx, given):
+        if i != g:
+            raise ValueError(f"non-integer index {g!r}")
         if not 0 <= i < (1 << n):
             raise ValueError(f"index {i} out of range for an {n}-cube")
     if len(set(idx)) != len(idx):
@@ -234,12 +235,9 @@ def classify_subset(n: int, indices) -> ClassificationResult:
     is k minus the kernel size, and when dependent the first kernel vector
     is the dependency (content-reduced, first nonzero coefficient positive).
     """
-    base, *rest = _subset_indices(n, indices)
-    # row per bit, most significant first; column i is x_i - x_0. Built here
-    # from ints, so the elimination needs no re-validation of its entries.
-    diffs = [[((i >> s) & 1) - ((base >> s) & 1) for i in rest] for s in range(n - 1, -1, -1)]
-    kernel = _kernel_basis(diffs)
-    return ClassificationResult(strict=not kernel, rank=len(rest) - len(kernel),
+    idx = _subset_indices(n, indices)
+    kernel = _kernel_basis(_differences(n, [idx])[0])
+    return ClassificationResult(strict=not kernel, rank=len(idx) - 1 - len(kernel),
                                 dependency=tuple(kernel[0]) if kernel else None)
 
 
@@ -252,59 +250,24 @@ def subset_metric(n: int, indices) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels=labels, dist=_readonly(d))
 
 
-def _pool_size(jobs: int, n_tasks: int) -> int:
-    """Worker count for `jobs` requested workers: never more than the CPUs
-    or the tasks."""
-    return min(jobs, os.cpu_count() or 1, n_tasks)
+def _differences(n: int, idx) -> np.ndarray:
+    """The (m, n, s-1) int64 stack of difference vectors of the subsets of
+    the n-cube in the (m, s) index array `idx`, x_0 first: column i-1 of
+    matrix j is x_i - x_0 of subset j, one row per bit, most significant
+    first."""
+    idx = np.asarray(idx, dtype=np.uint64)  # n <= 64: every index fits
+    # bits[j, b, i] is bit b of vertex i of subset j
+    bits = (idx[:, None, :] >> np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None]) & 1
+    bits = bits.astype(np.int64)
+    return bits[:, :, 1:] - bits[:, :, :1]
 
 
-def _rank_stack(a: np.ndarray) -> np.ndarray:
-    """Exact rank of every matrix in an (m, r, c) integer stack, by one-step
-    fraction-free (Bareiss) forward elimination run on the whole stack.
-
-    Column by column, each matrix takes as pivot its first row, among the
-    rows not yet used as pivots, with a nonzero entry there, and clears that
-    column from its other unused rows. Each update divides exactly by the
-    matrix's previous pivot, as in `spectral._gauss_jordan`, so every entry
-    stays a minor of the input; a remainder would mean a corrupted pivot or
-    wrapped int64 arithmetic and raises ArithmeticError. For a 0/+-1 input
-    with at most r rows, a k x k minor is at most k^(k/2) in absolute value
-    (Hadamard), so no product exceeds 2 r^r, which is below 2^63 for
-    r <= 15 (DIMENSION_CAPS["batched classification"]).
-    """
-    a = np.array(a, dtype=np.int64)
-    m, r, c = a.shape
-    used = np.zeros((m, r), dtype=bool)
-    prev = np.ones(m, dtype=np.int64)
-    every = np.arange(m)
-    for col in range(c):
-        candidates = ~used & (a[:, :, col] != 0)
-        found = candidates.any(axis=1)
-        piv = candidates.argmax(axis=1)  # row 0 where none is found: masked by `found`
-        block = a[:, :, col:]
-        pivot_row = block[every, piv]
-        num = pivot_row[:, :1, None] * block - block[:, :, :1] * pivot_row[:, None, :]
-        quot, rem = np.divmod(num, prev[:, None, None])
-        update = ~used & found[:, None]
-        update[every, piv] = False
-        if (update[:, :, None] & (rem != 0)).any():
-            raise ArithmeticError("inexact division in fraction-free elimination")
-        block[...] = np.where(update[:, :, None], quot, block)
-        used[every, piv] |= found
-        prev = np.where(found, pivot_row[:, 0], prev)
-    return used.sum(axis=1)
-
-
-def _difference_ranks(n: int, idx: np.ndarray) -> np.ndarray:
+def _difference_ranks(n: int, idx) -> np.ndarray:
     """Exact rank of the difference vectors x_i - x_0 of each subset of the
     n-cube in the (m, s) index array `idx`, x_0 first; row j is strict iff
     its rank is s - 1. The verdicts and ranks of `classify_subset`, for a
     whole array of subsets in one elimination."""
-    _check_dimension("batched classification", n)
-    idx = np.asarray(idx, dtype=np.int64)
-    # bits[j, b, i] is bit b of vertex i of subset j, most significant first
-    bits = (idx[:, None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    return _rank_stack(bits[:, :, 1:] - bits[:, :, :1])
+    return _ranks(_differences(n, idx))
 
 
 def _combinations(size_cap: int, size: int) -> np.ndarray:
@@ -330,22 +293,20 @@ def scan_subsets(
     spaces have negative type at every exponent). Strict subsets whose
     roundness exceeds p_max count as unbounded and are likewise excluded.
     Ties in the minimum break lexicographically on the index set, so output
-    is deterministic regardless of `jobs`.
+    is deterministic.
 
     The subsets of one size are an (m, s) index array, classified exactly
-    by one int64 fraction-free elimination over all of them
-    (`_difference_ranks`). With `jobs` > 1 the same elimination runs on a
-    process pool of that many workers (capped at the CPU count and the
-    subset count), each taking contiguous chunks of every size; the pool's
-    modules are imported only then, so a call that runs no pool does not
-    pay for them. q depends only on the distance matrix, so the strict
-    subsets of each size >= 3 get their metrics in one gather from a
-    popcount table, equal metrics are grouped by `np.unique`, and the
-    distinct matrices go through one `roundness_search` in the calling
-    process, which solves them all in lock-step; each subset gets the q of
-    its group, bit for bit what a `generalized_roundness` of its own would
-    give. `jobs` below 1, and root-search parameters the search would
-    reject, raise BadParamsError before any work.
+    by one fraction-free elimination over all of them
+    (`_difference_ranks`), in int64 at every n the scan accepts. The scan
+    runs in one process: `jobs` is checked but has no effect, and stays
+    only for callers that still pass it. q depends only on the distance
+    matrix, so the strict subsets of each size >= 3 get their metrics in
+    one gather from a popcount table, equal metrics are grouped by
+    `np.unique`, and the distinct matrices go through one
+    `roundness_search`, which solves them all in lock-step; each subset
+    gets the q of its group, bit for bit what a `generalized_roundness` of
+    its own would give. `jobs` below 1, and root-search parameters the
+    search would reject, raise BadParamsError before any work.
     """
     _check_dimension("exhaustive scan", n)
     size_cap = 1 << n
@@ -358,17 +319,7 @@ def scan_subsets(
     _check_search_params(p_max, tol_p, tol_eig)
 
     subsets = [_combinations(size_cap, size) for size in range(1, max_size + 1)]
-    workers = _pool_size(jobs, sum(len(idx) for idx in subsets))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # ~20 ms of imports
-
-        chunks = [np.array_split(idx, workers) for idx in subsets]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(_difference_ranks, itertools.repeat(n),
-                            itertools.chain.from_iterable(chunks))
-            ranks = [np.concatenate([next(done) for _ in parts]) for parts in chunks]
-    else:
-        ranks = [_difference_ranks(n, idx) for idx in subsets]
+    ranks = [_difference_ranks(n, idx) for idx in subsets]
 
     popcount = np.array([i.bit_count() for i in range(size_cap)], dtype=np.int64)
     counts: dict[tuple[int, bool], int] = {}

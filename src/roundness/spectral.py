@@ -6,10 +6,11 @@ sign convention and a checked reconstruction residual. Both take a single
 matrix or a stack (..., k, k), which LAPACK solves in one call, and check
 every matrix of a stack as they would check it alone.
 
-Exact side: one fraction-free Gauss-Jordan elimination over Python integers
-(Bareiss's one-step form), whose single pass gives the rank over the
-rationals, the exact determinant and an integer kernel basis, with no
-floating point or fractions involved.
+Exact side: one fraction-free Gauss-Jordan elimination (Bareiss's one-step
+form) over a stack of integer matrices, whose single pass gives the rank
+over the rationals, the exact determinant and an integer kernel basis, with
+no floating point or fractions involved. It runs in int64 where that cannot
+overflow and in Python integers everywhere else.
 """
 
 from __future__ import annotations
@@ -110,8 +111,16 @@ def eigensym(a) -> SpectralData:
 
 # -- exact integer elimination --------------------------------------------------
 
+# `_eliminate` is exact in int64 on a stack of {-1, 0, 1} matrices whose
+# min(r, c) is at most this: every entry it holds is a k x k minor of the
+# input with k <= min(r, c), at most k^(k/2) in absolute value (Hadamard), so
+# no difference of two products it forms exceeds 2 * 15^15 < 2^63.
+INT64_MAX_ORDER = 15
 
-def _int_rows(mat) -> list[list[int]]:
+
+def _int_rows(mat) -> np.ndarray:
+    """`mat` as an (r, c) array of Python ints; ValueError on a non-integer
+    entry or ragged rows."""
     rows = []
     for row in mat:
         out = []
@@ -123,93 +132,110 @@ def _int_rows(mat) -> list[list[int]]:
         rows.append(out)
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    return rows
+    return np.array(rows, dtype=object).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
-def _gauss_jordan(rows: list[list[int]]) -> tuple[int, list[int], int, int]:
-    """In-place one-step fraction-free Gauss-Jordan elimination (Bareiss).
+def _exact(a: np.ndarray) -> np.ndarray:
+    """A copy of the integer stack `a` (m, r, c) in the dtype `_eliminate`
+    is exact in: int64 if every entry is in {-1, 0, 1} and min(r, c) <= 15,
+    otherwise Python ints (dtype object)."""
+    small = min(a.shape[1:]) <= INT64_MAX_ORDER and bool((np.abs(a) <= 1).all())
+    return a.astype(np.int64 if small else object)
 
-    Each pivot column is cleared from every other row, above and below, and
-    each update divides exactly by the previous pivot, so on return row i is
-    d times row i of the reduced row echelon form, d being the last pivot.
-    Returns (rank, pivot columns, row-swap sign, d). A nonzero remainder
-    would mean corrupted input and raises ArithmeticError.
+
+def _eliminate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-step fraction-free Gauss-Jordan elimination (Bareiss), in place
+    and in a's dtype, of every matrix of an (m, r, c) integer stack.
+
+    Column by column, each matrix takes as pivot its first row, among the
+    rows not yet used as pivots, with a nonzero entry there, and clears that
+    column from every other row, above and below. Each update divides
+    exactly by the matrix's previous pivot, so every entry stays a minor of
+    the input; a remainder would mean corrupted input or wrapped int64
+    arithmetic and raises ArithmeticError. Rows are never swapped. Returns
+    (pivots, d): pivots[i, j] is the row of matrix i that pivots column j,
+    or -1 if column j has none, and d[i] is matrix i's last pivot (1 if it
+    has none). On return each pivot row is d times the matching row of the
+    reduced row echelon form.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    prev = 1
-    sign = 1
-    pivots: list[int] = []
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if piv is None:
+    m, r, c = a.shape
+    pivots = np.full((m, c), -1, dtype=np.intp)
+    unused = np.ones((m, r), dtype=bool)
+    prev = np.ones((m, 1, 1), dtype=a.dtype)
+    every = np.arange(m)
+    for col in range(c):
+        candidates = unused & (a[:, :, col] != 0)
+        if not np.count_nonzero(candidates):
             continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        row_k = rows[rank]
-        pv = row_k[col]
-        for r in range(m):
-            if r == rank:
-                continue
-            row_r = rows[r]
-            rc = row_r[col]
-            # rows below the pivot row are zero left of col, as is the pivot
-            # row, so only columns from col on change there
-            for c in range(col if r > rank else 0, n):
-                q, rem = divmod(pv * row_r[c] - rc * row_k[c], prev)
-                if rem:
-                    raise ArithmeticError("inexact division in fraction-free elimination")
-                row_r[c] = q
-        pivots.append(col)
+        found = candidates.any(axis=1)
+        piv = candidates.argmax(axis=1)  # row 0 where none is found
+        row = a[every, piv]
+        # a matrix with no pivot in this column keeps its previous pivot and
+        # subtracts nothing, so its update is the identity
+        pv = np.where(found, row[:, col], prev[:, 0, 0])[:, None, None]
+        # in place, so Python-int input holds about two matrices of ints at once
+        lead = a[:, :, col:col + 1].copy()
+        a *= pv
+        a -= lead * (row * found[:, None])[:, None, :]
+        if np.count_nonzero(a % prev):
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        a //= prev
+        a[every, piv] = row  # the pivot row stays as it was
+        pivots[:, col] = np.where(found, piv, -1)
+        unused[every, piv] &= ~found
         prev = pv
-        rank += 1
-        if rank == m:
-            break
-    return rank, pivots, sign, prev
+    return pivots, prev[:, 0, 0]
+
+
+def _ranks(a: np.ndarray) -> np.ndarray:
+    """Exact rank of every matrix of an (m, r, c) integer stack."""
+    return (_eliminate(_exact(a))[0] >= 0).sum(axis=1)
 
 
 def rank_exact(mat) -> int:
     """Rank over the rationals of an integer matrix, by fraction-free
     elimination. The empty matrix has rank 0."""
-    return _gauss_jordan(_int_rows(mat))[0]
+    return int(_ranks(_int_rows(mat)[None])[0])
 
 
 def det_exact(mat) -> int:
     """Exact integer determinant: the last fraction-free pivot times the
-    row-swap sign, or 0 below full rank."""
-    rows = _int_rows(mat)
-    if any(len(r) != len(rows) for r in rows):
+    sign of the permutation that orders the pivot rows, or 0 below full
+    rank."""
+    a = _int_rows(mat)
+    if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    rank, _, sign, d = _gauss_jordan(rows)
-    return sign * d if rank == len(rows) else 0
+    (pivots,), (d,) = _eliminate(_exact(a[None]))
+    if (pivots < 0).any():
+        return 0
+    inversions = int(np.triu(pivots[:, None] > pivots[None, :], 1).sum())
+    return -int(d) if inversions % 2 else int(d)
 
 
 def kernel_basis_exact(mat) -> list[list[int]]:
     """Integer basis of the rational kernel of an integer matrix.
 
     One basis vector per free column f, read off the fraction-free reduced
-    echelon form: d at f and -row_i[f] at the i-th pivot column. Each is
-    content-reduced with its first nonzero entry positive.
+    echelon form: d at f and minus the entry in column f of each pivot row
+    at that row's pivot column. Each is content-reduced with its first
+    nonzero entry positive.
     """
     return _kernel_basis(_int_rows(mat))
 
 
-def _kernel_basis(rows: list[list[int]]) -> list[list[int]]:
-    """`kernel_basis_exact` on rows already known to be equal-length lists
-    of Python ints, which it overwrites."""
-    _, pivots, _, d = _gauss_jordan(rows)
-    n = len(rows[0]) if rows else 0
-    pivot_set = set(pivots)
+def _kernel_basis(a: np.ndarray) -> list[list[int]]:
+    """`kernel_basis_exact` of an (r, c) integer array known to hold only
+    integers."""
+    a = _exact(a[None])
+    (pivots,), (d,) = _eliminate(a)
+    rows = a[0].tolist()
+    pivot_rows = [(pc, int(pr)) for pc, pr in enumerate(pivots) if pr >= 0]
     basis: list[list[int]] = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        x = [0] * n
-        x[f] = d
-        for row, pc in zip(rows, pivots):
-            x[pc] = -row[f]
+    for f in np.flatnonzero(pivots < 0).tolist():
+        x = [0] * len(pivots)
+        x[f] = int(d)
+        for pc, pr in pivot_rows:
+            x[pc] = -rows[pr][f]
         content = gcd(*x)
         if next(v for v in x if v) < 0:
             content = -content

@@ -161,6 +161,20 @@ def test_cube_classify(capsys):
     assert report["result"]["dependency"] == [1, 1, -1]
 
 
+def test_cube_classify_reports_the_subset_in_the_given_order(capsys):
+    code, report = run_cli(capsys, "cube", "classify", "--n", "3", "--subset", "7,0,1,6")
+    assert code == 0
+    result = report["result"]
+    assert result["indices"] == [7, 0, 1, 6]
+    assert result["bitstrings"] == ["111", "000", "001", "110"]
+    # the dependency's coefficients go with indices[1:], relative to indices[0]
+    x = [[int(b) for b in s] for s in result["bitstrings"]]
+    assert x == [[(i >> k) & 1 for k in (2, 1, 0)] for i in result["indices"]]
+    dep = result["dependency"]
+    assert any(dep)
+    assert all(sum(a * (xi[c] - x[0][c]) for a, xi in zip(dep, x[1:])) == 0 for c in range(3))
+
+
 def test_cube_scan(capsys):
     code, report = run_cli(capsys, "cube", "scan", "--n", "2")
     assert code == 0
@@ -317,13 +331,13 @@ def test_reports_are_byte_identical(capsys):
     second = capsys.readouterr().out
     assert first == second
 
-    # parallel evaluation merges deterministically: same result payload
+    # --jobs is accepted and has no effect: same result payload
     main(["cube", "scan", "--n", "2", "--jobs", "2"])
-    parallel = json.loads(capsys.readouterr().out)
+    jobs2 = json.loads(capsys.readouterr().out)
     main(["cube", "scan", "--n", "2"])
-    serial = json.loads(capsys.readouterr().out)
-    assert parallel["result"] == serial["result"]
-    assert parallel["inputs_digest"] == serial["inputs_digest"]
+    jobs1 = json.loads(capsys.readouterr().out)
+    assert jobs2["result"] == jobs1["result"]
+    assert jobs2["inputs_digest"] == jobs1["inputs_digest"]
 
 
 def test_console_script_entry_point():

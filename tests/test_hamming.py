@@ -1,5 +1,4 @@
 import itertools
-import os
 
 import numpy as np
 import pytest
@@ -35,14 +34,9 @@ from roundness.errors import (
     SearchSpaceTooLargeError,
 )
 from roundness import hamming
-from roundness.hamming import (
-    ScanSummary,
-    _combinations,
-    _difference_ranks,
-    _pool_size,
-    _rank_stack,
-)
+from roundness.hamming import ScanSummary, _combinations, _difference_ranks
 from roundness.negtype import roundness_search
+from roundness.spectral import _eliminate, _ranks
 
 
 def bits(n, i):
@@ -152,6 +146,10 @@ def test_subset_validation_reaches_both_entry_points(fn):
         fn(3, [-1, 0])
     with pytest.raises(ValueError, match="^subset vertices must be distinct$"):
         fn(3, [1, 2, 1])
+    for bad in (1.5, 6.9, "1"):
+        with pytest.raises(ValueError, match="^non-integer index "):
+            fn(3, [0, bad, 6])
+    fn(3, [0, 2.0, np.int64(6)])  # integral values of any type are accepted
     for n in (0, 65):
         with pytest.raises(DimensionTooLargeError):
             fn(n, [0, 1])
@@ -169,8 +167,24 @@ def reference_rank(rows) -> int:
     try:
         import sympy
     except ImportError:
-        return rank_exact(rows)
+        return float_rank(rows)
     return sympy.Matrix(rows).rank()
+
+
+def float_rank(a) -> int | np.ndarray:
+    """numpy's SVD rank of a {-1, 0, 1} matrix, or of each matrix of a stack:
+    exact at the sizes these tests use. A rank-k integer r x c matrix has
+    the product of its k nonzero singular values at least 1 and the largest
+    at most sqrt(r c), so the smallest is at least (r c)^(-(k-1)/2), above
+    2e-5 here, far above matrix_rank's cutoff, which is below 1e-12 here."""
+    return np.linalg.matrix_rank(np.asarray(a, dtype=float))
+
+
+def difference_stack(n, idx):
+    """The difference vectors x_i - x_0 of each subset in the (m, s) index
+    array `idx`, as the rows of an (m, s-1, n) stack, built from `bits`."""
+    b = np.array([bits(n, i) for i in range(1 << n)])[idx]
+    return b[:, 1:] - b[:, :1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -222,12 +236,23 @@ def test_dependency_certificates_exact():
             assert not total.any()
 
 
+def oracle_ranks(n, idx):
+    """numpy's rank of the difference vectors of each subset in `idx`."""
+    return float_rank(difference_stack(n, idx)) if idx.shape[1] > 1 else np.zeros(len(idx), int)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_batched_classification_matches_classify_subset_exhaustively(n):
+    """Both the batched ranks and `classify_subset` match numpy's rank on
+    every subset; `classify_subset` is checked up to size n + 2, past which
+    no subset is strict and its rank stays n."""
     for size in range(1, (1 << n) + 1):
         idx = _combinations(1 << n, size)
-        ranks = _difference_ranks(n, idx).tolist()
-        for indices, rank in zip(idx.tolist(), ranks):
+        ranks = oracle_ranks(n, idx)
+        assert _difference_ranks(n, idx).tolist() == ranks.tolist(), size
+        if size > n + 2:
+            continue
+        for indices, rank in zip(idx.tolist(), ranks.tolist()):
             cls = classify_subset(n, indices)
             assert (rank, rank == size - 1) == (cls.rank, cls.strict), indices
 
@@ -240,7 +265,9 @@ def test_batched_classification_matches_classify_subset_on_a_sample(n):
         # distinct vertices in random order, so x_0 is not always the smallest
         idx = np.array([rng.choice(1 << n, size=size, replace=False)
                         for _ in range(int(np.sum(sizes == size)))])
-        for indices, rank in zip(idx.tolist(), _difference_ranks(n, idx).tolist()):
+        ranks = oracle_ranks(n, idx)
+        assert _difference_ranks(n, idx).tolist() == ranks.tolist(), size
+        for indices, rank in zip(idx.tolist(), ranks.tolist()):
             cls = classify_subset(n, indices)
             assert (rank, rank == size - 1) == (cls.rank, cls.strict), indices
 
@@ -267,16 +294,21 @@ def sign_matrix_stacks(draw):
 @settings(max_examples=200, deadline=None)
 @given(stack=sign_matrix_stacks())
 def test_batched_rank_matches_rank_exact(stack):
-    assert _rank_stack(stack).tolist() == [rank_exact(mat) for mat in stack]
+    """The stacked rank and `rank_exact` of each matrix both equal numpy's
+    rank (sympy's, where installed)."""
+    expected = [reference_rank(mat.tolist()) for mat in stack]
+    assert _ranks(stack).tolist() == expected
+    assert [rank_exact(mat) for mat in stack] == expected
 
 
 def test_batched_rank_raises_on_a_corrupted_pivot():
-    good = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    assert _rank_stack(good[None]).tolist() == [3]
+    good = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.int64)
+    pivots, d = _eliminate(good[None].copy())
+    assert pivots.tolist() == [[0, 1, 2]] and d.tolist() == [2]  # det 2, rank 3
     bad = good.copy()
     bad[0, 0] = 10**12  # its products wrap int64, so a later division is inexact
     with pytest.raises(ArithmeticError, match="inexact division"):
-        _rank_stack(np.stack([good, bad]))
+        _eliminate(np.stack([good, bad]))
 
 
 def test_subset_metric_distances():
@@ -323,13 +355,6 @@ def test_scan_guards():
     for jobs in (0, -3):
         with pytest.raises(BadParamsError):
             scan_subsets(2, jobs=jobs)
-
-
-def test_scan_pool_size_is_capped():
-    cpus = os.cpu_count() or 1
-    assert _pool_size(10**6, 10**9) == cpus
-    assert _pool_size(10**6, 3) == min(cpus, 3)
-    assert _pool_size(1, 100) == 1
 
 
 def brute_force_scan(n, max_size):

@@ -22,6 +22,12 @@ from roundness.errors import (
     NotSymmetricError,
     RoundnessError,
 )
+from roundness.spectral import INT64_MAX_ORDER, _eliminate, _exact
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -291,6 +297,47 @@ def test_exact_elimination_against_sympy():
         assert kernel_basis_exact(a) == sympy_kernel(a.tolist())
         if m == n:
             assert det_exact(a) == int(mat.det())
+
+
+@st.composite
+def exact_matrices(draw):
+    """Integer matrices on both sides of the int64 rule: min(r, c) up to 6 or
+    at 15 and 16, entries in {-1, 0, 1} or up to +-2, with a row or column
+    possibly copied or replaced by a sum, so that the rank can fall short."""
+    shape = st.integers(1, 6) | st.sampled_from([INT64_MAX_ORDER, INT64_MAX_ORDER + 1])
+    r, c = draw(shape), draw(shape)
+    entries = draw(st.sampled_from([(-1, 0, 1), (-2, -1, 0, 1, 2)]))
+    a = np.array(draw(st.lists(st.sampled_from(entries), min_size=r * c, max_size=r * c)),
+                 dtype=np.int64).reshape(r, c)
+    axis = draw(st.sampled_from([None, 0, 1]))
+    if axis is not None and a.shape[axis] > 1:
+        a = np.moveaxis(a, axis, 0)
+        a[-1] = a[0] if draw(st.booleans()) else a[0] + a[1]
+        a = np.moveaxis(a, 0, axis)
+    return a
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is the oracle")
+@settings(max_examples=60, deadline=None)
+@given(a=exact_matrices())
+def test_exact_elimination_matches_sympy_in_both_dtypes(a):
+    r, c = a.shape
+    small = min(r, c) <= INT64_MAX_ORDER and np.abs(a).max() <= 1
+    assert _exact(a[None]).dtype == (np.int64 if small else object)
+    mat = sympy.Matrix(a.tolist())
+    assert rank_exact(a) == mat.rank()
+    assert kernel_basis_exact(a) == sympy_kernel(a.tolist())
+    if r == c:
+        det = det_exact(a)
+        assert det == int(mat.det())
+        if r > 1:
+            assert det_exact(a[[1, 0, *range(2, r)]]) == -det  # a row swap flips the sign
+    # Python ints reach the same pivots and reduced rows as int64 wherever
+    # int64 is exact
+    if small:
+        wide, exact = a[None].astype(object), a[None].copy()
+        assert [x.tolist() for x in _eliminate(wide)] == [x.tolist() for x in _eliminate(exact)]
+        assert wide.tolist() == exact.tolist()
 
 
 def test_det_exact_known_values():

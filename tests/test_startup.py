@@ -96,16 +96,15 @@ def test_cli_import_loads_blas_on_one_thread():
     assert out.split() == ["Threads:", "1"]
 
 
-def test_cube_scan_imports_the_pool_only_with_jobs():
+def test_cube_scan_imports_no_pool_at_any_jobs():
     code = (
         "import sys, roundness.cli\n"
         "roundness.cli.main(sys.argv[1:])\n"
         "print('concurrent.futures.process' in sys.modules)"
     )
     serial = fresh(code, "cube", "scan", "--n", "3").splitlines()
-    pooled = fresh(code, "cube", "scan", "--n", "3", "--jobs", "2").splitlines()
-    assert serial[1] == "False"
-    assert pooled[1] == str((os.cpu_count() or 1) > 1)  # the pool never outnumbers the CPUs
+    jobs2 = fresh(code, "cube", "scan", "--n", "3", "--jobs", "2").splitlines()
+    assert serial[1] == jobs2[1] == "False"
     # the reports differ only in the echoed --jobs
     assert json.loads(serial[0])["diagnostics"]["jobs"] == 1
-    assert serial[0] == pooled[0].replace('"jobs":2', '"jobs":1')
+    assert serial[0] == jobs2[0].replace('"jobs":2', '"jobs":1')
