@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -241,20 +242,31 @@ def oracle_ranks(n, idx):
     return float_rank(difference_stack(n, idx)) if idx.shape[1] > 1 else np.zeros(len(idx), int)
 
 
+def check_classify_subset(n, idx, ranks):
+    """`classify_subset` of each subset in `idx` has the oracle's rank, is
+    strict iff that rank is full, and, when not strict, reports a
+    dependency that is a certificate: a content-reduced integer vector,
+    first nonzero entry positive, that annihilates the difference vectors."""
+    for indices, rank, diffs in zip(idx.tolist(), ranks.tolist(), difference_stack(n, idx)):
+        cls = classify_subset(n, indices)
+        assert (rank, rank == len(indices) - 1) == (cls.rank, cls.strict), indices
+        if cls.strict:
+            assert cls.dependency is None, indices
+            continue
+        dep = np.array(cls.dependency)
+        assert dep[np.flatnonzero(dep)[0]] > 0 and math.gcd(*cls.dependency) == 1, indices
+        assert not (dep @ diffs).any(), indices
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_batched_classification_matches_classify_subset_exhaustively(n):
     """Both the batched ranks and `classify_subset` match numpy's rank on
-    every subset; `classify_subset` is checked up to size n + 2, past which
-    no subset is strict and its rank stays n."""
+    every subset, the rank-deficient ones inside a face included."""
     for size in range(1, (1 << n) + 1):
         idx = _combinations(1 << n, size)
         ranks = oracle_ranks(n, idx)
         assert _difference_ranks(n, idx).tolist() == ranks.tolist(), size
-        if size > n + 2:
-            continue
-        for indices, rank in zip(idx.tolist(), ranks.tolist()):
-            cls = classify_subset(n, indices)
-            assert (rank, rank == size - 1) == (cls.rank, cls.strict), indices
+        check_classify_subset(n, idx, ranks)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -267,9 +279,7 @@ def test_batched_classification_matches_classify_subset_on_a_sample(n):
                         for _ in range(int(np.sum(sizes == size)))])
         ranks = oracle_ranks(n, idx)
         assert _difference_ranks(n, idx).tolist() == ranks.tolist(), size
-        for indices, rank in zip(idx.tolist(), ranks.tolist()):
-            cls = classify_subset(n, indices)
-            assert (rank, rank == size - 1) == (cls.rank, cls.strict), indices
+        check_classify_subset(n, idx, ranks)
 
 
 @st.composite
