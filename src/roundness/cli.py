@@ -40,6 +40,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import BadParamsError, HypothesisViolatedError, RoundnessError
 from .graphs import SOLIDS, gen_family, load_edge_list, load_solid, path_metric
 from .hamming import (
+    _check_dimension,
     classify_subset,
     eigen_identity_check,
     factor_matrix,
@@ -244,6 +245,7 @@ def cmd_cube(args) -> int:
              result, {}, args.pretty)
         return 0
     if args.cube_cmd == "spectrum":
+        _check_dimension("rank check", args.n)  # the lower of its two caps, before any work
         identities = eigen_identity_check(args.n)
         ranks = null_dimension_check(args.n)
         result = {"n": args.n, "eigen_identities": identities, "null_dimension": ranks}

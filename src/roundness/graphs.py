@@ -1,8 +1,9 @@
 """Graph families and shortest-path metrics.
 
 Everything here feeds the metric layer: a graph becomes a finite metric
-space via breadth-first search, from every vertex or, on circulant and
-cube-order edge sets, from vertex 0 alone. The generated families
+space via breadth-first search, from every vertex or, when its adjacency
+matrix is circulant or in cube order, from vertex 0 alone, whose row is
+read through that order's index in `spectral`. The generated families
 (cycles, complete and complete bipartite graphs, hypercubes, the Petersen
 graph, circulants) are all vertex-transitive, so their path metrics have the
 row-permutation property. Two Platonic solids ship as edge-list data files.
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import BadParamsError, DisconnectedError, UnknownFamilyError
 from .metric import FiniteMetricSpace, _readonly
+from .spectral import _row0_index, _row0_order
 
 SOLIDS = ("dodecahedron", "icosahedron")
 
@@ -61,24 +63,27 @@ def adjacency(g: Graph) -> list[list[int]]:
 def path_metric(g: Graph) -> FiniteMetricSpace:
     """Shortest-path distance matrix by breadth-first search.
 
-    When the edge set is invariant under i -> i + 1 mod n (circulants) or
-    under every i -> i xor 2^b (Cayley graphs of Z_2^k in cube order), one
-    BFS from vertex 0 gives row 0, and the other rows are its rolls or its
-    XOR block copies; otherwise BFS runs from every vertex. Distances are
-    integers stored exactly; the result is a metric by construction, so
-    the triangle-inequality revalidation is skipped.
+    When the adjacency matrix is circulant or in cube order
+    (`spectral._row0_order`), so is the distance matrix, and one BFS from
+    vertex 0 gives row 0, read through that order's index; otherwise BFS
+    runs from every vertex. Distances are integers stored exactly; the
+    result is a metric by construction, so the triangle-inequality
+    revalidation is skipped.
     """
     if g.n < 2:
         raise ValueError("a metric space needs at least 2 vertices")
     adj = adjacency(g)
     n = g.n
-    expand = _row0_expansion(g)
-    if expand:
-        dist = expand(_bfs(adj, 0))
+    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[edges[:, 0], edges[:, 1]] = mask[edges[:, 1], edges[:, 0]] = True
+    order = _row0_order(mask)
+    if order:
+        dist = _bfs(adj, 0).astype(float)[_row0_index(order, n)]
     else:
-        dist = np.stack([_bfs(adj, s) for s in range(n)])
+        dist = np.stack([_bfs(adj, s) for s in range(n)]).astype(float)
     labels = g.labels if g.labels is not None else tuple(str(i) for i in range(n))
-    return FiniteMetricSpace(labels=tuple(labels), dist=_readonly(dist.astype(float)))
+    return FiniteMetricSpace(labels=tuple(labels), dist=_readonly(dist))
 
 
 def _bfs(adj: list[list[int]], s: int) -> np.ndarray:
@@ -99,36 +104,6 @@ def _bfs(adj: list[list[int]], s: int) -> np.ndarray:
         t = int(np.argmax(row < 0))
         raise DisconnectedError(f"no path between vertices {s} and {t}")
     return row
-
-
-def _row0_expansion(g: Graph):
-    """The map from row 0 of the path metric to the whole matrix, when the
-    edge set is invariant under i -> i + 1 mod n (row i is row 0 rolled by
-    i) or under i -> i xor 2^b for every bit b (rows h..2h-1 are rows
-    0..h-1 with the column halves of each 2h-block swapped); else None."""
-    n = g.n
-    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    keys = edges[:, 0] * n + edges[:, 1]  # ascending: g.edges is sorted
-
-    def invariant(mapped):
-        mapped.sort(axis=1)
-        return np.array_equal(np.sort(mapped[:, 0] * n + mapped[:, 1]), keys)
-
-    if invariant((edges + 1) % n):
-        return lambda row: np.stack([np.roll(row, i) for i in range(n)])
-    if n & (n - 1) or not all(invariant(edges ^ (1 << b)) for b in range(n.bit_length() - 1)):
-        return None
-
-    def xor_blocks(row):
-        dist = np.empty((n, n), dtype=row.dtype)
-        dist[0] = row
-        h = 1
-        while h < n:
-            dist[h:2 * h] = dist[:h].reshape(h, -1, 2, h)[:, :, ::-1].reshape(h, n)
-            h *= 2
-        return dist
-
-    return xor_blocks
 
 
 def gen_family(family: str, *params) -> Graph:

@@ -5,17 +5,17 @@ The cube on n bits is the vertex set {0,1}^n with the Hamming metric. A
 vertex is a plain int index i in 0..2^n - 1, standing for the n-digit binary
 representation of i, most significant bit first; a subset is a sequence of
 indices, and the Hamming distance of i and j is the popcount of i ^ j. The
-2^n x 2^n distance matrix is built by a block recursion and has an explicit
-eigenbasis of block-alternating sign vectors, which pins its rank at
-n+1. That rank structure yields an exact dichotomy for subsets: a subset
-{x_0, ..., x_k} fails strict 1-negative type precisely when the difference
-vectors x_i - x_0 are linearly dependent, so classification reduces to one
-exact integer elimination. A single subset and the exhaustive scan build
-the same 0/+-1 stack of difference matrices and hand it to the one
-fraction-free elimination of `spectral`; the scan classifies all subsets of
-one size in one such call, in a single process, and then finds the
-roundness of each distinct strict subset metric, all matrices of one size
-in one lock-step root search.
+2^n x 2^n distance matrix is its popcount row read through the cube index
+of `spectral`, and has an explicit eigenbasis of block-alternating sign
+vectors, which pins its rank at n+1. That rank structure yields an exact
+dichotomy for subsets: a subset {x_0, ..., x_k} fails strict 1-negative type
+precisely when the difference vectors x_i - x_0 are linearly dependent, so
+classification reduces to one exact integer elimination. A single subset
+and the exhaustive scan build the same 0/+-1 stack of difference matrices
+and hand it to the one fraction-free elimination of `spectral`; the scan
+classifies all subsets of one size in one such call, in a single process,
+and then finds the roundness of each distinct strict subset metric, all
+matrices of one size in one lock-step root search.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
 from .graphs import Graph, adjacency, path_metric
 from .metric import FiniteMetricSpace, _readonly
 from .negtype import _check_search_params, roundness_search
-from .spectral import _kernel_basis, _ranks, det_exact, kernel_basis_exact, rank_exact
+from .spectral import _kernel_basis, _ranks, _row0_index, det_exact, kernel_basis_exact, rank_exact
 
 # Largest cube dimension n each operation accepts (the smallest is 1). Outside
 # 1..cap, DimensionTooLargeError is raised before any work. The caps bound
@@ -114,12 +114,11 @@ class ScanSummary:
 
 def cube_distance_matrix(n: int) -> np.ndarray:
     """Hamming distance matrix of the n-cube in binary-counting vertex order,
-    built by the block recursion from the 1-cube."""
+    as int64: row 0 holds the popcount of each index, and d[i, j] =
+    popcount(i xor j) is row 0 read through the cube index of `spectral`."""
     _check_dimension("cube distance matrix", n)
-    d = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    for _ in range(n - 1):
-        d = np.block([[d, d + 1], [d + 1, d]])
-    return _readonly(d)
+    row = np.array([i.bit_count() for i in range(1 << n)], dtype=np.int64)
+    return _readonly(row[_row0_index("cube", 1 << n)])
 
 
 def sign_vector(i: int, j: int) -> np.ndarray:
@@ -307,12 +306,13 @@ def scan_subsets(
     runs in one process: `jobs` is checked but has no effect, and stays
     only for callers that still pass it. q depends only on the distance
     matrix, so the strict subsets of each size >= 3 get their metrics in
-    one gather from a popcount table, equal metrics are grouped by
-    `np.unique`, and the distinct matrices go through one
-    `roundness_search`, which solves them all in lock-step; each subset
-    gets the q of its group, bit for bit what a `generalized_roundness` of
-    its own would give. `jobs` below 1, and root-search parameters the
-    search would reject, raise BadParamsError before any work.
+    one gather from row 0 of `cube_distance_matrix` (the popcounts), equal
+    metrics are grouped by `np.unique`, and the distinct matrices go
+    through one `roundness_search`, which solves them all in lock-step;
+    each subset gets the q of its group, bit for bit what a
+    `generalized_roundness` of its own would give. `jobs` below 1, and
+    root-search parameters the search would reject, raise BadParamsError
+    before any work.
     """
     _check_dimension("exhaustive scan", n)
     size_cap = 1 << n
@@ -327,7 +327,7 @@ def scan_subsets(
     subsets = [_combinations(size_cap, size) for size in range(1, max_size + 1)]
     ranks = [_difference_ranks(n, idx) for idx in subsets]
 
-    popcount = np.array([i.bit_count() for i in range(size_cap)], dtype=np.int64)
+    popcount = cube_distance_matrix(n)[0]
     counts: dict[tuple[int, bool], int] = {}
     best: tuple[float, tuple[int, ...]] | None = None
     unbounded_strict = 0

@@ -12,9 +12,10 @@ bisection's worst-case step count. It runs on the distances divided by their
 maximum, on a stack of same-size distance matrices in lock-step, each matrix
 making the decisions a search of its own would; `generalized_roundness` is
 its stack of one. Each step takes the spectrum of M(p) from one stacked
-eigensolve, or, for a stack of one circulant matrix or one in cube order
-(d[i, j] = f(i xor j)), from the FFT or the Walsh-Hadamard transform of row
-0 of D_p: D_p 1 = r(p) 1, so M(p) has the spectrum of D_p without r(p).
+eigensolve, or, for a stack of one matrix that is circulant or in cube
+order (`spectral._row0_order`), from the transform of row 0 of D_p
+(`spectral._row0_spectrum`): D_p 1 = r(p) 1, so M(p) has the spectrum of
+D_p without r(p).
 
 For spaces whose distance-matrix rows are permutations of each other (all
 vertex-transitive graphs), q is also the first exponent where det(D_p)
@@ -57,7 +58,7 @@ from .metric import (
     power_matrix,
     quadratic_form,
 )
-from .spectral import eigensym
+from .spectral import _row0_order, _row0_spectrum, eigensym
 
 log = logging.getLogger("roundness")
 
@@ -128,60 +129,22 @@ def _form_spectrum(space, p):
     return sd, lmax, np.maximum(lmax, -lmin)  # = max(|lmax|, |lmin|) as lmax >= lmin
 
 
-def _row_transform(d: np.ndarray):
-    """For a circulant matrix (d[i, j] = f((j - i) mod n)), the real part
-    of `rfft`; for one in cube order (n = 2^k, d[i, j] = f(i xor j)), the
-    Walsh-Hadamard transform; else None. Applied to row 0 of a matrix with
-    the same structure, either gives the eigenvalues of its symmetric part,
-    each distinct one at least once, the row sum at frequency 0. Both
-    structures are detected exactly, by comparing d with a shifted or
-    flipped view of itself."""
-    n = len(d)
-    if n < 2:
-        return None
-    if np.array_equal(np.roll(d, 1, axis=(0, 1)), d):  # invariant under i -> i + 1
-        return lambda row: np.fft.rfft(row).real
-    if n & (n - 1):
-        return None
-    h = 1
-    while h < n:  # invariant under i -> i xor h
-        v = d.reshape(n // (2 * h), 2, h, n // (2 * h), 2, h)
-        if not np.array_equal(v[:, ::-1, :, :, ::-1], v):
-            return None
-        h *= 2
-    return _walsh_hadamard
-
-
-def _walsh_hadamard(row: np.ndarray) -> np.ndarray:
-    """y[t] = sum_j row[j] (-1)^popcount(j & t) for len(row) = 2^k, by
-    in-place butterflies on a copy of row."""
-    y = np.array(row, dtype=float)
-    h = 1
-    while h < len(y):
-        v = y.reshape(-1, 2, h)
-        top = v[:, 0].copy()
-        v[:, 0] += v[:, 1]
-        v[:, 1] = top - v[:, 1]
-        h *= 2
-    return y
-
-
 def _search_spectrum(d: np.ndarray):
     """The source of each search step's largest eigenvalue and spectral
     radius of M(p), a function of the live stack and its exponents.
 
-    For a stack of one circulant or cube-order matrix (`_row_transform`),
+    For a stack of one circulant or cube-order matrix (`_row0_order`),
     D_p has the same structure, D_p 1 = r(p) 1 and D_p is symmetric, so
     1^perp is invariant and the spectrum of M(p) is that of D_p without
-    r(p): the transform of row 0 of D_p with frequency 0 dropped. Every
+    r(p): `_row0_spectrum` of row 0 of D_p with frequency 0 dropped. Every
     other stack takes the dense form spectrum (`_form_spectrum`).
     """
-    transform = _row_transform(d[0]) if len(d) == 1 else None
-    if transform is None:
+    order = _row0_order(d[0]) if len(d) == 1 else None
+    if order is None:
         return lambda d, p: _form_spectrum(d, p)[1:]
 
     def row_spectrum(d, p):
-        values = transform(_power(d[0, 0], float(p[0])))[1:]
+        values = _row0_spectrum(order, _power(d[0, 0], float(p[0])))[1:]
         lmax = values.max()
         return lmax[None], np.maximum(lmax, -values.min())[None]
 

@@ -6,6 +6,11 @@ sign convention and a checked reconstruction residual. Both take a single
 matrix or a stack (..., k, k), which LAPACK solves in one call, and check
 every matrix of a stack as they would check it alone.
 
+Row-0 structure, the one place that builds and detects it: a circulant
+matrix (d[i, j] = f((j - i) mod n)) or one in cube order (d[i, j] = f(i xor
+j)) is row 0 read through one (n, n) index, and the FFT or the
+Walsh-Hadamard transform of row 0 gives its spectrum.
+
 Exact side: one fraction-free Gauss-Jordan elimination (Bareiss's one-step
 form) over a stack of integer matrices, whose single pass gives the rank
 over the rationals, the exact determinant and an integer kernel basis, with
@@ -107,6 +112,59 @@ def eigensym(a) -> SpectralData:
     resid.setflags(write=False)
     return SpectralData(eigenvalues=w, eigenvectors=V,
                         residual=resid if stack else float(resid))
+
+
+# -- row-0 structure ------------------------------------------------------------
+
+ROW0_BLOCK = 1 << 18  # entries `_row0_order` compares at a time
+
+
+def _row0_index(order: str, n: int) -> np.ndarray:
+    """The (n, n) index into row 0 that gives every row of a matrix in
+    `order`: (j - i) mod n for "circulant" (row i is row 0 rolled by i) and
+    i xor j for "cube" (n = 2^k)."""
+    i = np.arange(n, dtype=np.int32)
+    if order == "circulant":
+        # row i is the window of (0..n-1, 0..n-1) from n - i: a strided view, no copies
+        e = np.concatenate((i, i))
+        return np.ndarray((n, n), e.dtype, e, n * e.itemsize, (-e.itemsize, e.itemsize))
+    return i ^ i[:, None]
+
+
+def _row0_order(a: np.ndarray) -> str | None:
+    """"circulant" if the square matrix `a` equals its row 0 read through
+    the circulant index, else "cube" if it does through the cube index
+    (n a power of two), else None; exact, entry by entry. Circulant is
+    tried first, so a matrix in both orders takes the FFT. A matrix of
+    fewer than two rows has no order."""
+    n = len(a)
+    if n < 2:
+        return None
+    # a block of rows at a time, so a mismatch ends the test early and each copy is small
+    step = max(1, ROW0_BLOCK // n)
+    for order in ("circulant", "cube") if n & (n - 1) == 0 else ("circulant",):
+        index = _row0_index(order, n)
+        if all(np.array_equal(a[0][index[k:k + step]], a[k:k + step]) for k in range(0, n, step)):
+            return order
+    return None
+
+
+def _row0_spectrum(order: str, row: np.ndarray) -> np.ndarray:
+    """Each distinct eigenvalue of the symmetric matrix in `order` with row 0
+    `row` at least once, the row sum first: the real part of its `rfft`
+    (circulant), or its Walsh-Hadamard transform (cube), y[t] = sum_j row[j]
+    (-1)^popcount(j & t), by in-place butterflies on a copy of row."""
+    if order == "circulant":
+        return np.fft.rfft(row).real
+    y = np.array(row, dtype=float)
+    h = 1
+    while h < len(y):
+        v = y.reshape(-1, 2, h)
+        top = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        v[:, 1] = top - v[:, 1]
+        h *= 2
+    return y
 
 
 # -- exact integer elimination --------------------------------------------------

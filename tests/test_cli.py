@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from roundness import negtype
+from roundness import cli, negtype
 from roundness.cli import main
 
 
@@ -195,6 +195,18 @@ def test_cube_spectrum_and_lemmas(capsys):
     assert report["result"]["ok"]
     assert report["result"]["factor_determinant"] == 16
     assert report["result"]["matrices"]["factor"][1][1] == -2
+
+
+@pytest.mark.parametrize("n", ["9", "10"])
+def test_cube_spectrum_checks_the_rank_cap_before_any_work(monkeypatch, capsys, n):
+    # the identity check accepts n <= 10, the rank check only n <= 8
+    calls = []
+    monkeypatch.setattr(cli, "eigen_identity_check", calls.append)
+    code, report = run_cli(capsys, "cube", "spectrum", "--n", n)
+    assert code == 2
+    assert report["error"] == {"type": "DimensionTooLargeError",
+                               "message": f"rank check supports n in 1..8, got {n}"}
+    assert calls == []
 
 
 def test_tree_commands(tmp_path, capsys):

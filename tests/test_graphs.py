@@ -5,7 +5,6 @@ import pytest
 
 from roundness import (
     Graph,
-    cube_distance_matrix,
     gen_family,
     has_row_permutation_property,
     load_solid,
@@ -14,6 +13,7 @@ from roundness import (
 )
 from roundness import graphs
 from roundness.errors import BadParamsError, DisconnectedError, UnknownFamilyError
+from roundness.spectral import _row0_order
 
 
 def test_cycle_four_metric():
@@ -84,6 +84,14 @@ def test_disconnected_names_pair():
         path_metric(g)
 
 
+def adjacency_mask(g):
+    """The boolean adjacency matrix of g."""
+    a = np.zeros((g.n, g.n), dtype=bool)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = True
+    return a
+
+
 def all_sources_bfs(g):
     """Reference path metric: a breadth-first search from every vertex."""
     adj = [[] for _ in range(g.n)]
@@ -122,7 +130,7 @@ def one_bfs_graphs():
 def test_one_bfs_shortcut_equals_all_sources_bfs():
     searched_from_every_vertex = []
     for g in one_bfs_graphs():
-        if graphs._row0_expansion(g) is None:
+        if _row0_order(adjacency_mask(g)) is None:
             searched_from_every_vertex.append(g.n)
         assert np.array_equal(path_metric(g).dist, all_sources_bfs(g)), g.n
     # K_{n,n} with n > 1 is in cube order only when 2n is a power of two
@@ -151,15 +159,16 @@ def test_one_bfs_shortcut_runs_one_search(monkeypatch):
 def test_invariant_disconnected_edge_set_names_pair():
     # invariant under i -> i + 1 mod 4 and under i -> i xor 1, i xor 2
     g = Graph(4, ((0, 2), (1, 3)))
-    assert graphs._row0_expansion(g) is not None
+    assert _row0_order(adjacency_mask(g)) is not None
     with pytest.raises(DisconnectedError, match="vertices 0 and 1$"):
         path_metric(g)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hypercube_matches_cube_distance_matrix(n):
-    sp = path_metric(gen_family("hypercube", n))
-    assert np.array_equal(sp.dist, cube_distance_matrix(n))
+    g = gen_family("hypercube", n)
+    sp = path_metric(g)
+    assert np.array_equal(sp.dist, all_sources_bfs(g))
     assert sp.labels[0] == "0" * n
     assert sp.labels[-1] == "1" * n
 

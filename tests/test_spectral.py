@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import sympy_kernel
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roundness import (
@@ -22,7 +24,8 @@ from roundness.errors import (
     NotSymmetricError,
     RoundnessError,
 )
-from roundness.spectral import INT64_MAX_ORDER, _eliminate, _exact
+from roundness import spectral
+from roundness.spectral import INT64_MAX_ORDER, _eliminate, _exact, _row0_order
 
 try:
     import sympy
@@ -406,3 +409,56 @@ def test_null_space_residual_property(n):
     scale = max(1.0, np.max(np.abs(a)))
     for v in vecs:
         assert np.max(np.abs(a @ v)) <= 10 * tol * scale
+
+
+def row0_order_reference(a):
+    """The order of a square matrix by the entrywise definitions, circulant
+    first: a[i][j] = a[0][(j - i) mod n], or a[i][j] = a[0][i xor j] with n
+    a power of two."""
+    n = len(a)
+    if all(a[i][j] == a[0][(j - i) % n] for i in range(n) for j in range(n)):
+        return "circulant"
+    if n & (n - 1) == 0 and all(a[i][j] == a[0][i ^ j] for i in range(n) for j in range(n)):
+        return "cube"
+    return None
+
+
+@st.composite
+def row0_matrices(draw):
+    """An n x n float distance-like or bool adjacency-like matrix, n = 2..17:
+    a random row 0 read as a circulant or (n a power of two) in cube order,
+    or random rows, with one entry changed or not."""
+    n = draw(st.integers(2, 17))
+    boolean = draw(st.booleans())
+    values = st.booleans() if boolean else st.integers(0, 3).map(float)
+    rows = st.lists(values, min_size=n, max_size=n)
+    row = draw(rows)
+    kind = draw(st.sampled_from(["circulant", "random"] + (["cube"] if n & (n - 1) == 0 else [])))
+    if kind == "circulant":
+        a = [[row[(j - i) % n] for j in range(n)] for i in range(n)]
+    elif kind == "cube":
+        a = [[row[i ^ j] for j in range(n)] for i in range(n)]
+    else:
+        a = [row] + [draw(rows) for _ in range(n - 1)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a[i][j] = not a[i][j] if boolean else a[i][j] + 1.0
+    return np.array(a, dtype=bool if boolean else float)
+
+
+CYCLE4 = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], dtype=float)
+CUBE4 = np.array([[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]], dtype=float)
+CYCLE8 = np.array([[min((j - i) % 8, (i - j) % 8) for j in range(8)] for i in range(8)], dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=row0_matrices(), block=st.sampled_from([1, 7, 40, spectral.ROW0_BLOCK]))
+@example(a=CYCLE4, block=spectral.ROW0_BLOCK)  # in both orders: circulant wins
+@example(a=CYCLE4 > 1, block=1)
+@example(a=CUBE4, block=spectral.ROW0_BLOCK)
+@example(a=np.where(np.eye(8, k=-7, dtype=bool), 9.0, CYCLE8), block=1)  # last row off
+def test_row0_order_matches_entrywise_definition(a, block):
+    # `block` entries are compared at a time; small blocks split even these
+    # matrices into several, so a mismatch in any block must be found
+    with mock.patch.object(spectral, "ROW0_BLOCK", block):
+        assert _row0_order(a) == row0_order_reference(a.tolist())
