@@ -110,7 +110,7 @@ def resolve_space(args):
         space = build_metric_space(*load_matrix_file(args.matrix))
     else:
         space = path_metric(load_edge_list(args.edges))
-    desc = {"labels": list(space.labels), "matrix": [[float(x) for x in row] for row in space.dist]}
+    desc = {"labels": list(space.labels), "matrix": space.dist.tolist()}
     return space, desc
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     TriangleViolationError,
     ZeroDistanceError,
 )
-from .spectral import SYMMETRY_RTOL, symmetrized
+from .spectral import SYMMETRY_RTOL, _row0_order, symmetrized
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -53,6 +53,14 @@ class FiniteMetricSpace:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
+
+    @cached_property
+    def order(self) -> str | None:
+        """"circulant" or "cube" when every row of `dist` is its row 0 read
+        through that order's index (`spectral._row0_order`), else None;
+        detected once per space, as `dist` is read-only. Consumers then
+        read row 0 alone."""
+        return _row0_order(self.dist)
 
 
 @dataclass(frozen=True)
@@ -142,7 +150,10 @@ def _power(d: np.ndarray, p: float) -> np.ndarray:
 def has_row_permutation_property(space: FiniteMetricSpace) -> bool:
     """True iff each row of the distance matrix is a permutation of row 0:
     the rows, sorted, agree entry by entry within SYMMETRY_RTOL = 1e-12
-    times the largest distance."""
+    times the largest distance. A space with an order (`order`) has it by
+    construction, with no sort."""
+    if space.order is not None:
+        return True
     d = space.dist
     rows = np.sort(d, axis=1)
     return bool(np.all(np.abs(rows - rows[0]) <= SYMMETRY_RTOL * float(np.max(d))))

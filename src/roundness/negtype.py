@@ -22,13 +22,18 @@ vertex-transitive graphs), q is also the first exponent where det(D_p)
 vanishes; that criterion is run as a cross-check and yields a null-vector
 certificate. At q the zero-sum vectors nullifying the form coincide with the
 null space of D_q; `kernel_coincidence_check` verifies both inclusions
-numerically. Both checks eigendecompose D_q densely, whichever spectrum the
-search read. Every tolerance is relative to the scale of the matrix it tests
-(the spectral radius of M(p), max |D_q| or the larger side of the roundness
-inequality), so no result depends on the unit of distance. The root search,
-the D_q tests, `check_negative_type` and `gr_inequality_check` power
-d / max d, which neither overflows nor underflows at any unit, and every D_q
-test uses CERTIFICATE_TOL.
+numerically. On a space that is circulant or in cube order
+(`FiniteMetricSpace.order`) every consumer after the search reads row 0 too:
+the certificate, `det_normalized`, both kernels and `check_negative_type`
+take their eigenvalues from the transform of row 0 and their vectors from
+the transform's modes (`spectral._row0_modes`), and apply D_p to a vector by
+convolution (`spectral._row0_product`), with no n x n matrix built. Every
+other space is eigendecomposed densely. Every tolerance is relative to the
+scale of the matrix it tests (the spectral radius of M(p), max |D_q| or the
+larger side of the roundness inequality), so no result depends on the unit
+of distance. The root search, the D_q tests, `check_negative_type` and
+`gr_inequality_check` power d / max d, which neither overflows nor
+underflows at any unit, and every D_q test uses CERTIFICATE_TOL.
 """
 
 from __future__ import annotations
@@ -58,7 +63,15 @@ from .metric import (
     power_matrix,
     quadratic_form,
 )
-from .spectral import _row0_order, _row0_spectrum, eigensym
+from .spectral import (
+    ROW0_BLOCK,
+    _row0_modes,
+    _row0_multiplicities,
+    _row0_order,
+    _row0_product,
+    _row0_spectrum,
+    eigensym,
+)
 
 log = logging.getLogger("roundness")
 
@@ -144,11 +157,26 @@ def _search_spectrum(d: np.ndarray):
         return lambda d, p: _form_spectrum(d, p)[1:]
 
     def row_spectrum(d, p):
-        values = _row0_spectrum(order, _power(d[0, 0], float(p[0])))[1:]
-        lmax = values.max()
-        return lmax[None], np.maximum(lmax, -values.min())[None]
+        _, lmax, scale = _row0_form_spectrum(order, _power(d[0, 0], float(p[0])))
+        return lmax[None], scale[None]
 
     return row_spectrum
+
+
+def _row0_form_spectrum(order: str, row: np.ndarray):
+    """The spectrum of M(p) for the matrix D_p in `order` with row 0 `row`,
+    each distinct value once: `_row0_spectrum` without frequency 0, whose
+    value is r(p), then its largest value and its spectral radius."""
+    values = _row0_spectrum(order, row)[1:]
+    lmax = values.max()
+    return values, lmax, np.maximum(lmax, -values.min())
+
+
+def _unit_row(space: FiniteMetricSpace) -> np.ndarray:
+    """Row 0 of d / max d, which holds every distance of a space with an
+    order (`FiniteMetricSpace.order`)."""
+    row = space.dist[0]
+    return row / row.max()
 
 
 def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-9) -> NegTypeVerdict:
@@ -158,31 +186,44 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
     strict iff lmax < -tol (tolerances relative to the spectral radius of
     M(p)). When not strict, the witness is the top eigenvector lifted back to
     a zero-sum weight vector, unit norm, first nonzero entry positive.
-    The form is built on d / max d, so the verdict neither overflows nor
-    underflows at any unit of distance; `max_form_eigenvalue` and the
-    witness's `form_value` are reported in the unit of d, as their value on
-    d / max d times (max d)^p, which is inf or nan where that product is
-    out of float range. tol_eig must be finite and >= 0, else
+    On a space with an order (`FiniteMetricSpace.order`) the spectrum is
+    the transform of row 0 of D_p without frequency 0, and the witness is
+    the mode (`spectral._row0_modes`) of its largest value (the lowest such
+    frequency), with its form value computed by convolution; no matrix is
+    built. The form is built on d / max d, so the verdict neither
+    overflows nor underflows at any unit of distance; `max_form_eigenvalue`
+    and the witness's `form_value` are reported in the unit of d, as their
+    value on d / max d times (max d)^p, which is inf or nan where that
+    product is out of float range. tol_eig must be finite and >= 0, else
     BadParamsError.
     """
     if p < 0:
         raise NegativeExponentError(f"exponent must be nonnegative, got {p}")
     _check_tolerance("tol_eig", tol_eig)
-    max_d = float(space.dist.max())
-    unit = space.dist / max_d
-    sd, lmax, scale = _form_spectrum(unit, p)
+    order = space.order
+    if order is None:
+        max_d = float(space.dist.max())
+        unit = space.dist / max_d
+        sd, lmax, scale = _form_spectrum(unit, p)
+    else:
+        max_d = float(space.dist[0].max())
+        row = _power(space.dist[0] / max_d, p)
+        values, lmax, scale = _row0_form_spectrum(order, row)
     lmax, scale = float(lmax), float(scale)
     holds = lmax <= tol_eig * scale
     strict = lmax < -tol_eig * scale
     factor = _unit_factor(max_d, p)
     witness = None
     if not strict:
-        eta = hyperplane_basis(space.n) @ sd.eigenvectors[:, 0]
-        eta = eta / np.linalg.norm(eta)
-        eta = _sign_normalize(eta)
+        if order is None:
+            eta = hyperplane_basis(space.n) @ sd.eigenvectors[:, 0]
+            eta = _sign_normalize(eta / np.linalg.norm(eta))
+            form_value = quadratic_form(power_matrix(unit, p), eta)
+        else:
+            eta = _row0_modes(order, space.n, [1 + int(values.argmax())])[:, 0]
+            form_value = float(eta @ _row0_product(order, row, eta))
         eta.setflags(write=False)
-        form_value = quadratic_form(power_matrix(unit, p), eta) * factor
-        witness = NegativeTypeWitness(eta=eta, form_value=form_value)
+        witness = NegativeTypeWitness(eta=eta, form_value=form_value * factor)
     return NegTypeVerdict(p=float(p), holds=holds, strict=strict,
                           max_form_eigenvalue=lmax * factor, witness=witness)
 
@@ -359,7 +400,12 @@ def generalized_roundness(
     |eigenvalue| of D_q, a scale-free measure that is about 0 at q (a
     warning is logged above CERTIFICATE_TOL), and a unit null vector of D_q
     orthogonal to all-ones is attached as a certificate; both read D_q of
-    d / max d, which has the same eigenvectors and eigenvalue ratios. tol_p
+    d / max d, which has the same eigenvectors and eigenvalue ratios. On a
+    space with an order (`FiniteMetricSpace.order`) both come from row 0 of
+    D_q: the eigenvalues are its transform, and the certificate is the mode
+    (`spectral._row0_modes`) at the smallest |eigenvalue| of a frequency
+    t >= 1 (the lowest such t), kept when its residual D_q u, computed by
+    convolution, passes; no matrix is built or eigendecomposed. tol_p
     and p_max must be finite and > 0 and tol_eig finite and >= 0; anything
     else raises BadParamsError before any eigensolve.
     """
@@ -378,13 +424,18 @@ def generalized_roundness(
     certificate = None
     det_norm = None
     if row_perm:
-        dq = power_matrix(_unit_distances(space.dist), q)
-        sd = eigensym(dq)
-        magnitudes = np.abs(sd.eigenvalues)
+        if space.order is None:
+            dq = power_matrix(_unit_distances(space.dist), q)
+            sd = eigensym(dq)
+            magnitudes = np.abs(sd.eigenvalues)
+            certificate = _null_certificate(sd, dq, space.n)
+        else:
+            row = _power(_unit_row(space), q)
+            magnitudes = np.abs(_row0_spectrum(space.order, row))
+            certificate = _row0_certificate(space.order, row, magnitudes)
         det_norm = float(np.min(magnitudes) / np.max(magnitudes))
         if det_norm > CERTIFICATE_TOL:
             log.warning("determinant cross-check at q=%.12g is %.3e, expected ~0", q, det_norm)
-        certificate = _null_certificate(sd, dq, space.n)
     return RoundnessResult(status="Finite", q=q, bracket=bracket,
                            iterations=iterations, method=method,
                            certificate=certificate, det_normalized=det_norm)
@@ -404,6 +455,17 @@ def _null_certificate(sd, dq, n):
     return u
 
 
+def _row0_certificate(order, row, magnitudes):
+    """The unit zero-sum mode at the frequency t >= 1 of least |eigenvalue|
+    of the matrix D_q in `order` with row 0 `row`, or None where
+    max |D_q u| > CERTIFICATE_TOL (relative: max |D_q| is 1)."""
+    u = _row0_modes(order, len(row), [1 + int(np.argmin(magnitudes[1:]))])[:, 0]
+    if np.max(np.abs(_row0_product(order, row, u))) > CERTIFICATE_TOL:
+        return None
+    u.setflags(write=False)
+    return u
+
+
 def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoincidenceReport:
     """Verify that zero-sum form-nullifying vectors and null vectors of D_q
     coincide at the supremal exponent q.
@@ -411,11 +473,18 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
     Forward: every kernel vector of the restricted form M(q), lifted back to
     a zero-sum vector u, must satisfy D_q u = 0 (max-norm). Backward: every
     null vector of D_q must be orthogonal to all-ones. Both read D_q and
-    M(q) of d / max d, whose largest entry is exactly 1, so the kernel
-    masks and the verdict use CERTIFICATE_TOL relative to the spectral
-    radius of M(q) and to max |D_q| = 1 with no scale to compute. Requires
-    the row-permutation property (`has_row_permutation_property`, else
-    HypothesisViolatedError) and a finite q.
+    M(q) of d / max d, whose largest entry is exactly 1. On a
+    row-permutation space M(q) has the spectrum of D_q without r(q), so
+    both kernels are the eigenvalues within CERTIFICATE_TOL of 0, on the
+    D_q scale max |D_q| = 1, and the verdict uses the same tolerance. On a
+    space with an order (`FiniteMetricSpace.order`) both kernels are sets
+    of frequencies of the transform of row 0 of D_q, counted with their
+    multiplicity, the form's without frequency 0, and each defect is read
+    off the frequency's mode (`spectral._row0_modes`), with D_q u computed
+    by convolution, a block of modes at a time; no matrix is built or
+    eigendecomposed. Requires the row-permutation property
+    (`has_row_permutation_property`, else HypothesisViolatedError) and a
+    finite q.
     """
     if not has_row_permutation_property(space):
         raise HypothesisViolatedError(
@@ -423,20 +492,42 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
         )
     if q is None or not np.isfinite(q):
         raise ValueError("kernel coincidence requires a finite roundness exponent")
-    unit = _unit_distances(space.dist)
-    dq = power_matrix(unit, q)
-    sd_m, _, scale_m = _form_spectrum(unit, q)
-    form_kernel = np.abs(sd_m.eigenvalues) <= CERTIFICATE_TOL * scale_m
-    u = hyperplane_basis(space.n) @ sd_m.eigenvectors[:, form_kernel]
-    sd_d = eigensym(dq)
-    matrix_kernel = np.abs(sd_d.eigenvalues) <= CERTIFICATE_TOL
-    v = sd_d.eigenvectors[:, matrix_kernel]
-    defects = np.concatenate(([0.0], np.max(np.abs(dq @ u), axis=0),
-                              np.abs(np.sum(v, axis=0)) / np.sqrt(space.n)))
-    max_defect = float(np.max(defects))
+    if space.order is not None:
+        max_defect, form_dim, matrix_dim = _row0_kernels(space.order,
+                                                         _power(_unit_row(space), q))
+    else:
+        unit = _unit_distances(space.dist)
+        dq = power_matrix(unit, q)
+        sd_m = eigensym(negtype_form_matrix(unit, q))
+        form_kernel = np.abs(sd_m.eigenvalues) <= CERTIFICATE_TOL
+        u = hyperplane_basis(space.n) @ sd_m.eigenvectors[:, form_kernel]
+        sd_d = eigensym(dq)
+        matrix_kernel = np.abs(sd_d.eigenvalues) <= CERTIFICATE_TOL
+        v = sd_d.eigenvectors[:, matrix_kernel]
+        defects = np.concatenate(([0.0], np.max(np.abs(dq @ u), axis=0),
+                                  np.abs(np.sum(v, axis=0)) / np.sqrt(space.n)))
+        max_defect = float(np.max(defects))
+        form_dim, matrix_dim = int(np.sum(form_kernel)), int(np.sum(matrix_kernel))
     return KernelCoincidenceReport(holds=max_defect <= CERTIFICATE_TOL, max_defect=max_defect,
-                                   form_kernel_dim=int(np.sum(form_kernel)),
-                                   matrix_kernel_dim=int(np.sum(matrix_kernel)))
+                                   form_kernel_dim=form_dim, matrix_kernel_dim=matrix_dim)
+
+
+def _row0_kernels(order: str, row: np.ndarray) -> tuple[float, int, int]:
+    """The largest kernel defect and the dimensions of the kernels of M(q)
+    and of D_q, for the matrix D_q in `order` with row 0 `row`."""
+    n = len(row)
+    counts = _row0_multiplicities(order, n)
+    matrix_kernel = np.flatnonzero(np.abs(_row0_spectrum(order, row)) <= CERTIFICATE_TOL)
+    form_kernel = matrix_kernel[matrix_kernel > 0]  # M(q) has no frequency 0
+    defect = 0.0
+    step = max(1, ROW0_BLOCK // n)  # modes at a time, so no n x n array is made
+    for k in range(0, len(matrix_kernel), step):
+        ts = matrix_kernel[k:k + step]
+        modes = _row0_modes(order, n, ts)
+        forward = np.abs(_row0_product(order, row, modes[:, ts > 0])).max(initial=0.0)
+        backward = np.abs(modes.sum(axis=0)).max() / np.sqrt(n)
+        defect = max(defect, float(forward), float(backward))
+    return defect, int(counts[form_kernel].sum()), int(counts[matrix_kernel].sum())
 
 
 def gr_inequality_check(

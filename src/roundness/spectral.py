@@ -8,8 +8,10 @@ every matrix of a stack as they would check it alone.
 
 Row-0 structure, the one place that builds and detects it: a circulant
 matrix (d[i, j] = f((j - i) mod n)) or one in cube order (d[i, j] = f(i xor
-j)) is row 0 read through one (n, n) index, and the FFT or the
-Walsh-Hadamard transform of row 0 gives its spectrum.
+j)) is row 0 read through one (n, n) index. The FFT or the Walsh-Hadamard
+transform of row 0 gives its spectrum, the cosine or Walsh modes its
+eigenvectors, and a convolution of row 0 its product with a vector, so no
+such matrix need be built to be used.
 
 Exact side: one fraction-free Gauss-Jordan elimination (Bareiss's one-step
 form) over a stack of integer matrices, whose single pass gives the rank
@@ -153,18 +155,58 @@ def _row0_spectrum(order: str, row: np.ndarray) -> np.ndarray:
     """Each distinct eigenvalue of the symmetric matrix in `order` with row 0
     `row` at least once, the row sum first: the real part of its `rfft`
     (circulant), or its Walsh-Hadamard transform (cube), y[t] = sum_j row[j]
-    (-1)^popcount(j & t), by in-place butterflies on a copy of row."""
+    (-1)^popcount(j & t), by in-place butterflies on a copy of row. An
+    (n, k) array is transformed column by column, along axis 0."""
     if order == "circulant":
-        return np.fft.rfft(row).real
+        return np.fft.rfft(row, axis=0).real
     y = np.array(row, dtype=float)
     h = 1
     while h < len(y):
-        v = y.reshape(-1, 2, h)
+        v = y.reshape(-1, 2, h, *y.shape[1:])
         top = v[:, 0].copy()
         v[:, 0] += v[:, 1]
         v[:, 1] = top - v[:, 1]
         h *= 2
     return y
+
+
+def _row0_multiplicities(order: str, n: int) -> np.ndarray:
+    """How many eigenvalues of an n x n matrix in `order` each entry of
+    `_row0_spectrum` stands for: 2 at the circulant frequencies 0 < t < n/2,
+    whose value frequency n - t shares, and 1 everywhere else."""
+    counts = np.ones(n // 2 + 1 if order == "circulant" else n, dtype=np.int64)
+    if order == "circulant":
+        counts[1:(n + 1) // 2] = 2
+    return counts
+
+
+def _row0_modes(order: str, n: int, ts) -> np.ndarray:
+    """A unit real eigenvector of every n x n symmetric matrix in `order`
+    at each frequency t of `ts`, as the columns of an (n, len(ts)) array,
+    with the eigenvalue of entry t of `_row0_spectrum`: cos(2 pi t j / n),
+    normalized (circulant), or the Walsh row (-1)^popcount(j & t) / sqrt(n),
+    the transform of e_t (cube). Entry 0 of each is positive."""
+    ts = np.asarray(ts, dtype=np.int64)
+    if order == "circulant":
+        # t j reduced mod n in integers first, so cos sees an angle in [0, 2 pi)
+        modes = np.cos((2 * np.pi / n) * (np.arange(n, dtype=np.int64)[:, None] * ts % n))
+        return modes / np.linalg.norm(modes, axis=0)
+    unit = np.zeros((n, len(ts)))
+    unit[ts, np.arange(len(ts))] = 1.0
+    return _row0_spectrum(order, unit) / np.sqrt(n)
+
+
+def _row0_product(order: str, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """D u for the symmetric matrix D in `order` with row 0 `row`, u a
+    vector or an (n, k) array of columns, with no matrix built: the
+    circular convolution of row and u by `rfft` and `irfft` (circulant), or
+    their dyadic convolution, H (H row * H u) / n with H the Walsh-Hadamard
+    transform (cube)."""
+    n = len(row)
+    lead = (slice(None),) + (None,) * (u.ndim - 1)  # row's transform against each column
+    if order == "circulant":
+        return np.fft.irfft(np.fft.rfft(row)[lead] * np.fft.rfft(u, axis=0), n, axis=0)
+    return _row0_spectrum(order, _row0_spectrum(order, row)[lead] * _row0_spectrum(order, u)) / n
 
 
 # -- exact integer elimination --------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -142,6 +143,28 @@ def test_verify_eigendecomposes_d_q_once(monkeypatch, capsys):
     code, report = run_cli(capsys, "verify", "--graph", "petersen")
     assert code == 0 and report["result"]["holds"]
     assert shapes.count((10, 10)) == 1, shapes
+
+
+def test_input_digest_is_the_per_entry_float_digest(tmp_path):
+    # the description matrix comes from one tolist(); its digest is that of
+    # the matrix read entry by entry as Python floats
+    matrix = tmp_path / "space.json"
+    matrix.write_text(json.dumps({"labels": [f"v{i}" for i in range(4)],
+                                  "matrix": [[0, 1.25, 2, 3.5], [1.25, 0, 0.75, 2.25],
+                                             [2, 0.75, 0, 1.5], [3.5, 2.25, 1.5, 0]]}))
+    table = tmp_path / "space.csv"
+    table.write_text("0,0.1,0.30000000000000004\n0.1,0,0.2\n0.30000000000000004,0.2,0\n")
+    tree = tmp_path / "tree.txt"
+    tree.write_text("5\n0 1\n1 2\n1 3\n3 4\n")
+    inputs = [{"graph": g} for g in ("cycle:5", "complete:6", "hypercube:2", "petersen",
+                                      "cycle:1024", "hypercube:10")]
+    inputs += [{"matrix": str(matrix)}, {"matrix": str(table)}, {"edges": str(tree)}]
+    for given in inputs:
+        args = argparse.Namespace(**{"graph": None, "matrix": None, "edges": None, **given})
+        space, desc = cli.resolve_space(args)
+        entries = [[float(x) for x in row] for row in space.dist]
+        assert cli.digest_of(desc) == cli.digest_of(
+            {"labels": list(space.labels), "matrix": entries}), given
 
 
 def test_verify_unbounded_is_semantic_negative(capsys):

@@ -134,7 +134,9 @@ def test_bad_tolerances_rejected_before_any_solve(monkeypatch, call):
     def fail(*args, **kwargs):
         raise AssertionError("a form spectrum was computed")
 
+    # cycle:4 is circulant, so check_negative_type reads the transform of row 0
     monkeypatch.setattr(negtype, "_form_spectrum", fail)
+    monkeypatch.setattr(negtype, "_row0_spectrum", fail)
     with pytest.raises(BadParamsError):
         call(space("cycle:4"))
 
@@ -406,6 +408,38 @@ def test_hypercube_six_roundness_and_kernel_coincidence():
     res = generalized_roundness(cube)
     assert res.q == pytest.approx(1.0, abs=1e-6)
     assert kernel_coincidence_check(cube, res.q).holds
+
+
+@pytest.mark.parametrize("spec", ["cycle:5", "cycle:400", "circulant:24:1,5", "hypercube:2",
+                                  "hypercube:8", "complete_bipartite:4"])
+def test_structured_consumers_make_no_eigensolve(monkeypatch, spec):
+    # a circulant or cube-order space is read on row 0 by the search, the
+    # certificate, the kernel check and the negative-type verdict
+    sp = space(spec)
+    assert sp.order is not None
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(negtype, "eigensym", fail)
+    res = generalized_roundness(sp)
+    assert res.certificate is not None and 0 <= res.det_normalized <= 1e-6
+    assert kernel_coincidence_check(sp, res.q).holds
+    for p in (res.q / 2, res.q + 0.5):
+        verdict = check_negative_type(sp, p)
+        assert verdict.strict == (p < res.q)
+
+
+def test_cycle_4096_kernel_coincidence():
+    # q = 1 and D_q has 2047 null frequencies, the even ones but 0; the odd
+    # ones are about -5e-4 (of max |D_q| = 1), which a form mask relative to
+    # the spectral radius of M(q) (about 830) took for null
+    sp = space("cycle:4096")
+    res = generalized_roundness(sp)
+    assert res.q == pytest.approx(1.0, abs=1e-6)
+    report = kernel_coincidence_check(sp, res.q)
+    assert report.holds and report.max_defect <= 1e-6
+    assert report.form_kernel_dim == report.matrix_kernel_dim == 2047
 
 
 def test_kernel_coincidence_rejects_non_row_permutation():

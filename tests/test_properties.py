@@ -12,16 +12,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from roundness import (
+    Graph,
     build_metric_space,
     check_negative_type,
+    gen_family,
     generalized_roundness,
     gr_inequality_check,
+    kernel_coincidence_check,
+    path_metric,
+    power_matrix,
 )
-from roundness.negtype import METHOD_DETERMINANT_FAST_PATH, _itp
+from roundness.errors import DisconnectedError
+from roundness.negtype import CERTIFICATE_TOL, METHOD_DETERMINANT_FAST_PATH, _itp
 
 P_MAX = 64.0
 TOL_P = 1e-9
@@ -174,3 +180,70 @@ def test_gr_inequality_verdict_invariant_under_scaling(d, c, p, data):
     b = data.draw(st.lists(st.integers(0, len(d) - 1), min_size=len(a), max_size=len(a)))
     verdict = gr_inequality_check(build_metric_space(d), p, a, b).holds
     assert gr_inequality_check(build_metric_space(c * d), p, a, b).holds == verdict
+
+
+@st.composite
+def cayley_graph(draw):
+    """A connected circulant on n <= 40 vertices, or a connected Cayley graph
+    of Z_2^k, k <= 5 (i ~ i xor s for s in a generating set)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 40))
+        offsets = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+        assume(math.gcd(n, *offsets) == 1)
+        return gen_family("circulant", n, sorted(offsets))
+    n = 1 << draw(st.integers(1, 5))
+    gens = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=6))
+    return Graph(n, tuple(sorted({(i, i ^ s) for i in range(n) for s in gens if i < i ^ s})))
+
+
+def unit_power(sp, p):
+    return power_matrix(sp.dist / sp.dist.max(), p)
+
+
+def assert_unit_zero_sum(u, dq):
+    """u is a unit zero-sum vector with max |D u - (u^T D u) u| within
+    CERTIFICATE_TOL, computed on the dense matrix D = dq."""
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.sum(u)) <= 1e-9
+    assert np.max(np.abs(dq @ u - (u @ dq @ u) * u)) <= CERTIFICATE_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=cayley_graph(), data=st.data())
+def test_structured_consumers_agree_with_dense(g, data):
+    # the path metric of a Cayley graph of Z_n or Z_2^k is read on row 0; a
+    # relabelled copy with neither order takes every dense path
+    try:
+        sp = path_metric(g)
+    except DisconnectedError:
+        assume(False)
+    assert sp.order is not None
+    perm = data.draw(st.permutations(range(sp.n)))
+    dense = build_metric_space(relabelled(sp.dist, perm))
+    assume(dense.order is None)
+    res, res_dense = generalized_roundness(sp), generalized_roundness(dense)
+    assert res.status == res_dense.status
+    exponents = [1.0, 1.5, 2.0]
+    if res.status == "Finite":
+        q = res.q
+        assert res_dense.q == pytest.approx(q, abs=1e-9)
+        exponents.append(q / 2)
+        # the dense measure at the same q: min |eigenvalue| / max |eigenvalue|
+        # of D_q, whose rounding is about n eps of its largest eigenvalue
+        magnitudes = np.abs(np.linalg.eigvalsh(unit_power(dense, q)))
+        dense_det = magnitudes.min() / magnitudes.max()
+        assert abs(res.det_normalized - dense_det) <= 1e-6 * dense_det + 4 * sp.n * 2.0**-52
+        dq = unit_power(sp, q)
+        assert_unit_zero_sum(res.certificate, dq)
+        assert np.max(np.abs(dq @ res.certificate)) <= CERTIFICATE_TOL
+        kernel, kernel_dense = kernel_coincidence_check(sp, q), kernel_coincidence_check(dense, q)
+        assert (kernel.holds, kernel.form_kernel_dim, kernel.matrix_kernel_dim) == (
+            kernel_dense.holds, kernel_dense.form_kernel_dim, kernel_dense.matrix_kernel_dim)
+    for p in exponents:
+        verdict, verdict_dense = check_negative_type(sp, p), check_negative_type(dense, p)
+        assert (verdict.holds, verdict.strict) == (verdict_dense.holds, verdict_dense.strict), p
+        if verdict.witness is not None:
+            # the witness attains the largest form value, in the unit of d
+            assert_unit_zero_sum(verdict.witness.eta, unit_power(sp, p))
+            assert abs(verdict.witness.form_value - verdict_dense.max_form_eigenvalue) <= (
+                1e-9 * sp.n * sp.dist.max() ** p)
