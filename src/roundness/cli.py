@@ -53,8 +53,8 @@ from .hamming import (
     tree_embedding_search,
 )
 from .metric import build_metric_space, has_row_permutation_property
-from .negtype import (check_negative_type, generalized_roundness, kernel_coincidence_check,
-                      roundness_search)
+from .negtype import (_space_search, check_negative_type, generalized_roundness,
+                      kernel_coincidence_check)
 from .spectral import det_exact
 
 log = logging.getLogger("roundness")
@@ -196,7 +196,7 @@ def cmd_verify(args) -> int:
             "rows of the distance matrix are not permutations of each other"
         )
     # the report prints only q, so the search runs without the certificate
-    (found,) = roundness_search(space.dist[None], args.p_max, args.tol_p, args.tol_eig)
+    found = _space_search(space, args.p_max, args.tol_p, args.tol_eig)
     diag = {"p_max": args.p_max, "tol_p": args.tol_p, "tol_eig": args.tol_eig}
     if found is None:
         result = {

@@ -5,35 +5,37 @@ by the (n-1)x(n-1) matrix M(p) = B^T D_p B, with B an orthonormal basis of the
 zero-sum hyperplane. The space has p-negative type exactly when M(p) is
 negative semidefinite, and strict p-negative type when M(p) is negative
 definite. The exponents with p-negative type form an interval [0, q], so q is
-where the largest eigenvalue of M(p) changes sign. The root search
-(`roundness_search`) brackets q by doubling and narrows the bracket by ITP,
-which reads the eigenvalue's value to place each probe and keeps
-bisection's worst-case step count. It runs on the distances divided by their
-maximum, on a stack of same-size distance matrices in lock-step, each matrix
-making the decisions a search of its own would; `generalized_roundness` is
-its stack of one. Each step takes the spectrum of M(p) from one stacked
-eigensolve, or, for a stack of one matrix that is circulant or in cube
-order (`spectral._row0_order`), from the transform of row 0 of D_p
-(`spectral._row0_spectrum`): D_p 1 = r(p) 1, so M(p) has the spectrum of
-D_p without r(p).
+where the largest eigenvalue of M(p) changes sign. The root search brackets q
+by doubling and narrows the bracket by ITP, which reads the eigenvalue's value
+to place each probe and keeps bisection's worst-case step count. One driver
+runs it on the distances divided by their maximum, for any number of matrices
+in lock-step, each making the decisions a search of its own would:
+`roundness_search` drives a stack of distance matrices with one stacked
+eigensolve per step, and `generalized_roundness` drives one space.
+
+Everything else a single space needs comes from one source per (space, p),
+built by `_source` and chosen once by `FiniteMetricSpace.order`: D_p of
+d / max d, its product with a vector, and the spectra of D_p and of M(p),
+each as values, multiplicities and unit modes by index. On a circulant or
+cube-order space the source reads row 0 of D_p: D_p 1 = r(p) 1, so M(p) has
+the spectrum of D_p without r(p); the values are the transform of row 0
+(`spectral._row0_spectrum`), the modes its cosine or Walsh vectors
+(`spectral._row0_modes`), and D_p u a convolution (`spectral._row0_product`),
+with no n x n matrix built. On every other space the source eigendecomposes
+D_p and M(p) densely, each only when asked for. The one-space search,
+`check_negative_type`, the certificate and `kernel_coincidence_check` each
+have one body over the source.
 
 For spaces whose distance-matrix rows are permutations of each other (all
 vertex-transitive graphs), q is also the first exponent where det(D_p)
 vanishes; that criterion is run as a cross-check and yields a null-vector
 certificate. At q the zero-sum vectors nullifying the form coincide with the
 null space of D_q; `kernel_coincidence_check` verifies both inclusions
-numerically. On a space that is circulant or in cube order
-(`FiniteMetricSpace.order`) every consumer after the search reads row 0 too:
-the certificate, `det_normalized`, both kernels and `check_negative_type`
-take their eigenvalues from the transform of row 0 and their vectors from
-the transform's modes (`spectral._row0_modes`), and apply D_p to a vector by
-convolution (`spectral._row0_product`), with no n x n matrix built. Every
-other space is eigendecomposed densely. Every tolerance is relative to the
-scale of the matrix it tests (the spectral radius of M(p), max |D_q| or the
-larger side of the roundness inequality), so no result depends on the unit
-of distance. The root search, the D_q tests, `check_negative_type` and
-`gr_inequality_check` power d / max d, which neither overflows nor
-underflows at any unit, and every D_q test uses CERTIFICATE_TOL.
+numerically. Every tolerance is relative to the scale of the matrix it tests
+(the spectral radius of M(p), max |D_q| or the larger side of the roundness
+inequality), so no result depends on the unit of distance. Every D_p is
+powered from d / max d, which neither overflows nor underflows at any unit,
+and every D_q test uses CERTIFICATE_TOL.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,13 +65,11 @@ from .metric import (
     has_row_permutation_property,
     hyperplane_basis,
     power_matrix,
-    quadratic_form,
 )
 from .spectral import (
     ROW0_BLOCK,
     _row0_modes,
     _row0_multiplicities,
-    _row0_order,
     _row0_product,
     _row0_spectrum,
     eigensym,
@@ -133,50 +135,89 @@ def negtype_form_matrix(space, p) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
-def _form_spectrum(space, p):
-    """Spectrum of M(p), its largest eigenvalue, and its spectral radius: the
-    scale every form tolerance is relative to. For a stack of distance
-    matrices, the last two are arrays over the stack."""
-    sd = eigensym(negtype_form_matrix(space, p))
-    lmax, lmin = sd.eigenvalues[..., 0], sd.eigenvalues[..., -1]
-    return sd, lmax, np.maximum(lmax, -lmin)  # = max(|lmax|, |lmin|) as lmax >= lmin
+class _Spectrum(NamedTuple):
+    """The eigenvalues of a symmetric matrix, how many eigenvalues each
+    entry stands for, and `modes(idx)`: a unit eigenvector at each entry of
+    idx, first nonzero entry positive, as columns. On a row-permutation
+    space entry 0 of D_p's is r(p), the row sum; the modes of M(p) are
+    zero-sum."""
+
+    values: np.ndarray
+    multiplicities: np.ndarray
+    modes: Callable[[np.ndarray], np.ndarray]
 
 
-def _search_spectrum(d: np.ndarray):
-    """The source of each search step's largest eigenvalue and spectral
-    radius of M(p), a function of the live stack and its exponents.
-
-    For a stack of one circulant or cube-order matrix (`_row0_order`),
-    D_p has the same structure, D_p 1 = r(p) 1 and D_p is symmetric, so
-    1^perp is invariant and the spectrum of M(p) is that of D_p without
-    r(p): `_row0_spectrum` of row 0 of D_p with frequency 0 dropped. Every
-    other stack takes the dense form spectrum (`_form_spectrum`).
-    """
-    order = _row0_order(d[0]) if len(d) == 1 else None
-    if order is None:
-        return lambda d, p: _form_spectrum(d, p)[1:]
-
-    def row_spectrum(d, p):
-        _, lmax, scale = _row0_form_spectrum(order, _power(d[0, 0], float(p[0])))
-        return lmax[None], scale[None]
-
-    return row_spectrum
+def _source(space: FiniteMetricSpace):
+    """The source of D_p of d / max d for `space`, as a function of p: read
+    on row 0 for a space with an order (`FiniteMetricSpace.order`), else
+    densely. A source has `max_d`, `product(u)` = D_p u, and the spectra
+    `matrix` of D_p and `form` of M(p)."""
+    if space.order is None:
+        max_d = float(space.dist.max())
+        unit, counts = space.dist / max_d, np.ones(space.n, dtype=np.int64)
+        return lambda p: _DenseSource(unit, counts, max_d, p)
+    order, row = space.order, space.dist[0]
+    max_d = float(row.max())
+    unit, counts = row / max_d, _row0_multiplicities(order, space.n)
+    return lambda p: _Row0Source(order, unit, counts, max_d, p)
 
 
-def _row0_form_spectrum(order: str, row: np.ndarray):
-    """The spectrum of M(p) for the matrix D_p in `order` with row 0 `row`,
-    each distinct value once: `_row0_spectrum` without frequency 0, whose
-    value is r(p), then its largest value and its spectral radius."""
-    values = _row0_spectrum(order, row)[1:]
-    lmax = values.max()
-    return values, lmax, np.maximum(lmax, -values.min())
+class _Row0Source:
+    """The source of a circulant or cube-order space: row 0 of D_p, whose
+    transform is the spectrum of D_p, value r(p) first."""
+
+    def __init__(self, order: str, unit_row: np.ndarray, counts: np.ndarray, max_d: float,
+                 p: float):
+        self.order, self.max_d, n = order, max_d, len(unit_row)
+        self.row = _power(unit_row, p)
+        values = _row0_spectrum(order, self.row)
+        self.matrix = _Spectrum(values, counts, lambda ts: _row0_modes(order, n, ts))
+        # 1^perp is invariant under D_p, so M(p) is D_p without frequency 0
+        self.form = _Spectrum(values[1:], counts[1:],
+                              lambda idx: _row0_modes(order, n, np.add(idx, 1)))
+
+    def product(self, u: np.ndarray) -> np.ndarray:
+        return _row0_product(self.order, self.row, u)
 
 
-def _unit_row(space: FiniteMetricSpace) -> np.ndarray:
-    """Row 0 of d / max d, which holds every distance of a space with an
-    order (`FiniteMetricSpace.order`)."""
-    row = space.dist[0]
-    return row / row.max()
+class _DenseSource:
+    """The source of any other space: the matrix D_p, and `eigensym` of
+    D_p and of M(p), each on first use, whose values descend (so r(p), the
+    largest of D_p's on a row-permutation space, is entry 0)."""
+
+    def __init__(self, unit: np.ndarray, counts: np.ndarray, max_d: float, p: float):
+        self.unit, self.counts, self.max_d, self.p = unit, counts, max_d, p
+
+    @cached_property
+    def dp(self) -> np.ndarray:
+        return power_matrix(self.unit, self.p)
+
+    def product(self, u: np.ndarray) -> np.ndarray:
+        return self.dp @ u
+
+    @cached_property
+    def matrix(self) -> _Spectrum:
+        return _dense_spectrum(eigensym(self.dp), self.counts, None)
+
+    @cached_property
+    def form(self) -> _Spectrum:
+        sd = eigensym(negtype_form_matrix(self.unit, self.p))
+        return _dense_spectrum(sd, self.counts[1:], hyperplane_basis(len(self.unit)))
+
+
+def _dense_spectrum(sd, counts, basis) -> _Spectrum:
+    """`sd` as a `_Spectrum` with multiplicities `counts` (all 1), its
+    modes lifted by `basis` (if not None), each with its first entry above
+    1e-12 of its largest made positive, as entry 0 of a row-0 mode is."""
+
+    def modes(idx):
+        u = sd.eigenvectors[:, idx]
+        u = u if basis is None else basis @ u
+        u = u / np.linalg.norm(u, axis=0)
+        first = (np.abs(u) > 1e-12 * np.abs(u).max(axis=0)).argmax(axis=0)
+        return u * np.sign(u[first, np.arange(u.shape[1])])
+
+    return _Spectrum(sd.eigenvalues, counts, modes)
 
 
 def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-9) -> NegTypeVerdict:
@@ -184,13 +225,11 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
 
     The largest eigenvalue lmax of M(p) decides: holds iff lmax <= tol,
     strict iff lmax < -tol (tolerances relative to the spectral radius of
-    M(p)). When not strict, the witness is the top eigenvector lifted back to
-    a zero-sum weight vector, unit norm, first nonzero entry positive.
-    On a space with an order (`FiniteMetricSpace.order`) the spectrum is
-    the transform of row 0 of D_p without frequency 0, and the witness is
-    the mode (`spectral._row0_modes`) of its largest value (the lowest such
-    frequency), with its form value computed by convolution; no matrix is
-    built. The form is built on d / max d, so the verdict neither
+    M(p)). When not strict, the witness is the unit zero-sum mode of M(p) at
+    its largest value (the first such entry of the source's spectrum),
+    first nonzero entry positive, and its form value is eta^T (D_p eta).
+    Both come from the space's source (`_source`), on row 0 for a space with
+    an order. The form is built on d / max d, so the verdict neither
     overflows nor underflows at any unit of distance; `max_form_eigenvalue`
     and the witness's `form_value` are reported in the unit of d, as their
     value on d / max d times (max d)^p, which is inf or nan where that
@@ -200,30 +239,19 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
     if p < 0:
         raise NegativeExponentError(f"exponent must be nonnegative, got {p}")
     _check_tolerance("tol_eig", tol_eig)
-    order = space.order
-    if order is None:
-        max_d = float(space.dist.max())
-        unit = space.dist / max_d
-        sd, lmax, scale = _form_spectrum(unit, p)
-    else:
-        max_d = float(space.dist[0].max())
-        row = _power(space.dist[0] / max_d, p)
-        values, lmax, scale = _row0_form_spectrum(order, row)
-    lmax, scale = float(lmax), float(scale)
+    src = _source(space)(p)
+    values = src.form.values
+    top = int(values.argmax())
+    lmax = float(values[top])
+    scale = max(lmax, -float(values.min()))
     holds = lmax <= tol_eig * scale
     strict = lmax < -tol_eig * scale
-    factor = _unit_factor(max_d, p)
+    factor = _unit_factor(src.max_d, p)
     witness = None
     if not strict:
-        if order is None:
-            eta = hyperplane_basis(space.n) @ sd.eigenvectors[:, 0]
-            eta = _sign_normalize(eta / np.linalg.norm(eta))
-            form_value = quadratic_form(power_matrix(unit, p), eta)
-        else:
-            eta = _row0_modes(order, space.n, [1 + int(values.argmax())])[:, 0]
-            form_value = float(eta @ _row0_product(order, row, eta))
+        eta = src.form.modes([top])[:, 0]
         eta.setflags(write=False)
-        witness = NegativeTypeWitness(eta=eta, form_value=form_value * factor)
+        witness = NegativeTypeWitness(eta=eta, form_value=float(eta @ src.product(eta)) * factor)
     return NegTypeVerdict(p=float(p), holds=holds, strict=strict,
                           max_form_eigenvalue=lmax * factor, witness=witness)
 
@@ -235,13 +263,6 @@ def _unit_factor(max_d: float, p: float) -> float:
         return max_d**p
     except OverflowError:
         return math.inf
-
-
-def _sign_normalize(v: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
-    if nz.size and v[nz[0]] < 0:
-        return -v
-    return v
 
 
 def _check_search_params(p_max: float, tol_p: float, tol_eig: float) -> None:
@@ -321,12 +342,35 @@ def _itp(p_max: float, tol_p: float):
     return (p_lo + p_hi) / 2.0, (p_lo, p_hi), iterations
 
 
-def _unit_distances(dists: np.ndarray) -> np.ndarray:
-    """A distance matrix, or each matrix of a stack, divided by its largest
-    entry. The eigenvalues of M(p) and D_p then scale by (max d)^-p, so no
-    sign and no relative test changes, and no power of a distance in (0, 1]
-    overflows or makes a matrix all zero."""
-    return dists / dists.max(axis=(-2, -1), keepdims=True)
+def _lockstep(stack, extremes, p_max: float, tol_p: float, tol_eig: float) -> list:
+    """The root searches (`_itp`) of the members of `stack`, run in lock-step.
+
+    Each step calls `extremes(stack, p)` once, with `stack` cut down to the
+    members still searching, in order, and p their exponents; it returns
+    the largest and the smallest eigenvalue of each M(p), as two arrays.
+    The predicate "largest eigenvalue <= tol_eig times the spectral radius"
+    is sent to each search with the eigenvalue's margin. Returns, per
+    member, what its search returns.
+    """
+    found: list[tuple[float, tuple[float, float], int] | None] = [None] * len(stack)
+    live = [(i, _itp(p_max, tol_p)) for i in range(len(stack))]
+    probes = [next(search) for _, search in live]
+    while live:
+        lmax, lmin = extremes(stack, np.array(probes))
+        scale = np.maximum(lmax, -lmin)
+        # scale > 0: the largest entry of D_p is 1, so M(p) is not 0
+        holds, margins = lmax <= tol_eig * scale, lmax / scale - tol_eig
+        keep, probes = [], []
+        for j, sent in enumerate(zip(holds.tolist(), margins.tolist())):
+            i, search = live[j]
+            try:
+                probes.append(search.send(sent))
+                keep.append(j)
+            except StopIteration as stop:
+                found[i] = stop.value
+        if len(keep) < len(live):
+            stack, live = stack[keep], [live[j] for j in keep]
+    return found
 
 
 def roundness_search(
@@ -348,10 +392,8 @@ def roundness_search(
     The search runs on the distances divided by their maximum, so it
     neither overflows nor underflows at any unit of distance. Each step
     evaluates every matrix still searching at its own p, with one stacked
-    eigensolve; a stack of one circulant or cube-order matrix is evaluated
-    on the transform of row 0 of D_p instead (`_search_spectrum`), with the
-    same predicate and the same ITP. Returns, per matrix, (q, (p_lo, p_hi),
-    ITP iterations), or None when the predicate still holds at p_max
+    dense eigensolve. Returns, per matrix, (q, (p_lo, p_hi), ITP
+    iterations), or None when the predicate still holds at p_max
     (Unbounded). Bad tol_p, p_max or tol_eig raise BadParamsError, and
     non-finite distances NonFiniteMatrixError, before any eigensolve.
     """
@@ -359,26 +401,29 @@ def roundness_search(
     d = np.asarray(dists, dtype=float)
     if not np.isfinite(d).all():
         raise NonFiniteMatrixError("distance matrix contains non-finite entries")
-    d = _unit_distances(d)
-    found: list[tuple[float, tuple[float, float], int] | None] = [None] * len(d)
-    spectrum = _search_spectrum(d)
-    # the matrices still searching, in the order of their distances in d
-    live = [(i, _itp(p_max, tol_p)) for i in range(len(d))]
-    probes = [next(search) for _, search in live]
-    while live:
-        lmax, scale = spectrum(d, np.array(probes))
-        # scale > 0: the largest entry of D_p is 1, so M(p) is not 0
-        holds, values = lmax <= tol_eig * scale, lmax / scale - tol_eig
-        keep, probes = [], []
-        for j, sent in enumerate(zip(holds.tolist(), values.tolist())):
-            i, search = live[j]
-            try:
-                probes.append(search.send(sent))
-                keep.append(j)
-            except StopIteration as stop:
-                found[i] = stop.value
-        if len(keep) < len(live):
-            d, live = d[keep], [live[j] for j in keep]
+    # on d / max d the eigenvalues of M(p) scale by (max d)^-p, so no sign
+    # and no relative test changes, and no power of a distance in (0, 1]
+    # overflows or makes a matrix all zero
+    d = d / d.max(axis=(-2, -1), keepdims=True)
+
+    def extremes(d, p):
+        values = eigensym(negtype_form_matrix(d, p)).eigenvalues  # descending
+        return values[:, 0], values[:, -1]
+
+    return _lockstep(d, extremes, p_max, tol_p, tol_eig)
+
+
+def _space_search(space: FiniteMetricSpace, p_max: float, tol_p: float, tol_eig: float):
+    """The root search of `roundness_search` for one space, each step on
+    the spectrum of M(p) of its source (`_source`)."""
+    _check_search_params(p_max, tol_p, tol_eig)
+
+    def extremes(sources, p):
+        values = sources[0](float(p[0])).form.values
+        return values.max(keepdims=True), values.min(keepdims=True)
+
+    (found,) = _lockstep(np.array([_source(space)], dtype=object), extremes,
+                         p_max, tol_p, tol_eig)
     return found
 
 
@@ -390,29 +435,27 @@ def generalized_roundness(
 ) -> RoundnessResult:
     """Compute the supremal exponent q with p-negative type.
 
-    The root search is `roundness_search` on the stack of this one matrix:
-    the bracket is grown by doubling from 1 and narrowed by ITP to width
-    tol_p; q is its midpoint and `iterations` counts the ITP steps. If
-    the predicate still holds at p_max the result is Unbounded
-    (constant-distance spaces, for example, have negative type at every
-    exponent). On row-permutation inputs (`has_row_permutation_property`)
-    D_q must be singular: `det_normalized` is min |eigenvalue| / max
-    |eigenvalue| of D_q, a scale-free measure that is about 0 at q (a
-    warning is logged above CERTIFICATE_TOL), and a unit null vector of D_q
-    orthogonal to all-ones is attached as a certificate; both read D_q of
-    d / max d, which has the same eigenvectors and eigenvalue ratios. On a
-    space with an order (`FiniteMetricSpace.order`) both come from row 0 of
-    D_q: the eigenvalues are its transform, and the certificate is the mode
-    (`spectral._row0_modes`) at the smallest |eigenvalue| of a frequency
-    t >= 1 (the lowest such t), kept when its residual D_q u, computed by
-    convolution, passes; no matrix is built or eigendecomposed. tol_p
-    and p_max must be finite and > 0 and tol_eig finite and >= 0; anything
-    else raises BadParamsError before any eigensolve.
+    The root search is that of `roundness_search`, with each step on the
+    space's source (`_source`): the bracket is grown by doubling from 1 and
+    narrowed by ITP to width tol_p; q is its midpoint and `iterations`
+    counts the ITP steps. If the predicate still holds at p_max the result
+    is Unbounded (constant-distance spaces, for example, have negative type
+    at every exponent). On row-permutation inputs
+    (`has_row_permutation_property`) D_q must be singular: `det_normalized`
+    is min |eigenvalue| / max |eigenvalue| of D_q, a scale-free measure that
+    is about 0 at q (a warning is logged above CERTIFICATE_TOL), and the
+    certificate is the unit mode of D_q at its smallest |eigenvalue| other
+    than r(q) (the first such entry), first nonzero entry positive, kept
+    when max |D_q u| passes CERTIFICATE_TOL. Both read D_q of d / max d,
+    which has the same eigenvectors and eigenvalue ratios; on a space with
+    an order no matrix is built or eigendecomposed. tol_p and p_max must be
+    finite and > 0 and tol_eig finite and >= 0; anything else raises
+    BadParamsError before any eigensolve.
     """
     row_perm = has_row_permutation_property(space)
     method = METHOD_DETERMINANT_FAST_PATH if row_perm else METHOD_SPECTRAL_BISECTION
 
-    (found,) = roundness_search(space.dist[None], p_max=p_max, tol_p=tol_p, tol_eig=tol_eig)
+    found = _space_search(space, p_max, tol_p, tol_eig)
     if found is None:
         log.debug("negative type still holds at p_max=%g; unbounded", p_max)
         return RoundnessResult(status="Unbounded", q=None, bracket=None,
@@ -424,46 +467,19 @@ def generalized_roundness(
     certificate = None
     det_norm = None
     if row_perm:
-        if space.order is None:
-            dq = power_matrix(_unit_distances(space.dist), q)
-            sd = eigensym(dq)
-            magnitudes = np.abs(sd.eigenvalues)
-            certificate = _null_certificate(sd, dq, space.n)
-        else:
-            row = _power(_unit_row(space), q)
-            magnitudes = np.abs(_row0_spectrum(space.order, row))
-            certificate = _row0_certificate(space.order, row, magnitudes)
+        src = _source(space)(q)
+        magnitudes = np.abs(src.matrix.values)
         det_norm = float(np.min(magnitudes) / np.max(magnitudes))
         if det_norm > CERTIFICATE_TOL:
             log.warning("determinant cross-check at q=%.12g is %.3e, expected ~0", q, det_norm)
+        # entry 0 is r(q), whose mode is not zero-sum
+        u = src.matrix.modes([1 + int(np.argmin(magnitudes[1:]))])[:, 0]
+        if np.max(np.abs(src.product(u))) <= CERTIFICATE_TOL:  # relative: max |D_q| is 1
+            u.setflags(write=False)
+            certificate = u
     return RoundnessResult(status="Finite", q=q, bracket=bracket,
                            iterations=iterations, method=method,
                            certificate=certificate, det_normalized=det_norm)
-
-
-def _null_certificate(sd, dq, n):
-    idx = int(np.argmin(np.abs(sd.eigenvalues)))
-    u = sd.eigenvectors[:, idx].copy()
-    u -= np.sum(u) / n  # project onto the zero-sum hyperplane
-    norm = np.linalg.norm(u)
-    if norm == 0.0:
-        return None
-    u = _sign_normalize(u / norm)
-    if np.max(np.abs(dq @ u)) > CERTIFICATE_TOL:  # relative: max |D_q| is 1
-        return None
-    u.setflags(write=False)
-    return u
-
-
-def _row0_certificate(order, row, magnitudes):
-    """The unit zero-sum mode at the frequency t >= 1 of least |eigenvalue|
-    of the matrix D_q in `order` with row 0 `row`, or None where
-    max |D_q u| > CERTIFICATE_TOL (relative: max |D_q| is 1)."""
-    u = _row0_modes(order, len(row), [1 + int(np.argmin(magnitudes[1:]))])[:, 0]
-    if np.max(np.abs(_row0_product(order, row, u))) > CERTIFICATE_TOL:
-        return None
-    u.setflags(write=False)
-    return u
 
 
 def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoincidenceReport:
@@ -473,18 +489,15 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
     Forward: every kernel vector of the restricted form M(q), lifted back to
     a zero-sum vector u, must satisfy D_q u = 0 (max-norm). Backward: every
     null vector of D_q must be orthogonal to all-ones. Both read D_q and
-    M(q) of d / max d, whose largest entry is exactly 1. On a
-    row-permutation space M(q) has the spectrum of D_q without r(q), so
-    both kernels are the eigenvalues within CERTIFICATE_TOL of 0, on the
-    D_q scale max |D_q| = 1, and the verdict uses the same tolerance. On a
-    space with an order (`FiniteMetricSpace.order`) both kernels are sets
-    of frequencies of the transform of row 0 of D_q, counted with their
-    multiplicity, the form's without frequency 0, and each defect is read
-    off the frequency's mode (`spectral._row0_modes`), with D_q u computed
-    by convolution, a block of modes at a time; no matrix is built or
-    eigendecomposed. Requires the row-permutation property
-    (`has_row_permutation_property`, else HypothesisViolatedError) and a
-    finite q.
+    M(q) of d / max d, whose largest entry is exactly 1, from the space's
+    source (`_source`). On a row-permutation space M(q) has the spectrum of
+    D_q without r(q), so both kernels are the eigenvalues within
+    CERTIFICATE_TOL of 0, on the D_q scale max |D_q| = 1, counted with
+    their multiplicity, and the verdict uses the same tolerance. Each defect
+    is read off the kernel's modes, a block of modes at a time, so a space
+    with an order makes no n x n array. Requires the row-permutation
+    property (`has_row_permutation_property`, else HypothesisViolatedError)
+    and a finite q.
     """
     if not has_row_permutation_property(space):
         raise HypothesisViolatedError(
@@ -492,42 +505,22 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
         )
     if q is None or not np.isfinite(q):
         raise ValueError("kernel coincidence requires a finite roundness exponent")
-    if space.order is not None:
-        max_defect, form_dim, matrix_dim = _row0_kernels(space.order,
-                                                         _power(_unit_row(space), q))
-    else:
-        unit = _unit_distances(space.dist)
-        dq = power_matrix(unit, q)
-        sd_m = eigensym(negtype_form_matrix(unit, q))
-        form_kernel = np.abs(sd_m.eigenvalues) <= CERTIFICATE_TOL
-        u = hyperplane_basis(space.n) @ sd_m.eigenvectors[:, form_kernel]
-        sd_d = eigensym(dq)
-        matrix_kernel = np.abs(sd_d.eigenvalues) <= CERTIFICATE_TOL
-        v = sd_d.eigenvectors[:, matrix_kernel]
-        defects = np.concatenate(([0.0], np.max(np.abs(dq @ u), axis=0),
-                                  np.abs(np.sum(v, axis=0)) / np.sqrt(space.n)))
-        max_defect = float(np.max(defects))
-        form_dim, matrix_dim = int(np.sum(form_kernel)), int(np.sum(matrix_kernel))
-    return KernelCoincidenceReport(holds=max_defect <= CERTIFICATE_TOL, max_defect=max_defect,
-                                   form_kernel_dim=form_dim, matrix_kernel_dim=matrix_dim)
-
-
-def _row0_kernels(order: str, row: np.ndarray) -> tuple[float, int, int]:
-    """The largest kernel defect and the dimensions of the kernels of M(q)
-    and of D_q, for the matrix D_q in `order` with row 0 `row`."""
-    n = len(row)
-    counts = _row0_multiplicities(order, n)
-    matrix_kernel = np.flatnonzero(np.abs(_row0_spectrum(order, row)) <= CERTIFICATE_TOL)
-    form_kernel = matrix_kernel[matrix_kernel > 0]  # M(q) has no frequency 0
-    defect = 0.0
-    step = max(1, ROW0_BLOCK // n)  # modes at a time, so no n x n array is made
+    src = _source(space)(q)
+    form, matrix = src.form, src.matrix
+    form_kernel = np.flatnonzero(np.abs(form.values) <= CERTIFICATE_TOL)
+    matrix_kernel = np.flatnonzero(np.abs(matrix.values) <= CERTIFICATE_TOL)
+    step = max(1, ROW0_BLOCK // space.n)
+    max_defect = 0.0
+    for k in range(0, len(form_kernel), step):
+        u = form.modes(form_kernel[k:k + step])
+        max_defect = max(max_defect, float(np.abs(src.product(u)).max()))
     for k in range(0, len(matrix_kernel), step):
-        ts = matrix_kernel[k:k + step]
-        modes = _row0_modes(order, n, ts)
-        forward = np.abs(_row0_product(order, row, modes[:, ts > 0])).max(initial=0.0)
-        backward = np.abs(modes.sum(axis=0)).max() / np.sqrt(n)
-        defect = max(defect, float(forward), float(backward))
-    return defect, int(counts[form_kernel].sum()), int(counts[matrix_kernel].sum())
+        v = matrix.modes(matrix_kernel[k:k + step])
+        max_defect = max(max_defect, float(np.abs(v.sum(axis=0)).max() / np.sqrt(space.n)))
+    return KernelCoincidenceReport(
+        holds=max_defect <= CERTIFICATE_TOL, max_defect=max_defect,
+        form_kernel_dim=int(form.multiplicities[form_kernel].sum()),
+        matrix_kernel_dim=int(matrix.multiplicities[matrix_kernel].sum()))
 
 
 def gr_inequality_check(

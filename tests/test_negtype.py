@@ -27,7 +27,7 @@ from roundness.errors import (
     LengthMismatchError,
     NonFiniteMatrixError,
 )
-from roundness import negtype
+from roundness import cli, negtype, spectral
 from roundness.negtype import (
     METHOD_DETERMINANT_FAST_PATH,
     METHOD_SPECTRAL_BISECTION,
@@ -132,11 +132,10 @@ def test_roundness_rejects_bad_search_params(params):
         "inequality-tol-negative", "inequality-tol-inf"])
 def test_bad_tolerances_rejected_before_any_solve(monkeypatch, call):
     def fail(*args, **kwargs):
-        raise AssertionError("a form spectrum was computed")
+        raise AssertionError("a spectrum source was built")
 
-    # cycle:4 is circulant, so check_negative_type reads the transform of row 0
-    monkeypatch.setattr(negtype, "_form_spectrum", fail)
-    monkeypatch.setattr(negtype, "_row0_spectrum", fail)
+    # every spectrum, on row 0 (cycle:4 is circulant) or dense, comes from a source
+    monkeypatch.setattr(negtype, "_source", fail)
     with pytest.raises(BadParamsError):
         call(space("cycle:4"))
 
@@ -179,23 +178,23 @@ def test_search_needs_few_evaluations(monkeypatch):
     spaces = [space(s) for s in ("cycle:5", "petersen", "hypercube:4", "hypercube:5",
                                  "cycle:25")] + [eucl]
     calls = []
-    search_spectrum = negtype._search_spectrum
+    source = negtype._source
 
-    def counted(d):
-        spectrum = search_spectrum(d)
+    def counted(metric):
+        at = source(metric)
 
-        def evaluation(*args):
+        def evaluation(p):
             calls.append(1)
-            return spectrum(*args)
+            return at(p)
 
         return evaluation
 
-    # counts the evaluations of either spectrum source, dense or structured
-    monkeypatch.setattr(negtype, "_search_spectrum", counted)
+    # each step of the search, on row 0 or dense, takes one source
+    monkeypatch.setattr(negtype, "_source", counted)
     evaluations = []
     for sp in spaces:
         calls.clear()
-        assert generalized_roundness(sp).status == "Finite"
+        assert negtype._space_search(sp, 64.0, 1e-9, 1e-9) is not None
         evaluations.append(len(calls))
     assert np.median(evaluations) <= 12, evaluations
 
@@ -210,26 +209,35 @@ GENERIC = ["petersen", "icosahedron", "dodecahedron"]
 @pytest.mark.parametrize("spec", STRUCTURED + GENERIC)
 def test_structured_search_agrees_with_dense_search(monkeypatch, spec):
     # swapping vertices 1 and 2 leaves every one of these spaces neither
-    # circulant nor in cube order, so its search runs on the dense form
-    calls = []
-    form_spectrum = negtype._form_spectrum
+    # circulant nor in cube order, so its search runs on the dense source
+    kinds = []
+    source = negtype._source
 
-    def counted(*args):
-        calls.append(1)
-        return form_spectrum(*args)
+    def counted(metric):
+        at = source(metric)
 
-    monkeypatch.setattr(negtype, "_form_spectrum", counted)
-    d = space(spec).dist
-    perm = np.arange(len(d))
+        def recorded(p):
+            src = at(p)
+            kinds.append(type(src).__name__)
+            return src
+
+        return recorded
+
+    monkeypatch.setattr(negtype, "_source", counted)
+    sp = space(spec)
+    perm = np.arange(sp.n)
     perm[[1, 2]] = [2, 1]
-    (found,) = roundness_search(d[None])
-    assert (not calls) == (spec in STRUCTURED)
-    calls.clear()
-    (dense,) = roundness_search(d[np.ix_(perm, perm)][None])
-    assert calls
+    relabelled = build_metric_space(sp.dist[np.ix_(perm, perm)])
+    found = negtype._space_search(sp, 64.0, 1e-9, 1e-9)
+    assert set(kinds) == {"_Row0Source" if spec in STRUCTURED else "_DenseSource"}
+    kinds.clear()
+    dense = negtype._space_search(relabelled, 64.0, 1e-9, 1e-9)
+    assert set(kinds) == {"_DenseSource"}
     (q, (lo, hi), _), (q_dense, (lo_dense, hi_dense), _) = found, dense
     assert abs(q - q_dense) <= 1e-9
     assert lo <= hi_dense and lo_dense <= hi
+    # the stacked dense search makes the decisions of the one-space search
+    assert roundness_search(relabelled.dist[None]) == [dense]
 
 
 @pytest.mark.parametrize("tol_p", [1e-17, 1e-300])
@@ -428,6 +436,27 @@ def test_structured_consumers_make_no_eigensolve(monkeypatch, spec):
     for p in (res.q / 2, res.q + 0.5):
         verdict = check_negative_type(sp, p)
         assert verdict.strict == (p < res.q)
+
+
+@pytest.mark.parametrize("spec", ["cycle:400", "hypercube:8"])
+def test_consumers_read_the_cached_order(monkeypatch, capsys, spec):
+    # a space detects its order once (`FiniteMetricSpace.order`); the search,
+    # the verdict, the kernel check and `gr verify` read it and never run the
+    # detector again
+    sp = space(spec)
+    assert sp.order is not None
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the row-0 order was detected again")
+
+    monkeypatch.setattr(negtype, "_row0_order", fail, raising=False)
+    monkeypatch.setattr(spectral, "_row0_order", fail)
+    res = generalized_roundness(sp)
+    assert res.status == "Finite" and res.certificate is not None
+    assert check_negative_type(sp, res.q / 2).strict
+    assert kernel_coincidence_check(sp, res.q).holds
+    assert cli.main(["verify", "--graph", spec]) == 0
+    assert '"holds":true' in capsys.readouterr().out
 
 
 def test_cycle_4096_kernel_coincidence():

@@ -233,9 +233,10 @@ def test_structured_consumers_agree_with_dense(g, data):
         magnitudes = np.abs(np.linalg.eigvalsh(unit_power(dense, q)))
         dense_det = magnitudes.min() / magnitudes.max()
         assert abs(res.det_normalized - dense_det) <= 1e-6 * dense_det + 4 * sp.n * 2.0**-52
-        dq = unit_power(sp, q)
-        assert_unit_zero_sum(res.certificate, dq)
-        assert np.max(np.abs(dq @ res.certificate)) <= CERTIFICATE_TOL
+        for result, metric in ((res, sp), (res_dense, dense)):
+            dq = unit_power(metric, q)
+            assert_unit_zero_sum(result.certificate, dq)
+            assert np.max(np.abs(dq @ result.certificate)) <= CERTIFICATE_TOL
         kernel, kernel_dense = kernel_coincidence_check(sp, q), kernel_coincidence_check(dense, q)
         assert (kernel.holds, kernel.form_kernel_dim, kernel.matrix_kernel_dim) == (
             kernel_dense.holds, kernel_dense.form_kernel_dim, kernel_dense.matrix_kernel_dim)
