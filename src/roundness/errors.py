@@ -43,7 +43,9 @@ class DimensionMismatchError(RoundnessError):
 # -- spectral -----------------------------------------------------------------
 
 class NoConvergenceError(RoundnessError):
-    """The eigensolver failed, or its reconstruction residual is too large."""
+    """The eigensolver failed, or its reconstruction residual is too large,
+    or (values only) its eigenvalues miss the trace or the squared Frobenius
+    norm of the matrix."""
 
     def __init__(self, residual: float | None = None, reason: str | None = None):
         self.residual = residual

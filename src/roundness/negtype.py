@@ -11,7 +11,9 @@ to place each probe and keeps bisection's worst-case step count. One driver
 runs it on the distances divided by their maximum, for any number of matrices
 in lock-step, each making the decisions a search of its own would:
 `roundness_search` drives a stack of distance matrices with one stacked
-eigensolve per step, and `generalized_roundness` drives one space.
+values-only eigensolve per step, and `generalized_roundness` drives one
+space. A step reads two eigenvalues of each M(p), the largest and the
+smallest, and decides in Python floats.
 
 Everything else a single space needs comes from one source per (space, p),
 built by `_source` and chosen once by `FiniteMetricSpace.order`: D_p of
@@ -21,8 +23,12 @@ cube-order space the source reads row 0 of D_p: D_p 1 = r(p) 1, so M(p) has
 the spectrum of D_p without r(p); the values are the transform of row 0
 (`spectral._row0_spectrum`), the modes its cosine or Walsh vectors
 (`spectral._row0_modes`), and D_p u a convolution (`spectral._row0_product`),
-with no n x n matrix built. On every other space the source eigendecomposes
-D_p and M(p) densely, each only when asked for. The one-space search,
+with no n x n matrix built. On every other space the source solves D_p and
+M(p) densely, each only when asked for: the values by a values-only solve
+(`spectral._eigvals`), and the modes by `eigensym`, run once, when a mode is
+first asked for. So the search, a strict verdict, `det_normalized` and the
+kernel masks solve for values alone, and only the witness, the certificate
+and the kernel modes eigendecompose. The one-space search,
 `check_negative_type`, the certificate and `kernel_coincidence_check` each
 have one body over the source.
 
@@ -68,6 +74,7 @@ from .metric import (
 )
 from .spectral import (
     ROW0_BLOCK,
+    _eigvals,
     _row0_modes,
     _row0_multiplicities,
     _row0_product,
@@ -181,9 +188,12 @@ class _Row0Source:
 
 
 class _DenseSource:
-    """The source of any other space: the matrix D_p, and `eigensym` of
-    D_p and of M(p), each on first use, whose values descend (so r(p), the
-    largest of D_p's on a row-permutation space, is entry 0)."""
+    """The source of any other space: the matrix D_p, and the spectra of
+    D_p and of M(p), each on first use. Their values come from a values-only
+    solve (`spectral._eigvals`), their modes from `eigensym`, run once, when
+    a mode is first asked for. Both descend, so r(p), the largest of D_p's
+    values on a row-permutation space, is entry 0, and an index into the
+    values picks the same eigenpair in the modes."""
 
     def __init__(self, unit: np.ndarray, counts: np.ndarray, max_d: float, p: float):
         self.unit, self.counts, self.max_d, self.p = unit, counts, max_d, p
@@ -197,27 +207,32 @@ class _DenseSource:
 
     @cached_property
     def matrix(self) -> _Spectrum:
-        return _dense_spectrum(eigensym(self.dp), self.counts, None)
+        return _dense_spectrum(self.dp, self.counts, None)
 
     @cached_property
     def form(self) -> _Spectrum:
-        sd = eigensym(negtype_form_matrix(self.unit, self.p))
-        return _dense_spectrum(sd, self.counts[1:], hyperplane_basis(len(self.unit)))
+        return _dense_spectrum(negtype_form_matrix(self.unit, self.p), self.counts[1:],
+                               hyperplane_basis(len(self.unit)))
 
 
-def _dense_spectrum(sd, counts, basis) -> _Spectrum:
-    """`sd` as a `_Spectrum` with multiplicities `counts` (all 1), its
-    modes lifted by `basis` (if not None), each with its first entry above
-    1e-12 of its largest made positive, as entry 0 of a row-0 mode is."""
+def _dense_spectrum(a, counts, basis) -> _Spectrum:
+    """The spectrum of the symmetric matrix `a` as a `_Spectrum` with
+    multiplicities `counts` (all 1): values by `_eigvals`, and modes from
+    `eigensym(a)`, run on first use, lifted by `basis` (if not None), each
+    with its first entry above 1e-12 of its largest made positive, as entry
+    0 of a row-0 mode is."""
+    solved = []  # eigensym(a), once a mode is asked for
 
     def modes(idx):
-        u = sd.eigenvectors[:, idx]
+        if not solved:
+            solved.append(eigensym(a))
+        u = solved[0].eigenvectors[:, idx]
         u = u if basis is None else basis @ u
         u = u / np.linalg.norm(u, axis=0)
         first = (np.abs(u) > 1e-12 * np.abs(u).max(axis=0)).argmax(axis=0)
         return u * np.sign(u[first, np.arange(u.shape[1])])
 
-    return _Spectrum(sd.eigenvalues, counts, modes)
+    return _Spectrum(_eigvals(a), counts, modes)
 
 
 def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-9) -> NegTypeVerdict:
@@ -346,25 +361,25 @@ def _lockstep(stack, extremes, p_max: float, tol_p: float, tol_eig: float) -> li
     """The root searches (`_itp`) of the members of `stack`, run in lock-step.
 
     Each step calls `extremes(stack, p)` once, with `stack` cut down to the
-    members still searching, in order, and p their exponents; it returns
-    the largest and the smallest eigenvalue of each M(p), as two arrays.
-    The predicate "largest eigenvalue <= tol_eig times the spectral radius"
-    is sent to each search with the eigenvalue's margin. Returns, per
-    member, what its search returns.
+    members still searching, in order, and p the list of their exponents;
+    it returns the largest and the smallest eigenvalue of each M(p), as two
+    arrays. The predicate "largest eigenvalue <= tol_eig times the spectral
+    radius" is sent to each search with the eigenvalue's margin, both
+    computed per member in Python floats. Returns, per member, what its
+    search returns.
     """
     found: list[tuple[float, tuple[float, float], int] | None] = [None] * len(stack)
     live = [(i, _itp(p_max, tol_p)) for i in range(len(stack))]
     probes = [next(search) for _, search in live]
     while live:
-        lmax, lmin = extremes(stack, np.array(probes))
-        scale = np.maximum(lmax, -lmin)
-        # scale > 0: the largest entry of D_p is 1, so M(p) is not 0
-        holds, margins = lmax <= tol_eig * scale, lmax / scale - tol_eig
+        lmax, lmin = extremes(stack, probes)
         keep, probes = [], []
-        for j, sent in enumerate(zip(holds.tolist(), margins.tolist())):
+        for j, (top, bottom) in enumerate(zip(lmax.tolist(), lmin.tolist())):
+            # scale > 0: the largest entry of D_p is 1, so M(p) is not 0
+            scale = max(top, -bottom)
             i, search = live[j]
             try:
-                probes.append(search.send(sent))
+                probes.append(search.send((top <= tol_eig * scale, top / scale - tol_eig)))
                 keep.append(j)
             except StopIteration as stop:
                 found[i] = stop.value
@@ -392,7 +407,7 @@ def roundness_search(
     The search runs on the distances divided by their maximum, so it
     neither overflows nor underflows at any unit of distance. Each step
     evaluates every matrix still searching at its own p, with one stacked
-    dense eigensolve. Returns, per matrix, (q, (p_lo, p_hi), ITP
+    dense values-only eigensolve. Returns, per matrix, (q, (p_lo, p_hi), ITP
     iterations), or None when the predicate still holds at p_max
     (Unbounded). Bad tol_p, p_max or tol_eig raise BadParamsError, and
     non-finite distances NonFiniteMatrixError, before any eigensolve.
@@ -407,7 +422,7 @@ def roundness_search(
     d = d / d.max(axis=(-2, -1), keepdims=True)
 
     def extremes(d, p):
-        values = eigensym(negtype_form_matrix(d, p)).eigenvalues  # descending
+        values = _eigvals(negtype_form_matrix(d, np.array(p)))  # descending
         return values[:, 0], values[:, -1]
 
     return _lockstep(d, extremes, p_max, tol_p, tol_eig)
@@ -419,7 +434,7 @@ def _space_search(space: FiniteMetricSpace, p_max: float, tol_p: float, tol_eig:
     _check_search_params(p_max, tol_p, tol_eig)
 
     def extremes(sources, p):
-        values = sources[0](float(p[0])).form.values
+        values = sources[0](p[0]).form.values
         return values.max(keepdims=True), values.min(keepdims=True)
 
     (found,) = _lockstep(np.array([_source(space)], dtype=object), extremes,

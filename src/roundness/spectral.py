@@ -2,9 +2,12 @@
 
 Floating-point side: the one symmetry guard (`symmetrized`) and a symmetric
 eigensolver on LAPACK (`numpy.linalg.eigh`) with a deterministic sort and
-sign convention and a checked reconstruction residual. Both take a single
-matrix or a stack (..., k, k), which LAPACK solves in one call, and check
-every matrix of a stack as they would check it alone.
+sign convention and a checked reconstruction residual. Its values-only
+sibling (`_eigvals`, on `numpy.linalg.eigvalsh`) shares its guards and,
+having no eigenvectors to rebuild the matrix from, checks each matrix's
+values against its trace and its squared Frobenius norm. All of them take a
+single matrix or a stack (..., k, k), which LAPACK solves in one call, and
+check every matrix of a stack as they would check it alone.
 
 Row-0 structure, the one place that builds and detects it: a circulant
 matrix (d[i, j] = f((j - i) mod n)) or one in cube order (d[i, j] = f(i xor
@@ -23,7 +26,7 @@ overflow and in Python integers everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, sqrt
 
 import numpy as np
 
@@ -71,6 +74,28 @@ def _symmetrized(a: np.ndarray, amax: np.ndarray) -> np.ndarray:
     return (a + at) / 2.0
 
 
+def _guarded(a, solve):
+    """The guard prelude of `eigensym` and `_eigvals`: `a` as a float stack
+    (m, k, k), max |a_ij| of each matrix, the stack's leading shape, and
+    `solve` (a LAPACK driver) on the symmetrized stack.
+
+    NonFiniteMatrixError on NaN or infinite entries, NotSymmetricError past
+    the symmetry guard and NoConvergenceError if LAPACK fails, each for
+    every matrix of a stack as for a single one."""
+    a0 = np.asarray(a, dtype=float)
+    _check_square(a0)
+    amax = np.abs(a0).max(axis=(-2, -1))  # NaN or inf exactly when an entry is
+    if not np.isfinite(amax).all():
+        raise NonFiniteMatrixError("matrix contains non-finite entries")
+    sym = _symmetrized(a0, amax)
+    stack, k = a0.shape[:-2], a0.shape[-1]
+    try:
+        out = solve(sym.reshape(-1, k, k))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(reason=str(exc)) from exc
+    return a0.reshape(-1, k, k), amax.reshape(-1), stack, out
+
+
 def eigensym(a) -> SpectralData:
     """Full eigendecomposition of a symmetric matrix, or of every matrix of a
     stack (..., k, k) in one call, by LAPACK (`eigh`).
@@ -83,18 +108,8 @@ def eigensym(a) -> SpectralData:
     above 1e-9 relative to its own max |a_ij|. For a stack, every field has
     the stack's leading axes (`residual` is then an array).
     """
-    a0 = np.asarray(a, dtype=float)
-    _check_square(a0)
-    amax = np.abs(a0).max(axis=(-2, -1))  # NaN or inf exactly when an entry is
-    if not np.isfinite(amax).all():
-        raise NonFiniteMatrixError("matrix contains non-finite entries")
-    sym = _symmetrized(a0, amax)
-    stack, k = a0.shape[:-2], a0.shape[-1]
-    a0, sym, amax = a0.reshape(-1, k, k), sym.reshape(-1, k, k), amax.reshape(-1)
-    try:
-        w, V = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(reason=str(exc)) from exc
+    a0, amax, stack, (w, V) = _guarded(a, np.linalg.eigh)
+    k = a0.shape[-1]
 
     # per matrix: stable descending order, then the sign rule
     m = np.arange(len(w))[:, None]
@@ -114,6 +129,39 @@ def eigensym(a) -> SpectralData:
     resid.setflags(write=False)
     return SpectralData(eigenvalues=w, eigenvectors=V,
                         residual=resid if stack else float(resid))
+
+
+def _eigvals(a) -> np.ndarray:
+    """The eigenvalues alone of a symmetric matrix, or of every matrix of a
+    stack (..., k, k) in one call, by LAPACK (`eigvalsh`): descending and
+    read-only, with the stack's leading axes.
+
+    The guards are `eigensym`'s. With no eigenvectors to rebuild the matrix
+    from, each matrix's values w are held to the two identities any
+    spectrum of it meets, each within RESIDUAL_RTOL of its own scale: sum w
+    = tr a, on the scale sqrt(k) ||a||_F that bounds both sides, and sum w^2
+    = ||a||_F^2. NoConvergenceError if either fails for any matrix of a
+    stack.
+    """
+    a0, amax, stack, w = _guarded(a, np.linalg.eigvalsh)
+    m, k = w.shape
+    w = w[:, ::-1]
+    # both identities on a / max |a_ij|, whose squares neither overflow nor underflow
+    unit = amax + (amax == 0)
+    u = w / unit[:, None]
+    b = (a0 / unit[:, None, None]).reshape(m, 1, k * k)
+    sums = u.sum(axis=1).tolist()
+    squares = (u[:, None] @ u[:, :, None]).ravel().tolist()
+    traces = b[:, 0, ::k + 1].sum(axis=1).tolist()  # every (k + 1)-th entry: the diagonal
+    frobenius = (b @ b.swapaxes(1, 2)).ravel().tolist()
+    for s, q, t, f in zip(sums, squares, traces, frobenius):
+        if abs(s - t) > RESIDUAL_RTOL * sqrt(k * f) or abs(q - f) > RESIDUAL_RTOL * f:
+            raise NoConvergenceError(reason=f"eigenvalues miss the trace by {abs(s - t):.3e} or "
+                                            f"the squared Frobenius norm by {abs(q - f):.3e}, "
+                                            f"on a / max |a_ij|")
+    w = w.reshape(*stack, k)
+    w.setflags(write=False)
+    return w
 
 
 # -- row-0 structure ------------------------------------------------------------

@@ -172,11 +172,8 @@ def test_stacked_search_raises_what_the_single_search_raises():
 
 def test_search_needs_few_evaluations(monkeypatch):
     # ITP: doubling plus about 7 steps where bisection took 30
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(24, 3))
-    eucl = build_metric_space(np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1)))
     spaces = [space(s) for s in ("cycle:5", "petersen", "hypercube:4", "hypercube:5",
-                                 "cycle:25")] + [eucl]
+                                 "cycle:25")] + [euclidean_space(24)]
     calls = []
     source = negtype._source
 
@@ -199,6 +196,90 @@ def test_search_needs_few_evaluations(monkeypatch):
     assert np.median(evaluations) <= 12, evaluations
 
 
+def euclidean_space(n, seed=4):
+    """The distances of n seeded Gaussian points in R^3: roundness 2."""
+    x = np.random.default_rng(seed).normal(size=(n, 3))
+    return build_metric_space(np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1)))
+
+
+def weighted_graph_space(n, seed=9):
+    """Shortest paths on the complete graph with seeded integer weights 1..9."""
+    w = np.triu(np.random.default_rng(seed).integers(1, 10, size=(n, n)), 1).astype(float)
+    d = w + w.T
+    for k in range(n):
+        d = np.minimum(d, d[:, k:k + 1] + d[k])
+    return build_metric_space(d)
+
+
+def relabelled(sp):
+    """`sp` with vertices 1 and 2 swapped: on the graphs used here, neither
+    circulant nor in cube order, so every consumer takes the dense source."""
+    perm = np.arange(sp.n)
+    perm[[1, 2]] = [2, 1]
+    return build_metric_space(sp.dist[np.ix_(perm, perm)])
+
+
+# (q, bracket, ITP iterations) of `generalized_roundness`, as float.hex, on
+# the spaces of the benchmark's fleet_q workload (its two seeded families
+# drawn here from numpy seeds) and on a dense 256-point space that takes 31
+# ITP steps
+GOLDEN_DECISIONS = {
+    "cycle:5": ("0x1.6373ad2140800p+0", ("0x1.6373ad1f89000p+0", "0x1.6373ad22f8000p+0"), 11),
+    "petersen": ("0x1.0000000822800p+0", ("0x1.00000006f9000p+0", "0x1.000000094c000p+0"), 7),
+    "icosahedron": ("0x1.0000000a4f000p+0", ("0x1.00000008d6000p+0", "0x1.0000000bc8000p+0"), 7),
+    "dodecahedron": ("0x1.0000000dfe000p+0", ("0x1.0000000dec000p+0", "0x1.0000000e10000p+0"), 5),
+    "hypercube:4": ("0x1.0000000c76000p+0", ("0x1.0000000c64000p+0", "0x1.0000000c88000p+0"), 5),
+    "hypercube:5": ("0x1.0000001052000p+0", ("0x1.0000001040000p+0", "0x1.0000001064000p+0"), 5),
+    "circulant:24:1,5": ("0x1.a8ff972b90000p-2", ("0x1.a8ff9728d0000p-2", "0x1.a8ff972e50000p-2"),
+                         8),
+    "cycle:25": ("0x1.0342d32594000p+0", ("0x1.0342d32450000p+0", "0x1.0342d326d8000p+0"), 8),
+    "eucl:24": ("0x1.0000000a32000p+1", ("0x1.0000000984000p+1", "0x1.0000000ae0000p+1"), 8),
+    "wgraph:24": ("0x1.0b98abcbd4000p-1", ("0x1.0b98abc998000p-1", "0x1.0b98abce10000p-1"), 10),
+    "relabelled circulant:256:1,5": ("0x1.c1d13c9800000p-2",
+                                     ("0x1.c1d13c9000000p-2", "0x1.c1d13ca000000p-2"), 31),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_DECISIONS)
+def test_search_decisions_are_golden(name):
+    # every probe, bracket end and step count of the search, bit for bit
+    if name == "eucl:24":
+        sp = euclidean_space(24)
+    elif name == "wgraph:24":
+        sp = weighted_graph_space(24)
+    elif name.startswith("relabelled "):
+        sp = relabelled(space(name.split()[1]))
+    else:
+        sp = space(name)
+    res = generalized_roundness(sp)
+    assert (res.q.hex(), tuple(x.hex() for x in res.bracket), res.iterations) \
+        == GOLDEN_DECISIONS[name]
+
+
+@pytest.mark.parametrize("make", [lambda: space("petersen"), lambda: space("dodecahedron"),
+                                  lambda: euclidean_space(24)],
+                         ids=["petersen", "dodecahedron", "eucl:24"])
+def test_dense_search_and_strict_verdict_solve_for_values_only(monkeypatch, make):
+    # the search and a strict verdict read eigenvalues alone; only a witness
+    # asks for modes, and then `eigensym` runs once
+    sp = make()
+    assert sp.order is None
+    calls = []
+    eigensym = negtype.eigensym
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigensym(a)
+
+    monkeypatch.setattr(negtype, "eigensym", counted)
+    q, _, _ = negtype._space_search(sp, 64.0, 1e-9, 1e-9)
+    assert check_negative_type(sp, q / 2).strict
+    assert calls == []
+    verdict = check_negative_type(sp, q + 0.5)
+    assert not verdict.strict and verdict.witness is not None
+    assert calls == [(sp.n - 1, sp.n - 1)]
+
+
 # the graphs of the benchmark's fleet_q workload, and three larger ones;
 # the circulants and cubes among them take the structured spectrum
 STRUCTURED = ["cycle:5", "hypercube:4", "hypercube:5", "circulant:24:1,5", "cycle:25",
@@ -208,8 +289,8 @@ GENERIC = ["petersen", "icosahedron", "dodecahedron"]
 
 @pytest.mark.parametrize("spec", STRUCTURED + GENERIC)
 def test_structured_search_agrees_with_dense_search(monkeypatch, spec):
-    # swapping vertices 1 and 2 leaves every one of these spaces neither
-    # circulant nor in cube order, so its search runs on the dense source
+    # relabelled, each of these spaces is neither circulant nor in cube
+    # order, so its search runs on the dense source
     kinds = []
     source = negtype._source
 
@@ -225,19 +306,17 @@ def test_structured_search_agrees_with_dense_search(monkeypatch, spec):
 
     monkeypatch.setattr(negtype, "_source", counted)
     sp = space(spec)
-    perm = np.arange(sp.n)
-    perm[[1, 2]] = [2, 1]
-    relabelled = build_metric_space(sp.dist[np.ix_(perm, perm)])
+    dense_sp = relabelled(sp)
     found = negtype._space_search(sp, 64.0, 1e-9, 1e-9)
     assert set(kinds) == {"_Row0Source" if spec in STRUCTURED else "_DenseSource"}
     kinds.clear()
-    dense = negtype._space_search(relabelled, 64.0, 1e-9, 1e-9)
+    dense = negtype._space_search(dense_sp, 64.0, 1e-9, 1e-9)
     assert set(kinds) == {"_DenseSource"}
     (q, (lo, hi), _), (q_dense, (lo_dense, hi_dense), _) = found, dense
     assert abs(q - q_dense) <= 1e-9
     assert lo <= hi_dense and lo_dense <= hi
     # the stacked dense search makes the decisions of the one-space search
-    assert roundness_search(relabelled.dist[None]) == [dense]
+    assert roundness_search(dense_sp.dist[None]) == [dense]
 
 
 @pytest.mark.parametrize("tol_p", [1e-17, 1e-300])
@@ -430,6 +509,7 @@ def test_structured_consumers_make_no_eigensolve(monkeypatch, spec):
         raise AssertionError("an eigensolve ran")
 
     monkeypatch.setattr(negtype, "eigensym", fail)
+    monkeypatch.setattr(negtype, "_eigvals", fail)
     res = generalized_roundness(sp)
     assert res.certificate is not None and 0 <= res.det_normalized <= 1e-6
     assert kernel_coincidence_check(sp, res.q).holds

@@ -25,7 +25,7 @@ from roundness.errors import (
     RoundnessError,
 )
 from roundness import spectral
-from roundness.spectral import INT64_MAX_ORDER, _eliminate, _exact, _row0_order
+from roundness.spectral import INT64_MAX_ORDER, _eigvals, _eliminate, _exact, _row0_order
 
 try:
     import sympy
@@ -236,6 +236,88 @@ def test_eigensym_stack_residual_bound_per_member(monkeypatch):
         eigensym(np.stack([1e12 * GOOD, bad, GOOD]))
     assert stacked.value.residual == single.value.residual == pytest.approx(1e-6)
     assert str(stacked.value) == str(single.value)
+
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 1.0], [np.nan, 1.0, 0.0]]),
+    np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]]),
+    1e-13 * np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]]),
+], ids=["non-finite", "asymmetric", "asymmetric-tiny-scale"])
+def test_eigvals_guards_are_eigensyms(bad):
+    # the values-only solver raises what `eigensym` raises, alone and in a stack
+    with pytest.raises(RoundnessError) as full:
+        eigensym(bad)
+    for a in (bad, np.stack([GOOD, 1e6 * GOOD, bad, GOOD])):
+        with pytest.raises(type(full.value)) as values:
+            _eigvals(a)
+        assert str(values.value) == str(full.value)
+
+
+def test_eigvals_maps_lapack_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        _eigvals(np.eye(3))
+
+
+def test_eigvals_trace_and_frobenius_checks_per_member(monkeypatch):
+    true_eigvalsh = np.linalg.eigvalsh
+    bad = np.diag([3.0, 1.0, -2.0])
+
+    def shifted(a):
+        # shifts the eigenvalues of the members whose [0, 0] entry is 3 only
+        return true_eigvalsh(a) + 1e-6 * (a[..., :1, 0] == 3.0)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    _eigvals(np.stack([GOOD, 1e12 * GOOD]))
+    for a in (bad, np.stack([1e12 * GOOD, bad, GOOD])):
+        with pytest.raises(NoConvergenceError):
+            _eigvals(a)
+    # a shift the trace cannot see: one value up, one down, by 1e-6 of max |a_ij|
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: true_eigvalsh(a) + [-1e-6, 0.0, 1e-6])
+    with pytest.raises(NoConvergenceError):
+        _eigvals(np.stack([GOOD, bad]))
+
+
+def test_eigvals_stack_equals_single_calls():
+    rng = np.random.default_rng(7)
+    members = [random_symmetric(rng, 5, scale) for scale in (1e-6, 1.0, 1e6)]
+    members += [np.eye(5), np.zeros((5, 5)), np.ones((5, 5)) - np.eye(5)]
+    w = _eigvals(np.stack(members))
+    assert w.shape == (6, 5) and not w.flags.writeable
+    for j, a in enumerate(members):
+        one = _eigvals(a)
+        assert one.shape == (5,) and not one.flags.writeable
+        assert np.array_equal(w[j], one)
+        assert np.all(np.diff(one) <= 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spectrum=st.lists(st.sampled_from([-3.0, -1.0, 0.0, 0.5, 2.0, 1e3]), min_size=1, max_size=12),
+    kind=st.sampled_from(["degenerate", "random", "wide"]),
+)
+def test_eigvals_match_eigensym(seed, spectrum, kind):
+    """Random symmetric matrices up to 12x12: the drawn spectrum, mostly
+    repeated eigenvalues ("degenerate"), a generic Gaussian matrix
+    ("random"), or eigenvalues of magnitude 1e-8 to 1e8 ("wide")."""
+    rng = np.random.default_rng(seed)
+    n = len(spectrum)
+    if kind == "random":
+        a = random_symmetric(rng, n, scale=3.0)
+    else:
+        w = np.array(spectrum)
+        if kind == "wide":
+            w = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 8, n)
+        basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        a = (basis * w) @ basis.T
+        a = (a + a.T) / 2
+    values = _eigvals(a)
+    assert np.max(np.abs(values - eigensym(a).eigenvalues)) <= 1e-12 * np.max(np.abs(a))
 
 
 def test_huge_distances_give_the_unscaled_roundness():
