@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadParamsError, DisconnectedError, UnknownFamilyError
 from .metric import FiniteMetricSpace, _readonly
-from .spectral import _row0_index, _row0_order
+from .spectral import _row0_index, _row0_order_of_edges
 
 SOLIDS = ("dodecahedron", "icosahedron")
 
@@ -63,21 +63,18 @@ def adjacency(g: Graph) -> list[list[int]]:
 def path_metric(g: Graph) -> FiniteMetricSpace:
     """Shortest-path distance matrix by breadth-first search.
 
-    When the adjacency matrix is circulant or in cube order
-    (`spectral._row0_order`), so is the distance matrix, and one BFS from
-    vertex 0 gives row 0, read through that order's index; otherwise BFS
-    runs from every vertex. Distances are integers stored exactly; the
-    result is a metric by construction, so the triangle-inequality
-    revalidation is skipped.
+    When the adjacency matrix is circulant or in cube order, as its edge set
+    tells (`spectral._row0_order_of_edges`), so is the distance matrix, and
+    one BFS from vertex 0 gives row 0, read through that order's index;
+    otherwise BFS runs from every vertex. No adjacency matrix is built.
+    Distances are integers stored exactly; the result is a metric by
+    construction, so the triangle-inequality revalidation is skipped.
     """
     if g.n < 2:
         raise ValueError("a metric space needs at least 2 vertices")
     adj = adjacency(g)
     n = g.n
-    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    mask = np.zeros((n, n), dtype=bool)
-    mask[edges[:, 0], edges[:, 1]] = mask[edges[:, 1], edges[:, 0]] = True
-    order = _row0_order(mask)
+    order = _row0_order_of_edges(n, np.array(g.edges, dtype=np.intp).reshape(-1, 2))
     if order:
         dist = _bfs(adj, 0).astype(float)[_row0_index(order, n)]
     else:

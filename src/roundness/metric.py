@@ -25,7 +25,7 @@ from .errors import (
     TriangleViolationError,
     ZeroDistanceError,
 )
-from .spectral import SYMMETRY_RTOL, _row0_order, symmetrized
+from .spectral import SYMMETRY_RTOL, ClassSpectrum, _class_spectrum, _row0_order, symmetrized
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -61,6 +61,16 @@ class FiniteMetricSpace:
         detected once per space, as `dist` is read-only. Consumers then
         read row 0 alone."""
         return _row0_order(self.dist)
+
+    @cached_property
+    def classes(self) -> ClassSpectrum | None:
+        """The joint spectrum of the distance classes
+        (`spectral._class_spectrum`) when the rows of `dist` are
+        permutations of row 0 (`has_row_permutation_property`) and the
+        classes commute, as they do on a distance-regular graph or a
+        relabelled circulant, else None; computed once per space, which then
+        reads the spectrum of every D_p off it."""
+        return _class_spectrum(self.dist) if has_row_permutation_property(self) else None
 
 
 @dataclass(frozen=True)

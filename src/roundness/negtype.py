@@ -16,21 +16,34 @@ space. A step reads two eigenvalues of each M(p), the largest and the
 smallest, and decides in Python floats.
 
 Everything else a single space needs comes from one source per (space, p),
-built by `_source` and chosen once by `FiniteMetricSpace.order`: D_p of
-d / max d, its product with a vector, and the spectra of D_p and of M(p),
-each as values, multiplicities and unit modes by index. On a circulant or
-cube-order space the source reads row 0 of D_p: D_p 1 = r(p) 1, so M(p) has
-the spectrum of D_p without r(p); the values are the transform of row 0
-(`spectral._row0_spectrum`), the modes its cosine or Walsh vectors
-(`spectral._row0_modes`), and D_p u a convolution (`spectral._row0_product`),
-with no n x n matrix built. On every other space the source solves D_p and
-M(p) densely, each only when asked for: the values by a values-only solve
-(`spectral._eigvals`), and the modes by `eigensym`, run once, when a mode is
-first asked for. So the search, a strict verdict, `det_normalized` and the
-kernel masks solve for values alone, and only the witness, the certificate
-and the kernel modes eigendecompose. The one-space search,
-`check_negative_type`, the certificate and `kernel_coincidence_check` each
-have one body over the source.
+built by `_source`: D_p of d / max d, its product with a vector, and the
+spectra of D_p and of M(p), each as values, multiplicities and unit modes by
+index. There are three sources, chosen once per space by what the space
+caches about itself:
+
+- Row 0, on a circulant or cube-order space (`FiniteMetricSpace.order`).
+  D_p 1 = r(p) 1, so M(p) has the spectrum of D_p without r(p); the values
+  are the transform of row 0 (`spectral._row0_spectrum`), the modes its
+  cosine or Walsh vectors (`spectral._row0_modes`), and D_p u a convolution
+  (`spectral._row0_product`), with no n x n matrix built.
+- Commuting distance classes, on any other space whose rows are
+  permutations of row 0 and whose distance classes commute, as on Petersen,
+  the solids or a relabelled circulant (`FiniteMetricSpace.classes`). D_p =
+  sum_k (d_k / max d)^p A_k, and the class matrices A_k share one
+  eigenbasis, so one eigendecomposition per space gives the eigenmatrix
+  Theta, and the values of D_p at every p are Theta (d / max d)^p, r(p)
+  first: each search step is a small product. The modes are one stored
+  vector per joint eigenspace, and D_p u stays a dense product, so the
+  certificate and the kernel defects are residuals of D_p itself.
+- Dense, on every other space. It solves D_p and M(p) only when asked for:
+  the values by a values-only solve (`spectral._eigvals`), and the modes by
+  `eigensym`, run once, when a mode is first asked for. So the search, a
+  strict verdict, `det_normalized` and the kernel masks solve for values
+  alone, and only the witness, the certificate and the kernel modes
+  eigendecompose.
+
+The one-space search, `check_negative_type`, the certificate and
+`kernel_coincidence_check` each have one body over the source.
 
 For spaces whose distance-matrix rows are permutations of each other (all
 vertex-transitive graphs), q is also the first exponent where det(D_p)
@@ -74,6 +87,7 @@ from .metric import (
 )
 from .spectral import (
     ROW0_BLOCK,
+    ClassSpectrum,
     _eigvals,
     _row0_modes,
     _row0_multiplicities,
@@ -156,17 +170,23 @@ class _Spectrum(NamedTuple):
 
 def _source(space: FiniteMetricSpace):
     """The source of D_p of d / max d for `space`, as a function of p: read
-    on row 0 for a space with an order (`FiniteMetricSpace.order`), else
-    densely. A source has `max_d`, `product(u)` = D_p u, and the spectra
-    `matrix` of D_p and `form` of M(p)."""
-    if space.order is None:
-        max_d = float(space.dist.max())
-        unit, counts = space.dist / max_d, np.ones(space.n, dtype=np.int64)
-        return lambda p: _DenseSource(unit, counts, max_d, p)
-    order, row = space.order, space.dist[0]
-    max_d = float(row.max())
-    unit, counts = row / max_d, _row0_multiplicities(order, space.n)
-    return lambda p: _Row0Source(order, unit, counts, max_d, p)
+    on row 0 for a space with an order (`FiniteMetricSpace.order`), off the
+    joint spectrum of its distance classes when they commute
+    (`FiniteMetricSpace.classes`), else densely. A source has `max_d`,
+    `product(u)` = D_p u, and the spectra `matrix` of D_p and `form` of
+    M(p)."""
+    if space.order is not None:
+        order, row = space.order, space.dist[0]
+        max_d = float(row.max())
+        unit, counts = row / max_d, _row0_multiplicities(order, space.n)
+        return lambda p: _Row0Source(order, unit, counts, max_d, p)
+    max_d = float(space.dist.max())
+    unit, classes = space.dist / max_d, space.classes
+    if classes is not None:
+        distances = classes.distances / max_d
+        return lambda p: _ClassSource(classes, distances, unit, max_d, p)
+    counts = np.ones(space.n, dtype=np.int64)
+    return lambda p: _DenseSource(unit, counts, max_d, p)
 
 
 class _Row0Source:
@@ -187,7 +207,39 @@ class _Row0Source:
         return _row0_product(self.order, self.row, u)
 
 
-class _DenseSource:
+class _DenseProduct:
+    """D_p of the distances `unit` (d / max d), built on first use, and its
+    product with a vector."""
+
+    def __init__(self, unit: np.ndarray, max_d: float, p: float):
+        self.unit, self.max_d, self.p = unit, max_d, p
+
+    @cached_property
+    def dp(self) -> np.ndarray:
+        return power_matrix(self.unit, self.p)
+
+    def product(self, u: np.ndarray) -> np.ndarray:
+        return self.dp @ u
+
+
+class _ClassSource(_DenseProduct):
+    """The source of a space whose distance classes commute: the
+    eigenvalues of D_p are the eigenmatrix of the classes times the powered
+    class distances, r(p) first, and each joint eigenspace has one stored
+    mode. D_p u is the dense product, so a certificate or a kernel defect
+    is a residual of D_p itself, not of the spectrum it is read against."""
+
+    def __init__(self, classes: ClassSpectrum, unit_distances: np.ndarray, unit: np.ndarray,
+                 max_d: float, p: float):
+        super().__init__(unit, max_d, p)
+        values = classes.eigenmatrix @ _power(unit_distances, p)
+        modes, dims = classes.modes, classes.dims
+        self.matrix = _Spectrum(values, dims, lambda idx: modes[:, idx])
+        # entry 0 is the eigenspace of 1, whose complement is 1^perp
+        self.form = _Spectrum(values[1:], dims[1:], lambda idx: modes[:, np.add(idx, 1)])
+
+
+class _DenseSource(_DenseProduct):
     """The source of any other space: the matrix D_p, and the spectra of
     D_p and of M(p), each on first use. Their values come from a values-only
     solve (`spectral._eigvals`), their modes from `eigensym`, run once, when
@@ -196,14 +248,8 @@ class _DenseSource:
     values picks the same eigenpair in the modes."""
 
     def __init__(self, unit: np.ndarray, counts: np.ndarray, max_d: float, p: float):
-        self.unit, self.counts, self.max_d, self.p = unit, counts, max_d, p
-
-    @cached_property
-    def dp(self) -> np.ndarray:
-        return power_matrix(self.unit, self.p)
-
-    def product(self, u: np.ndarray) -> np.ndarray:
-        return self.dp @ u
+        super().__init__(unit, max_d, p)
+        self.counts = counts
 
     @cached_property
     def matrix(self) -> _Spectrum:

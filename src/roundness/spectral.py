@@ -16,6 +16,13 @@ transform of row 0 gives its spectrum, the cosine or Walsh modes its
 eigenvectors, and a convolution of row 0 its product with a vector, so no
 such matrix need be built to be used.
 
+Commuting distance classes: when the rows of a matrix are permutations of
+row 0 and its class matrices A_k (1 where the entry is the k-th distinct
+distance) commute, one eigendecomposition of a generic combination of them,
+checked against every A_k, gives their joint eigenspaces and the eigenmatrix
+Theta, and then the spectrum of any sum_k f(d_k) A_k is Theta f(d)
+(`_class_spectrum`).
+
 Exact side: one fraction-free Gauss-Jordan elimination (Bareiss's one-step
 form) over a stack of integer matrices, whose single pass gives the rank
 over the rationals, the exact determinant and an integer kernel basis, with
@@ -25,8 +32,10 @@ overflow and in Python integers everywhere else.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import gcd, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +71,12 @@ def _check_square(a: np.ndarray) -> None:
 
 
 def _symmetrized(a: np.ndarray, amax: np.ndarray) -> np.ndarray:
-    """`symmetrized`, given max |a_ij| of each matrix."""
+    """`symmetrized`, given max |a_ij| of each matrix. A stack that is
+    exactly symmetric, as `negtype.negtype_form_matrix` makes it, passes the
+    guard as it is, so no matrix is symmetrized twice."""
     at = a.swapaxes(-1, -2)
+    if (a == at).all():
+        return a
     gap = np.abs(a - at)
     over = gap.max(axis=(-2, -1)) > SYMMETRY_RTOL * amax
     if np.count_nonzero(over):
@@ -199,6 +212,25 @@ def _row0_order(a: np.ndarray) -> str | None:
     return None
 
 
+def _row0_order_of_edges(n: int, edges: np.ndarray) -> str | None:
+    """`_row0_order` of the symmetric 0/1 matrix of an n-vertex graph with
+    the edges (m, 2), read off the edge set: "circulant" if i -> i + 1 mod
+    n maps every edge to an edge, else "cube" if n is a power of two and
+    every i -> i xor 2^b does, else None. Each map is looked up edge by
+    edge, so no row of the matrix is compared."""
+    if n < 2:
+        return None
+    u, v = edges[:, 0], edges[:, 1]
+    mask = np.zeros((n, n), dtype=bool)
+    mask[u, v] = mask[v, u] = True
+    if mask[(u + 1) % n, (v + 1) % n].all():
+        return "circulant"
+    bits = 1 << np.arange(n.bit_length() - 1)[:, None]
+    if n & (n - 1) == 0 and mask[u ^ bits, v ^ bits].all():
+        return "cube"
+    return None
+
+
 def _row0_spectrum(order: str, row: np.ndarray) -> np.ndarray:
     """Each distinct eigenvalue of the symmetric matrix in `order` with row 0
     `row` at least once, the row sum first: the real part of its `rfft`
@@ -255,6 +287,105 @@ def _row0_product(order: str, row: np.ndarray, u: np.ndarray) -> np.ndarray:
     if order == "circulant":
         return np.fft.irfft(np.fft.rfft(row)[lead] * np.fft.rfft(u, axis=0), n, axis=0)
     return _row0_spectrum(order, _row0_spectrum(order, row)[lead] * _row0_spectrum(order, u)) / n
+
+
+# -- commuting distance classes -------------------------------------------------
+
+# two eigenvalues of the generic class combination further apart than this,
+# relative to its largest, belong to different joint eigenspaces
+CLASS_GAP_RTOL = 1e-10
+# the largest defect A_k V - V Theta_k that `_class_spectrum` accepts,
+# relative to |A_k| |V r|; a non-commuting family of 0/1 matrices misses by
+# far more, and Rayleigh quotients on vectors this close are exact to ~1e-16
+CLASS_RTOL = 1e-8
+_CLASS_SEED = 20111
+
+
+class ClassSpectrum(NamedTuple):
+    """The joint spectrum of the distance classes of a matrix whose classes
+    commute. `distances` holds the distinct distances d_k ascending (d_0 =
+    0), `eigenmatrix` Theta (e, s) the eigenvalue of the class matrix A_k
+    (1 where the distance is d_k) on each joint eigenspace, the one
+    spanned by 1 first, `dims` the dimension of each eigenspace and `modes`
+    (n, e) one unit vector of each, first entry above 1e-12 of its largest
+    positive. The spectrum of sum_k f(d_k) A_k is Theta f(d)."""
+
+    distances: np.ndarray
+    eigenmatrix: np.ndarray
+    dims: np.ndarray
+    modes: np.ndarray
+
+
+def _class_spectrum(a: np.ndarray) -> ClassSpectrum | None:
+    """The joint spectrum of the distance classes of the symmetric matrix
+    `a`, or None when the rows of `a` are not exact permutations of row 0,
+    or its classes do not commute, or their joint eigenspaces cannot be told
+    apart.
+
+    Each row sorted is row 0 sorted, so position t of every sorted row is
+    in the same class, and A_k y, for every k at once, is a gather of y
+    summed over the positions of each class. One `eigh` of a seeded generic
+    combination C = sum_k c_k A_k, c_k in [1, 2), gives the joint
+    eigenspaces, as runs of its eigenvalues within CLASS_GAP_RTOL; by
+    Perron-Frobenius the largest is C's row sum, with eigenvector 1, and it
+    must be simple. Theta is read off one column v of each other eigenspace
+    by Rayleigh quotients, v^T A_k v from one gather and one product each
+    (its row for 1 is the class sizes, exactly), and checked on the whole
+    basis V by a Freivalds test: for two seeded vectors r, every A_k (V r)
+    must match V (Theta_k r) within CLASS_RTOL. Cost: one n x n `eigh`, a
+    sort of the rows, O(n^2) per eigenspace and O(s n^2) for the test.
+    """
+    n = len(a)
+    order = a.argsort(axis=1, kind="stable")
+    rows = np.arange(n)[:, None]
+    row = a[0, order[0]]
+    if not (a[rows, order] == row).all():
+        return None
+    bounds = _run_starts(row[1:] != row[:-1])  # where each class starts in a sorted row
+    distances, s = row[bounds], len(bounds)
+    counts = np.append(bounds[1:], n) - bounds
+    # from the standard library's generator, which numpy already imports
+    gen = random.Random(_CLASS_SEED)
+    noise = np.array([gen.random() for _ in range(s + 2 * n)])
+    c = 1.0 + noise[:s]
+    c[0] = 0.0
+    combination = np.empty((n, n))
+    combination[rows, order] = np.repeat(c, counts)  # c_k at every entry of class k
+    try:
+        w, v = np.linalg.eigh(combination)
+    except np.linalg.LinAlgError:
+        return None
+    w, v = w[::-1], v[:, ::-1]
+    starts = _run_starts(w[1:] < w[:-1] - CLASS_GAP_RTOL * w[0])
+    if len(starts) < 2 or starts[1] != 1:  # the Perron eigenvalue is not simple
+        return None
+    v[:, 0] = 1.0 / np.sqrt(n)
+    modes = v[:, starts].T.copy()
+    theta = np.empty((len(starts), s))
+    theta[0] = counts
+    for j in range(1, len(starts)):
+        x = modes[j]
+        theta[j] = np.add.reduceat(x @ x[order], bounds)  # x^T A_k x for every k
+    # Freivalds: A_k V r = V Theta_k r for every k, tested on two seeded r
+    dims = np.append(starts[1:], n) - starts
+    r = noise[s:].reshape(2, n, 1) - 0.5
+    y = v @ r
+    defect = np.abs(np.add.reduceat(y[:, order, 0], bounds, axis=-1)
+                    - v @ (np.repeat(theta, dims, axis=0) * r)).max(axis=(0, 1))
+    if np.count_nonzero(defect > CLASS_RTOL * counts * np.abs(y).max()):
+        return None
+    lead = np.abs(modes) > 1e-12 * np.abs(modes).max(axis=1, keepdims=True)
+    modes *= np.sign(modes[np.arange(len(starts)), lead.argmax(axis=1)])[:, None]
+    modes = modes.T
+    for x in (distances, theta, dims, modes):
+        x.setflags(write=False)
+    return ClassSpectrum(distances, theta, dims, modes)
+
+
+def _run_starts(changes: np.ndarray) -> np.ndarray:
+    """The start of each run of a sequence, 0 first, given where each of its
+    entries after the first differs from the one before."""
+    return np.concatenate(([0], np.flatnonzero(changes) + 1))
 
 
 # -- exact integer elimination --------------------------------------------------

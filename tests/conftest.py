@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from roundness import gen_family, path_metric
+from roundness import Graph, gen_family, path_metric
+from roundness.metric import FiniteMetricSpace
 
 # Closed-form roundness values for the graph fleet, derived from circulant /
 # adjacency spectra (see test_negtype for the derivations). None = unbounded.
@@ -15,6 +16,28 @@ FLEET_Q = {
     "hypercube:2": 1.0,
     "hypercube:3": 1.0,
 }
+
+
+# The truncated tetrahedron, a Cayley graph of the alternating group A_4: four
+# triangles, each pair of them joined by one edge. It is vertex-transitive, so
+# its distance-matrix rows are permutations of each other, but its distance
+# classes do not commute, so every consumer solves it densely.
+TRUNCATED_TETRAHEDRON_EDGES = (
+    (0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8),
+    (9, 10), (9, 11), (10, 11), (0, 3), (1, 6), (2, 9), (4, 7), (5, 10), (8, 11),
+)
+
+
+def truncated_tetrahedron():
+    return Graph(12, TRUNCATED_TETRAHEDRON_EDGES)
+
+
+def dense_copy(sp):
+    """`sp` with no row-0 order and no class spectrum, so that every
+    consumer takes the dense source."""
+    copy = FiniteMetricSpace(labels=sp.labels, dist=sp.dist)
+    vars(copy).update(order=None, classes=None)
+    return copy
 
 
 def sympy_kernel(rows):

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from conftest import TRUNCATED_TETRAHEDRON_EDGES
+
 from roundness import cli, negtype
 from roundness.cli import main
 
@@ -131,7 +133,11 @@ def test_verify_rejects_path(tmp_path, capsys):
         assert report["error"]["type"] == "HypothesisViolatedError"
 
 
-def test_verify_eigendecomposes_d_q_once(monkeypatch, capsys):
+def test_verify_eigendecomposes_d_q_once(monkeypatch, capsys, tmp_path):
+    # the truncated tetrahedron's rows are permutations of each other but
+    # its distance classes do not commute, so `verify` solves it densely
+    edges = tmp_path / "truncated_tetrahedron.txt"
+    edges.write_text("12\n" + "".join(f"{u} {v}\n" for u, v in TRUNCATED_TETRAHEDRON_EDGES))
     shapes = []
     eigensym = negtype.eigensym
 
@@ -140,9 +146,9 @@ def test_verify_eigendecomposes_d_q_once(monkeypatch, capsys):
         return eigensym(a)
 
     monkeypatch.setattr(negtype, "eigensym", counted)
-    code, report = run_cli(capsys, "verify", "--graph", "petersen")
+    code, report = run_cli(capsys, "verify", "--edges", str(edges))
     assert code == 0 and report["result"]["holds"]
-    assert shapes.count((10, 10)) == 1, shapes
+    assert shapes.count((12, 12)) == 1, shapes
 
 
 def test_input_digest_is_the_per_entry_float_digest(tmp_path):

@@ -13,7 +13,7 @@ from roundness import (
 )
 from roundness import graphs
 from roundness.errors import BadParamsError, DisconnectedError, UnknownFamilyError
-from roundness.spectral import _row0_order
+from roundness.spectral import _row0_order, _row0_order_of_edges
 
 
 def test_cycle_four_metric():
@@ -162,6 +162,29 @@ def test_invariant_disconnected_edge_set_names_pair():
     assert _row0_order(adjacency_mask(g)) is not None
     with pytest.raises(DisconnectedError, match="vertices 0 and 1$"):
         path_metric(g)
+
+
+def test_edge_set_order_is_the_adjacency_matrix_order():
+    # the order path_metric reads off the edge set is the one the adjacency
+    # matrix has, on every graph above, the solids and seeded random graphs
+    # (some with an edge set invariant under every i -> i xor 2^b)
+    rng = np.random.default_rng(5)
+    extra = [gen_family("petersen"), load_solid("icosahedron"), load_solid("dodecahedron"),
+             Graph(4, ()), Graph(4, ((0, 2), (1, 3))), Graph(8, ((0, 1),))]
+    for n in (4, 8, 12, 16):
+        for _ in range(10):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+            extra.append(Graph(n, tuple(pairs)))
+        gens = rng.choice(np.arange(1, n), size=2, replace=False).tolist()
+        if n & (n - 1) == 0:
+            extra.append(Graph(n, tuple({(i, i ^ g) for i in range(n) for g in gens
+                                         if i < i ^ g})))
+    orders = []
+    for g in one_bfs_graphs() + extra:
+        edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+        orders.append(_row0_order_of_edges(g.n, edges))
+        assert orders[-1] == _row0_order(adjacency_mask(g)), (g.n, g.edges)
+    assert {"circulant", "cube", None} <= set(orders)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import FLEET_Q
+from conftest import FLEET_Q, dense_copy, truncated_tetrahedron
 
 from roundness import (
     build_metric_space,
@@ -27,7 +27,8 @@ from roundness.errors import (
     LengthMismatchError,
     NonFiniteMatrixError,
 )
-from roundness import cli, negtype, spectral
+from roundness import cli, metric, negtype, spectral
+from roundness.metric import has_row_permutation_property
 from roundness.negtype import (
     METHOD_DETERMINANT_FAST_PATH,
     METHOD_SPECTRAL_BISECTION,
@@ -213,7 +214,8 @@ def weighted_graph_space(n, seed=9):
 
 def relabelled(sp):
     """`sp` with vertices 1 and 2 swapped: on the graphs used here, neither
-    circulant nor in cube order, so every consumer takes the dense source."""
+    circulant nor in cube order, so every consumer reads the spectrum of its
+    distance classes."""
     perm = np.arange(sp.n)
     perm[[1, 2]] = [2, 1]
     return build_metric_space(sp.dist[np.ix_(perm, perm)])
@@ -256,14 +258,14 @@ def test_search_decisions_are_golden(name):
         == GOLDEN_DECISIONS[name]
 
 
-@pytest.mark.parametrize("make", [lambda: space("petersen"), lambda: space("dodecahedron"),
+@pytest.mark.parametrize("make", [lambda: path_metric(truncated_tetrahedron()),
                                   lambda: euclidean_space(24)],
-                         ids=["petersen", "dodecahedron", "eucl:24"])
+                         ids=["truncated_tetrahedron", "eucl:24"])
 def test_dense_search_and_strict_verdict_solve_for_values_only(monkeypatch, make):
     # the search and a strict verdict read eigenvalues alone; only a witness
     # asks for modes, and then `eigensym` runs once
     sp = make()
-    assert sp.order is None
+    assert sp.order is None and sp.classes is None
     calls = []
     eigensym = negtype.eigensym
 
@@ -272,16 +274,20 @@ def test_dense_search_and_strict_verdict_solve_for_values_only(monkeypatch, make
         return eigensym(a)
 
     monkeypatch.setattr(negtype, "eigensym", counted)
-    q, _, _ = negtype._space_search(sp, 64.0, 1e-9, 1e-9)
+    found = negtype._space_search(sp, 64.0, 1e-9, 1e-9)
+    q, _, _ = found
     assert check_negative_type(sp, q / 2).strict
     assert calls == []
     verdict = check_negative_type(sp, q + 0.5)
     assert not verdict.strict and verdict.witness is not None
     assert calls == [(sp.n - 1, sp.n - 1)]
+    # the stacked dense search makes the decisions of the one-space search
+    assert roundness_search(sp.dist[None]) == [found]
 
 
 # the graphs of the benchmark's fleet_q workload, and three larger ones;
-# the circulants and cubes among them take the structured spectrum
+# the circulants and cubes among them take the row-0 source, the others the
+# spectrum of their commuting distance classes
 STRUCTURED = ["cycle:5", "hypercube:4", "hypercube:5", "circulant:24:1,5", "cycle:25",
               "cycle:400", "circulant:256:1,5", "hypercube:8"]
 GENERIC = ["petersen", "icosahedron", "dodecahedron"]
@@ -290,7 +296,8 @@ GENERIC = ["petersen", "icosahedron", "dodecahedron"]
 @pytest.mark.parametrize("spec", STRUCTURED + GENERIC)
 def test_structured_search_agrees_with_dense_search(monkeypatch, spec):
     # relabelled, each of these spaces is neither circulant nor in cube
-    # order, so its search runs on the dense source
+    # order, and its search reads the spectrum of its distance classes; the
+    # stacked search, which always solves densely, is the reference for both
     kinds = []
     source = negtype._source
 
@@ -306,17 +313,90 @@ def test_structured_search_agrees_with_dense_search(monkeypatch, spec):
 
     monkeypatch.setattr(negtype, "_source", counted)
     sp = space(spec)
-    dense_sp = relabelled(sp)
+    moved = relabelled(sp)
     found = negtype._space_search(sp, 64.0, 1e-9, 1e-9)
-    assert set(kinds) == {"_Row0Source" if spec in STRUCTURED else "_DenseSource"}
+    assert set(kinds) == {"_Row0Source" if spec in STRUCTURED else "_ClassSource"}
     kinds.clear()
-    dense = negtype._space_search(dense_sp, 64.0, 1e-9, 1e-9)
-    assert set(kinds) == {"_DenseSource"}
-    (q, (lo, hi), _), (q_dense, (lo_dense, hi_dense), _) = found, dense
-    assert abs(q - q_dense) <= 1e-9
-    assert lo <= hi_dense and lo_dense <= hi
-    # the stacked dense search makes the decisions of the one-space search
-    assert roundness_search(dense_sp.dist[None]) == [dense]
+    found_moved = negtype._space_search(moved, 64.0, 1e-9, 1e-9)
+    assert set(kinds) == {"_ClassSource"}
+    [(q_dense, (lo_dense, hi_dense), _)] = roundness_search(moved.dist[None])
+    for q, (lo, hi), _ in (found, found_moved):
+        assert abs(q - q_dense) <= 1e-9
+        assert lo <= hi_dense and lo_dense <= hi
+
+
+@pytest.mark.parametrize("spec", GENERIC + ["relabelled hypercube:6", "relabelled cycle:64"])
+def test_class_source_agrees_with_dense_source(spec):
+    # every consumer, on the class source and on the dense one
+    sp = relabelled(space(spec.split()[1])) if spec.startswith("relabelled ") else space(spec)
+    dense = dense_copy(sp)
+    assert sp.order is None and sp.classes is not None
+    res, ref = generalized_roundness(sp), generalized_roundness(dense)
+    assert abs(res.q - ref.q) <= 1e-9
+    assert res.method == ref.method == METHOD_DETERMINANT_FAST_PATH
+    assert res.det_normalized <= 1e-6 and ref.det_normalized <= 1e-6
+    dq = power_matrix(sp.dist / sp.dist.max(), res.q)
+    for cert in (res.certificate, ref.certificate):
+        assert abs(np.linalg.norm(cert) - 1) <= 1e-12 and abs(cert.sum()) <= 1e-9
+        assert np.abs(dq @ cert).max() <= 1e-6
+    got, want = kernel_coincidence_check(sp, res.q), kernel_coincidence_check(dense, res.q)
+    assert got.holds and want.holds
+    assert (got.form_kernel_dim, got.matrix_kernel_dim) \
+        == (want.form_kernel_dim, want.matrix_kernel_dim)
+    for p in (res.q / 2, res.q + 0.5):
+        a, b = check_negative_type(sp, p), check_negative_type(dense, p)
+        assert (a.holds, a.strict) == (b.holds, b.strict)
+        assert a.max_form_eigenvalue == pytest.approx(b.max_form_eigenvalue, rel=1e-12)
+        if a.witness is not None:
+            assert a.witness.form_value == pytest.approx(b.witness.form_value, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec", GENERIC)
+def test_class_spaces_make_one_eigh_and_no_solve_per_step(monkeypatch, spec):
+    # the joint spectrum of the distance classes costs one n x n `eigh` per
+    # space; no search step, verdict, certificate or kernel check solves
+    sp = space(spec)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(negtype, "eigensym", fail)
+    monkeypatch.setattr(negtype, "_eigvals", fail)
+    res = generalized_roundness(sp)
+    assert res.certificate is not None and 0 <= res.det_normalized <= 1e-6
+    assert kernel_coincidence_check(sp, res.q).holds
+    for p in (res.q / 2, res.q + 0.5):
+        verdict = check_negative_type(sp, p)
+        assert verdict.strict == (p < res.q)
+    assert shapes == [(sp.n, sp.n)]
+
+
+@pytest.mark.parametrize("make", [lambda: path_metric(truncated_tetrahedron()),
+                                  lambda: euclidean_space(24),
+                                  lambda: weighted_graph_space(24)],
+                         ids=["truncated_tetrahedron", "eucl:24", "wgraph:24"])
+def test_class_detector_declines(monkeypatch, make):
+    # the truncated tetrahedron's rows are permutations of each other, but
+    # its distance classes do not commute; the two seeded spaces' rows are
+    # not permutations, so they are declined before any detection runs
+    sp = make()
+    detect = metric._class_spectrum
+    runs = []
+
+    def spy(a):
+        runs.append(len(a))
+        return detect(a)
+
+    monkeypatch.setattr(metric, "_class_spectrum", spy)
+    assert sp.classes is None
+    assert runs == ([12] if has_row_permutation_property(sp) else [])
 
 
 @pytest.mark.parametrize("tol_p", [1e-17, 1e-300])

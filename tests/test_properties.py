@@ -4,8 +4,10 @@ metric spaces: 3 to 8 points, Euclidean in R^3 or shortest paths of random
 graph of Z_2^k, whose rows are permutations of each other). The root search
 reads the circulants' spectra off an FFT and the Z_2^k metrics' off a
 Walsh-Hadamard transform, and a relabelled copy, which in general has
-neither structure, off the dense form, so the relabelling property pits the
-two against each other."""
+neither structure, off the joint spectrum of its distance classes (dense
+inputs off the dense form), so the relabelling property pits them against
+each other. Relabelled circulant graphs of up to 64 vertices check the
+class spectrum against the dense source consumer by consumer."""
 
 import itertools
 import math
@@ -14,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+
+from conftest import dense_copy
 
 from roundness import (
     Graph,
@@ -99,6 +103,43 @@ def test_roundness_invariant_under_relabelling_and_scaling(d, c, data):
         assert (got.status, got.method) == (res.status, res.method)
         if res.status == "Finite":
             assert got.q == pytest.approx(res.q, abs=1e-6)
+
+
+@st.composite
+def relabelled_circulant_graph(draw):
+    """The path metric of circulant:N:S, N <= 64, relabelled at random so
+    that it has no row-0 order left."""
+    n = draw(st.integers(5, 64))
+    offsets = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+    assume(math.gcd(n, *offsets) == 1)
+    perm = draw(st.permutations(range(n)))
+    sp = build_metric_space(relabelled(path_metric(gen_family("circulant", n, offsets)).dist, perm))
+    assume(sp.order is None)
+    return sp
+
+
+@settings(max_examples=25, deadline=None)
+@given(sp=relabelled_circulant_graph())
+def test_relabelled_circulant_reads_its_class_spectrum(sp):
+    # the distance classes of a circulant commute under any labelling
+    assert sp.classes is not None
+    dense = dense_copy(sp)
+    res, ref = generalized_roundness(sp), generalized_roundness(dense)
+    assert res.status == ref.status
+    if res.status != "Finite":
+        return
+    assert abs(res.q - ref.q) <= 1e-9
+    got, want = kernel_coincidence_check(sp, res.q), kernel_coincidence_check(dense, ref.q)
+    assert (got.holds, got.form_kernel_dim, got.matrix_kernel_dim) \
+        == (want.holds, want.form_kernel_dim, want.matrix_kernel_dim)
+    assert (res.certificate is None) == (ref.certificate is None)
+    if res.certificate is not None:
+        # a degenerate null space has no one certificate: each must be a unit
+        # zero-sum null vector of D_q
+        dq = power_matrix(sp.dist / sp.dist.max(), res.q)
+        for cert in (res.certificate, ref.certificate):
+            assert abs(np.linalg.norm(cert) - 1) <= 1e-12 and abs(cert.sum()) <= 1e-9
+            assert np.abs(dq @ cert).max() <= CERTIFICATE_TOL
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,15 +253,14 @@ def assert_unit_zero_sum(u, dq):
 @given(g=cayley_graph(), data=st.data())
 def test_structured_consumers_agree_with_dense(g, data):
     # the path metric of a Cayley graph of Z_n or Z_2^k is read on row 0; a
-    # relabelled copy with neither order takes every dense path
+    # relabelled copy held to the dense source takes every dense path
     try:
         sp = path_metric(g)
     except DisconnectedError:
         assume(False)
     assert sp.order is not None
     perm = data.draw(st.permutations(range(sp.n)))
-    dense = build_metric_space(relabelled(sp.dist, perm))
-    assume(dense.order is None)
+    dense = dense_copy(build_metric_space(relabelled(sp.dist, perm)))
     res, res_dense = generalized_roundness(sp), generalized_roundness(dense)
     assert res.status == res_dense.status
     exponents = [1.0, 1.5, 2.0]
