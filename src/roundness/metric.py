@@ -63,14 +63,22 @@ class FiniteMetricSpace:
         return _row0_order(self.dist)
 
     @cached_property
+    def rows_permute(self) -> bool:
+        """Whether every row of `dist` is a permutation of row 0
+        (`has_row_permutation_property`): True at once for a space with an
+        order, else the tolerant sort of `_rows_permute`, decided once per
+        space."""
+        return self.order is not None or _rows_permute(self.dist)
+
+    @cached_property
     def classes(self) -> ClassSpectrum | None:
         """The joint spectrum of the distance classes
         (`spectral._class_spectrum`) when the rows of `dist` are
-        permutations of row 0 (`has_row_permutation_property`) and the
-        classes commute, as they do on a distance-regular graph or a
-        relabelled circulant, else None; computed once per space, which then
-        reads the spectrum of every D_p off it."""
-        return _class_spectrum(self.dist) if has_row_permutation_property(self) else None
+        permutations of row 0 (`rows_permute`) and the classes commute, as
+        they do on a distance-regular graph or a relabelled circulant, else
+        None; computed once per space, which then reads the spectrum of
+        every D_p off it."""
+        return _class_spectrum(self.dist) if self.rows_permute else None
 
 
 @dataclass(frozen=True)
@@ -161,10 +169,14 @@ def has_row_permutation_property(space: FiniteMetricSpace) -> bool:
     """True iff each row of the distance matrix is a permutation of row 0:
     the rows, sorted, agree entry by entry within SYMMETRY_RTOL = 1e-12
     times the largest distance. A space with an order (`order`) has it by
-    construction, with no sort."""
-    if space.order is not None:
-        return True
-    d = space.dist
+    construction, with no sort; any other space sorts once, and caches the
+    verdict (`FiniteMetricSpace.rows_permute`)."""
+    return space.rows_permute
+
+
+def _rows_permute(d: np.ndarray) -> bool:
+    """`has_row_permutation_property` of the distance matrix d, by sorting
+    its rows."""
     rows = np.sort(d, axis=1)
     return bool(np.all(np.abs(rows - rows[0]) <= SYMMETRY_RTOL * float(np.max(d))))
 

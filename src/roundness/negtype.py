@@ -16,16 +16,19 @@ space. A step reads two eigenvalues of each M(p), the largest and the
 smallest, and decides in Python floats.
 
 Everything else a single space needs comes from one source per (space, p),
-built by `_source`: D_p of d / max d, its product with a vector, and the
-spectra of D_p and of M(p), each as values, multiplicities and unit modes by
-index. There are three sources, chosen once per space by what the space
-caches about itself:
+built by `_source`: D_p of d / max d, its product with a vector, and one
+spectrum, as values, multiplicities and unit modes by index, with the entry
+where the form's spectrum starts. On a space whose rows are permutations of
+row 0 (`FiniteMetricSpace.rows_permute`), D_p 1 = r(p) 1 makes 1^perp
+invariant, so M(p) has exactly the spectrum of D_p without r(p): the source
+gives D_p's, r(p) at entry 0 and the form from entry 1; on any other space
+it gives M(p)'s, the form from entry 0. There are three sources, chosen
+once per space by what the space caches about itself:
 
 - Row 0, on a circulant or cube-order space (`FiniteMetricSpace.order`).
-  D_p 1 = r(p) 1, so M(p) has the spectrum of D_p without r(p); the values
-  are the transform of row 0 (`spectral._row0_spectrum`), the modes its
-  cosine or Walsh vectors (`spectral._row0_modes`), and D_p u a convolution
-  (`spectral._row0_product`), with no n x n matrix built.
+  The values are the transform of row 0 (`spectral._row0_spectrum`), the
+  modes its cosine or Walsh vectors (`spectral._row0_modes`), and D_p u a
+  convolution (`spectral._row0_product`), with no n x n matrix built.
 - Commuting distance classes, on any other space whose rows are
   permutations of row 0 and whose distance classes commute, as on Petersen,
   the solids or a relabelled circulant (`FiniteMetricSpace.classes`). D_p =
@@ -35,10 +38,11 @@ caches about itself:
   first: each search step is a small product. The modes are one stored
   vector per joint eigenspace, and D_p u stays a dense product, so the
   certificate and the kernel defects are residuals of D_p itself.
-- Dense, on every other space. It solves D_p and M(p) only when asked for:
-  the values by a values-only solve (`spectral._eigvals`), and the modes by
-  `eigensym`, run once, when a mode is first asked for. So the search, a
-  strict verdict, `det_normalized` and the kernel masks solve for values
+- Dense, on every other space: D_p on a row-permutation space, whose
+  classes do not commute (the truncated tetrahedron), M(p) on the rest. The
+  values come from a values-only solve (`spectral._eigvals`), and the modes
+  from `eigensym`, run once, when a mode is first asked for. So the search,
+  a strict verdict, `det_normalized` and the kernel mask solve for values
   alone, and only the witness, the certificate and the kernel modes
   eigendecompose.
 
@@ -46,8 +50,8 @@ The one-space search, `check_negative_type`, the certificate and
 `kernel_coincidence_check` each have one body over the source.
 
 For spaces whose distance-matrix rows are permutations of each other (all
-vertex-transitive graphs), q is also the first exponent where det(D_p)
-vanishes; that criterion is run as a cross-check and yields a null-vector
+vertex-transitive graphs), q is also the first exponent where an eigenvalue
+of D_p other than r(p) reaches 0, so det(D_p) vanishes; that criterion is run as a cross-check and yields a null-vector
 certificate. At q the zero-sum vectors nullifying the form coincide with the
 null space of D_q; `kernel_coincidence_check` verifies both inclusions
 numerically. Every tolerance is relative to the scale of the matrix it tests
@@ -158,14 +162,15 @@ def negtype_form_matrix(space, p) -> np.ndarray:
 
 class _Spectrum(NamedTuple):
     """The eigenvalues of a symmetric matrix, how many eigenvalues each
-    entry stands for, and `modes(idx)`: a unit eigenvector at each entry of
-    idx, first nonzero entry positive, as columns. On a row-permutation
-    space entry 0 of D_p's is r(p), the row sum; the modes of M(p) are
-    zero-sum."""
+    entry stands for, `modes(idx)`: a unit eigenvector at each entry of idx,
+    first nonzero entry positive, as columns, and `start`, the entry where
+    the form's spectrum begins: 1 on D_p of a row-permutation space, whose
+    entry 0 is r(p), and 0 on M(p)."""
 
     values: np.ndarray
     multiplicities: np.ndarray
     modes: Callable[[np.ndarray], np.ndarray]
+    start: int
 
 
 def _source(space: FiniteMetricSpace):
@@ -173,8 +178,8 @@ def _source(space: FiniteMetricSpace):
     on row 0 for a space with an order (`FiniteMetricSpace.order`), off the
     joint spectrum of its distance classes when they commute
     (`FiniteMetricSpace.classes`), else densely. A source has `max_d`,
-    `product(u)` = D_p u, and the spectra `matrix` of D_p and `form` of
-    M(p)."""
+    `product(u)` = D_p u, and one `spectrum`: D_p's on a row-permutation
+    space (`FiniteMetricSpace.rows_permute`), M(p)'s on any other."""
     if space.order is not None:
         order, row = space.order, space.dist[0]
         max_d = float(row.max())
@@ -185,8 +190,8 @@ def _source(space: FiniteMetricSpace):
     if classes is not None:
         distances = classes.distances / max_d
         return lambda p: _ClassSource(classes, distances, unit, max_d, p)
-    counts = np.ones(space.n, dtype=np.int64)
-    return lambda p: _DenseSource(unit, counts, max_d, p)
+    counts, rows_permute = np.ones(space.n, dtype=np.int64), space.rows_permute
+    return lambda p: _DenseSource(unit, counts, max_d, p, rows_permute)
 
 
 class _Row0Source:
@@ -197,11 +202,8 @@ class _Row0Source:
                  p: float):
         self.order, self.max_d, n = order, max_d, len(unit_row)
         self.row = _power(unit_row, p)
-        values = _row0_spectrum(order, self.row)
-        self.matrix = _Spectrum(values, counts, lambda ts: _row0_modes(order, n, ts))
-        # 1^perp is invariant under D_p, so M(p) is D_p without frequency 0
-        self.form = _Spectrum(values[1:], counts[1:],
-                              lambda idx: _row0_modes(order, n, np.add(idx, 1)))
+        self.spectrum = _Spectrum(_row0_spectrum(order, self.row), counts,
+                                  lambda ts: _row0_modes(order, n, ts), 1)
 
     def product(self, u: np.ndarray) -> np.ndarray:
         return _row0_product(self.order, self.row, u)
@@ -232,53 +234,40 @@ class _ClassSource(_DenseProduct):
     def __init__(self, classes: ClassSpectrum, unit_distances: np.ndarray, unit: np.ndarray,
                  max_d: float, p: float):
         super().__init__(unit, max_d, p)
-        values = classes.eigenmatrix @ _power(unit_distances, p)
-        modes, dims = classes.modes, classes.dims
-        self.matrix = _Spectrum(values, dims, lambda idx: modes[:, idx])
-        # entry 0 is the eigenspace of 1, whose complement is 1^perp
-        self.form = _Spectrum(values[1:], dims[1:], lambda idx: modes[:, np.add(idx, 1)])
+        modes = classes.modes
+        self.spectrum = _Spectrum(classes.eigenmatrix @ _power(unit_distances, p), classes.dims,
+                                  lambda idx: modes[:, idx], 1)
 
 
 class _DenseSource(_DenseProduct):
-    """The source of any other space: the matrix D_p, and the spectra of
-    D_p and of M(p), each on first use. Their values come from a values-only
-    solve (`spectral._eigvals`), their modes from `eigensym`, run once, when
-    a mode is first asked for. Both descend, so r(p), the largest of D_p's
-    values on a row-permutation space, is entry 0, and an index into the
-    values picks the same eigenpair in the modes."""
+    """The source of any other space: the spectrum of D_p on a
+    row-permutation space and of M(p) on any other, with multiplicities
+    `counts` (all 1). The values come from a values-only solve
+    (`spectral._eigvals`), descending, so r(p), the largest of D_p's
+    (Perron-Frobenius), is entry 0. The modes come from `eigensym`, run
+    once, when a mode is first asked for, in the same order, lifted by the
+    zero-sum basis on M(p), each with its first entry above 1e-12 of its
+    largest made positive, as entry 0 of a row-0 mode is."""
 
-    def __init__(self, unit: np.ndarray, counts: np.ndarray, max_d: float, p: float):
+    def __init__(self, unit: np.ndarray, counts: np.ndarray, max_d: float, p: float,
+                 rows_permute: bool):
         super().__init__(unit, max_d, p)
-        self.counts = counts
+        if rows_permute:
+            a, basis = self.dp, None
+        else:
+            a, basis, counts = negtype_form_matrix(unit, p), hyperplane_basis(len(unit)), counts[1:]
+        solved = []  # eigensym(a), once a mode is asked for
 
-    @cached_property
-    def matrix(self) -> _Spectrum:
-        return _dense_spectrum(self.dp, self.counts, None)
+        def modes(idx):
+            if not solved:
+                solved.append(eigensym(a))
+            u = solved[0].eigenvectors[:, idx]
+            u = u if basis is None else basis @ u
+            u = u / np.linalg.norm(u, axis=0)
+            first = (np.abs(u) > 1e-12 * np.abs(u).max(axis=0)).argmax(axis=0)
+            return u * np.sign(u[first, np.arange(u.shape[1])])
 
-    @cached_property
-    def form(self) -> _Spectrum:
-        return _dense_spectrum(negtype_form_matrix(self.unit, self.p), self.counts[1:],
-                               hyperplane_basis(len(self.unit)))
-
-
-def _dense_spectrum(a, counts, basis) -> _Spectrum:
-    """The spectrum of the symmetric matrix `a` as a `_Spectrum` with
-    multiplicities `counts` (all 1): values by `_eigvals`, and modes from
-    `eigensym(a)`, run on first use, lifted by `basis` (if not None), each
-    with its first entry above 1e-12 of its largest made positive, as entry
-    0 of a row-0 mode is."""
-    solved = []  # eigensym(a), once a mode is asked for
-
-    def modes(idx):
-        if not solved:
-            solved.append(eigensym(a))
-        u = solved[0].eigenvectors[:, idx]
-        u = u if basis is None else basis @ u
-        u = u / np.linalg.norm(u, axis=0)
-        first = (np.abs(u) > 1e-12 * np.abs(u).max(axis=0)).argmax(axis=0)
-        return u * np.sign(u[first, np.arange(u.shape[1])])
-
-    return _Spectrum(_eigvals(a), counts, modes)
+        self.spectrum = _Spectrum(_eigvals(a), counts, modes, int(rows_permute))
 
 
 def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-9) -> NegTypeVerdict:
@@ -286,11 +275,11 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
 
     The largest eigenvalue lmax of M(p) decides: holds iff lmax <= tol,
     strict iff lmax < -tol (tolerances relative to the spectral radius of
-    M(p)). When not strict, the witness is the unit zero-sum mode of M(p) at
-    its largest value (the first such entry of the source's spectrum),
-    first nonzero entry positive, and its form value is eta^T (D_p eta).
-    Both come from the space's source (`_source`), on row 0 for a space with
-    an order. The form is built on d / max d, so the verdict neither
+    M(p)). When not strict, the witness is the unit zero-sum mode at the
+    form's largest value (the first such entry of the source's spectrum,
+    past r(p) on a row-permutation space), first nonzero entry positive,
+    and its form value is eta^T (D_p eta). Both come from the space's source
+    (`_source`), on row 0 for a space with an order. The form is built on d / max d, so the verdict neither
     overflows nor underflows at any unit of distance; `max_form_eigenvalue`
     and the witness's `form_value` are reported in the unit of d, as their
     value on d / max d times (max d)^p, which is inf or nan where that
@@ -301,7 +290,8 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
         raise NegativeExponentError(f"exponent must be nonnegative, got {p}")
     _check_tolerance("tol_eig", tol_eig)
     src = _source(space)(p)
-    values = src.form.values
+    spectrum = src.spectrum
+    values = spectrum.values[spectrum.start:]
     top = int(values.argmax())
     lmax = float(values[top])
     scale = max(lmax, -float(values.min()))
@@ -310,7 +300,7 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
     factor = _unit_factor(src.max_d, p)
     witness = None
     if not strict:
-        eta = src.form.modes([top])[:, 0]
+        eta = spectrum.modes([spectrum.start + top])[:, 0]
         eta.setflags(write=False)
         witness = NegativeTypeWitness(eta=eta, form_value=float(eta @ src.product(eta)) * factor)
     return NegTypeVerdict(p=float(p), holds=holds, strict=strict,
@@ -480,7 +470,8 @@ def _space_search(space: FiniteMetricSpace, p_max: float, tol_p: float, tol_eig:
     _check_search_params(p_max, tol_p, tol_eig)
 
     def extremes(sources, p):
-        values = sources[0](p[0]).form.values
+        spectrum = sources[0](p[0]).spectrum
+        values = spectrum.values[spectrum.start:]
         return values.max(keepdims=True), values.min(keepdims=True)
 
     (found,) = _lockstep(np.array([_source(space)], dtype=object), extremes,
@@ -529,12 +520,12 @@ def generalized_roundness(
     det_norm = None
     if row_perm:
         src = _source(space)(q)
-        magnitudes = np.abs(src.matrix.values)
+        magnitudes = np.abs(src.spectrum.values)  # D_q's: entry 0 is r(q), the rest M(q)'s
         det_norm = float(np.min(magnitudes) / np.max(magnitudes))
         if det_norm > CERTIFICATE_TOL:
             log.warning("determinant cross-check at q=%.12g is %.3e, expected ~0", q, det_norm)
-        # entry 0 is r(q), whose mode is not zero-sum
-        u = src.matrix.modes([1 + int(np.argmin(magnitudes[1:]))])[:, 0]
+        # r(q)'s mode is 1, which is not zero-sum
+        u = src.spectrum.modes([1 + int(np.argmin(magnitudes[1:]))])[:, 0]
         if np.max(np.abs(src.product(u))) <= CERTIFICATE_TOL:  # relative: max |D_q| is 1
             u.setflags(write=False)
             certificate = u
@@ -547,16 +538,16 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
     """Verify that zero-sum form-nullifying vectors and null vectors of D_q
     coincide at the supremal exponent q.
 
-    Forward: every kernel vector of the restricted form M(q), lifted back to
-    a zero-sum vector u, must satisfy D_q u = 0 (max-norm). Backward: every
-    null vector of D_q must be orthogonal to all-ones. Both read D_q and
-    M(q) of d / max d, whose largest entry is exactly 1, from the space's
-    source (`_source`). On a row-permutation space M(q) has the spectrum of
-    D_q without r(q), so both kernels are the eigenvalues within
-    CERTIFICATE_TOL of 0, on the D_q scale max |D_q| = 1, counted with
-    their multiplicity, and the verdict uses the same tolerance. Each defect
-    is read off the kernel's modes, a block of modes at a time, so a space
-    with an order makes no n x n array. Requires the row-permutation
+    On a row-permutation space M(q) has the spectrum of D_q without r(q), so
+    both kernels are read off one mask of D_q's spectrum, from the space's
+    source (`_source`): the eigenvalues within CERTIFICATE_TOL of 0, on the
+    scale max |D_q| = 1 of d / max d, counted with their multiplicity.
+    r(q) >= 1 is never in it, so the form's kernel is the whole of D_q's.
+    One pass over the null modes, a block at a time, takes from each mode u
+    the forward defect max |D_q u|, by the source's product, not by the
+    eigensolver, and the backward defect |sum u| / sqrt(n), for u must be
+    zero-sum; the verdict holds when both are within CERTIFICATE_TOL. A
+    space with an order makes no n x n array. Requires the row-permutation
     property (`has_row_permutation_property`, else HypothesisViolatedError)
     and a finite q.
     """
@@ -567,21 +558,19 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
     if q is None or not np.isfinite(q):
         raise ValueError("kernel coincidence requires a finite roundness exponent")
     src = _source(space)(q)
-    form, matrix = src.form, src.matrix
-    form_kernel = np.flatnonzero(np.abs(form.values) <= CERTIFICATE_TOL)
-    matrix_kernel = np.flatnonzero(np.abs(matrix.values) <= CERTIFICATE_TOL)
+    spectrum = src.spectrum  # D_q's, with r(q) >= 1 at entry 0, never in the kernel
+    kernel = np.flatnonzero(np.abs(spectrum.values) <= CERTIFICATE_TOL)
     step = max(1, ROW0_BLOCK // space.n)
     max_defect = 0.0
-    for k in range(0, len(form_kernel), step):
-        u = form.modes(form_kernel[k:k + step])
-        max_defect = max(max_defect, float(np.abs(src.product(u)).max()))
-    for k in range(0, len(matrix_kernel), step):
-        v = matrix.modes(matrix_kernel[k:k + step])
-        max_defect = max(max_defect, float(np.abs(v.sum(axis=0)).max() / np.sqrt(space.n)))
+    for k in range(0, len(kernel), step):
+        u = spectrum.modes(kernel[k:k + step])
+        max_defect = max(max_defect, float(np.abs(src.product(u)).max()),
+                         float(np.abs(u.sum(axis=0)).max() / np.sqrt(space.n)))
+    dims = spectrum.multiplicities[kernel]
     return KernelCoincidenceReport(
         holds=max_defect <= CERTIFICATE_TOL, max_defect=max_defect,
-        form_kernel_dim=int(form.multiplicities[form_kernel].sum()),
-        matrix_kernel_dim=int(matrix.multiplicities[matrix_kernel].sum()))
+        form_kernel_dim=int(dims[kernel >= spectrum.start].sum()),
+        matrix_kernel_dim=int(dims.sum()))
 
 
 def gr_inequality_check(

@@ -2,12 +2,13 @@
 
 Floating-point side: the one symmetry guard (`symmetrized`) and a symmetric
 eigensolver on LAPACK (`numpy.linalg.eigh`) with a deterministic sort and
-sign convention and a checked reconstruction residual. Its values-only
-sibling (`_eigvals`, on `numpy.linalg.eigvalsh`) shares its guards and,
-having no eigenvectors to rebuild the matrix from, checks each matrix's
-values against its trace and its squared Frobenius norm. All of them take a
-single matrix or a stack (..., k, k), which LAPACK solves in one call, and
-check every matrix of a stack as they would check it alone.
+sign convention and a checked reconstruction residual, for one matrix. Its
+values-only sibling (`_eigvals`, on `numpy.linalg.eigvalsh`) shares its
+guards and, having no eigenvectors to rebuild the matrix from, checks each
+matrix's values against its trace and its squared Frobenius norm. The guard
+and `_eigvals` take a single matrix or a stack (..., k, k), which LAPACK
+solves in one call, and check every matrix of a stack as they would check
+it alone.
 
 Row-0 structure, the one place that builds and detects it: a circulant
 matrix (d[i, j] = f((j - i) mod n)) or one in cube order (d[i, j] = f(i xor
@@ -48,12 +49,11 @@ RESIDUAL_RTOL = 1e-9
 @dataclass(frozen=True)
 class SpectralData:
     """Eigenvalues sorted descending, orthonormal eigenvectors as columns,
-    and the max-norm reconstruction residual of V diag(w) V^T; for a stack
-    of matrices, each field has the stack's leading axes."""
+    and the max-norm reconstruction residual of V diag(w) V^T."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual: float | np.ndarray
+    residual: float
 
 
 def symmetrized(a: np.ndarray) -> np.ndarray:
@@ -110,38 +110,27 @@ def _guarded(a, solve):
 
 
 def eigensym(a) -> SpectralData:
-    """Full eigendecomposition of a symmetric matrix, or of every matrix of a
-    stack (..., k, k) in one call, by LAPACK (`eigh`).
+    """Full eigendecomposition of one symmetric matrix, by LAPACK (`eigh`).
 
     Deterministic for identical input: stable descending sort, and each
-    eigenvector's largest-magnitude entry made positive. Each matrix of a
-    stack is checked as a single one is: NonFiniteMatrixError on NaN or
-    infinite entries, NotSymmetricError past the symmetry guard, and
-    NoConvergenceError if LAPACK fails or its reconstruction residual is
-    above 1e-9 relative to its own max |a_ij|. For a stack, every field has
-    the stack's leading axes (`residual` is then an array).
+    eigenvector's largest-magnitude entry made positive.
+    NonFiniteMatrixError on NaN or infinite entries, NotSymmetricError past
+    the symmetry guard, and NoConvergenceError if LAPACK fails or its
+    reconstruction residual is above 1e-9 relative to max |a_ij|. A stack of
+    matrices is a ValueError; `_eigvals` solves stacks.
     """
-    a0, amax, stack, (w, V) = _guarded(a, np.linalg.eigh)
-    k = a0.shape[-1]
-
-    # per matrix: stable descending order, then the sign rule
-    m = np.arange(len(w))[:, None]
-    order = (-w).argsort(axis=-1, kind="stable")
-    w = w[m, order]
-    V = np.ascontiguousarray(V.swapaxes(1, 2)[m, order].swapaxes(1, 2))
-    lead = V[m, np.abs(V).argmax(axis=1), np.arange(k)]
-    V = V * np.sign(lead)[:, None, :]  # lead is nonzero: V has unit columns
-
-    resid = np.abs(a0 - (V * w[:, None, :]) @ V.swapaxes(1, 2)).max(axis=(1, 2))
-    over = resid > RESIDUAL_RTOL * amax
-    if np.count_nonzero(over):
-        raise NoConvergenceError(residual=float(resid[over].max()))
-    w, V, resid = w.reshape(*stack, k), V.reshape(*stack, k, k), resid.reshape(stack)
+    if np.ndim(a) != 2:
+        raise ValueError(f"eigensym takes one matrix, got shape {np.shape(a)}")
+    (a0,), (amax,), _, ((w,), (v,)) = _guarded(a, np.linalg.eigh)
+    order = (-w).argsort(kind="stable")
+    w, v = w[order], v[:, order]
+    v = v * np.sign(v[np.abs(v).argmax(axis=0), np.arange(len(w))])  # unit columns: lead != 0
+    resid = float(np.abs(a0 - (v * w) @ v.T).max())
+    if resid > RESIDUAL_RTOL * amax:
+        raise NoConvergenceError(residual=resid)
     w.setflags(write=False)
-    V.setflags(write=False)
-    resid.setflags(write=False)
-    return SpectralData(eigenvalues=w, eigenvectors=V,
-                        residual=resid if stack else float(resid))
+    v.setflags(write=False)
+    return SpectralData(eigenvalues=w, eigenvectors=v, residual=resid)
 
 
 def _eigvals(a) -> np.ndarray:

@@ -135,7 +135,8 @@ def test_verify_rejects_path(tmp_path, capsys):
 
 def test_verify_eigendecomposes_d_q_once(monkeypatch, capsys, tmp_path):
     # the truncated tetrahedron's rows are permutations of each other but
-    # its distance classes do not commute, so `verify` solves it densely
+    # its distance classes do not commute, so `verify` solves it densely:
+    # D_q alone, whose spectrum past r(q) is the form's
     edges = tmp_path / "truncated_tetrahedron.txt"
     edges.write_text("12\n" + "".join(f"{u} {v}\n" for u, v in TRUNCATED_TETRAHEDRON_EDGES))
     shapes = []
@@ -148,7 +149,7 @@ def test_verify_eigendecomposes_d_q_once(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(negtype, "eigensym", counted)
     code, report = run_cli(capsys, "verify", "--edges", str(edges))
     assert code == 0 and report["result"]["holds"]
-    assert shapes.count((12, 12)) == 1, shapes
+    assert shapes == [(12, 12)], shapes
 
 
 def test_input_digest_is_the_per_entry_float_digest(tmp_path):
@@ -301,6 +302,43 @@ def test_input_errors_exit_2(tmp_path, capsys):
         assert "labels" in report["error"]["message"]
     f.write_text(json.dumps({"matrix": {"0": [0, 1]}}))
     code, report = run_cli(capsys, "roundness", "--matrix", str(f))
+    assert code == 2
+    assert report["error"]["type"] == "RoundnessError"
+
+
+def test_solid_graph_spec(capsys):
+    code, report = run_cli(capsys, "roundness", "--graph", "dodecahedron")
+    assert code == 0
+    assert report["result"]["status"] == "Finite"
+    assert report["result"]["q"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_circulant_graph_spec_is_its_path_metric(tmp_path, capsys):
+    # vertex i adjacent to i +/- 1 and i +/- 3 mod 8; the distances by a
+    # breadth-first search written here
+    n, steps = 8, (1, 3)
+    row, frontier = [0] + [None] * (n - 1), [0]
+    while frontier:
+        reached = []
+        for v in frontier:
+            for w in ((v + s) % n for s in steps + tuple(-s for s in steps)):
+                if row[w] is None:
+                    row[w] = row[v] + 1
+                    reached.append(w)
+        frontier = reached
+    f = tmp_path / "circulant8.json"
+    f.write_text(json.dumps({"labels": [str(i) for i in range(n)],
+                             "matrix": [[row[(j - i) % n] for j in range(n)] for i in range(n)]}))
+    main(["roundness", "--graph", "circulant:8:1,3"])
+    graph = capsys.readouterr().out
+    main(["roundness", "--matrix", str(f)])
+    assert capsys.readouterr().out == graph
+    assert json.loads(graph)["result"]["status"] == "Finite"
+
+
+@pytest.mark.parametrize("spec", ["petersen:3", "dodecahedron:2", "circulant:8", "cycle"])
+def test_malformed_graph_spec_exits_2(capsys, spec):
+    code, report = run_cli(capsys, "roundness", "--graph", spec)
     assert code == 2
     assert report["error"]["type"] == "RoundnessError"
 

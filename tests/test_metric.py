@@ -4,6 +4,7 @@ import pytest
 from roundness import (
     build_metric_space,
     cube_distance_matrix,
+    generalized_roundness,
     has_row_permutation_property,
     hyperplane_basis,
     power_matrix,
@@ -59,6 +60,25 @@ def test_input_guards_are_relative_to_scale():
     with pytest.raises(NotSymmetricError):
         build_metric_space(1e-13 * np.array([[0, 1, 3], [2, 0, 1], [3, 1, 0]]))
     assert build_metric_space(1e-13 * np.array(C4_MATRIX)).n == 4
+
+
+def test_near_symmetric_input_is_symmetrized():
+    # an asymmetry within SYMMETRY_RTOL of max d is rounding noise: the
+    # input is averaged with its transpose and keeps the symmetric input's q;
+    # one far above it is an input error
+    c5 = np.array([[min(abs(i - j), 5 - abs(i - j)) for j in range(5)] for i in range(5)],
+                  dtype=float)
+    q = generalized_roundness(build_metric_space(c5)).q
+    near = c5.copy()
+    near[0, 2] += 1e-14 * c5.max()
+    sp = build_metric_space(near)
+    assert np.array_equal(sp.dist, sp.dist.T) and sp.dist[0, 2] == (near[0, 2] + near[2, 0]) / 2
+    assert sp.dist[0, 2] != c5[0, 2]
+    assert generalized_roundness(sp).q == pytest.approx(q, abs=1e-9)
+    far = c5.copy()
+    far[0, 2] += 1e-10 * c5.max()
+    with pytest.raises(NotSymmetricError):
+        build_metric_space(far)
 
 
 def test_triangle_check_always_runs():

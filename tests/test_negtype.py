@@ -263,7 +263,9 @@ def test_search_decisions_are_golden(name):
                          ids=["truncated_tetrahedron", "eucl:24"])
 def test_dense_search_and_strict_verdict_solve_for_values_only(monkeypatch, make):
     # the search and a strict verdict read eigenvalues alone; only a witness
-    # asks for modes, and then `eigensym` runs once
+    # asks for modes, and then `eigensym` runs once: on D_p for the truncated
+    # tetrahedron, whose rows are permutations of each other, on M(p) for
+    # the Euclidean space
     sp = make()
     assert sp.order is None and sp.classes is None
     calls = []
@@ -280,7 +282,8 @@ def test_dense_search_and_strict_verdict_solve_for_values_only(monkeypatch, make
     assert calls == []
     verdict = check_negative_type(sp, q + 0.5)
     assert not verdict.strict and verdict.witness is not None
-    assert calls == [(sp.n - 1, sp.n - 1)]
+    k = sp.n if has_row_permutation_property(sp) else sp.n - 1
+    assert calls == [(k, k)]
     # the stacked dense search makes the decisions of the one-space search
     assert roundness_search(sp.dist[None]) == [found]
 
@@ -349,6 +352,29 @@ def test_class_source_agrees_with_dense_source(spec):
         assert a.max_form_eigenvalue == pytest.approx(b.max_form_eigenvalue, rel=1e-12)
         if a.witness is not None:
             assert a.witness.form_value == pytest.approx(b.witness.form_value, rel=1e-9)
+
+
+@pytest.mark.parametrize("make", [lambda: path_metric(truncated_tetrahedron()),
+                                  lambda: dense_copy(relabelled(space("circulant:24:1,5")))],
+                         ids=["truncated_tetrahedron", "dense relabelled circulant:24:1,5"])
+def test_dense_row_permutation_spectrum_is_the_form_after_r(make):
+    # on a row-permutation space the dense source solves D_p alone; M(p),
+    # built and solved independently, is the reference for its tail
+    sp = make()
+    assert sp.order is None and sp.classes is None and has_row_permutation_property(sp)
+    res = generalized_roundness(sp)
+    unit = sp.dist / sp.dist.max()
+    for p in (res.q / 2, res.q, res.q + 0.5):
+        values = negtype._source(sp)(p).spectrum.values
+        assert values[0] == pytest.approx(power_matrix(unit, p)[0].sum(), rel=1e-12)
+        form = spectral._eigvals(negtype_form_matrix(unit, p))
+        assert np.abs(values[1:] - form).max() <= 1e-12 * np.abs(form).max()
+    report = kernel_coincidence_check(sp, res.q)
+    form = spectral._eigvals(negtype_form_matrix(unit, res.q))
+    null = int(np.count_nonzero(np.abs(form) <= negtype.CERTIFICATE_TOL))
+    assert report.holds and report.form_kernel_dim == report.matrix_kernel_dim == null
+    # the stacked search, on M(p), makes the decisions of the one-space search
+    assert roundness_search(sp.dist[None]) == [(res.q, res.bracket, res.iterations)]
 
 
 @pytest.mark.parametrize("spec", GENERIC)
@@ -617,6 +643,25 @@ def test_consumers_read_the_cached_order(monkeypatch, capsys, spec):
     assert kernel_coincidence_check(sp, res.q).holds
     assert cli.main(["verify", "--graph", spec]) == 0
     assert '"holds":true' in capsys.readouterr().out
+
+
+def test_row_permutation_is_decided_once(monkeypatch):
+    # the method tag, the class detection and the kernel check's guard all
+    # read the verdict cached on the space, so Petersen sorts its rows once
+    sp = space("petersen")
+    decide = metric._rows_permute
+    sorts = []
+
+    def counted(d):
+        sorts.append(len(d))
+        return decide(d)
+
+    monkeypatch.setattr(metric, "_rows_permute", counted)
+    res = generalized_roundness(sp)
+    assert res.method == METHOD_DETERMINANT_FAST_PATH
+    assert kernel_coincidence_check(sp, res.q).holds
+    assert has_row_permutation_property(sp)
+    assert sorts == [10]
 
 
 def test_cycle_4096_kernel_coincidence():
