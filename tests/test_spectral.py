@@ -251,6 +251,30 @@ def test_eigvals_trace_and_frobenius_checks_per_member(monkeypatch):
         _eigvals(np.stack([GOOD, bad]))
 
 
+def test_eigensym_stack_residual_bound_per_member(monkeypatch):
+    # eigensym takes one matrix and a stack goes to _eigvals: a shift that
+    # eigensym's residual bound rejects on one member is rejected in a stack
+    # too, while the members around it pass both
+    true_eigh, true_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    bad = np.diag([3.0, 1.0, -2.0])
+
+    def shifted(a):
+        # shifts the eigenvalues of the members whose [0, 0] entry is 3 only
+        w, v = true_eigh(a)
+        return w + 1e-6 * (a[..., :1, 0] == 3.0), v
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shifted(a)[0])
+    for a in (GOOD, 1e12 * GOOD):
+        eigensym(a)
+    _eigvals(np.stack([GOOD, 1e12 * GOOD]))
+    with pytest.raises(NoConvergenceError) as single:
+        eigensym(bad)
+    assert single.value.residual == pytest.approx(1e-6)
+    with pytest.raises(NoConvergenceError):
+        _eigvals(np.stack([1e12 * GOOD, bad, GOOD]))
+
+
 def test_eigvals_stack_equals_single_calls():
     rng = np.random.default_rng(7)
     members = [random_symmetric(rng, 5, scale) for scale in (1e-6, 1.0, 1e6)]
