@@ -3,9 +3,11 @@
 The package root is lazy (PEP 562): `import roundness` loads no submodule
 and no numpy, and each name in `__all__` is looked up in its submodule on
 every access, not cached here, so `roundness.X` is always the object that
-`roundness.<submodule>.X` holds now. The library never changes the
-environment of the process that imports it; the `gr` CLI alone defaults
-OPENBLAS_NUM_THREADS to 1 (see `roundness.cli`).
+`roundness.<submodule>.X` holds now. Search internals, such as
+`metric.power_matrix` or `spectral.eigensym`, are imported from their
+submodules. The library never changes the environment of the process that
+imports it; the `gr` CLI alone defaults OPENBLAS_NUM_THREADS to 1 (see
+`roundness.cli`).
 """
 
 import importlib
@@ -32,15 +34,7 @@ _SUBMODULE_NAMES = {
         "subset_metric",
         "tree_embedding_search",
     ),
-    "metric": (
-        "FiniteMetricSpace",
-        "NegativeTypeWitness",
-        "build_metric_space",
-        "has_row_permutation_property",
-        "hyperplane_basis",
-        "power_matrix",
-        "quadratic_form",
-    ),
+    "metric": ("FiniteMetricSpace", "NegativeTypeWitness", "build_metric_space"),
     "negtype": (
         "GrInequalityResult",
         "KernelCoincidenceReport",
@@ -50,9 +44,8 @@ _SUBMODULE_NAMES = {
         "generalized_roundness",
         "gr_inequality_check",
         "kernel_coincidence_check",
-        "negtype_form_matrix",
     ),
-    "spectral": ("SpectralData", "det_exact", "eigensym", "kernel_basis_exact", "rank_exact"),
+    "spectral": ("det_exact", "kernel_basis_exact", "rank_exact"),
 }
 
 _SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}

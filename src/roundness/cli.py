@@ -52,9 +52,9 @@ from .hamming import (
     sign_matrix,
     tree_embedding_search,
 )
-from .metric import build_metric_space, has_row_permutation_property
-from .negtype import (_space_search, check_negative_type, generalized_roundness,
-                      kernel_coincidence_check)
+from .metric import build_metric_space
+from .negtype import (_require_rows_permute, _space_search, check_negative_type,
+                      generalized_roundness, kernel_coincidence_check)
 from .spectral import det_exact
 
 log = logging.getLogger("roundness")
@@ -66,14 +66,10 @@ log = logging.getLogger("roundness")
 def graph_from_spec(spec: str):
     parts = spec.split(":")
     name = parts[0]
-    if name in SOLIDS:
+    if name in SOLIDS or name == "petersen":
         if len(parts) > 1:
             raise RoundnessError(f"{name} takes no parameters")
-        return load_solid(name)
-    if name == "petersen":
-        if len(parts) > 1:
-            raise RoundnessError("petersen takes no parameters")
-        return gen_family("petersen")
+        return load_solid(name) if name in SOLIDS else gen_family(name)
     if name == "circulant":
         if len(parts) != 3:
             raise RoundnessError("circulant spec is circulant:N:s1,s2,...")
@@ -191,10 +187,7 @@ def cmd_negtype(args) -> int:
 
 def cmd_verify(args) -> int:
     space, desc = resolve_space(args)
-    if not has_row_permutation_property(space):
-        raise HypothesisViolatedError(
-            "rows of the distance matrix are not permutations of each other"
-        )
+    _require_rows_permute(space)
     # the report prints only q, so the search runs without the certificate
     found = _space_search(space, args.p_max, args.tol_p, args.tol_eig)
     diag = {"p_max": args.p_max, "tol_p": args.tol_p, "tol_eig": args.tol_eig}

@@ -36,10 +36,6 @@ class NegativeExponentError(RoundnessError):
     pass
 
 
-class DimensionMismatchError(RoundnessError):
-    pass
-
-
 # -- spectral -----------------------------------------------------------------
 
 class NoConvergenceError(RoundnessError):

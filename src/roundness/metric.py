@@ -3,9 +3,8 @@
 The central object is :class:`FiniteMetricSpace`: n points with a validated
 symmetric distance matrix. From it the p-th power distance matrix is built
 (with the convention 0^p = 0 for every p >= 0, so the 0-th power matrix is
-the all-ones matrix minus the identity), and quadratic forms over weight
-vectors summing to zero are evaluated. Matrices are passed as plain
-read-only numpy arrays.
+the all-ones matrix minus the identity), with the closed-form basis of the
+zero-sum hyperplane. Matrices are passed as plain read-only numpy arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 
 from .errors import (
     BadParamsError,
-    DimensionMismatchError,
     NegativeEntryError,
     NegativeExponentError,
     NonzeroDiagonalError,
@@ -64,10 +62,9 @@ class FiniteMetricSpace:
 
     @cached_property
     def rows_permute(self) -> bool:
-        """Whether every row of `dist` is a permutation of row 0
-        (`has_row_permutation_property`): True at once for a space with an
-        order, else the tolerant sort of `_rows_permute`, decided once per
-        space."""
+        """Whether every row of `dist` is a permutation of row 0: True at
+        once for a space with an order, else the tolerant sort of
+        `_rows_permute`, decided once per space."""
         return self.order is not None or _rows_permute(self.dist)
 
     @cached_property
@@ -97,7 +94,10 @@ def build_metric_space(matrix, labels=None) -> FiniteMetricSpace:
     inequality is always checked, to the same relative slack
     (TriangleViolationError).
     """
-    d = np.array(matrix, dtype=float)
+    try:
+        d = np.array(matrix, dtype=float)
+    except TypeError as exc:  # an entry that is no number, such as a dict
+        raise ValueError(f"distance matrix entries must be numbers: {exc}") from exc
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
@@ -166,28 +166,16 @@ def _power(d: np.ndarray, p: float) -> np.ndarray:
 
 
 def has_row_permutation_property(space: FiniteMetricSpace) -> bool:
-    """True iff each row of the distance matrix is a permutation of row 0:
-    the rows, sorted, agree entry by entry within SYMMETRY_RTOL = 1e-12
-    times the largest distance. A space with an order (`order`) has it by
-    construction, with no sort; any other space sorts once, and caches the
-    verdict (`FiniteMetricSpace.rows_permute`)."""
+    """`FiniteMetricSpace.rows_permute`: whether each row of the distance
+    matrix is a permutation of row 0."""
     return space.rows_permute
 
 
 def _rows_permute(d: np.ndarray) -> bool:
-    """`has_row_permutation_property` of the distance matrix d, by sorting
-    its rows."""
+    """Whether the rows of d, sorted, agree entry by entry within
+    SYMMETRY_RTOL = 1e-12 times the largest distance."""
     rows = np.sort(d, axis=1)
     return bool(np.all(np.abs(rows - rows[0]) <= SYMMETRY_RTOL * float(np.max(d))))
-
-
-def quadratic_form(dp: np.ndarray, eta) -> float:
-    """Evaluate eta^T D_p eta for the powered distance matrix D_p."""
-    eta = np.asarray(eta, dtype=float)
-    n = dp.shape[0]
-    if eta.shape != (n,):
-        raise DimensionMismatchError(f"weight vector has shape {eta.shape}, expected ({n},)")
-    return float(eta @ dp @ eta)
 
 
 @lru_cache(maxsize=None)

@@ -47,18 +47,14 @@ once per space by what the space caches about itself:
   eigendecompose.
 
 The one-space search, `check_negative_type`, the certificate and
-`kernel_coincidence_check` each have one body over the source.
-
-For spaces whose distance-matrix rows are permutations of each other (all
-vertex-transitive graphs), q is also the first exponent where an eigenvalue
-of D_p other than r(p) reaches 0, so det(D_p) vanishes; that criterion is run as a cross-check and yields a null-vector
-certificate. At q the zero-sum vectors nullifying the form coincide with the
-null space of D_q; `kernel_coincidence_check` verifies both inclusions
-numerically. Every tolerance is relative to the scale of the matrix it tests
-(the spectral radius of M(p), max |D_q| or the larger side of the roundness
-inequality), so no result depends on the unit of distance. Every D_p is
-powered from d / max d, which neither overflows nor underflows at any unit,
-and every D_q test uses CERTIFICATE_TOL.
+`kernel_coincidence_check` each have one body over the source. On a
+row-permutation space (every vertex-transitive graph) q is also the first
+exponent where an eigenvalue of D_p other than r(p) reaches 0, which gives
+a null-vector certificate, and at q the zero-sum vectors nullifying the
+form are the null vectors of D_q, which `kernel_coincidence_check` checks
+with CERTIFICATE_TOL. Every tolerance is relative to the scale of the
+matrix it tests, and every D_p is powered from d / max d, so no result
+depends on the unit of distance and no power overflows or underflows.
 """
 
 from __future__ import annotations
@@ -85,7 +81,6 @@ from .metric import (
     NegativeTypeWitness,
     _check_tolerance,
     _power,
-    has_row_permutation_property,
     hyperplane_basis,
     power_matrix,
 )
@@ -97,6 +92,7 @@ from .spectral import (
     _row0_multiplicities,
     _row0_product,
     _row0_spectrum,
+    _sign_fixed,
     eigensym,
 )
 
@@ -163,9 +159,9 @@ def negtype_form_matrix(space, p) -> np.ndarray:
 class _Spectrum(NamedTuple):
     """The eigenvalues of a symmetric matrix, how many eigenvalues each
     entry stands for, `modes(idx)`: a unit eigenvector at each entry of idx,
-    first nonzero entry positive, as columns, and `start`, the entry where
-    the form's spectrum begins: 1 on D_p of a row-permutation space, whose
-    entry 0 is r(p), and 0 on M(p)."""
+    signed by `spectral._sign_fixed`, as columns, and `start`, the entry
+    where the form's spectrum begins: 1 on D_p of a row-permutation space,
+    whose entry 0 is r(p), and 0 on M(p)."""
 
     values: np.ndarray
     multiplicities: np.ndarray
@@ -190,8 +186,8 @@ def _source(space: FiniteMetricSpace):
     if classes is not None:
         distances = classes.distances / max_d
         return lambda p: _ClassSource(classes, distances, unit, max_d, p)
-    counts, rows_permute = np.ones(space.n, dtype=np.int64), space.rows_permute
-    return lambda p: _DenseSource(unit, counts, max_d, p, rows_permute)
+    rows_permute = space.rows_permute
+    return lambda p: _DenseSource(unit, max_d, p, rows_permute)
 
 
 class _Row0Source:
@@ -241,33 +237,28 @@ class _ClassSource(_DenseProduct):
 
 class _DenseSource(_DenseProduct):
     """The source of any other space: the spectrum of D_p on a
-    row-permutation space and of M(p) on any other, with multiplicities
-    `counts` (all 1). The values come from a values-only solve
+    row-permutation space and of M(p) on any other, each value counted
+    once. The values come from a values-only solve
     (`spectral._eigvals`), descending, so r(p), the largest of D_p's
     (Perron-Frobenius), is entry 0. The modes come from `eigensym`, run
     once, when a mode is first asked for, in the same order, lifted by the
-    zero-sum basis on M(p), each with its first entry above 1e-12 of its
-    largest made positive, as entry 0 of a row-0 mode is."""
+    zero-sum basis on M(p), with the sign of `spectral._sign_fixed`."""
 
-    def __init__(self, unit: np.ndarray, counts: np.ndarray, max_d: float, p: float,
-                 rows_permute: bool):
+    def __init__(self, unit: np.ndarray, max_d: float, p: float, rows_permute: bool):
         super().__init__(unit, max_d, p)
-        if rows_permute:
-            a, basis = self.dp, None
-        else:
-            a, basis, counts = negtype_form_matrix(unit, p), hyperplane_basis(len(unit)), counts[1:]
+        a = self.dp if rows_permute else negtype_form_matrix(unit, p)
         solved = []  # eigensym(a), once a mode is asked for
 
         def modes(idx):
             if not solved:
                 solved.append(eigensym(a))
             u = solved[0].eigenvectors[:, idx]
-            u = u if basis is None else basis @ u
-            u = u / np.linalg.norm(u, axis=0)
-            first = (np.abs(u) > 1e-12 * np.abs(u).max(axis=0)).argmax(axis=0)
-            return u * np.sign(u[first, np.arange(u.shape[1])])
+            u = u if rows_permute else hyperplane_basis(len(unit)) @ u
+            return _sign_fixed(u / np.linalg.norm(u, axis=0))
 
-        self.spectrum = _Spectrum(_eigvals(a), counts, modes, int(rows_permute))
+        values = _eigvals(a)
+        self.spectrum = _Spectrum(values, np.ones(len(values), dtype=np.int64), modes,
+                                  int(rows_permute))
 
 
 def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-9) -> NegTypeVerdict:
@@ -294,9 +285,7 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
     values = spectrum.values[spectrum.start:]
     top = int(values.argmax())
     lmax = float(values[top])
-    scale = max(lmax, -float(values.min()))
-    holds = lmax <= tol_eig * scale
-    strict = lmax < -tol_eig * scale
+    holds, strict, _ = _predicate(lmax, float(values.min()), tol_eig)
     factor = _unit_factor(src.max_d, p)
     witness = None
     if not strict:
@@ -305,6 +294,22 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
         witness = NegativeTypeWitness(eta=eta, form_value=float(eta @ src.product(eta)) * factor)
     return NegTypeVerdict(p=float(p), holds=holds, strict=strict,
                           max_form_eigenvalue=lmax * factor, witness=witness)
+
+
+def _predicate(lmax: float, lmin: float, tol_eig: float) -> tuple[bool, bool, float]:
+    """(holds, strict, margin) from the largest and the smallest eigenvalue
+    of M(p), in Python floats: lmax <= tol_eig times the spectral radius,
+    lmax < -tol_eig times it, and the ITP margin lmax / radius - tol_eig.
+    The radius is > 0, as max D_p = 1 on d / max d makes M(p) nonzero."""
+    scale = -lmin if -lmin > lmax else lmax  # max(lmax, -lmin), without a call per step
+    return lmax <= tol_eig * scale, lmax < -tol_eig * scale, lmax / scale - tol_eig
+
+
+def _require_rows_permute(space: FiniteMetricSpace) -> None:
+    """HypothesisViolatedError unless `FiniteMetricSpace.rows_permute`."""
+    if not space.rows_permute:
+        raise HypothesisViolatedError(
+            "rows of the distance matrix are not permutations of each other")
 
 
 def _unit_factor(max_d: float, p: float) -> float:
@@ -399,10 +404,8 @@ def _lockstep(stack, extremes, p_max: float, tol_p: float, tol_eig: float) -> li
     Each step calls `extremes(stack, p)` once, with `stack` cut down to the
     members still searching, in order, and p the list of their exponents;
     it returns the largest and the smallest eigenvalue of each M(p), as two
-    arrays. The predicate "largest eigenvalue <= tol_eig times the spectral
-    radius" is sent to each search with the eigenvalue's margin, both
-    computed per member in Python floats. Returns, per member, what its
-    search returns.
+    arrays. The predicate (`_predicate`) is sent to each search with its
+    margin. Returns, per member, what its search returns.
     """
     found: list[tuple[float, tuple[float, float], int] | None] = [None] * len(stack)
     live = [(i, _itp(p_max, tol_p)) for i in range(len(stack))]
@@ -411,11 +414,10 @@ def _lockstep(stack, extremes, p_max: float, tol_p: float, tol_eig: float) -> li
         lmax, lmin = extremes(stack, probes)
         keep, probes = [], []
         for j, (top, bottom) in enumerate(zip(lmax.tolist(), lmin.tolist())):
-            # scale > 0: the largest entry of D_p is 1, so M(p) is not 0
-            scale = max(top, -bottom)
+            holds, _, margin = _predicate(top, bottom, tol_eig)
             i, search = live[j]
             try:
-                probes.append(search.send((top <= tol_eig * scale, top / scale - tol_eig)))
+                probes.append(search.send((holds, margin)))
                 keep.append(j)
             except StopIteration as stop:
                 found[i] = stop.value
@@ -493,7 +495,7 @@ def generalized_roundness(
     counts the ITP steps. If the predicate still holds at p_max the result
     is Unbounded (constant-distance spaces, for example, have negative type
     at every exponent). On row-permutation inputs
-    (`has_row_permutation_property`) D_q must be singular: `det_normalized`
+    (`FiniteMetricSpace.rows_permute`) D_q must be singular: `det_normalized`
     is min |eigenvalue| / max |eigenvalue| of D_q, a scale-free measure that
     is about 0 at q (a warning is logged above CERTIFICATE_TOL), and the
     certificate is the unit mode of D_q at its smallest |eigenvalue| other
@@ -504,7 +506,7 @@ def generalized_roundness(
     finite and > 0 and tol_eig finite and >= 0; anything else raises
     BadParamsError before any eigensolve.
     """
-    row_perm = has_row_permutation_property(space)
+    row_perm = space.rows_permute
     method = METHOD_DETERMINANT_FAST_PATH if row_perm else METHOD_SPECTRAL_BISECTION
 
     found = _space_search(space, p_max, tol_p, tol_eig)
@@ -542,19 +544,16 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
     both kernels are read off one mask of D_q's spectrum, from the space's
     source (`_source`): the eigenvalues within CERTIFICATE_TOL of 0, on the
     scale max |D_q| = 1 of d / max d, counted with their multiplicity.
-    r(q) >= 1 is never in it, so the form's kernel is the whole of D_q's.
+    r(q) >= 1 is never in it, so the form's kernel is the whole of D_q's,
+    and both reported dimensions are one count.
     One pass over the null modes, a block at a time, takes from each mode u
     the forward defect max |D_q u|, by the source's product, not by the
     eigensolver, and the backward defect |sum u| / sqrt(n), for u must be
     zero-sum; the verdict holds when both are within CERTIFICATE_TOL. A
     space with an order makes no n x n array. Requires the row-permutation
-    property (`has_row_permutation_property`, else HypothesisViolatedError)
-    and a finite q.
+    property (`_require_rows_permute`) and a finite q.
     """
-    if not has_row_permutation_property(space):
-        raise HypothesisViolatedError(
-            "rows of the distance matrix are not permutations of each other"
-        )
+    _require_rows_permute(space)
     if q is None or not np.isfinite(q):
         raise ValueError("kernel coincidence requires a finite roundness exponent")
     src = _source(space)(q)
@@ -566,11 +565,9 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
         u = spectrum.modes(kernel[k:k + step])
         max_defect = max(max_defect, float(np.abs(src.product(u)).max()),
                          float(np.abs(u.sum(axis=0)).max() / np.sqrt(space.n)))
-    dims = spectrum.multiplicities[kernel]
-    return KernelCoincidenceReport(
-        holds=max_defect <= CERTIFICATE_TOL, max_defect=max_defect,
-        form_kernel_dim=int(dims[kernel >= spectrum.start].sum()),
-        matrix_kernel_dim=int(dims.sum()))
+    dim = int(spectrum.multiplicities[kernel].sum())
+    return KernelCoincidenceReport(holds=max_defect <= CERTIFICATE_TOL, max_defect=max_defect,
+                                   form_kernel_dim=dim, matrix_kernel_dim=dim)
 
 
 def gr_inequality_check(

@@ -296,8 +296,8 @@ class ClassSpectrum(NamedTuple):
     0), `eigenmatrix` Theta (e, s) the eigenvalue of the class matrix A_k
     (1 where the distance is d_k) on each joint eigenspace, the one
     spanned by 1 first, `dims` the dimension of each eigenspace and `modes`
-    (n, e) one unit vector of each, first entry above 1e-12 of its largest
-    positive. The spectrum of sum_k f(d_k) A_k is Theta f(d)."""
+    (n, e) one unit vector of each, signed by `_sign_fixed`. The spectrum
+    of sum_k f(d_k) A_k is Theta f(d)."""
 
     distances: np.ndarray
     eigenmatrix: np.ndarray
@@ -363,12 +363,18 @@ def _class_spectrum(a: np.ndarray) -> ClassSpectrum | None:
                     - v @ (np.repeat(theta, dims, axis=0) * r)).max(axis=(0, 1))
     if np.count_nonzero(defect > CLASS_RTOL * counts * np.abs(y).max()):
         return None
-    lead = np.abs(modes) > 1e-12 * np.abs(modes).max(axis=1, keepdims=True)
-    modes *= np.sign(modes[np.arange(len(starts)), lead.argmax(axis=1)])[:, None]
-    modes = modes.T
+    modes = _sign_fixed(modes.T)
     for x in (distances, theta, dims, modes):
         x.setflags(write=False)
     return ClassSpectrum(distances, theta, dims, modes)
+
+
+def _sign_fixed(u: np.ndarray) -> np.ndarray:
+    """The columns of u, each times the sign of its first entry above
+    1e-12 of its largest |entry|, which is then positive: the sign of every
+    mode a `negtype` source gives (a row-0 mode has entry 0 positive)."""
+    first = (np.abs(u) > 1e-12 * np.abs(u).max(axis=0)).argmax(axis=0)
+    return u * np.sign(u[first, np.arange(u.shape[1])])
 
 
 def _run_starts(changes: np.ndarray) -> np.ndarray:

@@ -24,12 +24,11 @@ from roundness import (
     null_dimension_check,
     path_embedding_witness,
     path_metric,
-    power_matrix,
-    quadratic_form,
     scan_subsets,
     subset_metric,
     tree_embedding_search,
 )
+from roundness.metric import power_matrix
 
 
 class Timer:
@@ -208,7 +207,7 @@ def test_criterion_10_inequality_sampling():
                     eta = verdict.witness.eta
                     ok &= verdict.witness.form_value >= -1e-9
                     ok &= abs(float(np.sum(eta))) <= 1e-9
-                    ok &= quadratic_form(power_matrix(sp, p), eta) == pytest.approx(
+                    ok &= float(eta @ power_matrix(sp, p) @ eta) == pytest.approx(
                         verdict.witness.form_value
                     )
     report(10, ok, t.elapsed, 120, "no sampled violations under negative type; witnesses valid")

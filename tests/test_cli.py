@@ -306,6 +306,16 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert report["error"]["type"] == "RoundnessError"
 
 
+@pytest.mark.parametrize("entry", [{}, "x", [1]], ids=["object", "string", "list"])
+def test_matrix_entry_that_is_no_number_exits_2(tmp_path, capsys, entry):
+    # numpy raises TypeError on a dict entry, which must still be a JSON error
+    f = tmp_path / "entries.json"
+    f.write_text(json.dumps({"matrix": [[0, entry], [entry, 0]]}))
+    code, report = run_cli(capsys, "roundness", "--matrix", str(f))
+    assert code == 2
+    assert report["error"]["type"] == "ValueError"
+
+
 def test_solid_graph_spec(capsys):
     code, report = run_cli(capsys, "roundness", "--graph", "dodecahedron")
     assert code == 0

@@ -6,13 +6,13 @@ import pytest
 from roundness import (
     Graph,
     gen_family,
-    has_row_permutation_property,
     load_solid,
     parse_edge_list,
     path_metric,
 )
 from roundness import graphs
 from roundness.errors import BadParamsError, DisconnectedError, UnknownFamilyError
+from roundness.metric import has_row_permutation_property
 from roundness.spectral import _row0_order, _row0_order_of_edges
 
 

@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
 
-from roundness import (
-    build_metric_space,
-    cube_distance_matrix,
-    generalized_roundness,
-    has_row_permutation_property,
-    hyperplane_basis,
-    power_matrix,
-    quadratic_form,
-)
+from roundness import build_metric_space, cube_distance_matrix, generalized_roundness
 from roundness.errors import (
-    DimensionMismatchError,
     NegativeEntryError,
     NegativeExponentError,
     NonzeroDiagonalError,
@@ -19,6 +10,7 @@ from roundness.errors import (
     TriangleViolationError,
     ZeroDistanceError,
 )
+from roundness.metric import has_row_permutation_property, hyperplane_basis, power_matrix
 
 C4_MATRIX = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]  # BFS on the 4-cycle
 P3_MATRIX = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -178,15 +170,14 @@ def test_row_permutation_invariant_under_relabeling():
 def test_quadratic_form_examples():
     sp = build_metric_space([[0, 1], [1, 0]])
     pm = power_matrix(sp, 1.0)
-    assert quadratic_form(pm, [0, 0]) == 0.0
-    assert quadratic_form(pm, [1, -1]) == -2.0
+    assert np.zeros(2) @ pm @ np.zeros(2) == 0.0
+    eta = np.array([1.0, -1.0])
+    assert eta @ pm @ eta == -2.0
 
     h2 = build_metric_space(cube_distance_matrix(2))
     # (1,-1,-1,1) spans the kernel of the 2-cube distance matrix
-    assert quadratic_form(power_matrix(h2, 1.0), [1, -1, -1, 1]) == 0.0
-
-    with pytest.raises(DimensionMismatchError):
-        quadratic_form(pm, [1, -1, 0])
+    eta = np.array([1.0, -1.0, -1.0, 1.0])
+    assert eta @ power_matrix(h2, 1.0) @ eta == 0.0
 
 
 def test_two_point_form_closed_form():
@@ -194,9 +185,9 @@ def test_two_point_form_closed_form():
     sp = build_metric_space([[0, 2.5], [2.5, 0]])
     for _ in range(25):
         eta1 = float(rng.normal())
-        eta = [eta1, -eta1]
+        eta = np.array([eta1, -eta1])
         for p in (0.0, 0.5, 1.0, 3.0):
-            val = quadratic_form(power_matrix(sp, p), eta)
+            val = eta @ power_matrix(sp, p) @ eta
             assert val <= 0.0
             assert val == pytest.approx(-2 * 2.5**p * eta1**2)
 

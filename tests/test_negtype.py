@@ -15,10 +15,7 @@ from roundness import (
     gr_inequality_check,
     kernel_coincidence_check,
     load_solid,
-    negtype_form_matrix,
     path_metric,
-    power_matrix,
-    quadratic_form,
 )
 from roundness.errors import (
     BadParamsError,
@@ -28,10 +25,11 @@ from roundness.errors import (
     NonFiniteMatrixError,
 )
 from roundness import cli, metric, negtype, spectral
-from roundness.metric import has_row_permutation_property
+from roundness.metric import has_row_permutation_property, power_matrix
 from roundness.negtype import (
     METHOD_DETERMINANT_FAST_PATH,
     METHOD_SPECTRAL_BISECTION,
+    negtype_form_matrix,
     roundness_search,
 )
 
@@ -535,7 +533,8 @@ def test_non_row_permutation_space_uses_spectral_path():
     assert res.certificate is None and res.det_normalized is None
     # the 3-point path nullifies its form at p = 2 with weights (1, -2, 1)
     assert res.q == pytest.approx(2.0, abs=1e-6)
-    assert quadratic_form(power_matrix(sp, 2.0), [1, -2, 1]) == 0.0
+    eta = np.array([1.0, -2.0, 1.0])
+    assert eta @ power_matrix(sp, 2.0) @ eta == 0.0
     # tolerances are relative, so a tiny copy is neither taken for a
     # row-permutation space nor found to have negative type at every p
     tiny = generalized_roundness(build_metric_space(1e-13 * np.array(P3_MATRIX)))

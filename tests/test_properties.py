@@ -28,9 +28,9 @@ from roundness import (
     gr_inequality_check,
     kernel_coincidence_check,
     path_metric,
-    power_matrix,
 )
 from roundness.errors import DisconnectedError
+from roundness.metric import power_matrix
 from roundness.negtype import CERTIFICATE_TOL, METHOD_DETERMINANT_FAST_PATH, _itp
 
 P_MAX = 64.0

@@ -10,7 +10,6 @@ from roundness import (
     build_metric_space,
     cube_distance_matrix,
     det_exact,
-    eigensym,
     gen_family,
     generalized_roundness,
     kernel_basis_exact,
@@ -25,7 +24,7 @@ from roundness.errors import (
     RoundnessError,
 )
 from roundness import spectral
-from roundness.spectral import INT64_MAX_ORDER, _eigvals, _eliminate, _exact, _row0_order
+from roundness.spectral import INT64_MAX_ORDER, _eigvals, _eliminate, _exact, _row0_order, eigensym
 
 try:
     import sympy

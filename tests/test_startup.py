@@ -1,6 +1,7 @@
 """What importing the package and starting the CLI load and set, each
-checked in a fresh interpreter."""
+checked in a fresh interpreter, and which names the package root exports."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -47,6 +48,40 @@ def test_root_names_are_the_submodule_objects():
         "print(len(roundness.__all__))"
     )
     assert int(out) == len(roundness.__all__) > 0
+
+
+PUBLIC_NAMES = [
+    "ClassificationResult", "FiniteMetricSpace", "GrInequalityResult", "Graph",
+    "KernelCoincidenceReport", "NegTypeVerdict", "NegativeTypeWitness", "RoundnessError",
+    "RoundnessResult", "build_metric_space", "check_negative_type", "classify_subset",
+    "cube_distance_matrix", "det_exact", "eigen_identity_check", "factor_matrix",
+    "factorization_check", "gen_family", "generalized_roundness", "gr_inequality_check",
+    "kernel_basis_exact", "kernel_coincidence_check", "lifted_vertex_matrix", "load_edge_list",
+    "load_solid", "null_dimension_check", "parse_edge_list", "path_embedding_witness",
+    "path_metric", "rank_exact", "scan_subsets", "sign_matrix", "sign_vector", "subset_metric",
+    "tree_embedding_search",
+]
+
+# search internals kept off the root, each imported from its submodule by
+# the benchmark harness (perfbench/workloads.py and the spans in perfbench/spans.py)
+SUBMODULE_ONLY = {
+    "metric": ("power_matrix", "hyperplane_basis", "has_row_permutation_property"),
+    "negtype": ("negtype_form_matrix",),
+    "spectral": ("eigensym", "SpectralData"),
+}
+
+
+def test_public_names_are_pinned():
+    assert roundness.__all__ == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 35
+
+
+def test_search_internals_import_from_their_submodules_only():
+    for module, names in SUBMODULE_ONLY.items():
+        submodule = importlib.import_module(f"roundness.{module}")
+        for name in names:
+            assert callable(getattr(submodule, name)), name
+            assert name not in roundness.__all__ and not hasattr(roundness, name), name
 
 
 def test_root_names_follow_a_rebinding_in_their_submodule():
