@@ -14,8 +14,8 @@ classification reduces to one exact integer elimination. A single subset
 and the exhaustive scan build the same 0/+-1 stack of difference matrices
 and hand it to the one fraction-free elimination of `spectral`; the scan
 classifies all subsets of one size in one such call, in a single process,
-and then finds the roundness of each distinct strict subset metric, all
-matrices of one size in one lock-step root search.
+and then finds the roundness of one metric per isometry class of strict
+subset metrics, all classes of one size in one lock-step root search.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from .spectral import _kernel_basis, _ranks, _row0_index, det_exact, kernel_basi
 # memory and time: the distance matrix has 4^n int64 entries (128 MiB at
 # n = 12), the exact rank check eliminates the 2^n x 2^n matrix in Python
 # ints, and the exhaustive scan classifies every subset of up to n+1 of the
-# 2^n vertices and solves one roundness problem per distinct subset metric.
+# 2^n vertices and solves one roundness problem per isometry class of subset
+# metrics.
 # Classifying a few points and the path witness (capped on its cube
 # dimension k-1) are cheap at any n; those caps bound input and report size,
 # which grow with n (the witness as n^2).
@@ -283,6 +284,20 @@ def _combinations(size_cap: int, size: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, size)
 
 
+def _metric_keys(dist: np.ndarray, base: int, orders: np.ndarray) -> np.ndarray:
+    """One int64 key per matrix of the (m, k, k) stack `dist`, whose entries
+    are in 0..base-1: the smallest, over the point orders that are the rows
+    of the (P, k) array `orders`, of the matrix's upper triangle read in
+    that order as base-`base` digits, the first entry most significant.
+    Over one order the key is the matrix itself; over all k! orders it is
+    its isometry class."""
+    i, j = np.triu_indices(dist.shape[1], 1)
+    if base ** len(i) - 1 > np.iinfo(np.int64).max:
+        raise AssertionError(f"a {base}-ary key of {len(i)} digits overflows int64")
+    weights = base ** np.arange(len(i) - 1, -1, -1, dtype=np.int64)
+    return (dist[:, orders[:, i], orders[:, j]] @ weights).min(axis=1)
+
+
 def scan_subsets(
     n: int,
     max_size: int | None = None,
@@ -300,19 +315,22 @@ def scan_subsets(
     Ties in the minimum break lexicographically on the index set, so output
     is deterministic.
 
-    The subsets of one size are an (m, s) index array, classified exactly
-    by one fraction-free elimination over all of them
+    A subset of more than n+1 points has more than n differences in n
+    dimensions, so those sizes are counted non-strict with no elimination.
+    The subsets of each size up to n+1 are an (m, s) index array,
+    classified exactly by one fraction-free elimination over all of them
     (`_difference_ranks`), in int64 at every n the scan accepts. The scan
     runs in one process: `jobs` is checked but has no effect, and stays
-    only for callers that still pass it. q depends only on the distance
-    matrix, so the strict subsets of each size >= 3 get their metrics in
-    one gather from row 0 of `cube_distance_matrix` (the popcounts), equal
-    metrics are grouped by `np.unique`, and the distinct matrices go
-    through one `roundness_search`, which solves them all in lock-step;
-    each subset gets the q of its group, bit for bit what a
-    `generalized_roundness` of its own would give. `jobs` below 1, and
-    root-search parameters the search would reject, raise BadParamsError
-    before any work.
+    only for callers that still pass it. q depends only on the subset's
+    metric up to relabelling, so the strict subsets of each size >= 3 get
+    their metrics in one gather from row 0 of `cube_distance_matrix` (the
+    popcounts) and are grouped by isometry class (`_metric_keys`, taken
+    over all s! point orders once per distinct ordered metric). One
+    `roundness_search` solves the metric of the lexicographically first
+    subset of every class in lock-step, and each subset gets the q of its
+    class: 6 solves for the 560 strict 3-subsets of the 4-cube. `jobs`
+    below 1, and root-search parameters the search would reject, raise
+    BadParamsError before any work.
     """
     _check_dimension("exhaustive scan", n)
     size_cap = 1 << n
@@ -324,15 +342,16 @@ def scan_subsets(
         raise BadParamsError(f"jobs must be at least 1, got {jobs}")
     _check_search_params(p_max, tol_p, tol_eig)
 
-    subsets = [_combinations(size_cap, size) for size in range(1, max_size + 1)]
-    ranks = [_difference_ranks(n, idx) for idx in subsets]
-
     popcount = cube_distance_matrix(n)[0]
     counts: dict[tuple[int, bool], int] = {}
     best: tuple[float, tuple[int, ...]] | None = None
     unbounded_strict = 0
-    for size, (idx, rank) in enumerate(zip(subsets, ranks), start=1):
-        strict = rank == size - 1
+    for size in range(1, max_size + 1):
+        if size > n + 1:
+            counts[(size, False)] = math.comb(size_cap, size)
+            continue
+        idx = _combinations(size_cap, size)
+        strict = _difference_ranks(n, idx) == size - 1
         n_strict = int(strict.sum())
         for is_strict, count in ((True, n_strict), (False, len(idx) - n_strict)):
             if count:
@@ -340,11 +359,17 @@ def scan_subsets(
         if size < MIN_SUBSET_SIZE_FOR_Q or not n_strict:
             continue
         strict_idx = idx[strict]
-        dist = popcount[strict_idx[:, :, None] ^ strict_idx[:, None, :]].reshape(n_strict, -1)
-        distinct, inverse = np.unique(dist, axis=0, return_inverse=True)
-        found = roundness_search(distinct.reshape(-1, size, size).astype(float),
+        dist = popcount[strict_idx[:, :, None] ^ strict_idx[:, None, :]]
+        identity = np.arange(size)[None]
+        _, first, ordered = np.unique(_metric_keys(dist, n + 1, identity),
+                                      return_index=True, return_inverse=True)
+        orders = np.array(list(itertools.permutations(range(size))))
+        _, iso = np.unique(_metric_keys(dist[first], n + 1, orders), return_inverse=True)
+        iso = iso[ordered]  # the isometry class of each subset
+        _, rep = np.unique(iso, return_index=True)  # its lexicographically first subset
+        found = roundness_search(dist[rep].astype(float),
                                  p_max=p_max, tol_p=tol_p, tol_eig=tol_eig)
-        q = np.array([f[0] if f else np.nan for f in found])[inverse.ravel()]
+        q = np.array([f[0] if f else np.nan for f in found])[iso]
         bounded = ~np.isnan(q)
         unbounded_strict += len(q) - int(bounded.sum())
         if bounded.any():

@@ -35,7 +35,7 @@ from roundness.errors import (
     SearchSpaceTooLargeError,
 )
 from roundness import hamming
-from roundness.hamming import ScanSummary, _combinations, _difference_ranks
+from roundness.hamming import ScanSummary, _combinations, _difference_ranks, _metric_keys
 from roundness.negtype import roundness_search
 from roundness.spectral import _eliminate, _ranks
 
@@ -387,7 +387,9 @@ def brute_force_scan(n, max_size):
                        unbounded_strict_count=unbounded)
 
 
-@pytest.mark.parametrize("n, max_size, distinct", [(3, 8, 36), (4, 3, 22)])
+# one solve per isometry class of strict subset metric: 3 + 4 classes of
+# sizes 3 and 4 in the 3-cube, and 6 + 14 of sizes 3 and 4 in the 4-cube
+@pytest.mark.parametrize("n, max_size, distinct", [(3, 8, 7), (4, 3, 6), (4, 4, 20)])
 def test_scan_solves_each_distinct_metric_once(monkeypatch, n, max_size, distinct):
     expected = brute_force_scan(n, max_size)
     solved = []
@@ -399,6 +401,60 @@ def test_scan_solves_each_distinct_metric_once(monkeypatch, n, max_size, distinc
     monkeypatch.setattr(hamming, "roundness_search", counting)
     assert scan_subsets(n, max_size=max_size) == expected
     assert len(solved) == len(set(solved)) == distinct
+
+
+def _all_orders(k):
+    return np.array(list(itertools.permutations(range(k))))
+
+
+@st.composite
+def metric_stacks(draw):
+    """(n, stack, permuted): an (m, k, k) stack of symmetric matrices with
+    zero diagonal and off-diagonal entries in 1..n, k <= 5 and n <= 4, and the
+    same stack with the points of each matrix in a drawn order."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 6))
+    stack = np.zeros((m, k, k), dtype=np.int64)
+    i, j = np.triu_indices(k, 1)
+    entries = draw(st.lists(st.integers(1, n), min_size=m * len(i), max_size=m * len(i)))
+    stack[:, i, j] = np.reshape(entries, (m, len(i)))
+    stack += stack.transpose(0, 2, 1)
+    orders = [draw(st.permutations(range(k))) for _ in range(m)]
+    permuted = np.stack([d[np.ix_(o, o)] for d, o in zip(stack, orders)])
+    return n, stack, permuted
+
+
+@settings(max_examples=150, deadline=None)
+@given(metric_stacks())
+def test_isometry_key_ignores_the_point_order(case):
+    """The key over all orders is a relabelling invariant, and the key over
+    the given order alone reads back, digit by digit, as the upper triangle,
+    so distinct matrices never share a key."""
+    n, stack, permuted = case
+    k = stack.shape[1]
+    orders = _all_orders(k)
+    assert _metric_keys(stack, n + 1, orders).tolist() == _metric_keys(permuted, n + 1, orders).tolist()
+    i, j = np.triu_indices(k, 1)
+    for d, key in zip(stack, _metric_keys(stack, n + 1, orders[:1]).tolist()):
+        digits = [key // (n + 1) ** e % (n + 1) for e in range(len(i) - 1, -1, -1)]
+        assert digits == d[i, j].tolist()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_isometry_key_separates_exactly_the_isometry_classes(n):
+    """Over the distinct strict subset metrics of sizes 3 and 4, two keys are
+    equal exactly when some order of the points of one gives the other."""
+    popcount = cube_distance_matrix(n)[0]
+    for size in (3, 4):
+        idx = _combinations(1 << n, size)
+        idx = idx[_difference_ranks(n, idx) == size - 1]
+        dists = np.unique(popcount[idx[:, :, None] ^ idx[:, None, :]], axis=0)
+        orders = _all_orders(size)
+        keys = _metric_keys(dists, n + 1, orders).tolist()
+        relabelled = [{d[np.ix_(o, o)].tobytes() for o in orders} for d in dists]
+        for a, b in itertools.product(range(len(dists)), repeat=2):
+            assert (keys[a] == keys[b]) == (dists[b].tobytes() in relabelled[a]), (size, a, b)
 
 
 @pytest.mark.parametrize("n, max_size", [(3, 8), (4, 3)])

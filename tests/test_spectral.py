@@ -356,6 +356,24 @@ def test_rank_exact_row_operation_invariance():
 def test_rank_exact_rejects_non_integers():
     with pytest.raises(ValueError):
         rank_exact([[0.5, 1], [1, 0]])
+    with pytest.raises(ValueError):
+        rank_exact(np.array([[0.5, 1], [1, 0]]))
+    with pytest.raises(ValueError, match="ragged"):
+        rank_exact([[1, 0], [1]])
+
+
+def test_exact_entry_points_agree_across_input_types():
+    """A list, int64 and uint8 arrays (which skip the per-entry check) and an
+    integer-valued float array give the same rank, determinant and kernel."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        r = int(rng.integers(1, 7))
+        a = rng.integers(0, 6, size=(r, r))
+        if r > 1 and rng.random() < 0.5:
+            a[r - 1] = a[0]  # singular
+        results = [(rank_exact(m), det_exact(m), kernel_basis_exact(m))
+                   for m in (a.tolist(), a.astype(np.int64), a.astype(np.uint8), a.astype(float))]
+        assert all(res == results[0] for res in results), results
 
 
 def test_exact_elimination_against_sympy():
