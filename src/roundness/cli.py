@@ -12,9 +12,10 @@ Inputs, exactly one per command, are graph specs (``cycle:5``,
 ``circulant:8:1,3``, ``petersen``, ``dodecahedron``), matrix files (JSON
 ``{"labels": [...], "matrix": [[...]]}`` or bare CSV), or edge-list files
 (first line the vertex count, then ``u v`` lines). Reports are
-byte-identical for identical inputs and flags. Exit codes: 0 success/holds,
-1 semantic negative (violated, hypothesis failed, none found), 2 input
-error. Set ROUNDNESS_LOG=DEBUG for diagnostics on stderr.
+byte-identical for identical inputs and flags. Flags are read only as
+spelled in full. Exit codes: 0 success/holds, 1 semantic negative (violated,
+hypothesis failed, none found), 2 input error. Set ROUNDNESS_LOG=DEBUG for
+diagnostics on stderr.
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
 set, before numpy loads, so a `gr` process runs OpenBLAS on one thread: most
@@ -40,7 +41,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import BadParamsError, HypothesisViolatedError, RoundnessError
 from .graphs import SOLIDS, gen_family, load_edge_list, load_solid, path_metric
 from .hamming import (
-    _check_dimension,
     classify_subset,
     eigen_identity_check,
     factor_matrix,
@@ -115,26 +115,20 @@ def digest_of(payload) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _write_json(payload, pretty: bool) -> None:
+    """Print payload as sorted-key JSON: indented with --pretty, compact
+    otherwise. Reports and errors both go through here."""
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    print(json.dumps(payload, sort_keys=True, **layout))
+
+
 def emit(command: str, inputs, result: dict, diagnostics: dict, pretty: bool) -> None:
-    report = {
-        "command": command,
-        "inputs_digest": digest_of(inputs),
-        "result": result,
-        "diagnostics": diagnostics,
-    }
-    if pretty:
-        text = json.dumps(report, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    print(text)
+    _write_json({"command": command, "inputs_digest": digest_of(inputs), "result": result,
+                 "diagnostics": diagnostics}, pretty)
 
 
 def emit_error(exc: Exception, pretty: bool) -> None:
-    payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    if pretty:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    _write_json({"error": {"type": type(exc).__name__, "message": str(exc)}}, pretty)
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -166,19 +160,12 @@ def _finite_or_none(x: float) -> float | None:
 def cmd_negtype(args) -> int:
     space, desc = resolve_space(args)
     verdict = check_negative_type(space, args.p, tol_eig=args.tol_eig)
-    witness = None
-    if verdict.witness is not None:
-        witness = {
-            "eta": [float(x) for x in verdict.witness.eta],
-            "form_value": _finite_or_none(verdict.witness.form_value),
-        }
-    result = {
-        "p": verdict.p,
-        "holds": verdict.holds,
-        "strict": verdict.strict,
-        "max_form_eigenvalue": _finite_or_none(verdict.max_form_eigenvalue),
-        "witness": witness,
-    }
+    w = verdict.witness
+    witness = None if w is None else {"eta": [float(x) for x in w.eta],
+                                      "form_value": _finite_or_none(w.form_value)}
+    result = {"p": verdict.p, "holds": verdict.holds, "strict": verdict.strict,
+              "max_form_eigenvalue": _finite_or_none(verdict.max_form_eigenvalue),
+              "witness": witness}
     diag = {"tol_eig": args.tol_eig, "require_strict": args.strict}
     emit("negtype", desc, result, diag, args.pretty)
     ok = verdict.strict if args.strict else verdict.holds
@@ -192,11 +179,8 @@ def cmd_verify(args) -> int:
     found = _space_search(space, args.p_max, args.tol_p, args.tol_eig)
     diag = {"p_max": args.p_max, "tol_p": args.tol_p, "tol_eig": args.tol_eig}
     if found is None:
-        result = {
-            "status": "Unbounded",
-            "holds": None,
-            "note": "kernel coincidence requires a finite roundness exponent",
-        }
+        result = {"status": "Unbounded", "holds": None,
+                  "note": "kernel coincidence requires a finite roundness exponent"}
         emit("verify", desc, result, diag, args.pretty)
         return 1
     q = found[0]
@@ -222,102 +206,110 @@ def parse_subset(n: int, text: str) -> list[int]:
     return [int(t) for t in tokens]
 
 
-def cmd_cube(args) -> int:
-    if args.cube_cmd == "classify":
-        subset = parse_subset(args.n, args.subset)
-        cls = classify_subset(args.n, subset)
-        result = {
-            "n": args.n,
-            "indices": subset,
-            "bitstrings": [format(i, f"0{args.n}b") for i in subset],
-            "strict": cls.strict,
-            "rank": cls.rank,
-            "dependency": list(cls.dependency) if cls.dependency else None,
-        }
-        emit("cube.classify", {"n": args.n, "subset": result["bitstrings"]},
-             result, {}, args.pretty)
-        return 0
-    if args.cube_cmd == "spectrum":
-        _check_dimension("rank check", args.n)  # the lower of its two caps, before any work
-        identities = eigen_identity_check(args.n)
-        ranks = null_dimension_check(args.n)
-        result = {"n": args.n, "eigen_identities": identities, "null_dimension": ranks}
-        emit("cube.spectrum", {"n": args.n}, result, {}, args.pretty)
-        return 0 if identities["ok"] and ranks["ok"] else 1
-    if args.cube_cmd == "scan":
-        summary = scan_subsets(args.n, max_size=args.max_size, p_max=args.p_max,
-                               tol_p=args.tol_p, tol_eig=args.tol_eig, jobs=args.jobs)
-        argmin = None
-        if summary.argmin_subset is not None:
-            argmin = {
-                "indices": list(summary.argmin_subset),
-                "bitstrings": [format(i, f"0{args.n}b") for i in summary.argmin_subset],
-            }
-        result = {
-            "n": summary.n,
-            "max_size": summary.max_size,
-            "counts": [
-                {"size": size, "strict": strict, "count": count}
-                for (size, strict), count in sorted(summary.counts.items())
-            ],
-            "min_q_over_strict": summary.min_q_over_strict,
-            "argmin_subset": argmin,
-            "unbounded_strict_count": summary.unbounded_strict_count,
-            "note": "sizes 1-2 are excluded from the minimum (their roundness is unbounded)",
-        }
-        diag = {"p_max": args.p_max, "tol_p": args.tol_p, "tol_eig": args.tol_eig,
-                "jobs": args.jobs}
-        emit("cube.scan", {"n": args.n, "max_size": summary.max_size}, result, diag, args.pretty)
-        return 0
-    if args.cube_cmd == "lemmas":
-        ok = factorization_check(args.n)
-        result = {"n": args.n, "ok": ok, "factor_determinant": det_exact(factor_matrix(args.n))}
-        if args.dump_matrices:
-            result["matrices"] = {
-                "sign": sign_matrix(args.n).tolist(),
-                "lifted_vertex": lifted_vertex_matrix(args.n).tolist(),
-                "factor": factor_matrix(args.n).tolist(),
-            }
-        emit("cube.lemmas", {"n": args.n}, result, {}, args.pretty)
-        return 0 if ok else 1
-    raise RoundnessError(f"unknown cube subcommand {args.cube_cmd!r}")
+def _bitstrings(indices, n: int) -> list[str]:
+    return [format(i, f"0{n}b") for i in indices]
 
 
-def cmd_tree(args) -> int:
-    if args.tree_cmd == "embed":
-        tree = load_edge_list(args.edges)
-        embedding = tree_embedding_search(tree, args.n)
-        result = {
-            "k": tree.n,
-            "n": args.n,
-            "found": embedding is not None,
-            "embedding": (
-                {str(v): format(embedding[v], f"0{args.n}b") for v in sorted(embedding)}
-                if embedding is not None
-                else None
-            ),
+def cmd_cube_classify(args) -> int:
+    subset = parse_subset(args.n, args.subset)
+    cls = classify_subset(args.n, subset)
+    result = {"n": args.n, "indices": subset, "bitstrings": _bitstrings(subset, args.n),
+              "strict": cls.strict, "rank": cls.rank,
+              "dependency": list(cls.dependency) if cls.dependency else None}
+    emit("cube.classify", {"n": args.n, "subset": result["bitstrings"]}, result, {}, args.pretty)
+    return 0
+
+
+def cmd_cube_spectrum(args) -> int:
+    # the rank check has the lower of the two dimension caps, so it goes first
+    ranks = null_dimension_check(args.n)
+    identities = eigen_identity_check(args.n)
+    result = {"n": args.n, "eigen_identities": identities, "null_dimension": ranks}
+    emit("cube.spectrum", {"n": args.n}, result, {}, args.pretty)
+    return 0 if identities["ok"] and ranks["ok"] else 1
+
+
+def cmd_cube_scan(args) -> int:
+    summary = scan_subsets(args.n, max_size=args.max_size, p_max=args.p_max,
+                           tol_p=args.tol_p, tol_eig=args.tol_eig, jobs=args.jobs)
+    argmin = summary.argmin_subset
+    if argmin is not None:
+        argmin = {"indices": list(argmin), "bitstrings": _bitstrings(argmin, args.n)}
+    result = {
+        "n": summary.n,
+        "max_size": summary.max_size,
+        "counts": [{"size": size, "strict": strict, "count": count}
+                   for (size, strict), count in sorted(summary.counts.items())],
+        "min_q_over_strict": summary.min_q_over_strict,
+        "argmin_subset": argmin,
+        "unbounded_strict_count": summary.unbounded_strict_count,
+        "note": "sizes 1-2 are excluded from the minimum (their roundness is unbounded)",
+    }
+    diag = {"p_max": args.p_max, "tol_p": args.tol_p, "tol_eig": args.tol_eig,
+            "jobs": args.jobs}
+    emit("cube.scan", {"n": args.n, "max_size": summary.max_size}, result, diag, args.pretty)
+    return 0
+
+
+def cmd_cube_lemmas(args) -> int:
+    ok = factorization_check(args.n)
+    result = {"n": args.n, "ok": ok, "factor_determinant": det_exact(factor_matrix(args.n))}
+    if args.dump_matrices:
+        result["matrices"] = {
+            "sign": sign_matrix(args.n).tolist(),
+            "lifted_vertex": lifted_vertex_matrix(args.n).tolist(),
+            "factor": factor_matrix(args.n).tolist(),
         }
-        emit("tree.embed", {"edges": sorted(tree.edges), "k": tree.n, "n": args.n},
-             result, {}, args.pretty)
-        return 0 if embedding is not None else 1
-    if args.tree_cmd == "witness":
-        images = path_embedding_witness(args.k)
-        result = {
-            "k": args.k,
-            "dimension": args.k - 1,
-            "images": [format(i, f"0{args.k - 1}b") for i in images],
-            "verified": True,
-        }
-        emit("tree.witness", {"k": args.k}, result, {}, args.pretty)
-        return 0
-    raise RoundnessError(f"unknown tree subcommand {args.tree_cmd!r}")
+    emit("cube.lemmas", {"n": args.n}, result, {}, args.pretty)
+    return 0 if ok else 1
+
+
+def cmd_tree_embed(args) -> int:
+    tree = load_edge_list(args.edges)
+    embedding = tree_embedding_search(tree, args.n)
+    result = {"k": tree.n, "n": args.n, "found": embedding is not None, "embedding": None}
+    if embedding is not None:
+        result["embedding"] = {str(v): format(embedding[v], f"0{args.n}b")
+                               for v in sorted(embedding)}
+    emit("tree.embed", {"edges": sorted(tree.edges), "k": tree.n, "n": args.n},
+         result, {}, args.pretty)
+    return 0 if embedding is not None else 1
+
+
+def cmd_tree_witness(args) -> int:
+    images = path_embedding_witness(args.k)
+    result = {"k": args.k, "dimension": args.k - 1, "images": _bitstrings(images, args.k - 1),
+              "verified": True}
+    emit("tree.witness", {"k": args.k}, result, {}, args.pretty)
+    return 0
 
 
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises BadParamsError on bad arguments, so they
+    get the JSON error report, instead of printing usage and exiting. It and
+    every subparser (which argparse makes of the same class) take flags only
+    as spelled in full: no prefix of a flag stands for it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise BadParamsError(message)
+
+
+def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A leaf command bound to its handler, with the --pretty every command takes."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--pretty", action="store_true", help="indent the JSON report")
+    p.set_defaults(func=func)
+    return p
+
+
+def _add_n(p: argparse.ArgumentParser, help: str | None = None) -> None:
+    p.add_argument("--n", type=int, required=True, help=help)
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -327,21 +319,17 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     source.add_argument("--edges", help="edge-list file")
 
 
-def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p-max", type=float, default=64.0, dest="p_max",
-                   help="exponent cutoff before reporting Unbounded (default 64)")
-    p.add_argument("--tol-p", type=float, default=1e-9, dest="tol_p",
-                   help="final bracket width in the exponent (default 1e-9)")
+def _add_tol_eig(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-eig", type=float, default=1e-9, dest="tol_eig",
                    help="relative eigenvalue tolerance (default 1e-9)")
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that raises BadParamsError on bad arguments, so they
-    get the JSON error report, instead of printing usage and exiting."""
-
-    def error(self, message):
-        raise BadParamsError(message)
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p-max", type=float, default=64.0, dest="p_max",
+                   help="exponent cutoff before reporting Unbounded (default 64)")
+    p.add_argument("--tol-p", type=float, default=1e-9, dest="tol_p",
+                   help="final bracket width in the exponent (default 1e-9)")
+    _add_tol_eig(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,63 +339,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("roundness", help="supremal negative-type exponent")
-    _add_common_flags(p)
+    p = _command(sub, "roundness", cmd_roundness, "supremal negative-type exponent")
     _add_input_flags(p)
-    _add_tolerance_flags(p)
-    p.set_defaults(func=cmd_roundness)
+    _add_search_flags(p)
 
-    p = sub.add_parser("negtype", help="decide (strict) p-negative type")
-    _add_common_flags(p)
+    p = _command(sub, "negtype", cmd_negtype, "decide (strict) p-negative type")
     _add_input_flags(p)
     p.add_argument("--p", type=float, required=True, help="exponent to test")
-    p.add_argument("--tol-eig", type=float, default=1e-9, dest="tol_eig")
+    _add_tol_eig(p)
     p.add_argument("--strict", action="store_true",
                    help="exit 0 only if the type is strict")
-    p.set_defaults(func=cmd_negtype)
 
-    p = sub.add_parser("verify", help="kernel coincidence at the computed exponent")
-    _add_common_flags(p)
+    p = _command(sub, "verify", cmd_verify, "kernel coincidence at the computed exponent")
     _add_input_flags(p)
-    _add_tolerance_flags(p)
-    p.set_defaults(func=cmd_verify)
+    _add_search_flags(p)
 
-    p = sub.add_parser("cube", help="Hamming-cube subset tooling")
-    cube_sub = p.add_subparsers(dest="cube_cmd", required=True)
-    c = cube_sub.add_parser("classify", help="exact strictness of a subset")
-    _add_common_flags(c)
-    c.add_argument("--n", type=int, required=True)
+    cube = sub.add_parser("cube", help="Hamming-cube subset tooling").add_subparsers(
+        dest="cube_cmd", required=True)
+    c = _command(cube, "classify", cmd_cube_classify, "exact strictness of a subset")
+    _add_n(c)
     c.add_argument("--subset", required=True,
                    help="comma-separated bitstrings (000,011) or indices (0,3)")
-    c.set_defaults(func=cmd_cube)
-    c = cube_sub.add_parser("spectrum", help="eigenvector identities and exact ranks")
-    _add_common_flags(c)
-    c.add_argument("--n", type=int, required=True)
-    c.set_defaults(func=cmd_cube)
-    c = cube_sub.add_parser("scan", help="classify all subsets and minimize roundness")
-    _add_common_flags(c)
-    c.add_argument("--n", type=int, required=True)
+    _add_n(_command(cube, "spectrum", cmd_cube_spectrum, "eigenvector identities and exact ranks"))
+    c = _command(cube, "scan", cmd_cube_scan, "classify all subsets and minimize roundness")
+    _add_n(c)
     c.add_argument("--max-size", type=int, default=None, dest="max_size")
     c.add_argument("--jobs", type=int, default=1)
-    _add_tolerance_flags(c)
-    c.set_defaults(func=cmd_cube)
-    c = cube_sub.add_parser("lemmas", help="exact factorization identities")
-    _add_common_flags(c)
-    c.add_argument("--n", type=int, required=True)
+    _add_search_flags(c)
+    c = _command(cube, "lemmas", cmd_cube_lemmas, "exact factorization identities")
+    _add_n(c)
     c.add_argument("--dump-matrices", action="store_true", dest="dump_matrices")
-    c.set_defaults(func=cmd_cube)
 
-    p = sub.add_parser("tree", help="tree-into-cube embeddings")
-    tree_sub = p.add_subparsers(dest="tree_cmd", required=True)
-    t = tree_sub.add_parser("embed", help="exhaustive isometric embedding search")
-    _add_common_flags(t)
+    tree = sub.add_parser("tree", help="tree-into-cube embeddings").add_subparsers(
+        dest="tree_cmd", required=True)
+    t = _command(tree, "embed", cmd_tree_embed, "exhaustive isometric embedding search")
     t.add_argument("--edges", required=True, help="edge-list file of the tree")
-    t.add_argument("--n", type=int, required=True, help="cube dimension")
-    t.set_defaults(func=cmd_tree)
-    t = tree_sub.add_parser("witness", help="prefix embedding of the k-vertex path")
-    _add_common_flags(t)
+    _add_n(t, help="cube dimension")
+    t = _command(tree, "witness", cmd_tree_witness, "prefix embedding of the k-vertex path")
     t.add_argument("--k", type=int, required=True)
-    t.set_defaults(func=cmd_tree)
 
     return parser
 
@@ -428,7 +397,7 @@ def main(argv=None) -> int:
     except HypothesisViolatedError as exc:
         emit_error(exc, args.pretty)
         return 1
-    except (RoundnessError, ValueError, OSError) as exc:
+    except (RoundnessError, ValueError, OSError, MemoryError) as exc:
         emit_error(exc, args.pretty)
         return 2
 

@@ -394,10 +394,10 @@ INT64_MAX_ORDER = 15
 
 def _int_rows(mat) -> np.ndarray:
     """`mat` as an (r, c) array of Python ints; ValueError on a non-integer
-    entry or ragged rows."""
-    # an integer array needs no per-entry check, and astype gives Python ints;
-    # one with no rows takes the loop, which makes it (0, 0) as for a list
-    if isinstance(mat, np.ndarray) and mat.ndim == 2 and mat.dtype.kind in "iu" and len(mat):
+    entry or ragged rows. A 2-D array keeps its column count when it has no
+    rows; an empty list is (0, 0)."""
+    # an integer array needs no per-entry check, and astype gives Python ints
+    if isinstance(mat, np.ndarray) and mat.ndim == 2 and (mat.dtype.kind in "iu" or not len(mat)):
         return mat.astype(object)
     rows = []
     for row in mat:

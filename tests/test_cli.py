@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -316,6 +317,18 @@ def test_matrix_entry_that_is_no_number_exits_2(tmp_path, capsys, entry):
     assert report["error"]["type"] == "ValueError"
 
 
+def test_out_of_memory_input_exits_2(monkeypatch, capsys):
+    # a graph spec has no size cap, so numpy may fail to allocate its matrix
+    def no_memory(graph):
+        raise MemoryError("cannot allocate the distance matrix")
+
+    monkeypatch.setattr(cli, "path_metric", no_memory)
+    code, report = run_cli(capsys, "roundness", "--graph", "cycle:5")
+    assert code == 2
+    assert report["error"] == {"type": "MemoryError",
+                               "message": "cannot allocate the distance matrix"}
+
+
 def test_solid_graph_spec(capsys):
     code, report = run_cli(capsys, "roundness", "--graph", "dodecahedron")
     assert code == 0
@@ -375,9 +388,15 @@ SEARCH_FLAGS = [
     pytest.param(["negtype", "--graph", "cycle:4", "--p", "1"], ["--tol-eig", "nan"],
                  id="negtype-tol-eig-nan"),
     # flags that no longer exist: every check runs at the one relative tolerance
-    # (argparse reads --tol as an ambiguous prefix of --tol-p and --tol-eig)
     pytest.param(["verify", "--graph", "cycle:4"], ["--tol", "-1"], id="verify-tol-negative"),
     pytest.param(["verify", "--graph", "petersen"], ["--tol", "1e-6"], id="verify-tol"),
+    # a flag is only ever read as spelled in full, never from a unique prefix
+    pytest.param(["negtype", "--graph", "cycle:4", "--p", "1"], ["--tol", "1e-3"],
+                 id="negtype-tol-prefix"),
+    pytest.param(["cube", "scan", "--n", "2"], ["--max", "2", "--job", "3"],
+                 id="scan-max-job-prefixes"),
+    pytest.param(["roundness", "--graph", "cycle:5"], ["--tol-e", "0.5"],
+                 id="roundness-tol-e-prefix"),
     pytest.param(["roundness", "--graph", "cycle:5"], ["--row-perm-tol", "-1"],
                  id="roundness-row-perm-tol-negative"),
     pytest.param(["verify", "--graph", "petersen"], ["--row-perm-tol", "nan"],
@@ -427,6 +446,54 @@ def test_reports_are_byte_identical(capsys):
     jobs1 = json.loads(capsys.readouterr().out)
     assert jobs2["result"] == jobs1["result"]
     assert jobs2["inputs_digest"] == jobs1["inputs_digest"]
+
+
+# sha256 of stdout and the exit code of reports from exact arithmetic: a change
+# to these bytes is a change to the report format. Reports holding floats are
+# left out, since their last bits depend on the LAPACK build
+PINNED_REPORTS = [
+    (["cube", "classify", "--n", "3", "--subset", "000,011,101"], 0,
+     "a5ccf8bd74ce23abae1a48e2e8e06ba76699053fe418b319ad96bac9c9dc00eb",
+     "e808a14215b90f25b8502a435799819e12f16c3719c314923fee7909d3d8d8bd"),
+    (["cube", "classify", "--n", "3", "--subset", "0,1,2,3"], 0,
+     "e34a4fe141179d49a16ea9c96a56f93ae6c592cc0210e02d3ae3b60c1a953c45",
+     "1f1402afa53f9797671414117669314e9a48ee6a98d4ac52d492ac5f1a6c40b2"),
+    (["cube", "spectrum", "--n", "4"], 0,
+     "18ec36966cd42ac853f7df4adf45d587d63751087c474bec45092553cba3e55c",
+     "a5cce114347530c6daa66bfef2e84ab75af37df48f54ad0eb643dc865d231387"),
+    (["cube", "lemmas", "--n", "4", "--dump-matrices"], 0,
+     "7bbfcf077d123f52aa074a35bb81c77139626774f4ba79004548d86189eccd36",
+     "28459712df066891c68038b71a3380accacb6bc78283e095d467d3fe305ac9f7"),
+    (["tree", "embed", "--edges", "path4.txt", "--n", "3"], 0,
+     "964ade544f997b74ac494ed63782843230c5a72a8a7cb9f6c51a2fccd72350f9",
+     "2668cf12ac4af67377c89ee2f6a8c1c0ff9935e80154a97deb641c1e926c1e0f"),
+    (["tree", "embed", "--edges", "star4.txt", "--n", "2"], 1,
+     "97e5e92a01af4aaf5cfc65dd1936062256e02d01c202d2b2dbf5074d75f550e7",
+     "76ecbd186fd3fc32c20f227fa488920af50cd681e67fa390f679da71d530ced3"),
+    (["tree", "witness", "--k", "5"], 0,
+     "2a59cb84a6847c5ac9ffcc95212ce1b587f1102cb9c8ceb486b90d7ddfb5f0d5",
+     "73c3fac587893db87827f2ed52483bed0b05e45869cf130a8ebaf3b715292bf0"),
+    (["cube", "spectrum", "--n", "9"], 2,
+     "40db966428c6ecc575ac37b44d3698c93a8ccc394e25dfc2d10721fe8b69844a",
+     "a2da34fff1f031b6770c882dc4e03edbe9bed6ae014252532210e14683969f7f"),
+    (["tree", "witness", "--k", "1"], 2,
+     "4e9444e90b2803de5e740024f36b558965ad42efeb2fcb8bf2d34d24dc84aed7",
+     "7d972660e67ba227f29f1ccdd3b8d973812a9d23a42ff6561a2ec9683bf01eec"),
+]
+
+
+@pytest.mark.parametrize("argv,code,compact,pretty", PINNED_REPORTS,
+                         ids=[" ".join(case[0]) for case in PINNED_REPORTS])
+def test_exact_reports_are_pinned(tmp_path, monkeypatch, capsys, argv, code, compact, pretty):
+    # the edge files are named relative to the working directory; a report
+    # digests the edges, not the path
+    (tmp_path / "path4.txt").write_text("4\n0 1\n1 2\n2 3\n")
+    (tmp_path / "star4.txt").write_text("4\n0 1\n0 2\n0 3\n")
+    monkeypatch.chdir(tmp_path)
+    for flags, digest in (([], compact), (["--pretty"], pretty)):
+        assert main([*argv, *flags]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
 
 
 def test_console_script_entry_point():

@@ -376,6 +376,16 @@ def test_exact_entry_points_agree_across_input_types():
         assert all(res == results[0] for res in results), results
 
 
+def test_empty_matrix_keeps_its_column_count():
+    """A 2-D array with no rows, integer or float, has all of Q^c as its
+    kernel; an empty list has no columns, so its kernel has no basis."""
+    unit = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for m in (np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3))):
+        assert kernel_basis_exact(m) == unit
+        assert rank_exact(m) == 0
+    assert kernel_basis_exact([]) == []
+
+
 def test_exact_elimination_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = np.random.default_rng(13)
