@@ -317,7 +317,9 @@ def scan_subsets(
 
     A subset of more than n+1 points has more than n differences in n
     dimensions, so those sizes are counted non-strict with no elimination.
-    The subsets of each size up to n+1 are an (m, s) index array,
+    Sizes 1 and 2 are counted strict the same way, by `math.comb`: one
+    point has no differences, and two distinct points have a nonzero one.
+    The subsets of each size from 3 up to n+1 are an (m, s) index array,
     classified exactly by one fraction-free elimination over all of them
     (`_difference_ranks`), in int64 at every n the scan accepts. The scan
     runs in one process: `jobs` is checked but has no effect, and stays
@@ -327,8 +329,9 @@ def scan_subsets(
     popcounts) and are grouped by isometry class (`_metric_keys`, taken
     over all s! point orders once per distinct ordered metric). One
     `roundness_search` solves the metric of the lexicographically first
-    subset of every class in lock-step, and each subset gets the q of its
-    class: 6 solves for the 560 strict 3-subsets of the 4-cube. `jobs`
+    subset of every class in lock-step, on the class forms of its at most n
+    distances, and each subset gets the q of its class: 6 solves for the
+    560 strict 3-subsets of the 4-cube. `jobs`
     below 1, and root-search parameters the search would reject, raise
     BadParamsError before any work.
     """
@@ -347,8 +350,9 @@ def scan_subsets(
     best: tuple[float, tuple[int, ...]] | None = None
     unbounded_strict = 0
     for size in range(1, max_size + 1):
-        if size > n + 1:
-            counts[(size, False)] = math.comb(size_cap, size)
+        if size < MIN_SUBSET_SIZE_FOR_Q or size > n + 1:
+            # 1 or 2 points are strict, more than n differences in n dimensions are not
+            counts[(size, size < MIN_SUBSET_SIZE_FOR_Q)] = math.comb(size_cap, size)
             continue
         idx = _combinations(size_cap, size)
         strict = _difference_ranks(n, idx) == size - 1
@@ -356,7 +360,7 @@ def scan_subsets(
         for is_strict, count in ((True, n_strict), (False, len(idx) - n_strict)):
             if count:
                 counts[(size, is_strict)] = count
-        if size < MIN_SUBSET_SIZE_FOR_Q or not n_strict:
+        if not n_strict:
             continue
         strict_idx = idx[strict]
         dist = popcount[strict_idx[:, :, None] ^ strict_idx[:, None, :]]

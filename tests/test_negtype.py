@@ -1,3 +1,4 @@
+import logging
 import math
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from roundness import (
     kernel_coincidence_check,
     load_solid,
     path_metric,
+    scan_subsets,
+    subset_metric,
 )
 from roundness.errors import (
     BadParamsError,
@@ -141,18 +144,24 @@ def test_bad_tolerances_rejected_before_any_solve(monkeypatch, call):
 
 def test_stacked_search_mixes_finite_and_unbounded_members():
     # 4-point metrics that stop at different steps: during doubling (K4),
-    # and after bisections from different brackets
-    spaces = [space("cycle:4"), space("complete:4"), space("hypercube:2"),
-              build_metric_space([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]),
-              space("complete_bipartite:2")]
-    found = roundness_search(np.stack([sp.dist for sp in spaces]))
+    # and after bisections from different brackets; then 5-point metrics,
+    # among them a path and a cube subset, whose single searches solve the
+    # dense form M(p) while the stacked search sums its class forms
+    stacks = [[space("cycle:4"), space("complete:4"), space("hypercube:2"),
+               build_metric_space([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]),
+               space("complete_bipartite:2")],
+              [space("cycle:5"), space("complete:5"),
+               build_metric_space([[abs(i - j) for j in range(5)] for i in range(5)]),
+               subset_metric(3, (0, 1, 2, 4, 7))]]
     statuses = []
-    for sp, f in zip(spaces, found):
-        single = generalized_roundness(sp)
-        statuses.append(single.status)
-        got = ("Unbounded", None, None, 0) if f is None else ("Finite", *f)
-        assert got == (single.status, single.q, single.bracket, single.iterations)
-    assert statuses.count("Unbounded") == 1 and statuses.count("Finite") == 4
+    for spaces in stacks:
+        found = roundness_search(np.stack([sp.dist for sp in spaces]))
+        for sp, f in zip(spaces, found):
+            single = generalized_roundness(sp)
+            statuses.append(single.status)
+            got = ("Unbounded", None, None, 0) if f is None else ("Finite", *f)
+            assert got == (single.status, single.q, single.bracket, single.iterations)
+    assert statuses.count("Unbounded") == 2 and statuses.count("Finite") == 7
 
 
 def test_stacked_search_raises_what_the_single_search_raises():
@@ -167,6 +176,43 @@ def test_stacked_search_raises_what_the_single_search_raises():
     with pytest.raises(BadParamsError):
         roundness_search(np.stack([good]), tol_p=0.0)
     assert roundness_search(np.empty((0, 3, 3))) == []
+
+
+def test_stacked_search_picks_class_forms_for_few_distances(monkeypatch, caplog):
+    # few distances, as in every cube scan: the class forms are built once
+    # and no step builds D_p or its form; many distances, as in Euclidean
+    # metrics: one dense form per lock-step step
+    forms, steps = [], []
+    form_matrix, eigvals = negtype.negtype_form_matrix, negtype._eigvals
+
+    def counted_forms(d, p):
+        forms.append(len(d))
+        return form_matrix(d, p)
+
+    def counted_steps(a):
+        steps.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(negtype, "negtype_form_matrix", counted_forms)
+    monkeypatch.setattr(negtype, "_eigvals", counted_steps)
+    caplog.set_level(logging.DEBUG, logger="roundness")
+    scan_subsets(4, max_size=3)
+    assert forms == [] and steps
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lock-step")]
+    assert line == f"lock-step search: 6 members, 4 classes, {len(steps)} steps, " \
+                   f"{sum(steps)} member-steps"
+    caplog.clear()
+    steps.clear()
+    stack = np.stack([euclidean_space(30, seed=seed).dist for seed in (1, 2, 3)])
+    found = roundness_search(stack)
+    assert forms == steps and len(forms) > 3 and all(f is not None for f in found)
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lock-step")]
+    assert line == f"lock-step search: 3 members, dense, {len(steps)} steps, " \
+                   f"{sum(steps)} member-steps"
+    caplog.clear()
+    assert roundness_search(np.empty((0, 3, 3))) == []
+    assert [r.getMessage() for r in caplog.records] \
+        == ["lock-step search: 0 members, 0 classes, 0 steps, 0 member-steps"]
 
 
 def test_search_needs_few_evaluations(monkeypatch):

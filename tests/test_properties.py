@@ -31,7 +31,15 @@ from roundness import (
 )
 from roundness.errors import DisconnectedError
 from roundness.metric import power_matrix
-from roundness.negtype import CERTIFICATE_TOL, METHOD_DETERMINANT_FAST_PATH, _itp
+from roundness.negtype import (
+    CERTIFICATE_TOL,
+    CLASS_FORM_LIMIT,
+    METHOD_DETERMINANT_FAST_PATH,
+    _class_form_matrix,
+    _class_forms,
+    _itp,
+    negtype_form_matrix,
+)
 
 P_MAX = 64.0
 TOL_P = 1e-9
@@ -288,3 +296,33 @@ def test_structured_consumers_agree_with_dense(g, data):
             assert_unit_zero_sum(verdict.witness.eta, unit_power(sp, p))
             assert abs(verdict.witness.form_value - verdict_dense.max_form_eigenvalue) <= (
                 1e-9 * sp.n * sp.dist.max() ** p)
+
+
+@st.composite
+def integer_stacks(draw):
+    """An (m, k, k) stack of symmetric matrices with zero diagonal and
+    off-diagonal entries in 1..s, s <= CLASS_FORM_LIMIT, not all of them
+    metrics, and one exponent per matrix drawn from 0, 0.5, 1, 2 and 3.7,
+    where `**` takes its fast paths and where it does not."""
+    s = draw(st.integers(1, CLASS_FORM_LIMIT))
+    k = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 5))
+    i, j = np.triu_indices(k, 1)
+    entries = draw(st.lists(st.integers(1, s), min_size=m * len(i), max_size=m * len(i)))
+    stack = np.zeros((m, k, k))
+    stack[:, i, j] = np.reshape(entries, (m, len(i)))
+    p = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]), min_size=m, max_size=m))
+    return stack + stack.transpose(0, 2, 1), np.array(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=integer_stacks())
+def test_class_forms_give_the_powered_form(case):
+    """The stacked search's M(p) from the class forms, built once, equals
+    the form of D_p of d / max d, built from scratch, matrix by matrix."""
+    d, p = case
+    max_d = d.max(axis=(-2, -1), keepdims=True)
+    got = _class_form_matrix(_class_forms(d, max_d), p)
+    want = negtype_form_matrix(d / max_d, p)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
