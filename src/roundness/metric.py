@@ -136,25 +136,14 @@ def build_metric_space(matrix, labels=None) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels=labels, dist=_readonly(d))
 
 
-def power_matrix(space, p) -> np.ndarray:
+def power_matrix(space, p: float) -> np.ndarray:
     """Raise all distances to the power p, with 0^p = 0 for every p >= 0.
 
-    `space` is a FiniteMetricSpace, or a stack (m, k, k) of distance
-    matrices with `p` a scalar or an array of one exponent per matrix.
+    `space` is a FiniteMetricSpace or a stack (m, k, k) of distance
+    matrices, all raised to the one exponent p.
     """
     d = space.dist if isinstance(space, FiniteMetricSpace) else space
-    exponents = set(np.ravel(p).tolist())
-    if len(exponents) == 1:
-        return _readonly(_power(d, exponents.pop()))
-    # one scalar power per distinct exponent: numpy takes fast paths for
-    # `array ** float` (square at 2, sqrt at 0.5) that can differ in the last
-    # bit from a power against an exponent array, and this way every matrix
-    # gets exactly the entries a call of its own would give
-    entries = np.empty(d.shape)
-    for e in exponents:
-        at = p == e
-        entries[at] = _power(d[at], e)
-    return _readonly(entries)
+    return _readonly(_power(d, p))
 
 
 def _power(d: np.ndarray, p: float) -> np.ndarray:

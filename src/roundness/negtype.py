@@ -13,12 +13,12 @@ in lock-step, each making the decisions a search of its own would:
 `roundness_search` drives a stack of distance matrices with one stacked
 values-only eigensolve per step, and `generalized_roundness` drives one
 space. A step reads two eigenvalues of each M(p), the largest and the
-smallest, and decides in Python floats. A stack with few distinct
-distances v, as every stack of cube-subset metrics (v in 1..n), has M(p) =
-sum_v (v / max d)^p B^T A_v B, with A_v the 0/1 matrix of the entries
-equal to v: its class forms B^T A_v B are built once per stack, and a step
-powers s distances per matrix, not k^2 entries. A stack with more
-distances builds D_p and its form at every step.
+smallest, and decides in Python floats. A stack has at most
+CLASS_FORM_LIMIT distinct distances v, as every stack of cube-subset
+metrics (v in 1..n) has, and M(p) = sum_v (v / max d)^p B^T A_v B, with
+A_v the 0/1 matrix of the entries equal to v: its class forms B^T A_v B
+are built once per stack, and a step powers s distances per matrix, not
+k^2 entries.
 
 Everything else a single space needs comes from one source per (space, p),
 built by `_source`: D_p of d / max d, its product with a vector, and one
@@ -78,6 +78,7 @@ from .errors import (
     HypothesisViolatedError,
     IndexOutOfRangeError,
     LengthMismatchError,
+    NegativeEntryError,
     NegativeExponentError,
     NonFiniteMatrixError,
 )
@@ -107,8 +108,8 @@ METHOD_DETERMINANT_FAST_PATH = "DeterminantFastPath"
 METHOD_SPECTRAL_BISECTION = "SpectralBisection"
 
 CERTIFICATE_TOL = 1e-6
-# Most distinct distances a stack may have for `roundness_search` to build
-# its class forms once: they take s (k-1)^2 floats per matrix
+# Most distinct distances a stack of `roundness_search` may have: its class
+# forms take s (k-1)^2 floats per matrix
 CLASS_FORM_LIMIT = 8
 
 
@@ -451,71 +452,67 @@ def roundness_search(
     wider than tol_p, in at most ceil(log2(w0 / tol_p)) + 1 steps for a
     doubled bracket of width w0 (or until its ends are adjacent floats).
     The search runs on the distances divided by their maximum, so it
-    neither overflows nor underflows at any unit of distance. Each step
-    evaluates every matrix still searching at its own p, with one stacked
-    dense values-only eigensolve of the forms M(p).
-
-    A stack with at most CLASS_FORM_LIMIT distinct positive distances v, as
-    every stack of cube-subset metrics (v in 1..n), builds its class forms
-    once (`_class_forms`): M(p) = sum_v (v / max d)^p F_v, so a step powers
-    s weights per matrix and sums s forms, and no D_p is built. The forms
-    take s (k-1)^2 floats per matrix, which is why the limit is small; a
-    stack with more distances builds D_p and its form
-    (`negtype_form_matrix`) at every step. One DEBUG line on the
-    `roundness` logger gives the member count, the class count or "dense",
-    the lock-step steps and the member-steps.
+    neither overflows nor underflows at any unit of distance. The class
+    forms of the stack are built once (`_class_forms`): M(p) = sum_v (v /
+    max d)^p F_v, so each step powers s weights per matrix still searching,
+    sums s forms at its own p, and makes one stacked values-only eigensolve;
+    no D_p is built. One DEBUG line on the `roundness` logger gives the
+    member count, the class count, the lock-step steps and the
+    member-steps.
 
     Returns, per matrix, (q, (p_lo, p_hi), ITP iterations), or None when
     the predicate still holds at p_max (Unbounded). Bad tol_p, p_max or
-    tol_eig raise BadParamsError, and non-finite distances
-    NonFiniteMatrixError, before any eigensolve.
+    tol_eig raise BadParamsError, non-finite distances
+    NonFiniteMatrixError, and a stack that `_class_forms` rejects
+    NegativeEntryError or BadParamsError, each before any eigensolve.
     """
     _check_search_params(p_max, tol_p, tol_eig)
     d = np.asarray(dists, dtype=float)
     if not np.isfinite(d).all():
         raise NonFiniteMatrixError("distance matrix contains non-finite entries")
-    # on d / max d the eigenvalues of M(p) scale by (max d)^-p, so no sign
-    # and no relative test changes, and no power of a distance in (0, 1]
-    # overflows or makes a matrix all zero
-    max_d = d.max(axis=(-2, -1), keepdims=True)
-    classes = _class_forms(d, max_d)
-    if classes is None:
-        stack, form, path = d / max_d, negtype_form_matrix, "dense"
-    else:
-        stack, form, path = classes, _class_form_matrix, f"{classes.shape[1]} classes"
+    classes = _class_forms(d)
     steps: list[int] = []  # the members evaluated at each step
 
     def extremes(stack, p):
         steps.append(len(p))
-        values = _eigvals(form(stack, np.array(p)))  # descending
+        values = _eigvals(_class_form_matrix(stack, np.array(p)))  # descending
         return values[:, 0], values[:, -1]
 
-    found = _lockstep(stack, extremes, p_max, tol_p, tol_eig)
-    log.debug("lock-step search: %d members, %s, %d steps, %d member-steps",
-              len(d), path, len(steps), sum(steps))
+    found = _lockstep(classes, extremes, p_max, tol_p, tol_eig)
+    log.debug("lock-step search: %d members, %d classes, %d steps, %d member-steps",
+              len(d), classes.shape[1], len(steps), sum(steps))
     return found
 
 
-def _class_forms(d: np.ndarray, max_d: np.ndarray) -> np.ndarray | None:
-    """The distance-class forms of the stack d (m, k, k) of matrices with
-    the maxima max_d (m, 1, 1), or None when d has more than
-    CLASS_FORM_LIMIT distinct positive entries, a negative entry or a
-    matrix with no positive entry.
+def _class_forms(d: np.ndarray) -> np.ndarray:
+    """The distance-class forms of the stack d (m, k, k), k >= 2, of
+    matrices with a positive entry each, no negative entry and at most
+    CLASS_FORM_LIMIT distinct positive entries in all; else
+    NegativeEntryError on a negative entry and BadParamsError on the rest.
 
     Row v of matrix j, for each of the s distinct positive entries v of the
     whole stack, is the weight v / max d_j, then F_v = B^T A_v B
     symmetrized, with A_v the 0/1 matrix of the entries of d_j equal to v
     and B the zero-sum basis (`hyperplane_basis`): an (m, s, 1 + (k-1)^2)
-    array, from which `_class_form_matrix` makes M(p) of d / max d. The
-    weight is the division d / max d makes, so its powers are the entries
-    of D_p. A class that d_j lacks has F_v = 0 and the weight 1, whose
-    powers stay finite."""
+    array, from which `_class_form_matrix` makes M(p) of d / max d. On d /
+    max d the eigenvalues of M(p) scale by (max d)^-p, so no sign and no
+    relative test changes, and no power of a distance in (0, 1] overflows
+    or makes a matrix all zero. A class that d_j lacks has F_v = 0 and the
+    weight 1, whose powers stay finite."""
+    if d.ndim != 3 or d.shape[1] != d.shape[2] or d.shape[1] < 2:
+        raise BadParamsError(f"need a stack (m, k, k) of matrices with k >= 2, got {d.shape}")
     # the distinct nonzero entries, by a sort: `np.unique` without a return
     # option imports numpy.ma on recent numpy, which a fresh process pays
     values = np.sort(d[d != 0])
     values = np.append(values[:-1][values[1:] != values[:-1]], values[-1:])
-    if len(values) > CLASS_FORM_LIMIT or (values < 0).any() or (max_d <= 0).any():
-        return None
+    if len(values) and values[0] < 0:
+        raise NegativeEntryError(f"distance matrix contains a negative entry {values[0]}")
+    max_d = d.max(axis=(-2, -1), keepdims=True)
+    if (max_d <= 0).any():
+        raise BadParamsError("every distance matrix needs a positive entry")
+    if len(values) > CLASS_FORM_LIMIT:
+        raise BadParamsError(f"a stack may have at most {CLASS_FORM_LIMIT} distinct "
+                             f"distances, got {len(values)}")
     m, s, k = len(d), len(values), d.shape[-1]
     members = d[:, None] == values[:, None, None]  # (m, s, k, k)
     b = hyperplane_basis(k)

@@ -72,8 +72,9 @@ def _check_square(a: np.ndarray) -> None:
 
 def _symmetrized(a: np.ndarray, amax: np.ndarray) -> np.ndarray:
     """`symmetrized`, given max |a_ij| of each matrix. A stack that is
-    exactly symmetric, as `negtype.negtype_form_matrix` makes it, passes the
-    guard as it is, so no matrix is symmetrized twice."""
+    exactly symmetric, as each step's sum of class forms
+    (`negtype._class_form_matrix`) is, passes the guard as it is, so no
+    matrix is symmetrized twice."""
     at = a.swapaxes(-1, -2)
     if (a == at).all():
         return a

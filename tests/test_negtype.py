@@ -25,6 +25,7 @@ from roundness.errors import (
     HypothesisViolatedError,
     IndexOutOfRangeError,
     LengthMismatchError,
+    NegativeEntryError,
     NonFiniteMatrixError,
 )
 from roundness import cli, metric, negtype, spectral
@@ -181,38 +182,59 @@ def test_stacked_search_raises_what_the_single_search_raises():
 def test_stacked_search_picks_class_forms_for_few_distances(monkeypatch, caplog):
     # few distances, as in every cube scan: the class forms are built once
     # and no step builds D_p or its form; many distances, as in Euclidean
-    # metrics: one dense form per lock-step step
-    forms, steps = [], []
-    form_matrix, eigvals = negtype.negtype_form_matrix, negtype._eigvals
+    # metrics: the stack is rejected before any eigensolve
+    dense, steps = [], []
+    eigvals = negtype._eigvals
 
-    def counted_forms(d, p):
-        forms.append(len(d))
-        return form_matrix(d, p)
+    def counted(name):
+        call = getattr(negtype, name)
+
+        def recorded(*args):
+            dense.append(name)
+            return call(*args)
+
+        return recorded
 
     def counted_steps(a):
         steps.append(len(a))
         return eigvals(a)
 
-    monkeypatch.setattr(negtype, "negtype_form_matrix", counted_forms)
+    for name in ("negtype_form_matrix", "power_matrix"):
+        monkeypatch.setattr(negtype, name, counted(name))
     monkeypatch.setattr(negtype, "_eigvals", counted_steps)
     caplog.set_level(logging.DEBUG, logger="roundness")
     scan_subsets(4, max_size=3)
-    assert forms == [] and steps
+    assert dense == [] and steps
     [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lock-step")]
     assert line == f"lock-step search: 6 members, 4 classes, {len(steps)} steps, " \
                    f"{sum(steps)} member-steps"
     caplog.clear()
     steps.clear()
     stack = np.stack([euclidean_space(30, seed=seed).dist for seed in (1, 2, 3)])
-    found = roundness_search(stack)
-    assert forms == steps and len(forms) > 3 and all(f is not None for f in found)
-    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lock-step")]
-    assert line == f"lock-step search: 3 members, dense, {len(steps)} steps, " \
-                   f"{sum(steps)} member-steps"
-    caplog.clear()
+    with pytest.raises(BadParamsError, match="at most 8 distinct distances"):
+        roundness_search(stack)
+    assert dense == [] and steps == []
     assert roundness_search(np.empty((0, 3, 3))) == []
     assert [r.getMessage() for r in caplog.records] \
         == ["lock-step search: 0 members, 0 classes, 0 steps, 0 member-steps"]
+
+
+@pytest.mark.parametrize("stack, error", [
+    ([[[0, -1, 2], [-1, 0, 1], [2, 1, 0]]], NegativeEntryError),
+    ([[[0, 2], [2, 0]], [[0, 0], [0, 0]]], BadParamsError),
+    (np.zeros((1, 1, 1)), BadParamsError),
+    ([[[5.0]]], BadParamsError),
+    ([[0, 1], [1, 0]], BadParamsError),
+])
+def test_stacked_search_rejects_bad_stacks_before_any_solve(monkeypatch, stack, error):
+    # a negative distance, a member with no positive distance or a stack of
+    # anything but matrices of 2 or more points has no roundness to find
+    def fail(*args):
+        raise AssertionError("eigensolve before the stack was checked")
+
+    monkeypatch.setattr(negtype, "_eigvals", fail)
+    with pytest.raises(error):
+        roundness_search(np.array(stack, dtype=float))
 
 
 def test_search_needs_few_evaluations(monkeypatch):
@@ -328,8 +350,6 @@ def test_dense_search_and_strict_verdict_solve_for_values_only(monkeypatch, make
     assert not verdict.strict and verdict.witness is not None
     k = sp.n if has_row_permutation_property(sp) else sp.n - 1
     assert calls == [(k, k)]
-    # the stacked dense search makes the decisions of the one-space search
-    assert roundness_search(sp.dist[None]) == [found]
 
 
 # the graphs of the benchmark's fleet_q workload, and three larger ones;
@@ -344,7 +364,8 @@ GENERIC = ["petersen", "icosahedron", "dodecahedron"]
 def test_structured_search_agrees_with_dense_search(monkeypatch, spec):
     # relabelled, each of these spaces is neither circulant nor in cube
     # order, and its search reads the spectrum of its distance classes; the
-    # stacked search, which always solves densely, is the reference for both
+    # search of a dense copy, which solves D_p densely, is the reference for
+    # both
     kinds = []
     source = negtype._source
 
@@ -366,7 +387,7 @@ def test_structured_search_agrees_with_dense_search(monkeypatch, spec):
     kinds.clear()
     found_moved = negtype._space_search(moved, 64.0, 1e-9, 1e-9)
     assert set(kinds) == {"_ClassSource"}
-    [(q_dense, (lo_dense, hi_dense), _)] = roundness_search(moved.dist[None])
+    q_dense, (lo_dense, hi_dense), _ = negtype._space_search(dense_copy(moved), 64.0, 1e-9, 1e-9)
     for q, (lo, hi), _ in (found, found_moved):
         assert abs(q - q_dense) <= 1e-9
         assert lo <= hi_dense and lo_dense <= hi
@@ -417,8 +438,6 @@ def test_dense_row_permutation_spectrum_is_the_form_after_r(make):
     form = spectral._eigvals(negtype_form_matrix(unit, res.q))
     null = int(np.count_nonzero(np.abs(form) <= negtype.CERTIFICATE_TOL))
     assert report.holds and report.form_kernel_dim == report.matrix_kernel_dim == null
-    # the stacked search, on M(p), makes the decisions of the one-space search
-    assert roundness_search(sp.dist[None]) == [(res.q, res.bracket, res.iterations)]
 
 
 @pytest.mark.parametrize("spec", GENERIC)

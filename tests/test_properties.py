@@ -11,6 +11,7 @@ class spectrum against the dense source consumer by consumer."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from roundness import (
     path_metric,
 )
 from roundness.errors import DisconnectedError
+from roundness import negtype
 from roundness.metric import power_matrix
 from roundness.negtype import (
     CERTIFICATE_TOL,
@@ -38,7 +40,9 @@ from roundness.negtype import (
     _class_form_matrix,
     _class_forms,
     _itp,
+    _space_search,
     negtype_form_matrix,
+    roundness_search,
 )
 
 P_MAX = 64.0
@@ -299,16 +303,19 @@ def test_structured_consumers_agree_with_dense(g, data):
 
 
 @st.composite
-def integer_stacks(draw):
+def integer_stacks(draw, metrics=False):
     """An (m, k, k) stack of symmetric matrices with zero diagonal and
     off-diagonal entries in 1..s, s <= CLASS_FORM_LIMIT, not all of them
-    metrics, and one exponent per matrix drawn from 0, 0.5, 1, 2 and 3.7,
-    where `**` takes its fast paths and where it does not."""
+    metrics, or with `metrics` in ceil(s/2)..s, where any two entries sum
+    to at least a third, so every matrix is a metric; and one exponent per
+    matrix drawn from 0, 0.5, 1, 2 and 3.7, where `**` takes its fast paths
+    and where it does not."""
     s = draw(st.integers(1, CLASS_FORM_LIMIT))
     k = draw(st.integers(2, 6))
     m = draw(st.integers(1, 5))
     i, j = np.triu_indices(k, 1)
-    entries = draw(st.lists(st.integers(1, s), min_size=m * len(i), max_size=m * len(i)))
+    least = (s + 1) // 2 if metrics else 1
+    entries = draw(st.lists(st.integers(least, s), min_size=m * len(i), max_size=m * len(i)))
     stack = np.zeros((m, k, k))
     stack[:, i, j] = np.reshape(entries, (m, len(i)))
     p = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]), min_size=m, max_size=m))
@@ -321,8 +328,24 @@ def test_class_forms_give_the_powered_form(case):
     """The stacked search's M(p) from the class forms, built once, equals
     the form of D_p of d / max d, built from scratch, matrix by matrix."""
     d, p = case
-    max_d = d.max(axis=(-2, -1), keepdims=True)
-    got = _class_form_matrix(_class_forms(d, max_d), p)
-    want = negtype_form_matrix(d / max_d, p)
-    for a, b in zip(got, want):
+    got = _class_form_matrix(_class_forms(d), p)
+    for a, dj, pj in zip(got, d, p):
+        b = negtype_form_matrix(dj / dj.max(), pj)
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=integer_stacks(metrics=True))
+def test_stacked_search_agrees_with_dense_search(case):
+    """The stacked search on class forms, which powers no distance matrix
+    and builds no dense form, gives each member the status of the
+    one-space search of its dense copy, and a q within TOL_P of it."""
+    d, _ = case
+    with mock.patch.object(negtype, "power_matrix", side_effect=AssertionError), \
+            mock.patch.object(negtype, "negtype_form_matrix", side_effect=AssertionError):
+        found = roundness_search(d, p_max=P_MAX, tol_p=TOL_P)
+    for dj, got in zip(d, found):
+        want = _space_search(dense_copy(build_metric_space(dj)), P_MAX, TOL_P, 1e-9)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert abs(got[0] - want[0]) <= TOL_P
