@@ -25,6 +25,11 @@ SOLIDS = ("dodecahedron", "icosahedron")
 
 FAMILIES = ("cycle", "complete", "complete_bipartite", "hypercube", "petersen", "circulant")
 
+# Most vertices a generated family may have, that of hypercube:12: a path
+# metric holds n^2 floats, so a family's size is checked before any edge is
+# built
+MAX_FAMILY_VERTICES = 4096
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -108,22 +113,27 @@ def gen_family(family: str, *params) -> Graph:
 
     cycle(n>=3), complete(n>=2), complete_bipartite(n>=1) for the balanced
     two-sided graph, hypercube(n>=1) in binary-counting vertex order,
-    petersen, circulant(n, offsets) connecting i ~ i +/- s mod n.
+    petersen, circulant(n, offsets) connecting i ~ i +/- s mod n. A family
+    of more than MAX_FAMILY_VERTICES vertices is a BadParamsError, raised
+    before any edge is built.
     """
     if family == "cycle":
         (n,) = _int_params(params, 1, family)
         if n < 3:
             raise BadParamsError("cycle needs n >= 3")
+        _check_vertices(family, n)
         return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
     if family == "complete":
         (n,) = _int_params(params, 1, family)
         if n < 2:
             raise BadParamsError("complete graph needs n >= 2")
+        _check_vertices(family, n)
         return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
     if family == "complete_bipartite":
         (n,) = _int_params(params, 1, family)
         if n < 1:
             raise BadParamsError("complete bipartite needs n >= 1")
+        _check_vertices(family, 2 * n)
         return Graph(2 * n, tuple((i, n + j) for i in range(n) for j in range(n)))
     if family == "hypercube":
         (n,) = _int_params(params, 1, family)
@@ -151,6 +161,7 @@ def gen_family(family: str, *params) -> Graph:
         offsets = sorted({int(s) for s in params[1]})
         if n < 3:
             raise BadParamsError("circulant needs n >= 3")
+        _check_vertices(family, n)
         if not offsets:
             raise BadParamsError("circulant needs at least one offset")
         if any(not 1 <= s <= n // 2 for s in offsets):
@@ -163,6 +174,12 @@ def gen_family(family: str, *params) -> Graph:
         edges = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in offsets}
         return Graph(n, tuple(sorted(edges)))
     raise UnknownFamilyError(f"unknown graph family {family!r} (known: {', '.join(FAMILIES)})")
+
+
+def _check_vertices(family: str, n: int) -> None:
+    if n > MAX_FAMILY_VERTICES:
+        raise BadParamsError(f"{family} would have {n} vertices; at most "
+                             f"{MAX_FAMILY_VERTICES} are supported")
 
 
 def _int_params(params, count, family):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -284,17 +285,33 @@ def _combinations(size_cap: int, size: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, size)
 
 
+@lru_cache(maxsize=None)
+def _point_orders(k: int) -> np.ndarray:
+    """All k! orders of k points as the rows of a read-only (k!, k) array,
+    in itertools.permutations order, the identity first."""
+    return _readonly(np.array(list(itertools.permutations(range(k)))))
+
+
+@lru_cache(maxsize=None)
+def _key_digits(k: int, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows i and the columns j of the upper triangle of a k x k
+    matrix, row by row, and the value of each as a base-`base` digit, the
+    first most significant: read-only arrays, built once per (k, base)."""
+    i, j = np.triu_indices(k, 1)
+    if base ** len(i) - 1 > np.iinfo(np.int64).max:
+        raise AssertionError(f"a {base}-ary key of {len(i)} digits overflows int64")
+    weights = base ** np.arange(len(i) - 1, -1, -1, dtype=np.int64)
+    return _readonly(i), _readonly(j), _readonly(weights)
+
+
 def _metric_keys(dist: np.ndarray, base: int, orders: np.ndarray) -> np.ndarray:
     """One int64 key per matrix of the (m, k, k) stack `dist`, whose entries
     are in 0..base-1: the smallest, over the point orders that are the rows
     of the (P, k) array `orders`, of the matrix's upper triangle read in
     that order as base-`base` digits, the first entry most significant.
-    Over one order the key is the matrix itself; over all k! orders it is
-    its isometry class."""
-    i, j = np.triu_indices(dist.shape[1], 1)
-    if base ** len(i) - 1 > np.iinfo(np.int64).max:
-        raise AssertionError(f"a {base}-ary key of {len(i)} digits overflows int64")
-    weights = base ** np.arange(len(i) - 1, -1, -1, dtype=np.int64)
+    Over one order the key is the matrix itself; over all k! orders
+    (`_point_orders`) it is its isometry class."""
+    i, j, weights = _key_digits(dist.shape[1], base)
     return (dist[:, orders[:, i], orders[:, j]] @ weights).min(axis=1)
 
 
@@ -364,10 +381,9 @@ def scan_subsets(
             continue
         strict_idx = idx[strict]
         dist = popcount[strict_idx[:, :, None] ^ strict_idx[:, None, :]]
-        identity = np.arange(size)[None]
-        _, first, ordered = np.unique(_metric_keys(dist, n + 1, identity),
+        orders = _point_orders(size)  # the identity first
+        _, first, ordered = np.unique(_metric_keys(dist, n + 1, orders[:1]),
                                       return_index=True, return_inverse=True)
-        orders = np.array(list(itertools.permutations(range(size))))
         _, iso = np.unique(_metric_keys(dist[first], n + 1, orders), return_inverse=True)
         iso = iso[ordered]  # the isometry class of each subset
         _, rep = np.unique(iso, return_index=True)  # its lexicographically first subset

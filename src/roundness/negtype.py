@@ -15,10 +15,13 @@ values-only eigensolve per step, and `generalized_roundness` drives one
 space. A step reads two eigenvalues of each M(p), the largest and the
 smallest, and decides in Python floats. A stack has at most
 CLASS_FORM_LIMIT distinct distances v, as every stack of cube-subset
-metrics (v in 1..n) has, and M(p) = sum_v (v / max d)^p B^T A_v B, with
-A_v the 0/1 matrix of the entries equal to v: its class forms B^T A_v B
-are built once per stack, and a step powers s distances per matrix, not
-k^2 entries.
+metrics (v in 1..n) has, and M(p) = sum_v w_v^p F_v, with w_v = v / max d
+and F_v = B^T A_v B, A_v the 0/1 matrix of the entries equal to v: the
+class forms F_v are built once per stack, with tr F_v and the Gram matrix
+G_uv = <F_u, F_v>, and a step powers s distances per matrix, not k^2
+entries. Its guard is the identity check of `spectral._check_spectra`,
+held against tr M(p) = sum_v w_v^p tr F_v and ||M(p)||_F^2 = w^T G w in
+place of a second pass over M(p).
 
 Everything else a single space needs comes from one source per (space, p),
 built by `_source`: D_p of d / max d, its product with a vector, and one
@@ -80,6 +83,7 @@ from .errors import (
     LengthMismatchError,
     NegativeEntryError,
     NegativeExponentError,
+    NoConvergenceError,
     NonFiniteMatrixError,
 )
 from .metric import (
@@ -93,6 +97,7 @@ from .metric import (
 from .spectral import (
     ROW0_BLOCK,
     ClassSpectrum,
+    _check_spectra,
     _eigvals,
     _row0_modes,
     _row0_multiplicities,
@@ -109,7 +114,7 @@ METHOD_SPECTRAL_BISECTION = "SpectralBisection"
 
 CERTIFICATE_TOL = 1e-6
 # Most distinct distances a stack of `roundness_search` may have: its class
-# forms take s (k-1)^2 floats per matrix
+# forms take s ((k-1)^2 + s + 2) floats per matrix
 CLASS_FORM_LIMIT = 8
 
 
@@ -453,12 +458,25 @@ def roundness_search(
     doubled bracket of width w0 (or until its ends are adjacent floats).
     The search runs on the distances divided by their maximum, so it
     neither overflows nor underflows at any unit of distance. The class
-    forms of the stack are built once (`_class_forms`): M(p) = sum_v (v /
-    max d)^p F_v, so each step powers s weights per matrix still searching,
-    sums s forms at its own p, and makes one stacked values-only eigensolve;
-    no D_p is built. One DEBUG line on the `roundness` logger gives the
-    member count, the class count, the lock-step steps and the
-    member-steps.
+    forms of the stack are built once (`_class_forms`): M(p) = sum_v w_v^p
+    F_v with w_v = v / max d, so each step powers s weights per matrix
+    still searching, sums s forms at its own p, and makes one stacked
+    `numpy.linalg.eigvalsh` call (a LinAlgError is NoConvergenceError); no
+    D_p is built. One DEBUG line on the `roundness` logger gives the member
+    count, the class count, the lock-step steps and the member-steps.
+
+    Each step's guard is the identity check of `spectral._eigvals`
+    (`spectral._check_spectra`): the sum of each matrix's eigenvalues and
+    of their squares must meet tr M(p) = sum_v w_v^p tr F_v and ||M(p)||_F^2
+    = w^T G w, with G_uv = <F_u, F_v>, both built once per call, at O(s^2)
+    per matrix and step. `_eigvals`' other guards are not needed here:
+    every M(p) is finite, as the weights lie in (0, 1] and the forms are
+    finite, which the check of d fixes once per call; it is symmetric by
+    construction, LAPACK reads one triangle of it, and an M(p) that is not
+    the sum of its forms fails the Frobenius identity; and it needs no
+    rescaling by max |M_ij|, as its entries are bounded by k and its norm
+    is positive on a matrix with zero diagonal, whose largest distance has
+    the weight 1 at every p and a form F != 0.
 
     Returns, per matrix, (q, (p_lo, p_hi), ITP iterations), or None when
     the predicate still holds at p_max (Unbounded). Bad tol_p, p_max or
@@ -475,8 +493,13 @@ def roundness_search(
 
     def extremes(stack, p):
         steps.append(len(p))
-        values = _eigvals(_class_form_matrix(stack, np.array(p)))  # descending
-        return values[:, 0], values[:, -1]
+        a, traces, squares = _class_form_matrix(stack, np.array(p))
+        try:
+            values = np.linalg.eigvalsh(a)  # ascending
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(reason=str(exc)) from exc
+        _check_spectra(values, traces, squares)
+        return values[:, -1], values[:, 0]
 
     found = _lockstep(classes, extremes, p_max, tol_p, tol_eig)
     log.debug("lock-step search: %d members, %d classes, %d steps, %d member-steps",
@@ -491,14 +514,16 @@ def _class_forms(d: np.ndarray) -> np.ndarray:
     NegativeEntryError on a negative entry and BadParamsError on the rest.
 
     Row v of matrix j, for each of the s distinct positive entries v of the
-    whole stack, is the weight v / max d_j, then F_v = B^T A_v B
+    whole stack, is the weight w_v = v / max d_j, then F_v = B^T A_v B
     symmetrized, with A_v the 0/1 matrix of the entries of d_j equal to v
-    and B the zero-sum basis (`hyperplane_basis`): an (m, s, 1 + (k-1)^2)
-    array, from which `_class_form_matrix` makes M(p) of d / max d. On d /
-    max d the eigenvalues of M(p) scale by (max d)^-p, so no sign and no
-    relative test changes, and no power of a distance in (0, 1] overflows
-    or makes a matrix all zero. A class that d_j lacks has F_v = 0 and the
-    weight 1, whose powers stay finite."""
+    and B the zero-sum basis (`hyperplane_basis`), then tr F_v, then row v
+    of the Gram matrix G_uv = <F_u, F_v>: an (m, s, (k-1)^2 + s + 2)
+    array, from which `_class_form_matrix` makes M(p) of d / max d with its
+    trace and squared Frobenius norm. On d / max d the eigenvalues of M(p)
+    scale by (max d)^-p, so no sign and no relative test changes, and no
+    power of a distance in (0, 1] overflows or makes a matrix all zero. A
+    class that d_j lacks has F_v = 0 and the weight 1, whose powers stay
+    finite."""
     if d.ndim != 3 or d.shape[1] != d.shape[2] or d.shape[1] < 2:
         raise BadParamsError(f"need a stack (m, k, k) of matrices with k >= 2, got {d.shape}")
     # the distinct nonzero entries, by a sort: `np.unique` without a return
@@ -516,21 +541,31 @@ def _class_forms(d: np.ndarray) -> np.ndarray:
     m, s, k = len(d), len(values), d.shape[-1]
     members = d[:, None] == values[:, None, None]  # (m, s, k, k)
     b = hyperplane_basis(k)
-    forms = b.T @ members @ b
-    classes = np.empty((m, s, 1 + (k - 1) ** 2))
+    square = b.T @ members @ b
+    end = 1 + (k - 1) ** 2
+    classes = np.empty((m, s, end + 1 + s))
     classes[:, :, 0] = values / max_d.reshape(m, 1)
     classes[:, :, 0][~members.reshape(m, s, k * k).any(axis=-1)] = 1.0
-    classes[:, :, 1:] = ((forms + forms.swapaxes(-1, -2)) / 2.0).reshape(m, s, (k - 1) ** 2)
+    forms = classes[:, :, 1:end]
+    forms[:] = ((square + square.swapaxes(-1, -2)) / 2.0).reshape(m, s, end - 1)
+    classes[:, :, end] = forms[:, :, ::k].sum(axis=-1)  # every k-th entry: the diagonal
+    classes[:, :, end + 1:] = forms @ forms.swapaxes(1, 2)
     return classes
 
 
-def _class_form_matrix(classes: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _class_form_matrix(classes: np.ndarray,
+                       p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M(p) of each matrix of a stack of class forms (`_class_forms`), with
-    p one exponent per matrix: sum_v (v / max d)^p F_v, one power of the
-    (m, s) weights and one batched product."""
+    p one exponent per matrix, and its trace and squared Frobenius norm:
+    sum_v w_v^p F_v, sum_v w_v^p tr F_v and w^T G w, from one power of the
+    (m, s) weights and three small batched products."""
     weights = classes[:, :, 0] ** p[:, None]
-    k = math.isqrt(classes.shape[-1] - 1)
-    return (weights[:, None] @ classes[:, :, 1:]).reshape(-1, k, k)
+    s = classes.shape[1]
+    k = math.isqrt(classes.shape[-1] - 2 - s)
+    rows = weights[:, None]
+    invariants = rows @ classes[:, :, -1 - s:]  # tr M(p), then w^T G
+    return ((rows @ classes[:, :, 1:-1 - s]).reshape(-1, k, k), invariants[:, 0, 0],
+            (invariants[:, :, 1:] @ weights[:, :, None]).ravel())
 
 
 def _space_search(space: FiniteMetricSpace, p_max: float, tol_p: float, tol_eig: float):

@@ -4,11 +4,13 @@ Floating-point side: the one symmetry guard (`symmetrized`) and a symmetric
 eigensolver on LAPACK (`numpy.linalg.eigh`) with a deterministic sort and
 sign convention and a checked reconstruction residual, for one matrix. Its
 values-only sibling (`_eigvals`, on `numpy.linalg.eigvalsh`) shares its
-guards and, having no eigenvectors to rebuild the matrix from, checks each
-matrix's values against its trace and its squared Frobenius norm. The guard
-and `_eigvals` take a single matrix or a stack (..., k, k), which LAPACK
-solves in one call, and check every matrix of a stack as they would check
-it alone.
+guards and, having no eigenvectors to rebuild the matrix from, holds each
+matrix's values to its trace and its squared Frobenius norm by one identity
+check (`_check_spectra`). `negtype`'s stacked root search runs that check
+too, against invariants of its distance-class forms, so its sums of class
+forms do not pass through the symmetry guard. The guard and `_eigvals`
+take a single matrix or a stack (..., k, k), which LAPACK solves in one
+call, and check every matrix of a stack as they would check it alone.
 
 Row-0 structure, the one place that builds and detects it: a circulant
 matrix (d[i, j] = f((j - i) mod n)) or one in cube order (d[i, j] = f(i xor
@@ -72,9 +74,8 @@ def _check_square(a: np.ndarray) -> None:
 
 def _symmetrized(a: np.ndarray, amax: np.ndarray) -> np.ndarray:
     """`symmetrized`, given max |a_ij| of each matrix. A stack that is
-    exactly symmetric, as each step's sum of class forms
-    (`negtype._class_form_matrix`) is, passes the guard as it is, so no
-    matrix is symmetrized twice."""
+    exactly symmetric, as `negtype_form_matrix` makes each form, passes the
+    guard as it is, so no matrix is symmetrized twice."""
     at = a.swapaxes(-1, -2)
     if (a == at).all():
         return a
@@ -140,31 +141,41 @@ def _eigvals(a) -> np.ndarray:
     read-only, with the stack's leading axes.
 
     The guards are `eigensym`'s. With no eigenvectors to rebuild the matrix
-    from, each matrix's values w are held to the two identities any
-    spectrum of it meets, each within RESIDUAL_RTOL of its own scale: sum w
-    = tr a, on the scale sqrt(k) ||a||_F that bounds both sides, and sum w^2
-    = ||a||_F^2. NoConvergenceError if either fails for any matrix of a
-    stack.
+    from, each matrix's values are held to its trace and its squared
+    Frobenius norm (`_check_spectra`), both taken on a / max |a_ij|, whose
+    squares neither overflow nor underflow. NoConvergenceError if either
+    fails for any matrix of a stack.
     """
     a0, amax, stack, w = _guarded(a, np.linalg.eigvalsh)
     m, k = w.shape
     w = w[:, ::-1]
-    # both identities on a / max |a_ij|, whose squares neither overflow nor underflow
     unit = amax + (amax == 0)
-    u = w / unit[:, None]
     b = (a0 / unit[:, None, None]).reshape(m, 1, k * k)
-    sums = u.sum(axis=1).tolist()
-    squares = (u[:, None] @ u[:, :, None]).ravel().tolist()
-    traces = b[:, 0, ::k + 1].sum(axis=1).tolist()  # every (k + 1)-th entry: the diagonal
-    frobenius = (b @ b.swapaxes(1, 2)).ravel().tolist()
-    for s, q, t, f in zip(sums, squares, traces, frobenius):
-        if abs(s - t) > RESIDUAL_RTOL * sqrt(k * f) or abs(q - f) > RESIDUAL_RTOL * f:
-            raise NoConvergenceError(reason=f"eigenvalues miss the trace by {abs(s - t):.3e} or "
-                                            f"the squared Frobenius norm by {abs(q - f):.3e}, "
-                                            f"on a / max |a_ij|")
+    traces = b[:, 0, ::k + 1].sum(axis=1)  # every (k + 1)-th entry: the diagonal
+    _check_spectra(w / unit[:, None], traces, (b @ b.swapaxes(1, 2)).ravel())
     w = w.reshape(*stack, k)
     w.setflags(write=False)
     return w
+
+
+def _check_spectra(w: np.ndarray, traces: np.ndarray, squares: np.ndarray) -> None:
+    """Hold each row of w (m, k), the eigenvalues of one symmetric k x k
+    matrix a of a stack, to the two identities any spectrum of a meets,
+    each within RESIDUAL_RTOL of its own scale: sum w = tr a (`traces`), on
+    the scale sqrt(k) ||a||_F that bounds both sides, and sum w^2 =
+    ||a||_F^2 (`squares`). Both tests are homogeneous in a, so they may be
+    taken on any multiple of a whose squares stay in float range.
+    NoConvergenceError if either fails for any row; each test is written
+    as `not (gap <= bound)`, so a NaN eigenvalue fails it too.
+    """
+    k = w.shape[1]
+    sums = w.sum(axis=1).tolist()
+    powers = (w[:, None] @ w[:, :, None]).ravel().tolist()
+    for s, q, t, f in zip(sums, powers, traces.tolist(), squares.tolist()):
+        if not (abs(s - t) <= RESIDUAL_RTOL * sqrt(k * f) and abs(q - f) <= RESIDUAL_RTOL * f):
+            raise NoConvergenceError(reason=f"eigenvalues miss the trace by {abs(s - t):.3e} or "
+                                            f"the squared Frobenius norm by {abs(q - f):.3e}, "
+                                            f"on a squared norm of {f:.3e}")
 
 
 # -- row-0 structure ------------------------------------------------------------

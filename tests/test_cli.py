@@ -366,6 +366,16 @@ def test_malformed_graph_spec_exits_2(capsys, spec):
     assert report["error"]["type"] == "RoundnessError"
 
 
+@pytest.mark.parametrize("spec", ["cycle:99999999999999999999", "complete:4097",
+                                  "complete_bipartite:2049", "circulant:5000:1,3"])
+def test_oversized_graph_family_exits_2(capsys, spec):
+    # the vertex budget is checked before any edge is built
+    code, report = run_cli(capsys, "roundness", "--graph", spec)
+    assert code == 2
+    assert report["error"]["type"] == "BadParamsError"
+    assert "at most 4096 are supported" in report["error"]["message"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_cube_scan_rejects_bad_jobs(capsys, jobs):
     code, report = run_cli(capsys, "cube", "scan", "--n", "2", "--jobs", jobs)

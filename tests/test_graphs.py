@@ -69,6 +69,31 @@ def test_unknown_family_and_bad_params():
         gen_family("hypercube", 13)
 
 
+@pytest.mark.parametrize("family, params, vertices", [
+    ("cycle", (4097,), 4097),
+    ("complete", (4097,), 4097),
+    ("complete_bipartite", (2049,), 4098),
+    ("circulant", (4097, [1]), 4097),
+    ("cycle", (10**20,), 10**20),
+    ("complete", (10**20,), 10**20),
+])
+def test_family_size_is_checked_before_any_edge(monkeypatch, family, params, vertices):
+    # one vertex budget, that of hypercube:12; 10^20 vertices would never finish
+    # building their edges
+    def fail(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graphs, "Graph", fail)
+    with pytest.raises(BadParamsError, match=f"{vertices} vertices; at most 4096"):
+        gen_family(family, *params)
+
+
+def test_family_vertex_budget_is_the_largest_cube():
+    assert graphs.MAX_FAMILY_VERTICES == gen_family("hypercube", 12).n == 4096
+    assert gen_family("cycle", 4096).n == gen_family("circulant", 4096, [1, 5]).n == 4096
+    assert gen_family("complete_bipartite", 8).n == 16
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(3, ((0, 0),))

@@ -26,6 +26,7 @@ from roundness.errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NegativeEntryError,
+    NoConvergenceError,
     NonFiniteMatrixError,
 )
 from roundness import cli, metric, negtype, spectral
@@ -184,7 +185,7 @@ def test_stacked_search_picks_class_forms_for_few_distances(monkeypatch, caplog)
     # and no step builds D_p or its form; many distances, as in Euclidean
     # metrics: the stack is rejected before any eigensolve
     dense, steps = [], []
-    eigvals = negtype._eigvals
+    eigvalsh = np.linalg.eigvalsh
 
     def counted(name):
         call = getattr(negtype, name)
@@ -197,11 +198,11 @@ def test_stacked_search_picks_class_forms_for_few_distances(monkeypatch, caplog)
 
     def counted_steps(a):
         steps.append(len(a))
-        return eigvals(a)
+        return eigvalsh(a)
 
     for name in ("negtype_form_matrix", "power_matrix"):
         monkeypatch.setattr(negtype, name, counted(name))
-    monkeypatch.setattr(negtype, "_eigvals", counted_steps)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_steps)
     caplog.set_level(logging.DEBUG, logger="roundness")
     scan_subsets(4, max_size=3)
     assert dense == [] and steps
@@ -232,9 +233,62 @@ def test_stacked_search_rejects_bad_stacks_before_any_solve(monkeypatch, stack, 
     def fail(*args):
         raise AssertionError("eigensolve before the stack was checked")
 
-    monkeypatch.setattr(negtype, "_eigvals", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(error):
         roundness_search(np.array(stack, dtype=float))
+
+
+# four 4-point metrics: the cycle, K4, the path P4 and the star {0, 1, 2, 4}
+# of the 3-cube
+GUARDED_STACK = np.array([
+    [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
+    [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]],
+    [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]],
+    [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]],
+], dtype=float)
+
+
+@pytest.mark.parametrize("up, down", [(1e-6, 0.0), (1e-6, -1e-6)], ids=["shift", "trace-blind"])
+def test_stacked_search_step_guard_sees_one_perturbed_eigenvalue(monkeypatch, up, down):
+    # each step holds its eigenvalues to tr M(p) and ||M(p)||_F^2 from the
+    # class forms: the largest eigenvalue of the last member still searching
+    # raised by 1e-6, alone or with its smallest lowered by as much, which
+    # leaves the trace as it was, fails the guard
+    eigvalsh = np.linalg.eigvalsh
+    clean = roundness_search(GUARDED_STACK)
+    assert [f is None for f in clean] == [False, True, False, False]
+
+    def perturbed(a):
+        w = eigvalsh(a)
+        w[-1, -1] += up
+        w[-1, 0] += down
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+    with pytest.raises(NoConvergenceError, match="miss the trace"):
+        roundness_search(GUARDED_STACK)
+
+
+def test_stacked_search_rejects_a_nan_eigenvalue(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+
+    def nan_in_one_member(a):
+        w = eigvalsh(a)
+        w[0, 0] = np.nan
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", nan_in_one_member)
+    with pytest.raises(NoConvergenceError, match="nan"):
+        roundness_search(GUARDED_STACK)
+
+
+def test_stacked_search_maps_lapack_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        roundness_search(GUARDED_STACK)
 
 
 def test_search_needs_few_evaluations(monkeypatch):

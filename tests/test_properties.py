@@ -328,10 +328,27 @@ def test_class_forms_give_the_powered_form(case):
     """The stacked search's M(p) from the class forms, built once, equals
     the form of D_p of d / max d, built from scratch, matrix by matrix."""
     d, p = case
-    got = _class_form_matrix(_class_forms(d), p)
+    got, _, _ = _class_form_matrix(_class_forms(d), p)
     for a, dj, pj in zip(got, d, p):
         b = negtype_form_matrix(dj / dj.max(), pj)
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=integer_stacks())
+def test_class_form_invariants_give_trace_and_frobenius_norm(case):
+    """The invariants the stacked search holds each step's eigenvalues to,
+    tr M(p) = sum_v w_v^p tr F_v and ||M(p)||_F^2 = w^T G w, built from the
+    class forms, are the trace and the squared Frobenius norm of the form
+    of D_p of d / max d, built from scratch, matrix by matrix."""
+    d, _ = case
+    classes = _class_forms(d)
+    for p in (0.0, 0.5, 1.0, 2.0, 3.7, 64.0):
+        _, traces, squares = _class_form_matrix(classes, np.full(len(d), p))
+        for dj, trace, square in zip(d, traces, squares):
+            b = negtype_form_matrix(dj / dj.max(), p)
+            assert abs(trace - np.trace(b)) <= 1e-12 * abs(np.trace(b))
+            assert abs(square - np.sum(b * b)) <= 1e-12 * np.sum(b * b)
 
 
 @settings(max_examples=100, deadline=None)

@@ -250,6 +250,17 @@ def test_eigvals_trace_and_frobenius_checks_per_member(monkeypatch):
         _eigvals(np.stack([GOOD, bad]))
 
 
+def test_eigvals_rejects_a_nan_eigenvalue(monkeypatch):
+    # a NaN gap compares False with any bound, so each identity is tested as
+    # `not (gap <= bound)`
+    true_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: true_eigvalsh(a) * [np.nan, 1.0])
+    with pytest.raises(NoConvergenceError, match="nan"):
+        _eigvals([[2.0, 1.0], [1.0, 3.0]])
+    with pytest.raises(NoConvergenceError):
+        _eigvals(np.stack([np.eye(2), [[2.0, 1.0], [1.0, 3.0]]]))
+
+
 def test_eigensym_stack_residual_bound_per_member(monkeypatch):
     # eigensym takes one matrix and a stack goes to _eigvals: a shift that
     # eigensym's residual bound rejects on one member is rejected in a stack
