@@ -29,6 +29,10 @@ FAMILIES = ("cycle", "complete", "complete_bipartite", "hypercube", "petersen", 
 # metric holds n^2 floats, so a family's size is checked before any edge is
 # built
 MAX_FAMILY_VERTICES = 4096
+# Most edges a generated family may have, just above the 523,776 of
+# complete:1024: each edge is a Python tuple, so the count, which n and the
+# offsets fix, is checked before any edge is built
+MAX_FAMILY_EDGES = 2**19
 
 
 @dataclass(frozen=True)
@@ -114,26 +118,26 @@ def gen_family(family: str, *params) -> Graph:
     cycle(n>=3), complete(n>=2), complete_bipartite(n>=1) for the balanced
     two-sided graph, hypercube(n>=1) in binary-counting vertex order,
     petersen, circulant(n, offsets) connecting i ~ i +/- s mod n. A family
-    of more than MAX_FAMILY_VERTICES vertices is a BadParamsError, raised
-    before any edge is built.
+    of more than MAX_FAMILY_VERTICES vertices or MAX_FAMILY_EDGES edges is
+    a BadParamsError, raised before any edge is built.
     """
     if family == "cycle":
         (n,) = _int_params(params, 1, family)
         if n < 3:
             raise BadParamsError("cycle needs n >= 3")
-        _check_vertices(family, n)
+        _check_size(family, n, n)
         return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
     if family == "complete":
         (n,) = _int_params(params, 1, family)
         if n < 2:
             raise BadParamsError("complete graph needs n >= 2")
-        _check_vertices(family, n)
+        _check_size(family, n, n * (n - 1) // 2)
         return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
     if family == "complete_bipartite":
         (n,) = _int_params(params, 1, family)
         if n < 1:
             raise BadParamsError("complete bipartite needs n >= 1")
-        _check_vertices(family, 2 * n)
+        _check_size(family, 2 * n, n * n)
         return Graph(2 * n, tuple((i, n + j) for i in range(n) for j in range(n)))
     if family == "hypercube":
         (n,) = _int_params(params, 1, family)
@@ -161,11 +165,12 @@ def gen_family(family: str, *params) -> Graph:
         offsets = sorted({int(s) for s in params[1]})
         if n < 3:
             raise BadParamsError("circulant needs n >= 3")
-        _check_vertices(family, n)
         if not offsets:
             raise BadParamsError("circulant needs at least one offset")
         if any(not 1 <= s <= n // 2 for s in offsets):
             raise BadParamsError(f"circulant offsets must lie in 1..{n // 2}")
+        # n edges per offset, but n / 2 for the offset n / 2, where i + s = i - s mod n
+        _check_size(family, n, sum(n // 2 if 2 * s == n else n for s in offsets))
         g = n
         for s in offsets:
             g = gcd(g, s)
@@ -176,10 +181,13 @@ def gen_family(family: str, *params) -> Graph:
     raise UnknownFamilyError(f"unknown graph family {family!r} (known: {', '.join(FAMILIES)})")
 
 
-def _check_vertices(family: str, n: int) -> None:
+def _check_size(family: str, n: int, edges: int) -> None:
     if n > MAX_FAMILY_VERTICES:
         raise BadParamsError(f"{family} would have {n} vertices; at most "
                              f"{MAX_FAMILY_VERTICES} are supported")
+    if edges > MAX_FAMILY_EDGES:
+        raise BadParamsError(f"{family} would have {edges} edges; at most "
+                             f"{MAX_FAMILY_EDGES} are supported")
 
 
 def _int_params(params, count, family):

@@ -12,10 +12,11 @@ dichotomy for subsets: a subset {x_0, ..., x_k} fails strict 1-negative type
 precisely when the difference vectors x_i - x_0 are linearly dependent, so
 classification reduces to one exact integer elimination. A single subset
 and the exhaustive scan build the same 0/+-1 stack of difference matrices
-and hand it to the one fraction-free elimination of `spectral`; the scan
-classifies all subsets of one size in one such call, in a single process,
-and then finds the roundness of one metric per isometry class of strict
-subset metrics, all classes of one size in one lock-step root search.
+and hand it to the one fraction-free elimination of `spectral`. XOR by a
+vertex keeps a subset's metric and difference rank, so the scan classifies
+only the subsets through vertex 0, all of one size in one such call, and
+finds the roundness of one metric per isometry class of strict subset
+metrics, all classes of one size in one lock-step root search.
 """
 
 from __future__ import annotations
@@ -285,6 +286,24 @@ def _combinations(size_cap: int, size: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, size)
 
 
+def _pinned_combinations(size_cap: int, size: int) -> np.ndarray:
+    """The `size`-subsets of range(size_cap) that contain 0, as an (m, size)
+    int64 array, 0 first, in lexicographic order: `_combinations` of
+    1..size_cap-1 with a column of 0 in front."""
+    return np.pad(_combinations(size_cap - 1, size - 1) + 1, ((0, 0), (1, 0)))
+
+
+def _translates(n: int, size: int, pinned: int) -> int:
+    """How many `size`-subsets of the n-cube a family closed under XOR by a
+    vertex has, given its `pinned` members through 0: a subset S and a
+    point v of S give S ^ v through 0, so size * total = 2^n * pinned."""
+    total, rest = divmod(pinned << n, size)
+    if rest:
+        raise AssertionError(f"{pinned} pinned {size}-subsets of the {n}-cube "
+                             "are not a union of translation classes")
+    return total
+
+
 @lru_cache(maxsize=None)
 def _point_orders(k: int) -> np.ndarray:
     """All k! orders of k points as the rows of a read-only (k!, k) array,
@@ -336,21 +355,23 @@ def scan_subsets(
     dimensions, so those sizes are counted non-strict with no elimination.
     Sizes 1 and 2 are counted strict the same way, by `math.comb`: one
     point has no differences, and two distinct points have a nonzero one.
-    The subsets of each size from 3 up to n+1 are an (m, s) index array,
-    classified exactly by one fraction-free elimination over all of them
-    (`_difference_ranks`), in int64 at every n the scan accepts. The scan
-    runs in one process: `jobs` is checked but has no effect, and stays
-    only for callers that still pass it. q depends only on the subset's
-    metric up to relabelling, so the strict subsets of each size >= 3 get
-    their metrics in one gather from row 0 of `cube_distance_matrix` (the
-    popcounts) and are grouped by isometry class (`_metric_keys`, taken
-    over all s! point orders once per distinct ordered metric). One
-    `roundness_search` solves the metric of the lexicographically first
-    subset of every class in lock-step, on the class forms of its at most n
-    distances, and each subset gets the q of its class: 6 solves for the
-    560 strict 3-subsets of the 4-cube. `jobs`
-    below 1, and root-search parameters the search would reject, raise
-    BadParamsError before any work.
+    XOR by a vertex keeps a subset's metric and difference rank, so of each
+    size k from 3 up to n+1 only the C(2^n - 1, k - 1) subsets through 0
+    are classified, as one (m, k) index array in lexicographic order, by
+    one exact fraction-free elimination (`_difference_ranks`), in int64 at
+    every n the scan accepts; `_translates` scales their counts to all
+    k-subsets. The scan runs in one process: `jobs` is checked but has no
+    effect, and stays only for callers that still pass it. q depends only
+    on the subset's metric up to relabelling, so the strict subsets of each
+    size get their metrics in one gather from row 0 of
+    `cube_distance_matrix` (the popcounts) and are grouped by isometry
+    class (`_metric_keys`, taken over all k! point orders once per distinct
+    ordered metric). One `roundness_search` solves the metric of the
+    lexicographically first subset of every class, which contains 0, in
+    lock-step, on the class forms of its at most n distances, and each
+    subset gets the q of its class: 6 solves for the 105 strict 3-subsets
+    through 0 of the 4-cube. `jobs` below 1, and root-search parameters the
+    search would reject, raise BadParamsError before any work.
     """
     _check_dimension("exhaustive scan", n)
     size_cap = 1 << n
@@ -371,10 +392,10 @@ def scan_subsets(
             # 1 or 2 points are strict, more than n differences in n dimensions are not
             counts[(size, size < MIN_SUBSET_SIZE_FOR_Q)] = math.comb(size_cap, size)
             continue
-        idx = _combinations(size_cap, size)
+        idx = _pinned_combinations(size_cap, size)
         strict = _difference_ranks(n, idx) == size - 1
-        n_strict = int(strict.sum())
-        for is_strict, count in ((True, n_strict), (False, len(idx) - n_strict)):
+        n_strict = _translates(n, size, int(strict.sum()))
+        for is_strict, count in ((True, n_strict), (False, math.comb(size_cap, size) - n_strict)):
             if count:
                 counts[(size, is_strict)] = count
         if not n_strict:
@@ -391,7 +412,7 @@ def scan_subsets(
                                  p_max=p_max, tol_p=tol_p, tol_eig=tol_eig)
         q = np.array([f[0] if f else np.nan for f in found])[iso]
         bounded = ~np.isnan(q)
-        unbounded_strict += len(q) - int(bounded.sum())
+        unbounded_strict += _translates(n, size, len(q) - int(bounded.sum()))
         if bounded.any():
             j = int(np.nanargmin(q))  # the first, hence lexicographically smallest
             candidate = (float(q[j]), tuple(strict_idx[j].tolist()))

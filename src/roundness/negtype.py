@@ -85,6 +85,7 @@ from .errors import (
     NegativeExponentError,
     NoConvergenceError,
     NonFiniteMatrixError,
+    NonzeroDiagonalError,
 )
 from .metric import (
     FiniteMetricSpace,
@@ -105,6 +106,7 @@ from .spectral import (
     _row0_spectrum,
     _sign_fixed,
     eigensym,
+    symmetrized,
 )
 
 log = logging.getLogger("roundness")
@@ -359,9 +361,13 @@ def _itp(p_max: float, tol_p: float):
     n_0 = 1. The probe is then snapped to a dyadic grid far below tol_p, so
     that values differing in their last bits, as under d -> c * d, give the
     same probe (a grid finer than the float spacing at the probe, which
-    would not move it, is skipped); a snapped probe that leaves the ball or
-    the open bracket falls back to the midpoint. That fallback also keeps
-    the step bound when a value's sign disagrees with `holds`.
+    would not move it, is skipped). Once regula falsi has all but found the
+    root, the snapped probe can land on a bracket end; it then moves tol_p
+    / 2 inside, which is nearer the midpoint, so the search keeps its
+    superlinear steps instead of bisecting. A probe that still leaves the
+    ball or the open bracket, as when tol_p / 2 is below the float spacing
+    at the end, falls back to the midpoint. That fallback also keeps the
+    step bound when a value's sign disagrees with `holds`.
     """
     holds, f_lo = yield 0.0
     if not holds:
@@ -401,6 +407,10 @@ def _itp(p_max: float, tol_p: float):
         probe = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
         if grid >= math.ulp(probe):  # a finer grid would not move probe
             probe = round(probe / grid) * grid
+        if probe == p_lo:
+            probe += tol_p / 2.0
+        elif probe == p_hi:
+            probe -= tol_p / 2.0
         if not (p_lo < probe < p_hi and abs(probe - mid) <= radius):
             probe = mid
         holds, value = yield probe
@@ -482,7 +492,8 @@ def roundness_search(
     the predicate still holds at p_max (Unbounded). Bad tol_p, p_max or
     tol_eig raise BadParamsError, non-finite distances
     NonFiniteMatrixError, and a stack that `_class_forms` rejects
-    NegativeEntryError or BadParamsError, each before any eigensolve.
+    NotSymmetricError, NonzeroDiagonalError, NegativeEntryError or
+    BadParamsError, each before any eigensolve.
     """
     _check_search_params(p_max, tol_p, tol_eig)
     d = np.asarray(dists, dtype=float)
@@ -509,9 +520,11 @@ def roundness_search(
 
 def _class_forms(d: np.ndarray) -> np.ndarray:
     """The distance-class forms of the stack d (m, k, k), k >= 2, of
-    matrices with a positive entry each, no negative entry and at most
-    CLASS_FORM_LIMIT distinct positive entries in all; else
-    NegativeEntryError on a negative entry and BadParamsError on the rest.
+    symmetric matrices (to within `spectral.symmetrized`'s tolerance, and
+    then symmetrized) with a zero diagonal, a positive entry each, no
+    negative entry and at most CLASS_FORM_LIMIT distinct positive entries
+    in all; else NotSymmetricError, NonzeroDiagonalError, NegativeEntryError
+    on a negative entry and BadParamsError on the rest.
 
     Row v of matrix j, for each of the s distinct positive entries v of the
     whole stack, is the weight w_v = v / max d_j, then F_v = B^T A_v B
@@ -526,6 +539,11 @@ def _class_forms(d: np.ndarray) -> np.ndarray:
     finite."""
     if d.ndim != 3 or d.shape[1] != d.shape[2] or d.shape[1] < 2:
         raise BadParamsError(f"need a stack (m, k, k) of matrices with k >= 2, got {d.shape}")
+    d = symmetrized(d)
+    diagonal = d.diagonal(axis1=-2, axis2=-1)
+    if diagonal.any():
+        j, i = np.argwhere(diagonal)[0]
+        raise NonzeroDiagonalError(f"matrix {j}: [{i}][{i}] = {diagonal[j, i]} != 0")
     # the distinct nonzero entries, by a sort: `np.unique` without a return
     # option imports numpy.ma on recent numpy, which a fresh process pays
     values = np.sort(d[d != 0])

@@ -376,6 +376,17 @@ def test_oversized_graph_family_exits_2(capsys, spec):
     assert "at most 4096 are supported" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("spec", ["complete:4096", "complete_bipartite:2048",
+                                  "circulant:4096:" + ",".join(map(str, range(1, 130)))],
+                         ids=["complete", "complete_bipartite", "circulant"])
+def test_graph_family_over_the_edge_budget_exits_2(capsys, spec):
+    # within the vertex budget, the edge budget is checked before any edge is built
+    code, report = run_cli(capsys, "roundness", "--graph", spec)
+    assert code == 2
+    assert report["error"]["type"] == "BadParamsError"
+    assert "edges; at most 524288 are supported" in report["error"]["message"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_cube_scan_rejects_bad_jobs(capsys, jobs):
     code, report = run_cli(capsys, "cube", "scan", "--n", "2", "--jobs", jobs)

@@ -88,6 +88,45 @@ def test_family_size_is_checked_before_any_edge(monkeypatch, family, params, ver
         gen_family(family, *params)
 
 
+@pytest.mark.parametrize("family, params, edges", [
+    ("complete", (1025,), 524800),
+    ("complete", (4096,), 8386560),
+    ("complete_bipartite", (725,), 525625),
+    ("complete_bipartite", (2048,), 4194304),
+    ("circulant", (4096, range(1, 130)), 528384),
+    ("circulant", (4096, range(1, 2049)), 8386560),
+])
+def test_family_edge_count_is_checked_before_any_edge(monkeypatch, family, params, edges):
+    # within the vertex budget, complete:4096 would build 8.4 million edge
+    # tuples before its path metric; its edge count follows from n alone
+    def fail(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graphs, "Graph", fail)
+    with pytest.raises(BadParamsError, match=f"{edges} edges; at most 524288"):
+        gen_family(family, *params)
+
+
+def test_family_edge_budget_admits_complete_1024(monkeypatch):
+    monkeypatch.setattr(graphs, "Graph", lambda n, edges: (n, len(edges)))
+    assert gen_family("complete", 1024) == (1024, 523776)
+    assert graphs.MAX_FAMILY_EDGES == 2**19
+
+
+@pytest.mark.parametrize("family, params", [
+    ("cycle", (7,)), ("complete", (6,)), ("complete_bipartite", (5,)),
+    ("circulant", (12, [1, 5])), ("circulant", (12, [1, 6])), ("circulant", (13, [1, 2, 6])),
+])
+def test_family_edge_count_is_exact(monkeypatch, family, params):
+    # the count checked before any edge is built is the count built
+    edges = len(gen_family(family, *params).edges)
+    monkeypatch.setattr(graphs, "MAX_FAMILY_EDGES", edges)
+    assert len(gen_family(family, *params).edges) == edges
+    monkeypatch.setattr(graphs, "MAX_FAMILY_EDGES", edges - 1)
+    with pytest.raises(BadParamsError, match=f"{edges} edges"):
+        gen_family(family, *params)
+
+
 def test_family_vertex_budget_is_the_largest_cube():
     assert graphs.MAX_FAMILY_VERTICES == gen_family("hypercube", 12).n == 4096
     assert gen_family("cycle", 4096).n == gen_family("circulant", 4096, [1, 5]).n == 4096

@@ -1,5 +1,7 @@
 import itertools
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -349,14 +351,43 @@ def test_scan_jobs_deterministic():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_scan_counts_are_translation_invariant(n):
-    """Translating by a vertex is an isometry of the cube, so counting the
-    pairs (strict k-subset S, vertex v of S) through S ^ v, which contains
-    0, gives k * #strict_k = 2^n * #(strict k-subsets containing 0)."""
+    """The scan classifies only the subsets through vertex 0 and scales
+    their counts by translation; an elimination over every subset of each
+    size, 0 or not, gives the same counts."""
     counts = scan_subsets(n, max_size=1 << n).counts
     for k in range(1, (1 << n) + 1):
-        with_0 = np.array([(0, *rest) for rest in itertools.combinations(range(1, 1 << n), k - 1)])
-        strict_with_0 = int(np.sum(_difference_ranks(n, with_0) == k - 1))
-        assert k * counts.get((k, True), 0) == (1 << n) * strict_with_0, k
+        strict = int(np.sum(_difference_ranks(n, _combinations(1 << n, k)) == k - 1))
+        expected = {(k, True): strict, (k, False): math.comb(1 << n, k) - strict}
+        assert {key: counts.get(key, 0) for key in expected} == expected, k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_scan_eliminates_only_the_subsets_through_0(monkeypatch, n):
+    # one elimination per size 3..n+1, over the C(2^n - 1, k - 1) subsets
+    # 0 + a (k-1)-subset of 1..2^n - 1, in lexicographic order
+    seen = []
+
+    def spy(n_, idx):
+        seen.append(idx.copy())
+        return _difference_ranks(n_, idx)
+
+    monkeypatch.setattr(hamming, "_difference_ranks", spy)
+    scan_subsets(n)
+    assert [len(idx) for idx in seen] == [math.comb((1 << n) - 1, k - 1) for k in range(3, n + 2)]
+    for k, idx in zip(range(3, n + 2), seen):
+        assert not idx[:, 0].any()
+        rest = itertools.combinations(range(1, 1 << n), k - 1)
+        assert idx[:, 1:].tolist() == [list(c) for c in rest]
+
+
+def test_scan_search_steps(caplog):
+    # the lock-step searches of the benchmark's two scans: 12 + 18 + 13 = 43
+    # steps while a probe snapped onto a bracket end fell back to bisection
+    caplog.set_level(logging.DEBUG, logger="roundness")
+    scan_subsets(3, max_size=8)
+    scan_subsets(4, max_size=3)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lock-step")]
+    assert [int(re.search(r"(\d+) steps", line)[1]) for line in lines] == [10, 12, 10]
 
 
 def test_scan_guards():

@@ -28,6 +28,8 @@ from roundness.errors import (
     NegativeEntryError,
     NoConvergenceError,
     NonFiniteMatrixError,
+    NonzeroDiagonalError,
+    NotSymmetricError,
 )
 from roundness import cli, metric, negtype, spectral
 from roundness.metric import has_row_permutation_property, power_matrix
@@ -226,10 +228,14 @@ def test_stacked_search_picks_class_forms_for_few_distances(monkeypatch, caplog)
     (np.zeros((1, 1, 1)), BadParamsError),
     ([[[5.0]]], BadParamsError),
     ([[0, 1], [1, 0]], BadParamsError),
+    ([[[1, 1], [1, 1]]], NonzeroDiagonalError),
+    ([[[1, 2, 2], [2, 1, 2], [2, 2, 1]]], NonzeroDiagonalError),
+    ([[[0, 1], [2, 0]]], NotSymmetricError),
 ])
 def test_stacked_search_rejects_bad_stacks_before_any_solve(monkeypatch, stack, error):
-    # a negative distance, a member with no positive distance or a stack of
-    # anything but matrices of 2 or more points has no roundness to find
+    # a negative distance, a member with no positive distance, a nonzero
+    # diagonal, an asymmetric member or a stack of anything but matrices of
+    # 2 or more points has no roundness to find
     def fail(*args):
         raise AssertionError("eigensolve before the stack was checked")
 
@@ -346,17 +352,17 @@ def relabelled(sp):
 # drawn here from numpy seeds) and on a dense 256-point space that takes 31
 # ITP steps
 GOLDEN_DECISIONS = {
-    "cycle:5": ("0x1.6373ad2140800p+0", ("0x1.6373ad1f89000p+0", "0x1.6373ad22f8000p+0"), 11),
-    "petersen": ("0x1.0000000822800p+0", ("0x1.00000006f9000p+0", "0x1.000000094c000p+0"), 7),
-    "icosahedron": ("0x1.0000000a4f000p+0", ("0x1.00000008d6000p+0", "0x1.0000000bc8000p+0"), 7),
+    "cycle:5": ("0x1.6373ad21e51f4p+0", ("0x1.6373ad20d23e8p+0", "0x1.6373ad22f8000p+0"), 9),
+    "petersen": ("0x1.00000008391f4p+0", ("0x1.00000007263e8p+0", "0x1.000000094c000p+0"), 6),
+    "icosahedron": ("0x1.0000000ab51f4p+0", ("0x1.00000009a23e8p+0", "0x1.0000000bc8000p+0"), 6),
     "dodecahedron": ("0x1.0000000dfe000p+0", ("0x1.0000000dec000p+0", "0x1.0000000e10000p+0"), 5),
     "hypercube:4": ("0x1.0000000c76000p+0", ("0x1.0000000c64000p+0", "0x1.0000000c88000p+0"), 5),
     "hypercube:5": ("0x1.0000001052000p+0", ("0x1.0000001040000p+0", "0x1.0000001064000p+0"), 5),
     "circulant:24:1,5": ("0x1.a8ff972b90000p-2", ("0x1.a8ff9728d0000p-2", "0x1.a8ff972e50000p-2"),
                          8),
-    "cycle:25": ("0x1.0342d32594000p+0", ("0x1.0342d32450000p+0", "0x1.0342d326d8000p+0"), 8),
-    "eucl:24": ("0x1.0000000a32000p+1", ("0x1.0000000984000p+1", "0x1.0000000ae0000p+1"), 8),
-    "wgraph:24": ("0x1.0b98abcbd4000p-1", ("0x1.0b98abc998000p-1", "0x1.0b98abce10000p-1"), 10),
+    "cycle:25": ("0x1.0342d325c51f4p+0", ("0x1.0342d324b23e8p+0", "0x1.0342d326d8000p+0"), 8),
+    "eucl:24": ("0x1.0000000a568fap+1", ("0x1.00000009cd1f4p+1", "0x1.0000000ae0000p+1"), 6),
+    "wgraph:24": ("0x1.0b98abcbea3e8p-1", ("0x1.0b98abc9c47d0p-1", "0x1.0b98abce10000p-1"), 9),
     "relabelled circulant:256:1,5": ("0x1.c1d13c9800000p-2",
                                      ("0x1.c1d13c9000000p-2", "0x1.c1d13ca000000p-2"), 31),
 }
@@ -540,6 +546,23 @@ def test_class_detector_declines(monkeypatch, make):
     monkeypatch.setattr(metric, "_class_spectrum", spy)
     assert sp.classes is None
     assert runs == ([12] if has_row_permutation_property(sp) else [])
+
+
+@pytest.mark.parametrize("value", [lambda p: math.expm1(3 * (p - 1.3)),
+                                   lambda p: -math.expm1(-3 * (p - 1.3))],
+                         ids=["convex", "concave"])
+def test_itp_keeps_its_superlinear_steps_near_the_root(value):
+    # once regula falsi has all but found the root, a dyadic-snapped probe
+    # may land on a bracket end; it moves tol_p / 2 inside instead of
+    # falling back to bisection, which used to take 18 and 19 steps here
+    search = negtype._itp(64.0, 1e-9)
+    p = next(search)
+    with pytest.raises(StopIteration) as stop:
+        for _ in range(100):
+            p = search.send((value(p) <= 0, value(p)))
+    q, (p_lo, p_hi), iterations = stop.value.value
+    assert p_lo <= 1.3 < p_hi and p_hi - p_lo <= 1e-9
+    assert iterations <= 10
 
 
 @pytest.mark.parametrize("tol_p", [1e-17, 1e-300])
