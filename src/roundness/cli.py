@@ -17,20 +17,26 @@ spelled in full. Exit codes: 0 success/holds, 1 semantic negative (violated,
 hypothesis failed, none found), 2 input error. Set ROUNDNESS_LOG=DEBUG for
 diagnostics on stderr.
 
+A `gr` process compiles and imports only the modules its command runs.
+`metric` and `spectral`, which every command uses, load with this module;
+each handler imports `graphs`, `hamming` or `negtype` where it calls them;
+`csv` loads only for a CSV matrix, and `logging` only with ROUNDNESS_LOG
+set or with `negtype`, which logs its searches. So `roundness`, `negtype`
+and `verify` load no `hamming`, and `cube classify|spectrum|lemmas` and
+`tree witness` no `negtype`, `graphs` or `logging`.
+
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
-set, before numpy loads, so a `gr` process runs OpenBLAS on one thread: most
-of its matrices are small, and on those helper threads only spin. A value
-set by the caller wins. The library modules never touch the environment.
+set, before numpy loads (with `metric`, below), so a `gr` process runs
+OpenBLAS on one thread: most of its matrices are small, and on those helper
+threads only spin. A value set by the caller wins. The library modules
+never touch the environment.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
-import logging
 import math
 import os
 import sys
@@ -39,31 +45,16 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import BadParamsError, HypothesisViolatedError, RoundnessError
-from .graphs import SOLIDS, gen_family, load_edge_list, load_solid, path_metric
-from .hamming import (
-    classify_subset,
-    eigen_identity_check,
-    factor_matrix,
-    factorization_check,
-    lifted_vertex_matrix,
-    null_dimension_check,
-    path_embedding_witness,
-    scan_subsets,
-    sign_matrix,
-    tree_embedding_search,
-)
 from .metric import build_metric_space
-from .negtype import (_require_rows_permute, _space_search, check_negative_type,
-                      generalized_roundness, kernel_coincidence_check)
 from .spectral import det_exact
-
-log = logging.getLogger("roundness")
 
 
 # -- input handling -----------------------------------------------------------
 
 
 def graph_from_spec(spec: str):
+    from .graphs import SOLIDS, gen_family, load_solid
+
     parts = spec.split(":")
     name = parts[0]
     if name in SOLIDS or name == "petersen":
@@ -86,6 +77,9 @@ def load_matrix_file(path: str):
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
+        import csv
+        import io
+
         rows = [[float(x) for x in row] for row in csv.reader(io.StringIO(text)) if row]
         return rows, None
     if not isinstance(obj, dict) or not isinstance(obj.get("matrix"), list):
@@ -100,12 +94,15 @@ def resolve_space(args):
     """Turn --graph/--matrix/--edges (exactly one, which the parser
     enforces) into a metric space plus a canonical description used for the
     input digest."""
-    if args.graph is not None:
-        space = path_metric(graph_from_spec(args.graph))
-    elif args.matrix is not None:
+    if args.matrix is not None:
         space = build_metric_space(*load_matrix_file(args.matrix))
     else:
-        space = path_metric(load_edge_list(args.edges))
+        from .graphs import load_edge_list, path_metric
+
+        if args.graph is not None:
+            space = path_metric(graph_from_spec(args.graph))
+        else:
+            space = path_metric(load_edge_list(args.edges))
     desc = {"labels": list(space.labels), "matrix": space.dist.tolist()}
     return space, desc
 
@@ -135,6 +132,8 @@ def emit_error(exc: Exception, pretty: bool) -> None:
 
 
 def cmd_roundness(args) -> int:
+    from .negtype import generalized_roundness
+
     space, desc = resolve_space(args)
     res = generalized_roundness(space, p_max=args.p_max, tol_p=args.tol_p, tol_eig=args.tol_eig)
     result = {
@@ -158,6 +157,8 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def cmd_negtype(args) -> int:
+    from .negtype import check_negative_type
+
     space, desc = resolve_space(args)
     verdict = check_negative_type(space, args.p, tol_eig=args.tol_eig)
     w = verdict.witness
@@ -173,6 +174,8 @@ def cmd_negtype(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .negtype import _require_rows_permute, _space_search, kernel_coincidence_check
+
     space, desc = resolve_space(args)
     _require_rows_permute(space)
     # the report prints only q, so the search runs without the certificate
@@ -211,6 +214,8 @@ def _bitstrings(indices, n: int) -> list[str]:
 
 
 def cmd_cube_classify(args) -> int:
+    from .hamming import classify_subset
+
     subset = parse_subset(args.n, args.subset)
     cls = classify_subset(args.n, subset)
     result = {"n": args.n, "indices": subset, "bitstrings": _bitstrings(subset, args.n),
@@ -221,6 +226,8 @@ def cmd_cube_classify(args) -> int:
 
 
 def cmd_cube_spectrum(args) -> int:
+    from .hamming import eigen_identity_check, null_dimension_check
+
     # the rank check has the lower of the two dimension caps, so it goes first
     ranks = null_dimension_check(args.n)
     identities = eigen_identity_check(args.n)
@@ -230,6 +237,8 @@ def cmd_cube_spectrum(args) -> int:
 
 
 def cmd_cube_scan(args) -> int:
+    from .hamming import scan_subsets
+
     summary = scan_subsets(args.n, max_size=args.max_size, p_max=args.p_max,
                            tol_p=args.tol_p, tol_eig=args.tol_eig, jobs=args.jobs)
     argmin = summary.argmin_subset
@@ -252,6 +261,8 @@ def cmd_cube_scan(args) -> int:
 
 
 def cmd_cube_lemmas(args) -> int:
+    from .hamming import factor_matrix, factorization_check, lifted_vertex_matrix, sign_matrix
+
     ok = factorization_check(args.n)
     result = {"n": args.n, "ok": ok, "factor_determinant": det_exact(factor_matrix(args.n))}
     if args.dump_matrices:
@@ -265,6 +276,9 @@ def cmd_cube_lemmas(args) -> int:
 
 
 def cmd_tree_embed(args) -> int:
+    from .graphs import load_edge_list
+    from .hamming import tree_embedding_search
+
     tree = load_edge_list(args.edges)
     embedding = tree_embedding_search(tree, args.n)
     result = {"k": tree.n, "n": args.n, "found": embedding is not None, "embedding": None}
@@ -277,6 +291,8 @@ def cmd_tree_embed(args) -> int:
 
 
 def cmd_tree_witness(args) -> int:
+    from .hamming import path_embedding_witness
+
     images = path_embedding_witness(args.k)
     result = {"k": args.k, "dimension": args.k - 1, "images": _bitstrings(images, args.k - 1),
               "verified": True}
@@ -384,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("ROUNDNESS_LOG")
     if level:
+        import logging
+
         logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO),
                             stream=sys.stderr)
     parser = build_parser()

@@ -12,7 +12,6 @@ row-permutation property. Two Platonic solids ship as edge-list data files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib import resources
 from math import gcd
 
 import numpy as np
@@ -221,5 +220,7 @@ def load_edge_list(path) -> Graph:
 def load_solid(name: str) -> Graph:
     if name not in SOLIDS:
         raise UnknownFamilyError(f"unknown solid {name!r} (bundled: {', '.join(SOLIDS)})")
+    from importlib import resources
+
     text = resources.files("roundness.data").joinpath(f"{name}.txt").read_text(encoding="utf-8")
     return parse_edge_list(text)

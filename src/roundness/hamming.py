@@ -16,7 +16,9 @@ and hand it to the one fraction-free elimination of `spectral`. XOR by a
 vertex keeps a subset's metric and difference rank, so the scan classifies
 only the subsets through vertex 0, all of one size in one such call, and
 finds the roundness of one metric per isometry class of strict subset
-metrics, all classes of one size in one lock-step root search.
+metrics, all classes of one size in one lock-step root search. The scan
+imports `negtype` and the tree search `graphs` when they run, so the
+classifiers and the spectrum, lemma and witness checks load neither.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,21 +39,20 @@ from .errors import (
     NotATreeError,
     SearchSpaceTooLargeError,
 )
-from .graphs import Graph, adjacency, path_metric
 from .metric import FiniteMetricSpace, _readonly
-from .negtype import _check_search_params, roundness_search
 from .spectral import _kernel_basis, _ranks, _row0_index, det_exact, kernel_basis_exact, rank_exact
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 # Largest cube dimension n each operation accepts (the smallest is 1). Outside
 # 1..cap, DimensionTooLargeError is raised before any work. The caps bound
 # memory and time: the distance matrix has 4^n int64 entries (128 MiB at
-# n = 12), the exact rank check eliminates the 2^n x 2^n matrix in Python
-# ints, and the exhaustive scan classifies every subset of up to n+1 of the
-# 2^n vertices and solves one roundness problem per isometry class of subset
-# metrics.
-# Classifying a few points and the path witness (capped on its cube
-# dimension k-1) are cheap at any n; those caps bound input and report size,
-# which grow with n (the witness as n^2).
+# n = 12), the exact rank check eliminates the 2^n x 2^n matrix, and the
+# exhaustive scan classifies every subset of up to n+1 of the 2^n vertices
+# and solves one roundness problem per isometry class of subset metrics.
+# Classifying a few points is cheap at any n; its cap bounds input and
+# report size, which grow with n.
 DIMENSION_CAPS = {
     "cube distance matrix": 12,
     "identity check": 10,
@@ -60,8 +62,10 @@ DIMENSION_CAPS = {
     "rank check": 8,
     "exhaustive scan": 4,
     "classification": 64,
-    "path witness": 64,
 }
+# Most vertices of the path witness, a path into the 64-cube: its report
+# grows as k^2
+MAX_WITNESS_PATH = 65
 MAX_TREE_VERTICES = 7
 MAX_TREE_CUBE_DIM = 6
 MIN_SUBSET_SIZE_FOR_Q = 3  # 1- and 2-point subsets have unbounded roundness
@@ -215,6 +219,8 @@ def null_dimension_check(n: int) -> dict:
     annihilates = True
     if kernel:
         k = np.array(kernel, dtype=np.int64).T  # columns are kernel vectors
+        if int(d.max()) * int(np.abs(k).max()) * size < 1 << 53:
+            d, k = d.astype(float), k.astype(float)
         annihilates = not np.any(d @ k)
     ok = expected == computed and rank_d == n + 1 and rank_a == n + 1 and annihilates
     return {
@@ -358,21 +364,26 @@ def scan_subsets(
     XOR by a vertex keeps a subset's metric and difference rank, so of each
     size k from 3 up to n+1 only the C(2^n - 1, k - 1) subsets through 0
     are classified, as one (m, k) index array in lexicographic order, by
-    one exact fraction-free elimination (`_difference_ranks`), in int64 at
-    every n the scan accepts; `_translates` scales their counts to all
-    k-subsets. The scan runs in one process: `jobs` is checked but has no
-    effect, and stays only for callers that still pass it. q depends only
-    on the subset's metric up to relabelling, so the strict subsets of each
-    size get their metrics in one gather from row 0 of
-    `cube_distance_matrix` (the popcounts) and are grouped by isometry
-    class (`_metric_keys`, taken over all k! point orders once per distinct
-    ordered metric). One `roundness_search` solves the metric of the
-    lexicographically first subset of every class, which contains 0, in
-    lock-step, on the class forms of its at most n distances, and each
-    subset gets the q of its class: 6 solves for the 105 strict 3-subsets
-    through 0 of the 4-cube. `jobs` below 1, and root-search parameters the
-    search would reject, raise BadParamsError before any work.
+    one exact fraction-free elimination (`_difference_ranks`), in int64
+    with no check per pivot: Hadamard's bound proves every {-1, 0, 1} stack
+    of order at most n <= 4 safe up front (`spectral._exact`).
+    `_translates` scales their counts to all k-subsets. The scan runs in
+    one process: `jobs` is checked but has no effect, and stays only for
+    callers that still pass it. q depends only on the subset's metric up to
+    relabelling, so the strict subsets of each size get their metrics in
+    one gather from row 0 of `cube_distance_matrix` (the popcounts) and are
+    grouped by isometry class (`_metric_keys`, taken over all k! point
+    orders once per distinct ordered metric). One `roundness_search` solves
+    the metric of the lexicographically first subset of every class, which
+    contains 0, in lock-step, on the class forms of its at most n
+    distances, and each subset gets the q of its class: 6 solves for the
+    105 strict 3-subsets through 0 of the 4-cube. `jobs` below 1, and
+    root-search parameters the search would reject, raise BadParamsError
+    before any work. `negtype`, which holds the search, is imported here,
+    so the cube commands that do not scan never load it.
     """
+    from .negtype import _check_search_params, roundness_search
+
     _check_dimension("exhaustive scan", n)
     size_cap = 1 << n
     if max_size is None:
@@ -429,6 +440,8 @@ def scan_subsets(
 
 
 def _tree_distances(t: Graph) -> np.ndarray:
+    from .graphs import path_metric
+
     if len(t.edges) != t.n - 1:
         raise NotATreeError(f"a tree on {t.n} vertices has {t.n - 1} edges, got {len(t.edges)}")
     try:
@@ -457,6 +470,8 @@ def tree_embedding_search(t: Graph, n: int) -> dict[int, int] | None:
         raise BadParamsError("cube dimension must be at least 1")
     if t.n == 1:
         return {0: 0}
+    from .graphs import adjacency
+
     dist = _tree_distances(t)
     if int(dist.max()) > n:
         return None  # Hamming distances cannot exceed the dimension
@@ -500,11 +515,13 @@ def tree_embedding_search(t: Graph, n: int) -> dict[int, int] | None:
 def path_embedding_witness(k: int) -> list[int]:
     """Isometric embedding of the k-vertex path into the (k-1)-cube: vertex j
     maps to the index whose k-1 bits are j leading ones. Verified exactly
-    before returning."""
+    before returning. BadParamsError below 2 vertices, and
+    DimensionTooLargeError above MAX_WITNESS_PATH."""
     if k < 2:
         raise BadParamsError(f"path needs at least 2 vertices, got {k}")
+    if k > MAX_WITNESS_PATH:
+        raise DimensionTooLargeError(f"path witness supports k in 2..{MAX_WITNESS_PATH}, got {k}")
     dim = k - 1
-    _check_dimension("path witness", dim)
     images = [((1 << j) - 1) << (dim - j) for j in range(k)]
     for i in range(k):
         for j in range(i + 1, k):

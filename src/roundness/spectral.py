@@ -29,8 +29,13 @@ Theta, and then the spectrum of any sum_k f(d_k) A_k is Theta f(d)
 Exact side: one fraction-free Gauss-Jordan elimination (Bareiss's one-step
 form) over a stack of integer matrices, whose single pass gives the rank
 over the rationals, the exact determinant and an integer kernel basis, with
-no floating point or fractions involved. It runs in int64 where that cannot
-overflow and in Python integers everywhere else.
+no floating point or fractions involved. It stays in int64 whenever the
+entries provably fit: while every entry is below INT64_ENTRY_LIMIT (2^31)
+no update can wrap. Hadamard's bound on the input proves that up front
+where it can, as for every {-1, 0, 1} stack of order at most 15, which then
+pays nothing per step (`_exact`); any other stack with entries below 2^31
+starts in int64 and is checked at each pivot column, and moves to Python
+integers the first time the check fails (`_eliminate`).
 """
 
 from __future__ import annotations
@@ -397,20 +402,20 @@ def _run_starts(changes: np.ndarray) -> np.ndarray:
 
 # -- exact integer elimination --------------------------------------------------
 
-# `_eliminate` is exact in int64 on a stack of {-1, 0, 1} matrices whose
-# min(r, c) is at most this: every entry it holds is a k x k minor of the
-# input with k <= min(r, c), at most k^(k/2) in absolute value (Hadamard), so
-# no difference of two products it forms exceeds 2 * 15^15 < 2^63.
-INT64_MAX_ORDER = 15
+# `_eliminate` runs in int64 while every entry it multiplies is below this in
+# absolute value: then each product it forms is below 2^62 and each
+# difference of two below 2^63, so no int64 operation can wrap
+INT64_ENTRY_LIMIT = 1 << 31
 
 
 def _int_rows(mat) -> np.ndarray:
-    """`mat` as an (r, c) array of Python ints; ValueError on a non-integer
-    entry or ragged rows. A 2-D array keeps its column count when it has no
-    rows; an empty list is (0, 0)."""
-    # an integer array needs no per-entry check, and astype gives Python ints
+    """`mat` as an (r, c) integer array: an integer ndarray as it is, anything
+    else as Python ints; ValueError on a non-integer entry or ragged rows. A
+    2-D array keeps its column count when it has no rows; an empty list is
+    (0, 0)."""
+    # an integer array needs no per-entry check, nor an empty one
     if isinstance(mat, np.ndarray) and mat.ndim == 2 and (mat.dtype.kind in "iu" or not len(mat)):
-        return mat.astype(object)
+        return mat
     rows = []
     for row in mat:
         out = []
@@ -425,28 +430,44 @@ def _int_rows(mat) -> np.ndarray:
     return np.array(rows, dtype=object).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
-def _exact(a: np.ndarray) -> np.ndarray:
+def _exact(a: np.ndarray) -> tuple[np.ndarray, bool]:
     """A copy of the integer stack `a` (m, r, c) in the dtype `_eliminate`
-    is exact in: int64 if every entry is in {-1, 0, 1} and min(r, c) <= 15,
-    otherwise Python ints (dtype object)."""
-    small = min(a.shape[1:]) <= INT64_MAX_ORDER and bool((np.abs(a) <= 1).all())
-    return a.astype(np.int64 if small else object)
+    starts in, and whether `_eliminate` must watch its entries.
+
+    Every entry elimination forms is a minor of order at most K = min(r, c),
+    so by Hadamard's bound at most K^(K/2) t^K with t = max |a_ij|. Where
+    K^K t^(2K) < 2^62, every entry stays below INT64_ENTRY_LIMIT: the copy is
+    int64 and needs no watch, as for the {-1, 0, 1} stacks of cube
+    differences with K <= 15. Otherwise it is int64 and watched, if t is
+    below INT64_ENTRY_LIMIT, and Python ints (dtype object) if not."""
+    # max and min in a's own dtype, so no abs wraps and uint64 stays exact
+    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    if top >= INT64_ENTRY_LIMIT:
+        return a.astype(object), False
+    order = min(a.shape[1:])
+    return a.astype(np.int64), top > 0 and order ** order * top ** (2 * order) >= 1 << 62
 
 
-def _eliminate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-step fraction-free Gauss-Jordan elimination (Bareiss), in place
-    and in a's dtype, of every matrix of an (m, r, c) integer stack.
+def _eliminate(a: np.ndarray, watch: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-step fraction-free Gauss-Jordan elimination (Bareiss), in place,
+    of every matrix of an (m, r, c) integer stack.
 
     Column by column, each matrix takes as pivot its first row, among the
     rows not yet used as pivots, with a nonzero entry there, and clears that
     column from every other row, above and below. Each update divides
     exactly by the matrix's previous pivot, so every entry stays a minor of
     the input; a remainder would mean corrupted input or wrapped int64
-    arithmetic and raises ArithmeticError. Rows are never swapped. Returns
-    (pivots, d): pivots[i, j] is the row of matrix i that pivots column j,
-    or -1 if column j has none, and d[i] is matrix i's last pivot (1 if it
-    has none). On return each pivot row is d times the matching row of the
-    reduced row echelon form.
+    arithmetic and raises ArithmeticError. Rows are never swapped.
+
+    It runs in a's dtype. With `watch` (see `_exact`), an int64 stack is
+    checked before each column that has a pivot: the first time an entry,
+    and so the pivot or the previous pivot, which are entries too, reaches
+    INT64_ENTRY_LIMIT in absolute value, the stack moves to Python ints and
+    goes on there, in a new array. Returns (a, pivots, d): a the reduced
+    stack, pivots[i, j] the row of matrix i that pivots column j, or -1 if
+    column j has none, and d[i] matrix i's last pivot (1 if it has none). On
+    return each pivot row is d times the matching row of the reduced row
+    echelon form.
     """
     m, r, c = a.shape
     pivots = np.full((m, c), -1, dtype=np.intp)
@@ -457,6 +478,8 @@ def _eliminate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         candidates = unused & (a[:, :, col] != 0)
         if not np.count_nonzero(candidates):
             continue
+        if watch and np.abs(a).max() >= INT64_ENTRY_LIMIT:
+            a, prev, watch = a.astype(object), prev.astype(object), False
         found = candidates.any(axis=1)
         piv = candidates.argmax(axis=1)  # row 0 where none is found
         row = a[every, piv]
@@ -474,12 +497,12 @@ def _eliminate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pivots[:, col] = np.where(found, piv, -1)
         unused[every, piv] &= ~found
         prev = pv
-    return pivots, prev[:, 0, 0]
+    return a, pivots, prev[:, 0, 0]
 
 
 def _ranks(a: np.ndarray) -> np.ndarray:
     """Exact rank of every matrix of an (m, r, c) integer stack."""
-    return (_eliminate(_exact(a))[0] >= 0).sum(axis=1)
+    return (_eliminate(*_exact(a))[1] >= 0).sum(axis=1)
 
 
 def rank_exact(mat) -> int:
@@ -495,7 +518,7 @@ def det_exact(mat) -> int:
     a = _int_rows(mat)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    (pivots,), (d,) = _eliminate(_exact(a[None]))
+    _, (pivots,), (d,) = _eliminate(*_exact(a[None]))
     if (pivots < 0).any():
         return 0
     inversions = int(np.triu(pivots[:, None] > pivots[None, :], 1).sum())
@@ -516,9 +539,8 @@ def kernel_basis_exact(mat) -> list[list[int]]:
 def _kernel_basis(a: np.ndarray) -> list[list[int]]:
     """`kernel_basis_exact` of an (r, c) integer array known to hold only
     integers."""
-    a = _exact(a[None])
-    (pivots,), (d,) = _eliminate(a)
-    rows = a[0].tolist()
+    (rows,), (pivots,), (d,) = _eliminate(*_exact(a[None]))
+    rows = rows.tolist()
     pivot_rows = [(pc, int(pr)) for pc, pr in enumerate(pivots) if pr >= 0]
     basis: list[list[int]] = []
     for f in np.flatnonzero(pivots < 0).tolist():

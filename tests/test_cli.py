@@ -8,7 +8,7 @@ import pytest
 
 from conftest import TRUNCATED_TETRAHEDRON_EDGES
 
-from roundness import cli, negtype
+from roundness import cli, graphs, hamming, negtype
 from roundness.cli import main
 
 
@@ -232,7 +232,7 @@ def test_cube_spectrum_and_lemmas(capsys):
 def test_cube_spectrum_checks_the_rank_cap_before_any_work(monkeypatch, capsys, n):
     # the identity check accepts n <= 10, the rank check only n <= 8
     calls = []
-    monkeypatch.setattr(cli, "eigen_identity_check", calls.append)
+    monkeypatch.setattr(hamming, "eigen_identity_check", calls.append)
     code, report = run_cli(capsys, "cube", "spectrum", "--n", n)
     assert code == 2
     assert report["error"] == {"type": "DimensionTooLargeError",
@@ -273,6 +273,14 @@ def test_cube_inputs_are_capped_at_dimension_64(capsys):
     code, report = run_cli(capsys, "tree", "witness", "--k", "65")
     assert code == 0
     assert report["result"]["images"][-1] == "1" * 64
+
+
+def test_path_witness_names_k_and_its_range(capsys):
+    # the range is of the --k given, not of the cube dimension k - 1
+    code, report = run_cli(capsys, "tree", "witness", "--k", "100000")
+    assert code == 2
+    assert report["error"] == {"type": "DimensionTooLargeError",
+                               "message": "path witness supports k in 2..65, got 100000"}
 
 
 def test_input_errors_exit_2(tmp_path, capsys):
@@ -322,7 +330,7 @@ def test_out_of_memory_input_exits_2(monkeypatch, capsys):
     def no_memory(graph):
         raise MemoryError("cannot allocate the distance matrix")
 
-    monkeypatch.setattr(cli, "path_metric", no_memory)
+    monkeypatch.setattr(graphs, "path_metric", no_memory)
     code, report = run_cli(capsys, "roundness", "--graph", "cycle:5")
     assert code == 2
     assert report["error"] == {"type": "MemoryError",

@@ -36,7 +36,7 @@ from roundness.errors import (
     NotATreeError,
     SearchSpaceTooLargeError,
 )
-from roundness import hamming
+from roundness import hamming, negtype
 from roundness.hamming import ScanSummary, _combinations, _difference_ranks, _metric_keys
 from roundness.negtype import roundness_search
 from roundness.spectral import _eliminate, _ranks
@@ -315,7 +315,7 @@ def test_batched_rank_matches_rank_exact(stack):
 
 def test_batched_rank_raises_on_a_corrupted_pivot():
     good = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.int64)
-    pivots, d = _eliminate(good[None].copy())
+    _, pivots, d = _eliminate(good[None].copy())
     assert pivots.tolist() == [[0, 1, 2]] and d.tolist() == [2]  # det 2, rank 3
     bad = good.copy()
     bad[0, 0] = 10**12  # its products wrap int64, so a later division is inexact
@@ -429,7 +429,7 @@ def test_scan_solves_each_distinct_metric_once(monkeypatch, n, max_size, distinc
         solved.extend(d.tobytes() for d in dists)
         return roundness_search(dists, **kwargs)
 
-    monkeypatch.setattr(hamming, "roundness_search", counting)
+    monkeypatch.setattr(negtype, "roundness_search", counting)
     assert scan_subsets(n, max_size=max_size) == expected
     assert len(solved) == len(set(solved)) == distinct
 

@@ -24,7 +24,8 @@ from roundness.errors import (
     RoundnessError,
 )
 from roundness import spectral
-from roundness.spectral import INT64_MAX_ORDER, _eigvals, _eliminate, _exact, _row0_order, eigensym
+from roundness.spectral import (INT64_ENTRY_LIMIT, _eigvals, _eliminate, _exact, _row0_order,
+                                eigensym)
 
 try:
     import sympy
@@ -417,13 +418,18 @@ def test_exact_elimination_against_sympy():
 
 @st.composite
 def exact_matrices(draw):
-    """Integer matrices on both sides of the int64 rule: min(r, c) up to 6 or
-    at 15 and 16, entries in {-1, 0, 1} or up to +-2, with a row or column
-    possibly copied or replaced by a sum, so that the rank can fall short."""
-    shape = st.integers(1, 6) | st.sampled_from([INT64_MAX_ORDER, INT64_MAX_ORDER + 1])
+    """Integer matrices on every path of the int64 rule: min(r, c) up to 6 or
+    at 15 and 16, entries up to +-1 or +-2, or, at min(r, c) <= 6, up to
+    +-2^20 or +-2^40, with a row or column possibly copied or replaced by a
+    sum, so that the rank can fall short. {-1, 0, 1} at order 15 is proved
+    safe in int64 up front and at 16 is watched; entries near 2^20 have 2 x 2
+    minors near 2^41, past the int64 limit, so a stack of them moves to
+    Python ints partway, and entries near 2^40 start there."""
+    bound = draw(st.sampled_from([1, 2, 1 << 20, 1 << 40]))
+    shape = st.integers(1, 6) | st.sampled_from([15, 16]) if bound <= 2 else st.integers(1, 6)
     r, c = draw(shape), draw(shape)
-    entries = draw(st.sampled_from([(-1, 0, 1), (-2, -1, 0, 1, 2)]))
-    a = np.array(draw(st.lists(st.sampled_from(entries), min_size=r * c, max_size=r * c)),
+    entries = st.integers(-bound, bound)
+    a = np.array(draw(st.lists(entries, min_size=r * c, max_size=r * c)),
                  dtype=np.int64).reshape(r, c)
     axis = draw(st.sampled_from([None, 0, 1]))
     if axis is not None and a.shape[axis] > 1:
@@ -434,12 +440,17 @@ def exact_matrices(draw):
 
 
 @pytest.mark.skipif(sympy is None, reason="sympy is the oracle")
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(a=exact_matrices())
 def test_exact_elimination_matches_sympy_in_both_dtypes(a):
     r, c = a.shape
-    small = min(r, c) <= INT64_MAX_ORDER and np.abs(a).max() <= 1
-    assert _exact(a[None]).dtype == (np.int64 if small else object)
+    top = int(np.abs(a).max())
+    start, watch = _exact(a[None])
+    # int64 whenever the entries are below the limit, with no watch where
+    # Hadamard's bound proves they stay there, as for {-1, 0, 1} up to 15
+    assert start.dtype == (np.int64 if top < INT64_ENTRY_LIMIT else object)
+    if top <= 1 and min(r, c) <= 15:
+        assert start.dtype == np.int64 and not watch
     mat = sympy.Matrix(a.tolist())
     assert rank_exact(a) == mat.rank()
     assert kernel_basis_exact(a) == sympy_kernel(a.tolist())
@@ -448,12 +459,50 @@ def test_exact_elimination_matches_sympy_in_both_dtypes(a):
         assert det == int(mat.det())
         if r > 1:
             assert det_exact(a[[1, 0, *range(2, r)]]) == -det  # a row swap flips the sign
-    # Python ints reach the same pivots and reduced rows as int64 wherever
-    # int64 is exact
-    if small:
-        wide, exact = a[None].astype(object), a[None].copy()
-        assert [x.tolist() for x in _eliminate(wide)] == [x.tolist() for x in _eliminate(exact)]
-        assert wide.tolist() == exact.tolist()
+    # a watched stack still in int64 at the end, and every proved one, never
+    # passed the limit, and reached the same pivots and reduced rows as
+    # Python ints
+    if start.dtype == np.int64:
+        reduced, pivots, d = _eliminate(start.copy(), watch=True)
+        assert watch or reduced.dtype == np.int64
+        if reduced.dtype == np.int64:
+            wide = _eliminate(a[None].astype(object))
+            assert [x.tolist() for x in wide] == [reduced.tolist(), pivots.tolist(), d.tolist()]
+
+
+def test_cube_distance_matrix_reaches_rank_9_in_int64():
+    # 256 x 256 with entries up to 8: Hadamard proves nothing, but its
+    # entries stay below 2^13 through all 9 pivots, so no promotion
+    d = cube_distance_matrix(8)
+    start, watch = _exact(d[None])
+    assert start.dtype == np.int64 and watch
+    reduced, pivots, last = _eliminate(start, watch)
+    assert reduced.dtype == np.int64 and int(np.abs(reduced).max()) < 1 << 13
+    assert int((pivots >= 0).sum()) == rank_exact(d) == 9
+    wide, wide_pivots, wide_last = _eliminate(d[None].astype(object))
+    assert wide_pivots.tolist() == pivots.tolist() and wide_last.tolist() == last.tolist()
+    assert wide.tolist() == reduced.tolist()
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is the oracle")
+def test_elimination_promoted_partway_matches_sympy():
+    # entries near 2^20 start in int64; their 2 x 2 minors near 2^41 do not
+    # fit, so the stack moves to Python ints at the second pivot column
+    rng = np.random.default_rng(29)
+    a = rng.integers(-(1 << 20), 1 << 20, size=(6, 6))
+    start, watch = _exact(a[None])
+    assert start.dtype == np.int64 and watch
+    reduced, _, _ = _eliminate(start, watch)
+    assert reduced.dtype == object
+    mat = sympy.Matrix(a.tolist())
+    assert det_exact(a) == int(mat.det()) != 0
+    assert rank_exact(a) == mat.rank() == 6
+    dependent = np.vstack([a[:5], a[0] - 3 * a[2]])  # rank 5, a kernel of one vector
+    assert _eliminate(*_exact(dependent[None]))[0].dtype == object
+    assert rank_exact(dependent) == sympy.Matrix(dependent.tolist()).rank() == 5
+    assert det_exact(dependent) == 0
+    assert kernel_basis_exact(dependent) == sympy_kernel(dependent.tolist())
+    assert kernel_basis_exact(dependent.T) == sympy_kernel(dependent.T.tolist())
 
 
 def test_det_exact_known_values():

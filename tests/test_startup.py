@@ -143,3 +143,43 @@ def test_cube_scan_imports_no_pool_at_any_jobs():
     # the reports differ only in the echoed --jobs
     assert json.loads(serial[0])["diagnostics"]["jobs"] == 1
     assert serial[0] == jobs2[0].replace('"jobs":2', '"jobs":1')
+
+
+# what each command loads: its own modules, and csv only for a CSV matrix
+NOT_CUBE = ("roundness.hamming", "csv")
+NOT_SPACE = ("roundness.negtype", "roundness.graphs", "logging", "csv")
+MODULE_SETS = [
+    (["roundness", "--graph", "petersen"], "roundness.negtype", NOT_CUBE),
+    (["negtype", "--graph", "cycle:5", "--p", "1"], "roundness.negtype", NOT_CUBE),
+    (["verify", "--graph", "petersen"], "roundness.negtype", NOT_CUBE),
+    (["roundness", "--matrix", "{json}"], "roundness.negtype", ("roundness.hamming", "csv",
+                                                               "roundness.graphs")),
+    (["roundness", "--matrix", "{csv}"], "csv", ("roundness.hamming", "roundness.graphs")),
+    (["roundness", "--edges", "{edges}"], "roundness.graphs", NOT_CUBE),
+    (["cube", "classify", "--n", "3", "--subset", "000,011,101"], "roundness.hamming", NOT_SPACE),
+    (["cube", "spectrum", "--n", "3"], "roundness.hamming", NOT_SPACE),
+    (["cube", "lemmas", "--n", "3"], "roundness.hamming", NOT_SPACE),
+    (["tree", "witness", "--k", "5"], "roundness.hamming", NOT_SPACE),
+    (["tree", "embed", "--edges", "{edges}", "--n", "3"], "roundness.graphs",
+     ("roundness.negtype", "logging", "csv")),
+]
+
+
+@pytest.mark.parametrize("argv,loads,skips", MODULE_SETS,
+                         ids=[" ".join(case[0]) for case in MODULE_SETS])
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, loads, skips):
+    files = {"json": tmp_path / "space.json", "csv": tmp_path / "space.csv",
+             "edges": tmp_path / "path4.txt"}
+    files["json"].write_text('{"matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}')
+    files["csv"].write_text("0,1,2\n1,0,1\n2,1,0\n")
+    files["edges"].write_text("4\n0 1\n1 2\n2 3\n")
+    code = (
+        "import json, sys, roundness.cli\n"
+        "code = roundness.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    out = fresh(code, *(arg.format(**files) for arg in argv)).splitlines()
+    exit_code, modules = json.loads(out[-1])
+    assert exit_code in (0, 1), out[0]
+    assert loads in modules
+    assert not set(skips) & set(modules)
