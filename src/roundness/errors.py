@@ -50,8 +50,8 @@ class NoConvergenceError(RoundnessError):
 
 
 class NonFiniteMatrixError(RoundnessError):
-    """A matrix handed to the eigensolver, or a distance matrix handed to
-    the root search, has NaN or infinite entries."""
+    """A matrix handed to `eigensym`, or distances handed to the root
+    search, the verdicts or `power_matrix`, have NaN or infinite entries."""
 
 
 # -- graphs -------------------------------------------------------------------

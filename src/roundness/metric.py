@@ -19,6 +19,7 @@ from .errors import (
     BadParamsError,
     NegativeEntryError,
     NegativeExponentError,
+    NonFiniteMatrixError,
     NonzeroDiagonalError,
     TriangleViolationError,
     ZeroDistanceError,
@@ -76,6 +77,12 @@ class FiniteMetricSpace:
         None; computed once per space, which then reads the spectrum of
         every D_p off it."""
         return _class_spectrum(self.dist) if self.rows_permute else None
+
+    @cached_property
+    def _max_d(self) -> float:
+        """max d, once `_check_distances` passes, once per space, on what is
+        read: row 0 on a space with an order (every row reads it), else `dist`."""
+        return float(_check_distances(self.dist[:1] if self.order is not None else self.dist))
 
 
 @dataclass(frozen=True)
@@ -140,10 +147,28 @@ def power_matrix(space, p: float) -> np.ndarray:
     """Raise all distances to the power p, with 0^p = 0 for every p >= 0.
 
     `space` is a FiniteMetricSpace or a stack (m, k, k) of distance
-    matrices, all raised to the one exponent p.
+    matrices, all raised to the one exponent p, once their entries pass
+    `_check_distances`.
     """
     d = space.dist if isinstance(space, FiniteMetricSpace) else space
+    _check_distances(d)
     return _readonly(_power(d, p))
+
+
+def _check_distances(d: np.ndarray) -> np.ndarray:
+    """The largest entry of a distance matrix, or of each matrix of a stack
+    (..., k, k), once every entry is checked: NonFiniteMatrixError on NaN or
+    infinity, NegativeEntryError on a negative entry (`_power` would read
+    either as 1) and BadParamsError on a matrix with no positive entry."""
+    top = d.max(axis=(-2, -1))
+    low, high = float(d.min(initial=0.0)), float(top.max(initial=0.0))
+    if not math.isfinite(low + high):  # NaN, inf or -inf
+        raise NonFiniteMatrixError("distance matrix contains non-finite entries")
+    if low < 0:
+        raise NegativeEntryError(f"distance matrix contains a negative entry {low}")
+    if not top.min(initial=math.inf) > 0:
+        raise BadParamsError("every distance matrix needs a positive entry")
+    return top
 
 
 def _power(d: np.ndarray, p: float) -> np.ndarray:

@@ -10,18 +10,18 @@ by doubling and narrows the bracket by ITP, which reads the eigenvalue's value
 to place each probe and keeps bisection's worst-case step count. One driver
 runs it on the distances divided by their maximum, for any number of matrices
 in lock-step, each making the decisions a search of its own would:
-`roundness_search` drives a stack of distance matrices with one stacked
-values-only eigensolve per step, and `generalized_roundness` drives one
-space. A step reads two eigenvalues of each M(p), the largest and the
-smallest, and decides in Python floats. A stack has at most
+`roundness_search` drives a stack of distance matrices and
+`generalized_roundness` one space. A step reads two eigenvalues of each
+M(p), the largest and the smallest, and decides in Python floats; a step
+that solves makes one call of `spectral._eigvals` and passes it the trace
+and the squared Frobenius norm of each matrix. A stack has at most
 CLASS_FORM_LIMIT distinct distances v, as every stack of cube-subset
 metrics (v in 1..n) has, and M(p) = sum_v w_v^p F_v, with w_v = v / max d
 and F_v = B^T A_v B, A_v the 0/1 matrix of the entries equal to v: the
 class forms F_v are built once per stack, with tr F_v and the Gram matrix
-G_uv = <F_u, F_v>, and a step powers s distances per matrix, not k^2
-entries. Its guard is the identity check of `spectral._check_spectra`,
-held against tr M(p) = sum_v w_v^p tr F_v and ||M(p)||_F^2 = w^T G w in
-place of a second pass over M(p).
+G_uv = <F_u, F_v>, so a step powers s distances per matrix, not k^2
+entries, and reads tr M(p) = sum_v w_v^p tr F_v and ||M(p)||_F^2 = w^T G w
+off them. Distances are checked once per space or stack, never per step.
 
 Everything else a single space needs comes from one source per (space, p),
 built by `_source`: D_p of d / max d, its product with a vector, and one
@@ -48,8 +48,9 @@ once per space by what the space caches about itself:
   certificate and the kernel defects are residuals of D_p itself.
 - Dense, on every other space: D_p on a row-permutation space, whose
   classes do not commute (the truncated tetrahedron), M(p) on the rest. The
-  values come from a values-only solve (`spectral._eigvals`), and the modes
-  from `eigensym`, run once, when a mode is first asked for. So the search,
+  values come from `spectral._eigvals`, held to the trace and the squared
+  Frobenius norm of that matrix, and the modes from `eigensym`, run once,
+  when a mode is first asked for. So the search,
   a strict verdict, `det_normalized` and the kernel mask solve for values
   alone, and only the witness, the certificate and the kernel modes
   eigendecompose.
@@ -81,15 +82,13 @@ from .errors import (
     HypothesisViolatedError,
     IndexOutOfRangeError,
     LengthMismatchError,
-    NegativeEntryError,
     NegativeExponentError,
-    NoConvergenceError,
-    NonFiniteMatrixError,
     NonzeroDiagonalError,
 )
 from .metric import (
     FiniteMetricSpace,
     NegativeTypeWitness,
+    _check_distances,
     _check_tolerance,
     _power,
     hyperplane_basis,
@@ -98,7 +97,6 @@ from .metric import (
 from .spectral import (
     ROW0_BLOCK,
     ClassSpectrum,
-    _check_spectra,
     _eigvals,
     _row0_modes,
     _row0_multiplicities,
@@ -164,9 +162,13 @@ class GrInequalityResult:
 
 def negtype_form_matrix(space, p) -> np.ndarray:
     """The powered-distance quadratic form restricted to zero-sum vectors:
-    B^T D_p B, symmetrized. Takes what `power_matrix` takes, so a stack of
-    distance matrices gives the stack of their forms."""
-    dp = power_matrix(space, p)
+    B^T D_p B, symmetrized. Takes, and checks, what `power_matrix` takes,
+    so a stack of distance matrices gives the stack of their forms."""
+    return _form(power_matrix(space, p))
+
+
+def _form(dp: np.ndarray) -> np.ndarray:
+    """`negtype_form_matrix` of D_p, or of a stack of them, unchecked."""
     b = hyperplane_basis(dp.shape[-1])
     m = b.T @ dp @ b
     return (m + m.swapaxes(-1, -2)) / 2.0
@@ -191,13 +193,14 @@ def _source(space: FiniteMetricSpace):
     joint spectrum of its distance classes when they commute
     (`FiniteMetricSpace.classes`), else densely. A source has `max_d`,
     `product(u)` = D_p u, and one `spectrum`: D_p's on a row-permutation
-    space (`FiniteMetricSpace.rows_permute`), M(p)'s on any other."""
+    space (`FiniteMetricSpace.rows_permute`), M(p)'s on any other. The
+    distances are checked first, once per space and before any eigensolve
+    (`FiniteMetricSpace._max_d`)."""
+    max_d = space._max_d
     if space.order is not None:
         order, row = space.order, space.dist[0]
-        max_d = float(row.max())
         unit, counts = row / max_d, _row0_multiplicities(order, space.n)
         return lambda p: _Row0Source(order, unit, counts, max_d, p)
-    max_d = float(space.dist.max())
     unit, classes = space.dist / max_d, space.classes
     if classes is not None:
         distances = classes.distances / max_d
@@ -230,7 +233,7 @@ class _DenseProduct:
 
     @cached_property
     def dp(self) -> np.ndarray:
-        return power_matrix(self.unit, self.p)
+        return _power(self.unit, self.p)
 
     def product(self, u: np.ndarray) -> np.ndarray:
         return self.dp @ u
@@ -254,15 +257,15 @@ class _ClassSource(_DenseProduct):
 class _DenseSource(_DenseProduct):
     """The source of any other space: the spectrum of D_p on a
     row-permutation space and of M(p) on any other, each value counted
-    once. The values come from a values-only solve
-    (`spectral._eigvals`), descending, so r(p), the largest of D_p's
-    (Perron-Frobenius), is entry 0. The modes come from `eigensym`, run
-    once, when a mode is first asked for, in the same order, lifted by the
-    zero-sum basis on M(p), with the sign of `spectral._sign_fixed`."""
+    once. The values come from `spectral._eigvals`, held to the trace and
+    the squared Frobenius norm of the matrix solved, reversed, so r(p), the
+    largest of D_p's (Perron-Frobenius), is entry 0. The modes come from
+    `eigensym`, run once, when a mode is first asked for, in the same
+    order, lifted by the zero-sum basis on M(p), signed by `_sign_fixed`."""
 
     def __init__(self, unit: np.ndarray, max_d: float, p: float, rows_permute: bool):
         super().__init__(unit, max_d, p)
-        a = self.dp if rows_permute else negtype_form_matrix(unit, p)
+        a = self.dp if rows_permute else _form(self.dp)
         solved = []  # eigensym(a), once a mode is asked for
 
         def modes(idx):
@@ -272,7 +275,7 @@ class _DenseSource(_DenseProduct):
             u = u if rows_permute else hyperplane_basis(len(unit)) @ u
             return _sign_fixed(u / np.linalg.norm(u, axis=0))
 
-        values = _eigvals(a)
+        values = _eigvals(a, [np.trace(a)], [np.vdot(a, a)])[::-1]
         self.spectrum = _Spectrum(values, np.ones(len(values), dtype=np.int64), modes,
                                   int(rows_permute))
 
@@ -470,46 +473,27 @@ def roundness_search(
     neither overflows nor underflows at any unit of distance. The class
     forms of the stack are built once (`_class_forms`): M(p) = sum_v w_v^p
     F_v with w_v = v / max d, so each step powers s weights per matrix
-    still searching, sums s forms at its own p, and makes one stacked
-    `numpy.linalg.eigvalsh` call (a LinAlgError is NoConvergenceError); no
-    D_p is built. One DEBUG line on the `roundness` logger gives the member
-    count, the class count, the lock-step steps and the member-steps.
-
-    Each step's guard is the identity check of `spectral._eigvals`
-    (`spectral._check_spectra`): the sum of each matrix's eigenvalues and
-    of their squares must meet tr M(p) = sum_v w_v^p tr F_v and ||M(p)||_F^2
-    = w^T G w, with G_uv = <F_u, F_v>, both built once per call, at O(s^2)
-    per matrix and step. `_eigvals`' other guards are not needed here:
-    every M(p) is finite, as the weights lie in (0, 1] and the forms are
-    finite, which the check of d fixes once per call; it is symmetric by
-    construction, LAPACK reads one triangle of it, and an M(p) that is not
-    the sum of its forms fails the Frobenius identity; and it needs no
-    rescaling by max |M_ij|, as its entries are bounded by k and its norm
-    is positive on a matrix with zero diagonal, whose largest distance has
-    the weight 1 at every p and a form F != 0.
+    still searching, sums s forms at its own p, and makes one values-only
+    solve of the stack (`spectral._eigvals`), held to tr M(p) = sum_v w_v^p
+    tr F_v and ||M(p)||_F^2 = w^T G w, with G_uv = <F_u, F_v>, both built
+    once per call, at O(s^2) per matrix and step; no D_p is built. One
+    DEBUG line on the `roundness` logger gives the member count, the class
+    count, the lock-step steps and the member-steps.
 
     Returns, per matrix, (q, (p_lo, p_hi), ITP iterations), or None when
     the predicate still holds at p_max (Unbounded). Bad tol_p, p_max or
-    tol_eig raise BadParamsError, non-finite distances
-    NonFiniteMatrixError, and a stack that `_class_forms` rejects
-    NotSymmetricError, NonzeroDiagonalError, NegativeEntryError or
-    BadParamsError, each before any eigensolve.
+    tol_eig raise BadParamsError, and a stack that `_class_forms` rejects
+    NonFiniteMatrixError, NotSymmetricError, NonzeroDiagonalError,
+    NegativeEntryError or BadParamsError, each before any eigensolve.
     """
     _check_search_params(p_max, tol_p, tol_eig)
     d = np.asarray(dists, dtype=float)
-    if not np.isfinite(d).all():
-        raise NonFiniteMatrixError("distance matrix contains non-finite entries")
     classes = _class_forms(d)
     steps: list[int] = []  # the members evaluated at each step
 
     def extremes(stack, p):
         steps.append(len(p))
-        a, traces, squares = _class_form_matrix(stack, np.array(p))
-        try:
-            values = np.linalg.eigvalsh(a)  # ascending
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(reason=str(exc)) from exc
-        _check_spectra(values, traces, squares)
+        values = _eigvals(*_class_form_matrix(stack, np.array(p)))  # ascending
         return values[:, -1], values[:, 0]
 
     found = _lockstep(classes, extremes, p_max, tol_p, tol_eig)
@@ -520,11 +504,11 @@ def roundness_search(
 
 def _class_forms(d: np.ndarray) -> np.ndarray:
     """The distance-class forms of the stack d (m, k, k), k >= 2, of
-    symmetric matrices (to within `spectral.symmetrized`'s tolerance, and
-    then symmetrized) with a zero diagonal, a positive entry each, no
-    negative entry and at most CLASS_FORM_LIMIT distinct positive entries
-    in all; else NotSymmetricError, NonzeroDiagonalError, NegativeEntryError
-    on a negative entry and BadParamsError on the rest.
+    matrices that pass `metric._check_distances` (else its error), are
+    symmetric (to within `spectral.symmetrized`'s tolerance, and then
+    symmetrized; else NotSymmetricError), have a zero diagonal (else
+    NonzeroDiagonalError) and at most CLASS_FORM_LIMIT distinct positive
+    entries in all; BadParamsError on any other shape or on more entries.
 
     Row v of matrix j, for each of the s distinct positive entries v of the
     whole stack, is the weight w_v = v / max d_j, then F_v = B^T A_v B
@@ -539,6 +523,7 @@ def _class_forms(d: np.ndarray) -> np.ndarray:
     finite."""
     if d.ndim != 3 or d.shape[1] != d.shape[2] or d.shape[1] < 2:
         raise BadParamsError(f"need a stack (m, k, k) of matrices with k >= 2, got {d.shape}")
+    _check_distances(d)
     d = symmetrized(d)
     diagonal = d.diagonal(axis1=-2, axis2=-1)
     if diagonal.any():
@@ -548,11 +533,7 @@ def _class_forms(d: np.ndarray) -> np.ndarray:
     # option imports numpy.ma on recent numpy, which a fresh process pays
     values = np.sort(d[d != 0])
     values = np.append(values[:-1][values[1:] != values[:-1]], values[-1:])
-    if len(values) and values[0] < 0:
-        raise NegativeEntryError(f"distance matrix contains a negative entry {values[0]}")
     max_d = d.max(axis=(-2, -1), keepdims=True)
-    if (max_d <= 0).any():
-        raise BadParamsError("every distance matrix needs a positive entry")
     if len(values) > CLASS_FORM_LIMIT:
         raise BadParamsError(f"a stack may have at most {CLASS_FORM_LIMIT} distinct "
                              f"distances, got {len(values)}")
@@ -572,18 +553,18 @@ def _class_forms(d: np.ndarray) -> np.ndarray:
 
 
 def _class_form_matrix(classes: np.ndarray,
-                       p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       p: np.ndarray) -> tuple[np.ndarray, list, list]:
     """M(p) of each matrix of a stack of class forms (`_class_forms`), with
-    p one exponent per matrix, and its trace and squared Frobenius norm:
-    sum_v w_v^p F_v, sum_v w_v^p tr F_v and w^T G w, from one power of the
-    (m, s) weights and three small batched products."""
+    p one exponent per matrix, and its trace and squared Frobenius norm, as
+    lists of floats: sum_v w_v^p F_v, sum_v w_v^p tr F_v and w^T G w, from
+    one power of the (m, s) weights and three small batched products."""
     weights = classes[:, :, 0] ** p[:, None]
     s = classes.shape[1]
     k = math.isqrt(classes.shape[-1] - 2 - s)
     rows = weights[:, None]
     invariants = rows @ classes[:, :, -1 - s:]  # tr M(p), then w^T G
-    return ((rows @ classes[:, :, 1:-1 - s]).reshape(-1, k, k), invariants[:, 0, 0],
-            (invariants[:, :, 1:] @ weights[:, :, None]).ravel())
+    return ((rows @ classes[:, :, 1:-1 - s]).reshape(-1, k, k), invariants[:, 0, 0].tolist(),
+            (invariants[:, :, 1:] @ weights[:, :, None]).ravel().tolist())
 
 
 def _space_search(space: FiniteMetricSpace, p_max: float, tol_p: float, tol_eig: float):
@@ -626,10 +607,9 @@ def generalized_roundness(
     finite and > 0 and tol_eig finite and >= 0; anything else raises
     BadParamsError before any eigensolve.
     """
+    found = _space_search(space, p_max, tol_p, tol_eig)  # checks the distances first
     row_perm = space.rows_permute
     method = METHOD_DETERMINANT_FAST_PATH if row_perm else METHOD_SPECTRAL_BISECTION
-
-    found = _space_search(space, p_max, tol_p, tol_eig)
     if found is None:
         log.debug("negative type still holds at p_max=%g; unbounded", p_max)
         return RoundnessResult(status="Unbounded", q=None, bracket=None,
@@ -673,10 +653,11 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
     space with an order makes no n x n array. Requires the row-permutation
     property (`_require_rows_permute`) and a finite q.
     """
+    source = _source(space)  # checks the distances first
     _require_rows_permute(space)
     if q is None or not np.isfinite(q):
         raise ValueError("kernel coincidence requires a finite roundness exponent")
-    src = _source(space)(q)
+    src = source(q)
     spectrum = src.spectrum  # D_q's, with r(q) >= 1 at entry 0, never in the kernel
     kernel = np.flatnonzero(np.abs(spectrum.values) <= CERTIFICATE_TOL)
     step = max(1, ROW0_BLOCK // space.n)
@@ -706,7 +687,8 @@ def gr_inequality_check(
     verdict does not depend on the unit of distance and no power overflows;
     lhs and rhs are reported in the unit of d, as their value on d / max d
     times (max d)^p, inf or nan where that is out of float range. tol must
-    be finite and >= 0, else BadParamsError.
+    be finite and >= 0, else BadParamsError; the distances are checked
+    as `_source` checks them.
     """
     _check_tolerance("tol", tol)
     a = [int(i) for i in a_idx]
@@ -718,7 +700,7 @@ def gr_inequality_check(
     for i in a + bb:
         if not 0 <= i < space.n:
             raise IndexOutOfRangeError(f"point index {i} out of range for {space.n} points")
-    max_d = float(space.dist.max())
+    max_d = space._max_d
     m = len(a)
     within = [(k, l) for k in range(m) for l in range(k + 1, m)]
     # only the entries the sums read: the pairs k < l inside each family,

@@ -1,16 +1,15 @@
 """Dense symmetric eigendecomposition and exact integer linear algebra.
 
-Floating-point side: the one symmetry guard (`symmetrized`) and a symmetric
-eigensolver on LAPACK (`numpy.linalg.eigh`) with a deterministic sort and
-sign convention and a checked reconstruction residual, for one matrix. Its
-values-only sibling (`_eigvals`, on `numpy.linalg.eigvalsh`) shares its
-guards and, having no eigenvectors to rebuild the matrix from, holds each
-matrix's values to its trace and its squared Frobenius norm by one identity
-check (`_check_spectra`). `negtype`'s stacked root search runs that check
-too, against invariants of its distance-class forms, so its sums of class
-forms do not pass through the symmetry guard. The guard and `_eigvals`
-take a single matrix or a stack (..., k, k), which LAPACK solves in one
-call, and check every matrix of a stack as they would check it alone.
+Floating-point side, on LAPACK: the one symmetry guard (`symmetrized`);
+`eigensym`, the full eigendecomposition of one matrix (`eigh`), guarded
+against non-finite and asymmetric input, with a deterministic sort and sign
+and a checked reconstruction residual, for the modes `negtype` solves for
+once; and `_eigvals`, the one values-only solve (`eigvalsh`) of a matrix or
+a stack (m, k, k) in one call, the solve of every search step on a stack or
+on a dense source. It holds each matrix's values to the trace and the
+squared Frobenius norm its caller passes, read off the class forms of a
+stack or off the one matrix of a dense source, and runs no other guard on
+these matrices, which the library builds from a checked space.
 
 Row-0 structure, the one place that builds and detects it: a circulant
 matrix (d[i, j] = f((j - i) mod n)) or one in cube order (d[i, j] = f(i xor
@@ -67,25 +66,15 @@ def symmetrized(a: np.ndarray) -> np.ndarray:
     """(a + a^T) / 2 for a square matrix, or for each matrix of a stack
     (..., k, k), within SYMMETRY_RTOL of symmetric relative to its own
     max |a_ij|; NotSymmetricError naming the worst entry of the first matrix
-    that is not."""
-    _check_square(a)
-    return _symmetrized(a, np.abs(a).max(axis=(-2, -1)))
-
-
-def _check_square(a: np.ndarray) -> None:
+    that is not. A matrix that is exactly symmetric, as every form and D_p
+    the library builds, is returned as it is."""
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-
-
-def _symmetrized(a: np.ndarray, amax: np.ndarray) -> np.ndarray:
-    """`symmetrized`, given max |a_ij| of each matrix. A stack that is
-    exactly symmetric, as `negtype_form_matrix` makes each form, passes the
-    guard as it is, so no matrix is symmetrized twice."""
     at = a.swapaxes(-1, -2)
     if (a == at).all():
         return a
     gap = np.abs(a - at)
-    over = gap.max(axis=(-2, -1)) > SYMMETRY_RTOL * amax
+    over = gap.max(axis=(-2, -1)) > SYMMETRY_RTOL * np.abs(a).max(axis=(-2, -1))
     if np.count_nonzero(over):
         first = tuple(np.argwhere(over)[0])
         a, gap = a[first], gap[first]
@@ -94,45 +83,28 @@ def _symmetrized(a: np.ndarray, amax: np.ndarray) -> np.ndarray:
     return (a + at) / 2.0
 
 
-def _guarded(a, solve):
-    """The guard prelude of `eigensym` and `_eigvals`: `a` as a float stack
-    (m, k, k), max |a_ij| of each matrix, the stack's leading shape, and
-    `solve` (a LAPACK driver) on the symmetrized stack.
-
-    NonFiniteMatrixError on NaN or infinite entries, NotSymmetricError past
-    the symmetry guard and NoConvergenceError if LAPACK fails, each for
-    every matrix of a stack as for a single one."""
-    a0 = np.asarray(a, dtype=float)
-    _check_square(a0)
-    amax = np.abs(a0).max(axis=(-2, -1))  # NaN or inf exactly when an entry is
-    if not np.isfinite(amax).all():
-        raise NonFiniteMatrixError("matrix contains non-finite entries")
-    sym = _symmetrized(a0, amax)
-    stack, k = a0.shape[:-2], a0.shape[-1]
-    try:
-        out = solve(sym.reshape(-1, k, k))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(reason=str(exc)) from exc
-    return a0.reshape(-1, k, k), amax.reshape(-1), stack, out
-
-
 def eigensym(a) -> SpectralData:
     """Full eigendecomposition of one symmetric matrix, by LAPACK (`eigh`).
 
     Deterministic for identical input: stable descending sort, and each
-    eigenvector's largest-magnitude entry made positive.
-    NonFiniteMatrixError on NaN or infinite entries, NotSymmetricError past
-    the symmetry guard, and NoConvergenceError if LAPACK fails or its
-    reconstruction residual is above 1e-9 relative to max |a_ij|. A stack of
-    matrices is a ValueError; `_eigvals` solves stacks.
+    eigenvector signed by `_sign_fixed`. NonFiniteMatrixError on NaN or
+    infinite entries, NotSymmetricError past `symmetrized`, and
+    NoConvergenceError if LAPACK fails or its reconstruction residual is
+    above 1e-9 relative to max |a_ij|. A stack is a ValueError.
     """
-    if np.ndim(a) != 2:
-        raise ValueError(f"eigensym takes one matrix, got shape {np.shape(a)}")
-    (a0,), (amax,), _, ((w,), (v,)) = _guarded(a, np.linalg.eigh)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"eigensym takes one matrix, got shape {a.shape}")
+    amax = np.abs(a).max()  # NaN or inf exactly when an entry is
+    if len(a) == a.shape[1] and not np.isfinite(amax):  # else symmetrized's ValueError
+        raise NonFiniteMatrixError("matrix contains non-finite entries")
+    try:
+        w, v = np.linalg.eigh(symmetrized(a))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(reason=str(exc)) from exc
     order = (-w).argsort(kind="stable")
-    w, v = w[order], v[:, order]
-    v = v * np.sign(v[np.abs(v).argmax(axis=0), np.arange(len(w))])  # unit columns: lead != 0
-    resid = float(np.abs(a0 - (v * w) @ v.T).max())
+    w, v = w[order], _sign_fixed(v[:, order])
+    resid = float(np.abs(a - (v * w) @ v.T).max())
     if resid > RESIDUAL_RTOL * amax:
         raise NoConvergenceError(residual=resid)
     w.setflags(write=False)
@@ -140,47 +112,41 @@ def eigensym(a) -> SpectralData:
     return SpectralData(eigenvalues=w, eigenvectors=v, residual=resid)
 
 
-def _eigvals(a) -> np.ndarray:
-    """The eigenvalues alone of a symmetric matrix, or of every matrix of a
-    stack (..., k, k) in one call, by LAPACK (`eigvalsh`): descending and
-    read-only, with the stack's leading axes.
+def _eigvals(a: np.ndarray, traces: list, squares: list) -> np.ndarray:
+    """The eigenvalues alone, ascending as LAPACK gives them, of a symmetric
+    matrix or of every matrix of a stack (m, k, k), in one LAPACK call
+    (`eigvalsh`); NoConvergenceError if LAPACK fails.
 
-    The guards are `eigensym`'s. With no eigenvectors to rebuild the matrix
-    from, each matrix's values are held to its trace and its squared
-    Frobenius norm (`_check_spectra`), both taken on a / max |a_ij|, whose
-    squares neither overflow nor underflow. NoConvergenceError if either
-    fails for any matrix of a stack.
+    With no eigenvectors to rebuild a matrix from, each matrix's values are
+    held to the trace (`traces`) and the squared Frobenius norm (`squares`)
+    its caller passes, one float of each per matrix, within RESIDUAL_RTOL
+    of its own scale: sum w = tr a, on the scale sqrt(k) ||a||_F that
+    bounds both sides, and sum w^2 = ||a||_F^2. Each test is written as
+    `not (gap <= bound)`, so a NaN eigenvalue fails it too;
+    NoConvergenceError if either fails for any matrix.
+
+    No other guard runs, as none can fire on the matrices the library
+    builds from checked distances: the entries of D_p of d / max d lie in
+    [0, 1] and those of M(p) are bounded by n, so all are finite; each is
+    symmetric by construction, LAPACK reads one triangle, and a matrix that
+    is not what its caller's invariants say fails the Frobenius identity;
+    and none needs rescaling for its squares to stay in float range, as max
+    D_p = 1 at every p and tr M(p) = -sum(D_p) / n < 0.
     """
-    a0, amax, stack, w = _guarded(a, np.linalg.eigvalsh)
-    m, k = w.shape
-    w = w[:, ::-1]
-    unit = amax + (amax == 0)
-    b = (a0 / unit[:, None, None]).reshape(m, 1, k * k)
-    traces = b[:, 0, ::k + 1].sum(axis=1)  # every (k + 1)-th entry: the diagonal
-    _check_spectra(w / unit[:, None], traces, (b @ b.swapaxes(1, 2)).ravel())
-    w = w.reshape(*stack, k)
-    w.setflags(write=False)
-    return w
-
-
-def _check_spectra(w: np.ndarray, traces: np.ndarray, squares: np.ndarray) -> None:
-    """Hold each row of w (m, k), the eigenvalues of one symmetric k x k
-    matrix a of a stack, to the two identities any spectrum of a meets,
-    each within RESIDUAL_RTOL of its own scale: sum w = tr a (`traces`), on
-    the scale sqrt(k) ||a||_F that bounds both sides, and sum w^2 =
-    ||a||_F^2 (`squares`). Both tests are homogeneous in a, so they may be
-    taken on any multiple of a whose squares stay in float range.
-    NoConvergenceError if either fails for any row; each test is written
-    as `not (gap <= bound)`, so a NaN eigenvalue fails it too.
-    """
-    k = w.shape[1]
-    sums = w.sum(axis=1).tolist()
-    powers = (w[:, None] @ w[:, :, None]).ravel().tolist()
-    for s, q, t, f in zip(sums, powers, traces.tolist(), squares.tolist()):
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(reason=str(exc)) from exc
+    k = w.shape[-1]
+    rows = w.reshape(-1, k)
+    sums = rows.sum(axis=1).tolist()
+    powers = (rows[:, None] @ rows[:, :, None]).ravel().tolist()
+    for s, q, t, f in zip(sums, powers, traces, squares):
         if not (abs(s - t) <= RESIDUAL_RTOL * sqrt(k * f) and abs(q - f) <= RESIDUAL_RTOL * f):
             raise NoConvergenceError(reason=f"eigenvalues miss the trace by {abs(s - t):.3e} or "
                                             f"the squared Frobenius norm by {abs(q - f):.3e}, "
                                             f"on a squared norm of {f:.3e}")
+    return w
 
 
 # -- row-0 structure ------------------------------------------------------------

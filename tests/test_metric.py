@@ -3,8 +3,10 @@ import pytest
 
 from roundness import build_metric_space, cube_distance_matrix, generalized_roundness
 from roundness.errors import (
+    BadParamsError,
     NegativeEntryError,
     NegativeExponentError,
+    NonFiniteMatrixError,
     NonzeroDiagonalError,
     NotSymmetricError,
     TriangleViolationError,
@@ -126,6 +128,20 @@ def test_power_matrix_stack_equals_single_calls():
     for e in (-0.5, np.nan):
         with pytest.raises(NegativeExponentError):
             power_matrix(stack, e)
+
+
+def test_power_matrix_rejects_distances_it_would_read_as_one():
+    # _power maps every entry that is not > 0 to 1 before the 0^p rule, so
+    # NaN and negative distances are rejected first, as is a matrix with no
+    # positive distance, in a stack too
+    for d, p, error in ((np.array([[0.0, np.nan], [np.nan, 0.0]]), 2.0, NonFiniteMatrixError),
+                        (np.array([[0.0, np.inf], [np.inf, 0.0]]), 2.0, NonFiniteMatrixError),
+                        (np.array([[0.0, -1.0], [-1.0, 0.0]]), 0.5, NegativeEntryError),
+                        (np.zeros((2, 2)), 1.0, BadParamsError),
+                        (np.stack([np.ones((2, 2)) - np.eye(2), np.zeros((2, 2))]), 1.0,
+                         BadParamsError)):
+        with pytest.raises(error):
+            power_matrix(d, p)
 
 
 def test_non_finite_entries_rejected():

@@ -1,5 +1,6 @@
 import logging
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from roundness.errors import (
     NotSymmetricError,
 )
 from roundness import cli, metric, negtype, spectral
-from roundness.metric import has_row_permutation_property, power_matrix
+from roundness.metric import FiniteMetricSpace, has_row_permutation_property, power_matrix
 from roundness.negtype import (
     METHOD_DETERMINANT_FAST_PATH,
     METHOD_SPECTRAL_BISECTION,
@@ -297,6 +298,115 @@ def test_stacked_search_maps_lapack_failure(monkeypatch):
         roundness_search(GUARDED_STACK)
 
 
+@pytest.mark.parametrize("up, down", [(1e-6, 0.0), (-1e-6, 0.0), (1e-6, -1e-6)],
+                         ids=["up", "down", "trace-blind"])
+def test_dense_search_step_guard_sees_one_perturbed_eigenvalue(monkeypatch, up, down):
+    # each dense step holds its eigenvalues to the trace and the squared
+    # Frobenius norm of its M(p): the largest moved by 1e-6, alone or with
+    # the smallest moved the other way, which leaves the trace as it was,
+    # fails the guard, as it does on a stack
+    sp = euclidean_space(24)
+    assert sp.order is None and not sp.rows_permute
+    assert generalized_roundness(sp).status == "Finite"
+    eigvalsh = np.linalg.eigvalsh
+
+    def perturbed(a):
+        w = eigvalsh(a)
+        w[..., -1] += up
+        w[..., 0] += down
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+    with pytest.raises(NoConvergenceError, match="miss the trace"):
+        generalized_roundness(sp)
+
+
+def test_dense_search_rejects_a_nan_eigenvalue(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+
+    def nan_on_top(a):
+        w = eigvalsh(a)
+        w[..., -1] = np.nan
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", nan_on_top)
+    with pytest.raises(NoConvergenceError, match="nan"):
+        generalized_roundness(euclidean_space(24))
+
+
+def test_dense_search_maps_lapack_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        generalized_roundness(euclidean_space(24))
+
+
+def test_every_values_solve_is_the_one_eigvals(monkeypatch):
+    # a cube scan and a dense search each reach `spectral._eigvals`, and
+    # every `numpy.linalg.eigvalsh` call they make is made there; no other
+    # line of the package calls it
+    calls = {"eigvalsh": 0, "_eigvals": 0}
+    eigvalsh, solve = np.linalg.eigvalsh, negtype._eigvals
+
+    def counted(name, call):
+        def recorded(*args):
+            calls[name] += 1
+            return call(*args)
+
+        return recorded
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+    monkeypatch.setattr(negtype, "_eigvals", counted("_eigvals", solve))
+    for run in (lambda: scan_subsets(4, max_size=3),
+                lambda: generalized_roundness(euclidean_space(24))):
+        calls.update(eigvalsh=0, _eigvals=0)
+        run()
+        assert calls["_eigvals"] > 0 and calls["eigvalsh"] == calls["_eigvals"]
+    package = pathlib.Path(spectral.__file__).parent
+    files = [path.name for path in sorted(package.glob("*.py"))
+             for line in path.read_text().splitlines() if "linalg.eigvalsh" in line]
+    assert files == ["spectral.py"]
+
+
+# hand-built spaces, which no `build_metric_space` checked: on a dense
+# matrix and on a circulant one, whose row 0 alone the search reads
+HAND_BUILT = {
+    "nan": ([[0, 1, np.nan], [1, 0, 1], [np.nan, 1, 0]], NonFiniteMatrixError),
+    "inf": ([[0, np.inf, 1, np.inf], [np.inf, 0, np.inf, 1], [1, np.inf, 0, np.inf],
+             [np.inf, 1, np.inf, 0]], NonFiniteMatrixError),
+    "negative": ([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], NegativeEntryError),
+    "all-zero": (np.zeros((4, 4)), BadParamsError),
+}
+HAND_BUILT_CALLS = {
+    "check_negative_type": lambda sp: check_negative_type(sp, 1.0),
+    "generalized_roundness": generalized_roundness,
+    "kernel_coincidence_check": lambda sp: kernel_coincidence_check(sp, 1.0),
+    "gr_inequality_check": lambda sp: gr_inequality_check(sp, 1.0, [0, 1], [1, 2]),
+    "power_matrix": lambda sp: power_matrix(sp, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", HAND_BUILT_CALLS)
+@pytest.mark.parametrize("case", HAND_BUILT)
+def test_hand_built_bad_distances_raise_before_any_solve(monkeypatch, case, call):
+    # a NaN, infinite or negative distance, or none positive, is the error a
+    # bad stack raises, from the first check of the call, not a
+    # ZeroDivisionError or a result of distances read as 1
+    matrix, error = HAND_BUILT[case]
+    dist = np.array(matrix, dtype=float)
+    sp = FiniteMetricSpace(labels=tuple(map(str, range(len(dist)))), dist=dist)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    with pytest.raises(error):
+        HAND_BUILT_CALLS[call](sp)
+
+
 def test_search_needs_few_evaluations(monkeypatch):
     # ITP: doubling plus about 7 steps where bisection took 30
     spaces = [space(s) for s in ("cycle:5", "petersen", "hypercube:4", "hypercube:5",
@@ -479,6 +589,11 @@ def test_class_source_agrees_with_dense_source(spec):
             assert a.witness.form_value == pytest.approx(b.witness.form_value, rel=1e-9)
 
 
+def form_values(m):
+    """The eigenvalues of one form, descending, from the one values-only solve."""
+    return spectral._eigvals(m, [np.trace(m)], [np.vdot(m, m)])[::-1]
+
+
 @pytest.mark.parametrize("make", [lambda: path_metric(truncated_tetrahedron()),
                                   lambda: dense_copy(relabelled(space("circulant:24:1,5")))],
                          ids=["truncated_tetrahedron", "dense relabelled circulant:24:1,5"])
@@ -492,10 +607,10 @@ def test_dense_row_permutation_spectrum_is_the_form_after_r(make):
     for p in (res.q / 2, res.q, res.q + 0.5):
         values = negtype._source(sp)(p).spectrum.values
         assert values[0] == pytest.approx(power_matrix(unit, p)[0].sum(), rel=1e-12)
-        form = spectral._eigvals(negtype_form_matrix(unit, p))
+        form = form_values(negtype_form_matrix(unit, p))
         assert np.abs(values[1:] - form).max() <= 1e-12 * np.abs(form).max()
     report = kernel_coincidence_check(sp, res.q)
-    form = spectral._eigvals(negtype_form_matrix(unit, res.q))
+    form = form_values(negtype_form_matrix(unit, res.q))
     null = int(np.count_nonzero(np.abs(form) <= negtype.CERTIFICATE_TOL))
     assert report.holds and report.form_kernel_dim == report.matrix_kernel_dim == null
 
