@@ -80,9 +80,14 @@ class FiniteMetricSpace:
 
     @cached_property
     def _max_d(self) -> float:
-        """max d, once `_check_distances` passes, once per space, on what is
-        read: row 0 on a space with an order (every row reads it), else `dist`."""
-        return float(_check_distances(self.dist[:1] if self.order is not None else self.dist))
+        """max d, once per space, once `_check_distances` and `symmetrized`
+        pass: on row 0, and row 0 against column 0 (d_ij = d_ji for all i, j
+        exactly when they agree), on a space with an order, else on `dist`."""
+        d = self.dist
+        max_d = float(_check_distances(d[:1] if self.order is not None else d))
+        if self.order is None or not np.array_equal(d[0], d[:, 0]):
+            symmetrized(d)  # names the worst entry, or passes within its tolerance
+        return max_d
 
 
 @dataclass(frozen=True)
@@ -146,13 +151,15 @@ def build_metric_space(matrix, labels=None) -> FiniteMetricSpace:
 def power_matrix(space, p: float) -> np.ndarray:
     """Raise all distances to the power p, with 0^p = 0 for every p >= 0.
 
-    `space` is a FiniteMetricSpace or a stack (m, k, k) of distance
-    matrices, all raised to the one exponent p, once their entries pass
-    `_check_distances`.
+    `space` is a FiniteMetricSpace, checked once (`FiniteMetricSpace._max_d`),
+    or a stack (m, k, k) of distance matrices, checked at each call
+    (`_check_distances`), all raised to the one exponent p.
     """
-    d = space.dist if isinstance(space, FiniteMetricSpace) else space
-    _check_distances(d)
-    return _readonly(_power(d, p))
+    if isinstance(space, FiniteMetricSpace):
+        space._max_d  # the check, cached on the space
+        return _readonly(_power(space.dist, p))
+    _check_distances(space)
+    return _readonly(_power(space, p))
 
 
 def _check_distances(d: np.ndarray) -> np.ndarray:

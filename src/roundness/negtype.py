@@ -50,10 +50,9 @@ once per space by what the space caches about itself:
   classes do not commute (the truncated tetrahedron), M(p) on the rest. The
   values come from `spectral._eigvals`, held to the trace and the squared
   Frobenius norm of that matrix, and the modes from `eigensym`, run once,
-  when a mode is first asked for. So the search,
-  a strict verdict, `det_normalized` and the kernel mask solve for values
-  alone, and only the witness, the certificate and the kernel modes
-  eigendecompose.
+  when a mode is first asked for. So the search, a strict verdict,
+  `det_normalized` and the kernel mask solve for values alone, and only the
+  witness, the certificate and the kernel modes eigendecompose.
 
 The one-space search, `check_negative_type`, the certificate and
 `kernel_coincidence_check` each have one body over the source. On a
@@ -194,8 +193,7 @@ def _source(space: FiniteMetricSpace):
     (`FiniteMetricSpace.classes`), else densely. A source has `max_d`,
     `product(u)` = D_p u, and one `spectrum`: D_p's on a row-permutation
     space (`FiniteMetricSpace.rows_permute`), M(p)'s on any other. The
-    distances are checked first, once per space and before any eigensolve
-    (`FiniteMetricSpace._max_d`)."""
+    distances are checked first, once per space (`FiniteMetricSpace._max_d`)."""
     max_d = space._max_d
     if space.order is not None:
         order, row = space.order, space.dist[0]
@@ -504,10 +502,9 @@ def roundness_search(
 
 def _class_forms(d: np.ndarray) -> np.ndarray:
     """The distance-class forms of the stack d (m, k, k), k >= 2, of
-    matrices that pass `metric._check_distances` (else its error), are
-    symmetric (to within `spectral.symmetrized`'s tolerance, and then
-    symmetrized; else NotSymmetricError), have a zero diagonal (else
-    NonzeroDiagonalError) and at most CLASS_FORM_LIMIT distinct positive
+    matrices that pass `metric._check_distances` and `spectral.symmetrized`
+    (then symmetrized), each else its error, have a zero diagonal, else
+    NonzeroDiagonalError, and at most CLASS_FORM_LIMIT distinct positive
     entries in all; BadParamsError on any other shape or on more entries.
 
     Row v of matrix j, for each of the s distinct positive entries v of the
@@ -607,9 +604,10 @@ def generalized_roundness(
     finite and > 0 and tol_eig finite and >= 0; anything else raises
     BadParamsError before any eigensolve.
     """
-    found = _space_search(space, p_max, tol_p, tol_eig)  # checks the distances first
+    space._max_d  # the distances are checked before rows_permute reads them
     row_perm = space.rows_permute
     method = METHOD_DETERMINANT_FAST_PATH if row_perm else METHOD_SPECTRAL_BISECTION
+    found = _space_search(space, p_max, tol_p, tol_eig)
     if found is None:
         log.debug("negative type still holds at p_max=%g; unbounded", p_max)
         return RoundnessResult(status="Unbounded", q=None, bracket=None,
@@ -653,11 +651,11 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
     space with an order makes no n x n array. Requires the row-permutation
     property (`_require_rows_permute`) and a finite q.
     """
-    source = _source(space)  # checks the distances first
+    space._max_d  # the distances are checked before rows_permute reads them
     _require_rows_permute(space)
     if q is None or not np.isfinite(q):
         raise ValueError("kernel coincidence requires a finite roundness exponent")
-    src = source(q)
+    src = _source(space)(q)
     spectrum = src.spectrum  # D_q's, with r(q) >= 1 at entry 0, never in the kernel
     kernel = np.flatnonzero(np.abs(spectrum.values) <= CERTIFICATE_TOL)
     step = max(1, ROW0_BLOCK // space.n)
@@ -687,8 +685,7 @@ def gr_inequality_check(
     verdict does not depend on the unit of distance and no power overflows;
     lhs and rhs are reported in the unit of d, as their value on d / max d
     times (max d)^p, inf or nan where that is out of float range. tol must
-    be finite and >= 0, else BadParamsError; the distances are checked
-    as `_source` checks them.
+    be finite and >= 0, else BadParamsError, and d passes `_source`'s check.
     """
     _check_tolerance("tol", tol)
     a = [int(i) for i in a_idx]

@@ -1,15 +1,13 @@
 """Dense symmetric eigendecomposition and exact integer linear algebra.
 
 Floating-point side, on LAPACK: the one symmetry guard (`symmetrized`);
-`eigensym`, the full eigendecomposition of one matrix (`eigh`), guarded
-against non-finite and asymmetric input, with a deterministic sort and sign
-and a checked reconstruction residual, for the modes `negtype` solves for
-once; and `_eigvals`, the one values-only solve (`eigvalsh`) of a matrix or
-a stack (m, k, k) in one call, the solve of every search step on a stack or
-on a dense source. It holds each matrix's values to the trace and the
-squared Frobenius norm its caller passes, read off the class forms of a
-stack or off the one matrix of a dense source, and runs no other guard on
-these matrices, which the library builds from a checked space.
+`eigensym`, the guarded full eigendecomposition of one matrix (`eigh`), with
+a deterministic sort and sign and a checked reconstruction residual, for the
+modes `negtype` solves for once; and `_eigvals`, the one values-only solve
+(`eigvalsh`) of a matrix or a stack (m, k, k), which every search step
+makes. It holds each matrix's values to the trace and the squared Frobenius
+norm its caller passes and runs no other guard, as the library builds these
+matrices from checked distances.
 
 Row-0 structure, the one place that builds and detects it: a circulant
 matrix (d[i, j] = f((j - i) mod n)) or one in cube order (d[i, j] = f(i xor
@@ -119,19 +117,19 @@ def _eigvals(a: np.ndarray, traces: list, squares: list) -> np.ndarray:
 
     With no eigenvectors to rebuild a matrix from, each matrix's values are
     held to the trace (`traces`) and the squared Frobenius norm (`squares`)
-    its caller passes, one float of each per matrix, within RESIDUAL_RTOL
-    of its own scale: sum w = tr a, on the scale sqrt(k) ||a||_F that
-    bounds both sides, and sum w^2 = ||a||_F^2. Each test is written as
-    `not (gap <= bound)`, so a NaN eigenvalue fails it too;
+    its caller passes, within RESIDUAL_RTOL of its own scale: sum w = tr a,
+    on the scale sqrt(k) ||a||_F that bounds both sides, and sum w^2 =
+    ||a||_F^2, each as `not (gap <= bound)`, so a NaN eigenvalue fails too;
     NoConvergenceError if either fails for any matrix.
 
-    No other guard runs, as none can fire on the matrices the library
-    builds from checked distances: the entries of D_p of d / max d lie in
-    [0, 1] and those of M(p) are bounded by n, so all are finite; each is
-    symmetric by construction, LAPACK reads one triangle, and a matrix that
-    is not what its caller's invariants say fails the Frobenius identity;
-    and none needs rescaling for its squares to stay in float range, as max
-    D_p = 1 at every p and tr M(p) = -sum(D_p) / n < 0.
+    No other guard runs, as none can fire on the matrices the library builds
+    from distances checked once per space or stack (`metric`'s
+    `FiniteMetricSpace._max_d`, `negtype._class_forms`): the entries of D_p
+    of d / max d lie in [0, 1] and those of M(p) are bounded by n, so all
+    are finite; all are symmetric to within SYMMETRY_RTOL, LAPACK reads one
+    triangle, and a matrix that is not what its caller's invariants say
+    fails the Frobenius identity; and none needs rescaling for its squares
+    to stay in float range, as max D_p = 1 and tr M(p) = -sum(D_p) / n < 0.
     """
     try:
         w = np.linalg.eigvalsh(a)

@@ -378,6 +378,10 @@ HAND_BUILT = {
              [np.inf, 1, np.inf, 0]], NonFiniteMatrixError),
     "negative": ([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], NegativeEntryError),
     "all-zero": (np.zeros((4, 4)), BadParamsError),
+    # rows that permute, in no order, with equal sums of squares in the two
+    # triangles, so a solve of one triangle meets the whole matrix's invariants
+    "asymmetric": ([[0, 1, 2, 3], [1, 0, 3, 2], [3, 2, 0, 1], [2, 3, 1, 0]], NotSymmetricError),
+    "asymmetric-circulant": ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], NotSymmetricError),
 }
 HAND_BUILT_CALLS = {
     "check_negative_type": lambda sp: check_negative_type(sp, 1.0),
@@ -391,9 +395,10 @@ HAND_BUILT_CALLS = {
 @pytest.mark.parametrize("call", HAND_BUILT_CALLS)
 @pytest.mark.parametrize("case", HAND_BUILT)
 def test_hand_built_bad_distances_raise_before_any_solve(monkeypatch, case, call):
-    # a NaN, infinite or negative distance, or none positive, is the error a
-    # bad stack raises, from the first check of the call, not a
-    # ZeroDivisionError or a result of distances read as 1
+    # a NaN, infinite or negative distance, none positive, or an asymmetric
+    # matrix is the error a bad stack raises, from the first check of the
+    # call, not a ZeroDivisionError or a result of distances read as 1 or of
+    # one triangle
     matrix, error = HAND_BUILT[case]
     dist = np.array(matrix, dtype=float)
     sp = FiniteMetricSpace(labels=tuple(map(str, range(len(dist)))), dist=dist)
