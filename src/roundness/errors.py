@@ -49,9 +49,9 @@ class NoConvergenceError(RoundnessError):
         super().__init__(f"eigensolver did not converge ({detail})")
 
 
-class NonFiniteMatrixError(RoundnessError):
-    """A matrix handed to `eigensym`, or distances handed to the root
-    search, the verdicts or `power_matrix`, have NaN or infinite entries."""
+class NonFiniteMatrixError(RoundnessError, ValueError):
+    """A matrix handed to `eigensym`, or distances that `_check_distances`
+    reads, have NaN or infinite entries; a ValueError too, as bad input."""
 
 
 # -- graphs -------------------------------------------------------------------

@@ -60,54 +60,56 @@ class Graph:
             raise ValueError("label count does not match vertex count")
 
 
-def adjacency(g: Graph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
+def adjacency(g: Graph) -> dict[int, list[int]]:
+    """The neighbours of each vertex that has an edge, whatever n is."""
+    adj: dict[int, list[int]] = {}
     for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
     return adj
 
 
 def path_metric(g: Graph) -> FiniteMetricSpace:
     """Shortest-path distance matrix by breadth-first search.
 
-    When the adjacency matrix is circulant or in cube order, as its edge set
-    tells (`spectral._row0_order_of_edges`), so is the distance matrix, and
-    one BFS from vertex 0 gives row 0, read through that order's index;
-    otherwise BFS runs from every vertex. No adjacency matrix is built.
-    Distances are integers stored exactly; the result is a metric by
-    construction, so the triangle-inequality revalidation is skipped.
+    The BFS from vertex 0 runs first, and a vertex it misses is a
+    DisconnectedError before anything of size n is built. When the
+    adjacency matrix is circulant or in cube order, as its edge set tells
+    (`spectral._row0_order_of_edges`), so is the distance matrix, which is
+    that row read through the order's index; otherwise BFS runs from every
+    vertex. Distances are integers stored exactly; the result is a metric,
+    so the triangle-inequality revalidation is skipped.
     """
     if g.n < 2:
         raise ValueError("a metric space needs at least 2 vertices")
     adj = adjacency(g)
     n = g.n
+    row = _bfs(adj, 0)
+    if len(row) < n:
+        t = next(t for t in range(n) if t not in row)
+        raise DisconnectedError(f"no path between vertices 0 and {t}")
     order = _row0_order_of_edges(n, np.array(g.edges, dtype=np.intp).reshape(-1, 2))
     if order:
-        dist = _bfs(adj, 0).astype(float)[_row0_index(order, n)]
+        dist = np.array([row[t] for t in range(n)], dtype=float)[_row0_index(order, n)]
     else:
-        dist = np.stack([_bfs(adj, s) for s in range(n)]).astype(float)
+        rows = [row] + [_bfs(adj, s) for s in range(1, n)]
+        dist = np.array([[r[t] for t in range(n)] for r in rows], dtype=float)
     labels = g.labels if g.labels is not None else tuple(str(i) for i in range(n))
     return FiniteMetricSpace(labels=tuple(labels), dist=_readonly(dist))
 
 
-def _bfs(adj: list[list[int]], s: int) -> np.ndarray:
-    """Distances from s; DisconnectedError naming s and the first vertex it
-    does not reach."""
-    row = np.full(len(adj), -1, dtype=np.int64)
-    row[s] = 0
+def _bfs(adj: dict[int, list[int]], s: int) -> dict[int, int]:
+    """The distance from s of each vertex s reaches."""
+    row = {s: 0}
     frontier = [s]
     while frontier:
         nxt = []
         for u in frontier:
-            for w in adj[u]:
-                if row[w] < 0:
+            for w in adj.get(u, ()):
+                if w not in row:
                     row[w] = row[u] + 1
                     nxt.append(w)
         frontier = nxt
-    if np.any(row < 0):
-        t = int(np.argmax(row < 0))
-        raise DisconnectedError(f"no path between vertices {s} and {t}")
     return row
 
 

@@ -39,7 +39,7 @@ from .errors import (
     NotATreeError,
     SearchSpaceTooLargeError,
 )
-from .metric import FiniteMetricSpace, _readonly
+from .metric import FiniteMetricSpace, _int_indices, _readonly
 from .spectral import _kernel_basis, _ranks, _row0_index, det_exact, kernel_basis_exact, rank_exact
 
 if TYPE_CHECKING:
@@ -82,13 +82,10 @@ def _subset_indices(n: int, indices) -> tuple[int, ...]:
     is outside the classification cap; ValueError unless the indices are
     nonempty integers, in 0..2^n - 1 and distinct."""
     _check_dimension("classification", n)
-    given = tuple(indices)
-    if not given:
+    idx = tuple(_int_indices(indices))
+    if not idx:
         raise ValueError("subset must be nonempty")
-    idx = tuple(int(i) for i in given)
-    for i, g in zip(idx, given):
-        if i != g:
-            raise ValueError(f"non-integer index {g!r}")
+    for i in idx:
         if not 0 <= i < (1 << n):
             raise ValueError(f"index {i} out of range for an {n}-cube")
     if len(set(idx)) != len(idx):

@@ -1,10 +1,11 @@
 """Finite metric spaces, powered distance matrices, and negative-type forms.
 
-The central object is :class:`FiniteMetricSpace`: n points with a validated
-symmetric distance matrix. From it the p-th power distance matrix is built
-(with the convention 0^p = 0 for every p >= 0, so the 0-th power matrix is
-the all-ones matrix minus the identity), with the closed-form basis of the
-zero-sum hyperplane. Matrices are passed as plain read-only numpy arrays.
+The central object is :class:`FiniteMetricSpace`: n points with a distance
+matrix, held, as every stack of them is, to one check, `_check_distances`.
+From a space the p-th power distance matrix is built (with the convention
+0^p = 0 for every p >= 0, so the 0-th power matrix is the all-ones matrix
+minus the identity), with the closed-form basis of the zero-sum hyperplane.
+Matrices are passed as plain read-only numpy arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _int_indices(indices) -> list[int]:
+    """`indices` as ints, order kept; ValueError on one that is no integer,
+    such as 0.7 or "1", which int() would read as 0 and 1."""
+    given = list(indices)
+    for g in given:
+        if int(g) != g:
+            raise ValueError(f"non-integer index {g!r}")
+    return [int(g) for g in given]
+
+
 def _check_tolerance(name: str, value: float) -> None:
     """Reject a tolerance that has no meaning: NaN, infinite or negative."""
     if not (math.isfinite(value) and value >= 0):
@@ -40,11 +51,10 @@ def _check_tolerance(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """n labelled points with pairwise distances.
-
-    The matrix is symmetric with zero diagonal and strictly positive
-    off-diagonal entries, and satisfies the triangle inequality.
-    """
+    """n labelled points with pairwise distances, held once, by `_max_d`, to
+    `_check_distances` and symmetry before `rows_permute`, `power_matrix` or
+    any search or verdict reads them. Only `build_metric_space` checks that
+    distinct points are apart and the triangle inequality."""
 
     labels: tuple[str, ...]
     dist: np.ndarray
@@ -63,9 +73,10 @@ class FiniteMetricSpace:
 
     @cached_property
     def rows_permute(self) -> bool:
-        """Whether every row of `dist` is a permutation of row 0: True at
-        once for a space with an order, else the tolerant sort of
-        `_rows_permute`, decided once per space."""
+        """Whether every row of `dist` is a permutation of row 0, once the
+        distances pass `_max_d`: True at once for a space with an order,
+        else the tolerant sort of `_rows_permute`, decided once per space."""
+        self._max_d  # the check, cached on the space
         return self.order is not None or _rows_permute(self.dist)
 
     @cached_property
@@ -101,10 +112,11 @@ class NegativeTypeWitness:
 def build_metric_space(matrix, labels=None) -> FiniteMetricSpace:
     """Validate a distance matrix and wrap it as a FiniteMetricSpace.
 
-    Near-symmetric input (within SYMMETRY_RTOL = 1e-12 of max |d|) is
-    symmetrized; anything worse raises NotSymmetricError. The triangle
-    inequality is always checked, to the same relative slack
-    (TriangleViolationError).
+    A zero distance between distinct points is a ZeroDistanceError, then
+    the entries pass `_check_distances`. Near-symmetric input (within
+    SYMMETRY_RTOL = 1e-12 of max |d|) is symmetrized; anything worse raises
+    NotSymmetricError. The triangle inequality is always checked, to the
+    same relative slack (TriangleViolationError).
     """
     try:
         d = np.array(matrix, dtype=float)
@@ -115,28 +127,15 @@ def build_metric_space(matrix, labels=None) -> FiniteMetricSpace:
     n = d.shape[0]
     if n < 2:
         raise ValueError("a metric space needs at least 2 points")
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    else:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise ValueError(f"got {len(labels)} labels for {n} points")
+    labels = tuple(str(x) for x in (range(n) if labels is None else labels))
+    if len(labels) != n:
+        raise ValueError(f"got {len(labels)} labels for {n} points")
 
-    if not np.all(np.isfinite(d)):
-        raise ValueError("distance matrix contains non-finite entries")
+    zero = np.argwhere((d == 0.0) & ~np.eye(n, dtype=bool))
+    if len(zero):  # first, so that an all-zero matrix is this error
+        raise ZeroDistanceError("zero distance between distinct points %d and %d" % tuple(zero[0]))
+    _check_distances(d)
     d = symmetrized(d)
-
-    diag = np.diagonal(d)
-    if np.any(diag != 0.0):
-        i = int(np.argmax(diag != 0.0))
-        raise NonzeroDiagonalError(f"matrix[{i}][{i}] = {d[i, i]} != 0")
-    if np.any(d < 0.0):
-        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-        raise NegativeEntryError(f"matrix[{i}][{j}] = {d[i, j]} < 0")
-    off = d + np.eye(n)  # mask the diagonal
-    if np.any(off == 0.0):
-        i, j = np.unravel_index(int(np.argmin(off != 0.0)), d.shape)
-        raise ZeroDistanceError(f"zero distance between distinct points {i} and {j}")
 
     slack = SYMMETRY_RTOL * float(np.max(d))
     for k in range(n):
@@ -164,18 +163,26 @@ def power_matrix(space, p: float) -> np.ndarray:
 
 def _check_distances(d: np.ndarray) -> np.ndarray:
     """The largest entry of a distance matrix, or of each matrix of a stack
-    (..., k, k), once every entry is checked: NonFiniteMatrixError on NaN or
+    (..., k, k), once every entry passes: NonFiniteMatrixError on NaN or
     infinity, NegativeEntryError on a negative entry (`_power` would read
-    either as 1) and BadParamsError on a matrix with no positive entry."""
+    either as 1) and NonzeroDiagonalError on a nonzero diagonal one, both
+    naming the first, then BadParamsError on a matrix with no positive entry."""
     top = d.max(axis=(-2, -1))
     low, high = float(d.min(initial=0.0)), float(top.max(initial=0.0))
     if not math.isfinite(low + high):  # NaN, inf or -inf
         raise NonFiniteMatrixError("distance matrix contains non-finite entries")
     if low < 0:
-        raise NegativeEntryError(f"distance matrix contains a negative entry {low}")
+        raise NegativeEntryError(_first(d, d < 0, "< 0"))
+    if d.diagonal(axis1=-2, axis2=-1).any():
+        raise NonzeroDiagonalError(_first(d, (d != 0) & np.eye(*d.shape[-2:], dtype=bool), "!= 0"))
     if not top.min(initial=math.inf) > 0:
         raise BadParamsError("every distance matrix needs a positive entry")
     return top
+
+
+def _first(d: np.ndarray, bad: np.ndarray, relation: str) -> str:
+    index = tuple(np.argwhere(bad)[0])  # as matrix[0][1] = -1.0 < 0
+    return "matrix" + "".join(f"[{i}]" for i in index) + f" = {d[index]} {relation}"
 
 
 def _power(d: np.ndarray, p: float) -> np.ndarray:

@@ -82,13 +82,13 @@ from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NegativeExponentError,
-    NonzeroDiagonalError,
 )
 from .metric import (
     FiniteMetricSpace,
     NegativeTypeWitness,
     _check_distances,
     _check_tolerance,
+    _int_indices,
     _power,
     hyperplane_basis,
     power_matrix,
@@ -481,8 +481,8 @@ def roundness_search(
     Returns, per matrix, (q, (p_lo, p_hi), ITP iterations), or None when
     the predicate still holds at p_max (Unbounded). Bad tol_p, p_max or
     tol_eig raise BadParamsError, and a stack that `_class_forms` rejects
-    NonFiniteMatrixError, NotSymmetricError, NonzeroDiagonalError,
-    NegativeEntryError or BadParamsError, each before any eigensolve.
+    NonFiniteMatrixError, NegativeEntryError, NonzeroDiagonalError,
+    BadParamsError or NotSymmetricError, in that order, before any solve.
     """
     _check_search_params(p_max, tol_p, tol_eig)
     d = np.asarray(dists, dtype=float)
@@ -503,9 +503,8 @@ def roundness_search(
 def _class_forms(d: np.ndarray) -> np.ndarray:
     """The distance-class forms of the stack d (m, k, k), k >= 2, of
     matrices that pass `metric._check_distances` and `spectral.symmetrized`
-    (then symmetrized), each else its error, have a zero diagonal, else
-    NonzeroDiagonalError, and at most CLASS_FORM_LIMIT distinct positive
-    entries in all; BadParamsError on any other shape or on more entries.
+    (then symmetrized), each else its error, with at most CLASS_FORM_LIMIT
+    distinct positive entries in all; BadParamsError on other shapes or more.
 
     Row v of matrix j, for each of the s distinct positive entries v of the
     whole stack, is the weight w_v = v / max d_j, then F_v = B^T A_v B
@@ -522,10 +521,6 @@ def _class_forms(d: np.ndarray) -> np.ndarray:
         raise BadParamsError(f"need a stack (m, k, k) of matrices with k >= 2, got {d.shape}")
     _check_distances(d)
     d = symmetrized(d)
-    diagonal = d.diagonal(axis1=-2, axis2=-1)
-    if diagonal.any():
-        j, i = np.argwhere(diagonal)[0]
-        raise NonzeroDiagonalError(f"matrix {j}: [{i}][{i}] = {diagonal[j, i]} != 0")
     # the distinct nonzero entries, by a sort: `np.unique` without a return
     # option imports numpy.ma on recent numpy, which a fresh process pays
     values = np.sort(d[d != 0])
@@ -604,7 +599,6 @@ def generalized_roundness(
     finite and > 0 and tol_eig finite and >= 0; anything else raises
     BadParamsError before any eigensolve.
     """
-    space._max_d  # the distances are checked before rows_permute reads them
     row_perm = space.rows_permute
     method = METHOD_DETERMINANT_FAST_PATH if row_perm else METHOD_SPECTRAL_BISECTION
     found = _space_search(space, p_max, tol_p, tol_eig)
@@ -651,7 +645,6 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
     space with an order makes no n x n array. Requires the row-permutation
     property (`_require_rows_permute`) and a finite q.
     """
-    space._max_d  # the distances are checked before rows_permute reads them
     _require_rows_permute(space)
     if q is None or not np.isfinite(q):
         raise ValueError("kernel coincidence requires a finite roundness exponent")
@@ -686,10 +679,10 @@ def gr_inequality_check(
     lhs and rhs are reported in the unit of d, as their value on d / max d
     times (max d)^p, inf or nan where that is out of float range. tol must
     be finite and >= 0, else BadParamsError, and d passes `_source`'s check.
+    An index that is no integer, such as 0.7 or "1", is a ValueError.
     """
     _check_tolerance("tol", tol)
-    a = [int(i) for i in a_idx]
-    bb = [int(i) for i in b_idx]
+    a, bb = _int_indices(a_idx), _int_indices(b_idx)
     if len(a) != len(bb):
         raise LengthMismatchError(f"family sizes differ: {len(a)} vs {len(bb)}")
     if len(a) < 1:

@@ -325,6 +325,16 @@ def test_matrix_entry_that_is_no_number_exits_2(tmp_path, capsys, entry):
     assert report["error"]["type"] == "ValueError"
 
 
+def test_nan_matrix_file_is_a_non_finite_matrix_error(tmp_path, capsys):
+    # the type the search, the verdicts and power_matrix raise for NaN
+    f = tmp_path / "nan.csv"
+    f.write_text("0,nan\nnan,0\n")
+    code, report = run_cli(capsys, "roundness", "--matrix", str(f))
+    assert code == 2
+    assert report["error"] == {"type": "NonFiniteMatrixError",
+                               "message": "distance matrix contains non-finite entries"}
+
+
 def test_out_of_memory_input_exits_2(monkeypatch, capsys):
     # a graph spec has no size cap, so numpy may fail to allocate its matrix
     def no_memory(graph):

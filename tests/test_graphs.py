@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -146,6 +147,20 @@ def test_disconnected_names_pair():
     g = Graph(4, ((0, 1), (2, 3)))
     with pytest.raises(DisconnectedError, match="0 and 2"):
         path_metric(g)
+
+
+def test_unreached_vertex_is_found_before_anything_of_size_n():
+    # an edge list's first line is its vertex count: with 10^7 vertices and
+    # no edge, vertex 0 reaches none of the others, which the BFS from 0
+    # finds before any list or mask of n entries is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedError, match="^no path between vertices 0 and 1$"):
+            path_metric(parse_edge_list("10000000\n"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def adjacency_mask(g):

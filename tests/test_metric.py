@@ -144,6 +144,33 @@ def test_power_matrix_rejects_distances_it_would_read_as_one():
             power_matrix(d, p)
 
 
+NON_FINITE = "distance matrix contains non-finite entries"
+
+
+@pytest.mark.parametrize("matrix, error, message", [
+    ([[0, np.nan], [np.nan, 0]], NonFiniteMatrixError, NON_FINITE),
+    ([[0, np.inf], [np.inf, 0]], NonFiniteMatrixError, NON_FINITE),
+    ([[0, -1, 1], [-1, 0, 1], [1, 1, 0]], NegativeEntryError, "matrix[0][1] = -1.0 < 0"),
+    ([[1, 1, 1], [1, 0, 1], [1, 1, 0]], NonzeroDiagonalError, "matrix[0][0] = 1.0 != 0"),
+    ([[0, 1, 1], [2, 0, 1], [1, 1, 0]], NotSymmetricError,
+     "matrix[0][1] = 1.0 != matrix[1][0] = 2.0"),
+    ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], ZeroDistanceError,
+     "zero distance between distinct points 0 and 1"),
+    (np.zeros((3, 3)), ZeroDistanceError, "zero distance between distinct points 0 and 1"),
+    ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], TriangleViolationError,
+     "triangle inequality violated: d[0][2] = 3.0 > d[0][1] + d[1][2] = 1.0 + 1.0"),
+], ids=["nan", "inf", "negative", "nonzero-diagonal", "asymmetric", "zero-distance", "all-zero",
+        "triangle"])
+def test_each_single_fault_has_one_error(matrix, error, message):
+    # the one distance check raises the type every other entry point
+    # raises for the same fault; a non-finite matrix is still a ValueError
+    with pytest.raises(error) as exc:
+        build_metric_space(matrix)
+    assert str(exc.value) == message
+    if error is NonFiniteMatrixError:
+        assert isinstance(exc.value, ValueError)
+
+
 def test_non_finite_entries_rejected():
     with pytest.raises(ValueError):
         build_metric_space([[0, float("nan")], [float("nan"), 0]])

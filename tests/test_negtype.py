@@ -245,6 +245,21 @@ def test_stacked_search_rejects_bad_stacks_before_any_solve(monkeypatch, stack, 
         roundness_search(np.array(stack, dtype=float))
 
 
+@pytest.mark.parametrize("call", [lambda d: power_matrix(d, 2.0),
+                                  lambda d: negtype_form_matrix(d, 1.0), roundness_search],
+                         ids=["power_matrix", "negtype_form_matrix", "roundness_search"])
+def test_every_stack_entry_point_rejects_a_nonzero_diagonal(monkeypatch, call):
+    # one check for every stack: the powered matrix and the form reject
+    # what the stacked search rejects, naming the entry
+    def fail(*args):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    stack = np.array([[[1, 1, 1], [1, 0, 1], [1, 1, 0]]], dtype=float)
+    with pytest.raises(NonzeroDiagonalError, match=r"^matrix\[0\]\[0\]\[0\] = 1\.0 != 0$"):
+        call(stack)
+
+
 # four 4-point metrics: the cycle, K4, the path P4 and the star {0, 1, 2, 4}
 # of the 3-cube
 GUARDED_STACK = np.array([
@@ -382,6 +397,9 @@ HAND_BUILT = {
     # triangles, so a solve of one triangle meets the whole matrix's invariants
     "asymmetric": ([[0, 1, 2, 3], [1, 0, 3, 2], [3, 2, 0, 1], [2, 3, 1, 0]], NotSymmetricError),
     "asymmetric-circulant": ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], NotSymmetricError),
+    "nonzero-diagonal": ([[0.5, 1, 1], [1, 0, 1], [1, 1, 0]], NonzeroDiagonalError),
+    # circulant, so its row 0 alone is checked, whose diagonal entry is d[0][0]
+    "all-ones": ([[1, 1, 1]] * 3, NonzeroDiagonalError),
 }
 HAND_BUILT_CALLS = {
     "check_negative_type": lambda sp: check_negative_type(sp, 1.0),
@@ -389,16 +407,17 @@ HAND_BUILT_CALLS = {
     "kernel_coincidence_check": lambda sp: kernel_coincidence_check(sp, 1.0),
     "gr_inequality_check": lambda sp: gr_inequality_check(sp, 1.0, [0, 1], [1, 2]),
     "power_matrix": lambda sp: power_matrix(sp, 0.5),
+    "has_row_permutation_property": has_row_permutation_property,
 }
 
 
 @pytest.mark.parametrize("call", HAND_BUILT_CALLS)
 @pytest.mark.parametrize("case", HAND_BUILT)
 def test_hand_built_bad_distances_raise_before_any_solve(monkeypatch, case, call):
-    # a NaN, infinite or negative distance, none positive, or an asymmetric
-    # matrix is the error a bad stack raises, from the first check of the
-    # call, not a ZeroDivisionError or a result of distances read as 1 or of
-    # one triangle
+    # a NaN, infinite or negative distance, a nonzero diagonal, none
+    # positive, or an asymmetric matrix is the error a bad stack raises, from
+    # the first check of the call, not a ZeroDivisionError, a result of
+    # distances read as 1 or of one triangle, or a numpy warning
     matrix, error = HAND_BUILT[case]
     dist = np.array(matrix, dtype=float)
     sp = FiniteMetricSpace(labels=tuple(map(str, range(len(dist)))), dist=dist)
@@ -968,6 +987,17 @@ def test_gr_inequality_errors(fleet):
         gr_inequality_check(sp, 1.0, [], [])
     with pytest.raises(IndexOutOfRangeError):
         gr_inequality_check(sp, 1.0, [0, 4], [1, 2])
+
+
+def test_gr_inequality_rejects_non_integer_indices():
+    # int() would read 0.7 as 0 and "1" as 1: the check's ValueError is the
+    # one the cube subsets raise for the same entries
+    sp = space("cycle:5")
+    for a, b in (([0.7, 2.9], [1.2, 3.5]), (["1"], [2]), ([0], [np.float64(1.5)])):
+        with pytest.raises(ValueError, match="^non-integer index "):
+            gr_inequality_check(sp, 1.0, a, b)
+    assert gr_inequality_check(sp, 1.0, [0.0, np.int64(2)], [1, 3]) \
+        == gr_inequality_check(sp, 1.0, [0, 2], [1, 3])
 
 
 @pytest.mark.parametrize("c", [1e-5, 1.0, 1e3])
