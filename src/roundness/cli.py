@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tree = sub.add_parser("tree", help="tree-into-cube embeddings").add_subparsers(
         dest="tree_cmd", required=True)
-    t = _command(tree, "embed", cmd_tree_embed, "exhaustive isometric embedding search")
+    t = _command(tree, "embed", cmd_tree_embed, "isometric embedding by edge coordinates")
     t.add_argument("--edges", required=True, help="edge-list file of the tree")
     _add_n(t, help="cube dimension")
     t = _command(tree, "witness", cmd_tree_witness, "prefix embedding of the k-vertex path")

@@ -99,7 +99,3 @@ class BadBlockExponentError(RoundnessError):
 
 class NotATreeError(RoundnessError):
     pass
-
-
-class SearchSpaceTooLargeError(RoundnessError):
-    pass

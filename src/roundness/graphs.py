@@ -17,7 +17,7 @@ from math import gcd
 import numpy as np
 
 from .errors import BadParamsError, DisconnectedError, UnknownFamilyError
-from .metric import FiniteMetricSpace, _readonly
+from .metric import FiniteMetricSpace, _is_int, _readonly
 from .spectral import _row0_index, _row0_order_of_edges
 
 SOLIDS = ("dodecahedron", "icosahedron")
@@ -162,8 +162,8 @@ def gen_family(family: str, *params) -> Graph:
     if family == "circulant":
         if len(params) != 2:
             raise BadParamsError("circulant needs (n, offsets)")
-        n = int(params[0])
-        offsets = sorted({int(s) for s in params[1]})
+        (n,) = _int_params(params[:1], 1, family)
+        offsets = sorted(set(_int_params(tuple(params[1]), None, family)))
         if n < 3:
             raise BadParamsError("circulant needs n >= 3")
         if not offsets:
@@ -191,9 +191,15 @@ def _check_size(family: str, n: int, edges: int) -> None:
                              f"{MAX_FAMILY_EDGES} are supported")
 
 
-def _int_params(params, count, family):
-    if len(params) != count:
+def _int_params(params, count, family) -> tuple[int, ...]:
+    """`params` as ints; BadParamsError unless there are `count` of them (any
+    number if None) and each has an integer value (`_is_int`), so that 5.5
+    is not read as 5."""
+    if count is not None and len(params) != count:
         raise BadParamsError(f"{family} takes {count} parameter(s), got {len(params)}")
+    for p in params:
+        if not _is_int(p):
+            raise BadParamsError(f"{family} takes integer parameters, got {p!r}")
     return tuple(int(p) for p in params)
 
 

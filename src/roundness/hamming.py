@@ -17,7 +17,7 @@ vertex keeps a subset's metric and difference rank, so the scan classifies
 only the subsets through vertex 0, all of one size in one such call, and
 finds the roundness of one metric per isometry class of strict subset
 metrics, all classes of one size in one lock-step root search. The scan
-imports `negtype` and the tree search `graphs` when they run, so the
+imports `negtype` and the tree embedding `graphs` when they run, so the
 classifiers and the spectrum, lemma and witness checks load neither.
 """
 
@@ -35,9 +35,7 @@ from .errors import (
     BadBlockExponentError,
     BadParamsError,
     DimensionTooLargeError,
-    DisconnectedError,
     NotATreeError,
-    SearchSpaceTooLargeError,
 )
 from .metric import FiniteMetricSpace, _int_indices, _readonly
 from .spectral import _kernel_basis, _ranks, _row0_index, det_exact, kernel_basis_exact, rank_exact
@@ -51,8 +49,8 @@ if TYPE_CHECKING:
 # n = 12), the exact rank check eliminates the 2^n x 2^n matrix, and the
 # exhaustive scan classifies every subset of up to n+1 of the 2^n vertices
 # and solves one roundness problem per isometry class of subset metrics.
-# Classifying a few points is cheap at any n; its cap bounds input and
-# report size, which grow with n.
+# Classifying a few points, or embedding a tree, is cheap at any n; their
+# caps bound input and report size, which grow with n.
 DIMENSION_CAPS = {
     "cube distance matrix": 12,
     "identity check": 10,
@@ -62,12 +60,11 @@ DIMENSION_CAPS = {
     "rank check": 8,
     "exhaustive scan": 4,
     "classification": 64,
+    "tree embedding": 64,
 }
 # Most vertices of the path witness, a path into the 64-cube: its report
 # grows as k^2
 MAX_WITNESS_PATH = 65
-MAX_TREE_VERTICES = 7
-MAX_TREE_CUBE_DIM = 6
 MIN_SUBSET_SIZE_FOR_Q = 3  # 1- and 2-point subsets have unbounded roundness
 
 
@@ -253,8 +250,8 @@ def classify_subset(n: int, indices) -> ClassificationResult:
 
 
 def subset_metric(n: int, indices) -> FiniteMetricSpace:
-    """The induced Hamming metric on a subset of at least two vertices of
-    the n-cube, labelled by their n-bit strings in the given order."""
+    """The induced Hamming metric on a nonempty subset of the n-cube,
+    labelled by its vertices' n-bit strings in the given order."""
     idx = _subset_indices(n, indices)
     d = np.array([[(i ^ j).bit_count() for j in idx] for i in idx], dtype=float)
     labels = tuple(format(i, f"0{n}b") for i in idx)
@@ -436,77 +433,41 @@ def scan_subsets(
     )
 
 
-def _tree_distances(t: Graph) -> np.ndarray:
-    from .graphs import path_metric
+def tree_embedding_search(t: Graph, n: int) -> dict[int, int] | None:
+    """Isometric embedding of a tree into the n-cube, as the map from tree
+    vertex to cube index, or None when there is none.
 
+    A k-vertex tree has strict 1-negative type, so by the subset dichotomy
+    its images would need k - 1 independent differences: none exists below
+    n = k - 1. Djoković's theorem gives one from there on, since in a tree
+    each edge is its own class and so gets a coordinate of its own: the
+    vertex at breadth-first position i from vertex 0 maps to its parent's
+    image with bit i - 1 set, so each image holds the edges of the vertex's
+    path from 0. Checked exactly against the tree's BFS distances before
+    returning. DimensionTooLargeError for n outside the
+    "tree embedding" cap, and NotATreeError unless the graph has k - 1 edges
+    and reaches every vertex from 0.
+    """
+    from .graphs import _bfs, adjacency
+
+    _check_dimension("tree embedding", n)
     if len(t.edges) != t.n - 1:
         raise NotATreeError(f"a tree on {t.n} vertices has {t.n - 1} edges, got {len(t.edges)}")
-    try:
-        space = path_metric(t)
-    except DisconnectedError as exc:
-        raise NotATreeError(f"input graph is not connected: {exc}") from exc
-    return space.dist.astype(np.int64)
-
-
-def tree_embedding_search(t: Graph, n: int) -> dict[int, int] | None:
-    """Exhaustive backtracking search for a distance-preserving map of a tree
-    into the n-cube.
-
-    Vertices are placed in breadth-first order; a candidate image must match
-    the tree distance to every placed vertex. The first vertex is pinned to
-    index 0, which loses no generality: translating all images by a fixed
-    bitmask preserves Hamming distances. Returns the map from tree vertex to
-    cube index, or None.
-    """
-    if t.n > MAX_TREE_VERTICES or n > MAX_TREE_CUBE_DIM:
-        raise SearchSpaceTooLargeError(
-            f"search limited to trees on <= {MAX_TREE_VERTICES} vertices into "
-            f"cubes of dimension <= {MAX_TREE_CUBE_DIM}"
-        )
-    if n < 1:
-        raise BadParamsError("cube dimension must be at least 1")
-    if t.n == 1:
-        return {0: 0}
-    from .graphs import adjacency
-
-    dist = _tree_distances(t)
-    if int(dist.max()) > n:
-        return None  # Hamming distances cannot exceed the dimension
-
-    order: list[int] = [0]
-    seen = {0}
     adj = adjacency(t)
-    head = 0
-    while head < len(order):
-        for w in adj[order[head]]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-        head += 1
-
-    size = 1 << n
-    images: dict[int, int] = {0: 0}
-    used = {0}
-
-    def place(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        v = order[pos]
-        for cand in range(size):
-            if cand in used:
-                continue
-            if all((cand ^ images[u]).bit_count() == dist[v, u] for u in order[:pos]):
-                images[v] = cand
-                used.add(cand)
-                if place(pos + 1):
-                    return True
-                used.discard(cand)
-                del images[v]
-        return False
-
-    if place(1):
-        return {v: images[v] for v in range(t.n)}
-    return None
+    depth = _bfs(adj, 0)  # in breadth-first order
+    if len(depth) < t.n:
+        v = next(v for v in range(t.n) if v not in depth)
+        raise NotATreeError(f"input graph is not connected: no path between vertices 0 and {v}")
+    if t.n - 1 > n:
+        return None
+    images = {0: 0}
+    for i, v in enumerate(itertools.islice(depth, 1, None)):
+        parent = next(u for u in adj[v] if depth[u] < depth[v])
+        images[v] = images[parent] | 1 << i
+    for s in range(t.n):
+        if any((images[s] ^ images[v]).bit_count() != d for v, d in _bfs(adj, s).items()):
+            raise AssertionError("edge-coordinate embedding failed exact distance check")
+    return {v: images[v] for v in range(t.n)}
 
 
 def path_embedding_witness(k: int) -> list[int]:

@@ -33,12 +33,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_int(g) -> bool:
+    """Whether g has an integer value, as 2, 2.0 and np.int64(2) have; not
+    0.7 or "1", which int() would read as 0 and 1, nor None, [1], "abc" or
+    inf, which int() rejects with an error of its own."""
+    try:
+        return int(g) == g
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _int_indices(indices) -> list[int]:
-    """`indices` as ints, order kept; ValueError on one that is no integer,
-    such as 0.7 or "1", which int() would read as 0 and 1."""
+    """`indices` as ints, order kept; ValueError on one that is no integer
+    (`_is_int`)."""
     given = list(indices)
     for g in given:
-        if int(g) != g:
+        if not _is_int(g):
             raise ValueError(f"non-integer index {g!r}")
     return [int(g) for g in given]
 

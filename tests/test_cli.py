@@ -259,11 +259,16 @@ def test_tree_commands(tmp_path, capsys):
     assert report["result"]["images"] == ["0000", "1000", "1100", "1110", "1111"]
 
 
-def test_cube_inputs_are_capped_at_dimension_64(capsys):
+def test_cube_inputs_are_capped_at_dimension_64(tmp_path, capsys):
+    path4 = tmp_path / "path4.txt"
+    path4.write_text("4\n0 1\n1 2\n2 3\n")
     code, report = run_cli(capsys, "cube", "classify", "--n", "65", "--subset", "0,1,2")
     assert code == 2
     assert report["error"]["type"] == "DimensionTooLargeError"
     code, report = run_cli(capsys, "tree", "witness", "--k", "66")
+    assert code == 2
+    assert report["error"]["type"] == "DimensionTooLargeError"
+    code, report = run_cli(capsys, "tree", "embed", "--edges", str(path4), "--n", "65")
     assert code == 2
     assert report["error"]["type"] == "DimensionTooLargeError"
 
@@ -273,6 +278,9 @@ def test_cube_inputs_are_capped_at_dimension_64(capsys):
     code, report = run_cli(capsys, "tree", "witness", "--k", "65")
     assert code == 0
     assert report["result"]["images"][-1] == "1" * 64
+    code, report = run_cli(capsys, "tree", "embed", "--edges", str(path4), "--n", "64")
+    assert code == 0
+    assert report["result"]["embedding"]["3"] == "0" * 61 + "111"
 
 
 def test_path_witness_names_k_and_its_range(capsys):

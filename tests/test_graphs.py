@@ -70,6 +70,21 @@ def test_unknown_family_and_bad_params():
         gen_family("hypercube", 13)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("cycle", (5.5,)),
+    ("complete", ("4",)),
+    ("hypercube", (None,)),
+    ("circulant", (7.9, (1,))),
+    ("circulant", (7, (1.5,))),
+    ("circulant", (7.9, (1.5,))),
+])
+def test_family_parameters_must_be_integers(family, params):
+    # int() would build cycle:5 from 5.5 and circulant:7 with offset 1 from
+    # (7.9, (1.5,))
+    with pytest.raises(BadParamsError, match=f"^{family} takes integer parameters, got "):
+        gen_family(family, *params)
+
+
 @pytest.mark.parametrize("family, params, vertices", [
     ("cycle", (4097,), 4097),
     ("complete", (4097,), 4097),

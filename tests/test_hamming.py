@@ -1,7 +1,9 @@
 import itertools
 import logging
 import math
+import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from roundness import (
     lifted_vertex_matrix,
     null_dimension_check,
     path_embedding_witness,
+    path_metric,
     rank_exact,
     scan_subsets,
     sign_matrix,
@@ -34,9 +37,8 @@ from roundness.errors import (
     BadParamsError,
     DimensionTooLargeError,
     NotATreeError,
-    SearchSpaceTooLargeError,
 )
-from roundness import hamming, negtype
+from roundness import graphs, hamming, negtype
 from roundness.hamming import ScanSummary, _combinations, _difference_ranks, _metric_keys
 from roundness.negtype import roundness_search
 from roundness.spectral import _eliminate, _ranks
@@ -149,7 +151,8 @@ def test_subset_validation_reaches_both_entry_points(fn):
         fn(3, [-1, 0])
     with pytest.raises(ValueError, match="^subset vertices must be distinct$"):
         fn(3, [1, 2, 1])
-    for bad in (1.5, 6.9, "1"):
+    # int() reads 1.5 and "1" as 1, and rejects the rest with errors of its own
+    for bad in (1.5, 6.9, "1", None, [1], "abc", math.inf, math.nan):
         with pytest.raises(ValueError, match="^non-integer index "):
             fn(3, [0, bad, 6])
     fn(3, [0, 2.0, np.int64(6)])  # integral values of any type are accepted
@@ -567,60 +570,107 @@ def test_tree_search_guards():
         tree_embedding_search(Graph(3, ((0, 1), (1, 2), (0, 2))), 3)
     with pytest.raises(NotATreeError):
         tree_embedding_search(Graph(4, ((0, 1), (2, 3), (1, 2), (0, 3))), 3)
-    with pytest.raises(SearchSpaceTooLargeError):
-        tree_embedding_search(Graph(8, tuple((i, i + 1) for i in range(7))), 6)
-    with pytest.raises(SearchSpaceTooLargeError):
-        tree_embedding_search(PATH4, 7)
-
-
-def small_trees():
-    yield Graph(2, ((0, 1),))
-    yield Graph(3, ((0, 1), (1, 2)))
-    yield STAR4
-    yield PATH4
-    yield Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
-    yield Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
-    yield Graph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
-
-
-def test_successful_embeddings_satisfy_dimension_bound():
-    # any embedded k-vertex tree needs at least k-1 cube dimensions
-    for tree in small_trees():
-        for n in range(1, 6):
-            emb = tree_embedding_search(tree, n)
-            if emb is not None:
-                assert n >= tree.n - 1
-                dist = np.zeros((tree.n, tree.n), dtype=int)
-                for u, v in tree.edges:
-                    dist[u, v] = dist[v, u] = 1
-                for _ in range(tree.n):  # tiny Floyd pass, enough at this size
-                    for k in range(tree.n):
-                        for i in range(tree.n):
-                            for j in range(tree.n):
-                                if dist[i, k] and dist[k, j] and (i != j):
-                                    alt = dist[i, k] + dist[k, j]
-                                    if dist[i, j] == 0 or alt < dist[i, j]:
-                                        dist[i, j] = alt
-                for i in range(tree.n):
-                    for j in range(tree.n):
-                        if i != j:
-                            assert (emb[i] ^ emb[j]).bit_count() == dist[i, j]
-
-
-def test_largest_supported_searches():
-    p7 = Graph(7, tuple((i, i + 1) for i in range(6)))
-    emb = tree_embedding_search(p7, 6)
-    assert emb is not None
-    star7 = Graph(7, tuple((0, i) for i in range(1, 7)))
-    emb = tree_embedding_search(star7, 6)
-    assert emb is not None
-    for i in range(1, 7):
-        assert (emb[0] ^ emb[i]).bit_count() == 1
-    assert tree_embedding_search(star7, 5) is None
+    # k - 1 edges, but one closes a cycle, so vertex 3 is never reached
+    with pytest.raises(NotATreeError, match="no path between vertices 0 and 3$"):
+        tree_embedding_search(Graph(4, ((0, 1), (1, 2), (0, 2))), 3)
+    for n in (0, 65):
+        with pytest.raises(DimensionTooLargeError, match=f"^tree embedding supports n in 1..64, "
+                                                         f"got {n}$"):
+            tree_embedding_search(PATH4, n)
+    # the largest tree that embeds in the largest cube accepted
+    tree = prufer_tree(random.Random(65).choices(range(65), k=63), 65)
+    emb = tree_embedding_search(tree, 64)
+    dist = path_metric(tree).dist
+    assert all((emb[i] ^ emb[j]).bit_count() == dist[i, j] for i in range(65) for j in range(65))
+    # a tree too large for the cube is told apart with nothing of size k^2
+    path = Graph(100_000, tuple((i, i + 1) for i in range(99_999)))
+    start = time.perf_counter()
+    assert tree_embedding_search(path, 64) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_single_vertex_tree_embeds_trivially():
     assert tree_embedding_search(Graph(1, ()), 3) == {0: 0}
+
+
+def prufer_tree(seq, k):
+    """The labelled tree on k vertices whose Prüfer sequence is seq."""
+    degree = [1] * k
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = degree.index(1)  # the smallest leaf
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    edges.append(tuple(v for v in range(k) if degree[v] == 1))
+    return Graph(k, tuple(edges))
+
+
+def labelled_trees(max_k):
+    """Every labelled tree on 2..max_k vertices, by Prüfer sequence."""
+    for k in range(2, max_k + 1):
+        for seq in itertools.product(range(k), repeat=k - 2):
+            yield prufer_tree(seq, k)
+
+
+def backtracking_embedding(t, n):
+    """Exhaustive search for an isometric embedding of the tree t into the
+    n-cube: vertices are placed in breadth-first order from vertex 0, which
+    maps to index 0, each at the smallest unused index whose distance to
+    every placed vertex is the tree distance. The map, or None."""
+    if t.n == 1:
+        return {0: 0}
+    dist = path_metric(t).dist
+    if dist.max() > n:
+        return None  # Hamming distances cannot exceed the dimension
+    adj = graphs.adjacency(t)
+    order = [0]
+    for u in order:  # a queue: breadth-first order
+        order += [w for w in adj[u] if w not in order]
+    images = {0: 0}
+
+    def place(pos):
+        if pos == len(order):
+            return True
+        v = order[pos]
+        for cand in range(1 << n):
+            if cand in images.values():
+                continue
+            if all((cand ^ images[u]).bit_count() == dist[v, u] for u in order[:pos]):
+                images[v] = cand
+                if place(pos + 1):
+                    return True
+                del images[v]
+        return False
+
+    return {v: images[v] for v in range(t.n)} if place(1) else None
+
+
+def test_tree_embedding_matches_the_exhaustive_search():
+    # the search picks the smallest candidate, its parent's image plus the
+    # next free bit, so the two agree exactly, and the search shows
+    # independently that a k-vertex tree embeds only from n = k - 1 on
+    trees = list(labelled_trees(6))
+    rng = random.Random(7)
+    trees += [prufer_tree(rng.choices(range(7), k=5), 7) for _ in range(50)]
+    trees += [Graph(7, tuple((i, i + 1) for i in range(6))),  # the 7-path and 7-star
+              Graph(7, tuple((0, i) for i in range(1, 7)))]
+    for tree in trees:
+        for n in range(1, 7):
+            emb = tree_embedding_search(tree, n)
+            assert emb == backtracking_embedding(tree, n), (tree.edges, n)
+            assert (emb is not None) == (n >= tree.n - 1)
+
+
+def test_tree_embeddings_are_strict_cube_subsets():
+    # a tree has strict 1-negative type, so its k images have k - 1
+    # independent differences: the bound k - 1 <= n of the paper's dichotomy
+    for tree in labelled_trees(6):
+        emb = tree_embedding_search(tree, tree.n - 1)
+        r = classify_subset(64, [emb[v] for v in range(tree.n)])
+        assert r.strict and r.rank == tree.n - 1
 
 
 def test_path_embedding_witness_examples():
