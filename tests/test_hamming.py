@@ -589,6 +589,54 @@ def test_tree_search_guards():
     assert time.perf_counter() - start < 1.0
 
 
+def small_trees():
+    yield Graph(2, ((0, 1),))
+    yield Graph(3, ((0, 1), (1, 2)))
+    yield STAR4
+    yield PATH4
+    yield Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+    yield Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
+    yield Graph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
+
+
+def test_successful_embeddings_satisfy_dimension_bound():
+    # any embedded k-vertex tree needs at least k-1 cube dimensions
+    for tree in small_trees():
+        for n in range(1, 6):
+            emb = tree_embedding_search(tree, n)
+            if emb is not None:
+                assert n >= tree.n - 1
+                dist = np.zeros((tree.n, tree.n), dtype=int)
+                for u, v in tree.edges:
+                    dist[u, v] = dist[v, u] = 1
+                for _ in range(tree.n):  # tiny Floyd pass, enough at this size
+                    for k in range(tree.n):
+                        for i in range(tree.n):
+                            for j in range(tree.n):
+                                if dist[i, k] and dist[k, j] and (i != j):
+                                    alt = dist[i, k] + dist[k, j]
+                                    if dist[i, j] == 0 or alt < dist[i, j]:
+                                        dist[i, j] = alt
+                for i in range(tree.n):
+                    for j in range(tree.n):
+                        if i != j:
+                            assert (emb[i] ^ emb[j]).bit_count() == dist[i, j]
+
+
+def test_largest_supported_searches():
+    # the 7-vertex path and star, the largest trees the old backtracking
+    # search accepted, embed in Q_6 and the star not in Q_5
+    p7 = Graph(7, tuple((i, i + 1) for i in range(6)))
+    emb = tree_embedding_search(p7, 6)
+    assert emb is not None
+    star7 = Graph(7, tuple((0, i) for i in range(1, 7)))
+    emb = tree_embedding_search(star7, 6)
+    assert emb is not None
+    for i in range(1, 7):
+        assert (emb[0] ^ emb[i]).bit_count() == 1
+    assert tree_embedding_search(star7, 5) is None
+
+
 def test_single_vertex_tree_embeds_trivially():
     assert tree_embedding_search(Graph(1, ()), 3) == {0: 0}
 
