@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the argument checks
+every public entry point runs first: `_integer`, `_real` and `_integers`."""
+
+import math
+import numbers
 
 
 class RoundnessError(Exception):
@@ -83,8 +87,8 @@ class LengthMismatchError(RoundnessError):
     pass
 
 
-class IndexOutOfRangeError(RoundnessError):
-    pass
+class IndexOutOfRangeError(RoundnessError, ValueError):
+    """A point index that is no integer in 0..n-1; a ValueError too."""
 
 
 # -- hamming cube -------------------------------------------------------------
@@ -99,3 +103,42 @@ class BadBlockExponentError(RoundnessError):
 
 class NotATreeError(RoundnessError):
     pass
+
+
+# -- arguments ----------------------------------------------------------------
+
+def _integer(value, lo, hi, message: str, error=ValueError) -> int:
+    """`value` as an int if integral (2, 2.0, np.int64(2); not "2", 2.5 or NaN)
+    and in lo..hi, an end None for none; else error(message.format(value))."""
+    number = value
+    if type(value) is not int:  # the usual case skips the ABC checks
+        whole = isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value)
+        number = int(value) if whole else None
+    if number is None or (lo is not None and number < lo) or (hi is not None and number > hi):
+        raise error(message.format(value if number is None else number))
+    return number
+
+
+def _real(value, lo: float, message: str, error=ValueError, *, open_end: bool = False) -> float:
+    """`value` as a float if a finite real (2, 2.5, np.float64(2.5); not "2",
+    None or inf) >= lo, or > lo with `open_end`; else as `_integer`."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int past float range
+        number = math.nan
+    if not (math.isfinite(number) and (number > lo if open_end else number >= lo)):
+        raise error(message.format(value))
+    return number
+
+
+def _integers(values, lo, hi, message: str, error=ValueError, depth: int = 1) -> list:
+    """The entries of the sequence `values` by `_integer`, order kept (with
+    `depth` 2, of each of its sequences); `error` on a non-iterable too."""
+    try:
+        given = list(values)
+    except TypeError:
+        raise error(f"expected a sequence, got {values!r}") from None
+    if depth > 1:
+        return [_integers(v, lo, hi, message, error, depth - 1) for v in given]
+    return [_integer(v, lo, hi, message, error) for v in given]

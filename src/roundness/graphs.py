@@ -16,8 +16,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import BadParamsError, DisconnectedError, UnknownFamilyError
-from .metric import FiniteMetricSpace, _is_int, _readonly
+from .errors import BadParamsError, DisconnectedError, UnknownFamilyError, _integer, _integers
+from .metric import FiniteMetricSpace, _labels, _readonly
 from .spectral import _row0_index, _row0_order_of_edges
 
 SOLIDS = ("dodecahedron", "icosahedron")
@@ -32,6 +32,9 @@ MAX_FAMILY_VERTICES = 4096
 # complete:1024: each edge is a Python tuple, so the count, which n and the
 # offsets fix, is checked before any edge is built
 MAX_FAMILY_EDGES = 2**19
+# the bounds of n in each family that takes it (2n vertices, and 2^n in hypercube)
+FAMILY_N = {"cycle": (3, None), "complete": (2, None), "complete_bipartite": (1, None),
+            "hypercube": (1, 12), "circulant": (3, None)}
 
 
 @dataclass(frozen=True)
@@ -41,23 +44,25 @@ class Graph:
     labels: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
-        seen = set()
-        norm = []
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {self.n} vertices")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append(key)
+        n = _integer(self.n, 1, None, "graph needs an integer vertex count >= 1, got {!r}")
+        message = f"edge vertex {{!r}} out of range for {n} vertices"
+        seen, norm = set(), []
+        try:
+            for u, v in self.edges:  # a TypeError where edges, or an edge, is no sequence
+                u, v = _integer(u, 0, n - 1, message), _integer(v, 0, n - 1, message)
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise ValueError(f"duplicate edge {key}")
+                seen.add(key)
+                norm.append(key)
+        except TypeError:
+            raise ValueError(f"edges must be a sequence of pairs, got {self.edges!r}") from None
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label count does not match vertex count")
+        if self.labels is not None:
+            object.__setattr__(self, "labels", _labels(self.labels, n))
 
 
 def adjacency(g: Graph) -> dict[int, list[int]]:
@@ -118,58 +123,48 @@ def gen_family(family: str, *params) -> Graph:
 
     cycle(n>=3), complete(n>=2), complete_bipartite(n>=1) for the balanced
     two-sided graph, hypercube(n>=1) in binary-counting vertex order,
-    petersen, circulant(n, offsets) connecting i ~ i +/- s mod n. A family
-    of more than MAX_FAMILY_VERTICES vertices or MAX_FAMILY_EDGES edges is
-    a BadParamsError, raised before any edge is built.
+    petersen, circulant(n, offsets) connecting i ~ i +/- s mod n, each n
+    an integer in its FAMILY_N bounds. A family of more than
+    MAX_FAMILY_VERTICES vertices or MAX_FAMILY_EDGES edges is a
+    BadParamsError, raised before any edge is built.
     """
-    if family == "cycle":
-        (n,) = _int_params(params, 1, family)
-        if n < 3:
-            raise BadParamsError("cycle needs n >= 3")
-        _check_size(family, n, n)
-        return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
-    if family == "complete":
-        (n,) = _int_params(params, 1, family)
-        if n < 2:
-            raise BadParamsError("complete graph needs n >= 2")
-        _check_size(family, n, n * (n - 1) // 2)
-        return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
-    if family == "complete_bipartite":
-        (n,) = _int_params(params, 1, family)
-        if n < 1:
-            raise BadParamsError("complete bipartite needs n >= 1")
-        _check_size(family, 2 * n, n * n)
-        return Graph(2 * n, tuple((i, n + j) for i in range(n) for j in range(n)))
-    if family == "hypercube":
-        (n,) = _int_params(params, 1, family)
-        if not 1 <= n <= 12:
-            raise BadParamsError("hypercube dimension must be in 1..12")
-        size = 1 << n
-        edges = tuple(
-            (i, i ^ (1 << b)) for i in range(size) for b in range(n) if i < (i ^ (1 << b))
-        )
-        labels = tuple(format(i, f"0{n}b") for i in range(size))
-        return Graph(size, edges, labels=labels)
+    if family not in FAMILIES:
+        raise UnknownFamilyError(f"unknown graph family {family!r} (known: {', '.join(FAMILIES)})")
+    arity = {"petersen": 0, "circulant": 2}.get(family, 1)
+    if len(params) != arity:
+        raise BadParamsError(f"{family} takes {arity} parameter(s), got {len(params)}")
     if family == "petersen":
-        if params:
-            raise BadParamsError("petersen takes no parameters")
         edges = []
         for i in range(5):
             edges.append((i, (i + 1) % 5))
             edges.append((5 + i, 5 + (i + 2) % 5))
             edges.append((i, i + 5))
         return Graph(10, tuple(edges))
+    lo, hi = FAMILY_N[family]
+    bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    n = _integer(params[0], lo, hi, f"{family} needs an integer n {bounds}, got {{!r}}",
+                 BadParamsError)
+    if family == "cycle":
+        _check_size(family, n, n)
+        return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+    if family == "complete":
+        _check_size(family, n, n * (n - 1) // 2)
+        return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+    if family == "complete_bipartite":
+        _check_size(family, 2 * n, n * n)
+        return Graph(2 * n, tuple((i, n + j) for i in range(n) for j in range(n)))
+    if family == "hypercube":
+        size = 1 << n
+        edges = tuple(
+            (i, i ^ (1 << b)) for i in range(size) for b in range(n) if i < (i ^ (1 << b))
+        )
+        labels = tuple(format(i, f"0{n}b") for i in range(size))
+        return Graph(size, edges, labels=labels)
     if family == "circulant":
-        if len(params) != 2:
-            raise BadParamsError("circulant needs (n, offsets)")
-        (n,) = _int_params(params[:1], 1, family)
-        offsets = sorted(set(_int_params(tuple(params[1]), None, family)))
-        if n < 3:
-            raise BadParamsError("circulant needs n >= 3")
+        offsets = sorted(set(_integers(params[1], 1, n // 2, f"circulant offsets must be "
+                                       f"integers in 1..{n // 2}, got {{!r}}", BadParamsError)))
         if not offsets:
             raise BadParamsError("circulant needs at least one offset")
-        if any(not 1 <= s <= n // 2 for s in offsets):
-            raise BadParamsError(f"circulant offsets must lie in 1..{n // 2}")
         # n edges per offset, but n / 2 for the offset n / 2, where i + s = i - s mod n
         _check_size(family, n, sum(n // 2 if 2 * s == n else n for s in offsets))
         g = n
@@ -179,7 +174,6 @@ def gen_family(family: str, *params) -> Graph:
             raise BadParamsError(f"offsets {offsets} generate a disconnected circulant (gcd {g})")
         edges = {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in offsets}
         return Graph(n, tuple(sorted(edges)))
-    raise UnknownFamilyError(f"unknown graph family {family!r} (known: {', '.join(FAMILIES)})")
 
 
 def _check_size(family: str, n: int, edges: int) -> None:
@@ -191,21 +185,11 @@ def _check_size(family: str, n: int, edges: int) -> None:
                              f"{MAX_FAMILY_EDGES} are supported")
 
 
-def _int_params(params, count, family) -> tuple[int, ...]:
-    """`params` as ints; BadParamsError unless there are `count` of them (any
-    number if None) and each has an integer value (`_is_int`), so that 5.5
-    is not read as 5."""
-    if count is not None and len(params) != count:
-        raise BadParamsError(f"{family} takes {count} parameter(s), got {len(params)}")
-    for p in params:
-        if not _is_int(p):
-            raise BadParamsError(f"{family} takes integer parameters, got {p!r}")
-    return tuple(int(p) for p in params)
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line the vertex count, then one
     'u v' pair per line (0-indexed). Blank lines and '#' comments allowed."""
+    if not isinstance(text, str):
+        raise ValueError(f"an edge list is text, got {text!r}")
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -221,6 +205,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def load_edge_list(path) -> Graph:
+    if not (isinstance(path, (str, bytes)) or hasattr(path, "__fspath__")):  # no file descriptor
+        raise ValueError(f"an edge-list path is a str, bytes or path-like, got {path!r}")
     with open(path, encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
 

@@ -36,17 +36,20 @@ from .errors import (
     BadParamsError,
     DimensionTooLargeError,
     NotATreeError,
+    _integer,
+    _integers,
 )
-from .metric import FiniteMetricSpace, _int_indices, _readonly
+from .metric import FiniteMetricSpace, _readonly
 from .spectral import _kernel_basis, _ranks, _row0_index, det_exact, kernel_basis_exact, rank_exact
 
 if TYPE_CHECKING:
     from .graphs import Graph
 
-# Largest cube dimension n each operation accepts (the smallest is 1). Outside
-# 1..cap, DimensionTooLargeError is raised before any work. The caps bound
-# memory and time: the distance matrix has 4^n int64 entries (128 MiB at
-# n = 12), the exact rank check eliminates the 2^n x 2^n matrix, and the
+# Largest cube dimension n each operation accepts (the smallest is 1, and 0
+# for a sign vector). Outside, DimensionTooLargeError is raised before any
+# work. The caps bound memory and time: the distance matrix has 4^n int64
+# entries (128 MiB at n = 12), a sign vector 2^n, the exact rank check
+# eliminates the 2^n x 2^n matrix, and the
 # exhaustive scan classifies every subset of up to n+1 of the 2^n vertices
 # and solves one roundness problem per isometry class of subset metrics.
 # Classifying a few points, or embedding a tree, is cheap at any n; their
@@ -57,6 +60,7 @@ DIMENSION_CAPS = {
     "sign matrix": 10,
     "vertex matrix": 10,
     "factor matrix": 10,
+    "sign vector": 10,
     "rank check": 8,
     "exhaustive scan": 4,
     "classification": 64,
@@ -68,26 +72,22 @@ MAX_WITNESS_PATH = 65
 MIN_SUBSET_SIZE_FOR_Q = 3  # 1- and 2-point subsets have unbounded roundness
 
 
-def _check_dimension(operation: str, n: int) -> None:
-    cap = DIMENSION_CAPS[operation]
-    if not 1 <= n <= cap:
-        raise DimensionTooLargeError(f"{operation} supports n in 1..{cap}, got {n}")
+def _check_dimension(operation: str, n) -> int:
+    return _integer(n, 1, DIMENSION_CAPS[operation], f"{operation} supports n in "
+                    f"1..{DIMENSION_CAPS[operation]}, got {{!r}}", DimensionTooLargeError)
 
 
-def _subset_indices(n: int, indices) -> tuple[int, ...]:
-    """`indices` as a tuple of ints, order kept. DimensionTooLargeError if n
-    is outside the classification cap; ValueError unless the indices are
-    nonempty integers, in 0..2^n - 1 and distinct."""
-    _check_dimension("classification", n)
-    idx = tuple(_int_indices(indices))
+def _subset_indices(n, indices) -> tuple[int, tuple[int, ...]]:
+    """n and `indices` as ints, order kept. DimensionTooLargeError if n is
+    outside the classification cap; ValueError unless the indices are
+    integers in 0..2^n - 1, nonempty and distinct."""
+    n = _check_dimension("classification", n)
+    idx = tuple(_integers(indices, 0, (1 << n) - 1, f"index {{!r}} out of range for an {n}-cube"))
     if not idx:
         raise ValueError("subset must be nonempty")
-    for i in idx:
-        if not 0 <= i < (1 << n):
-            raise ValueError(f"index {i} out of range for an {n}-cube")
     if len(set(idx)) != len(idx):
         raise ValueError("subset vertices must be distinct")
-    return idx
+    return n, idx
 
 
 @dataclass(frozen=True)
@@ -117,18 +117,19 @@ def cube_distance_matrix(n: int) -> np.ndarray:
     """Hamming distance matrix of the n-cube in binary-counting vertex order,
     as int64: row 0 holds the popcount of each index, and d[i, j] =
     popcount(i xor j) is row 0 read through the cube index of `spectral`."""
-    _check_dimension("cube distance matrix", n)
+    n = _check_dimension("cube distance matrix", n)
     row = np.array([i.bit_count() for i in range(1 << n)], dtype=np.int64)
     return _readonly(row[_row0_index("cube", 1 << n)])
 
 
 def sign_vector(i: int, j: int) -> np.ndarray:
     """The read-only int64 2^i-vector whose entries are +1 on even blocks of
-    length 2^j and -1 on odd blocks."""
-    if i < 0:
-        raise BadParamsError(f"size exponent must be nonnegative, got {i}")
-    if not 0 <= j <= i:
-        raise BadBlockExponentError(f"block exponent must satisfy 0 <= j <= i, got j={j}, i={i}")
+    length 2^j and -1 on odd blocks, i within its DIMENSION_CAPS entry."""
+    cap = DIMENSION_CAPS["sign vector"]
+    i = _integer(i, 0, cap, f"sign vector supports i in 0..{cap}, got {{!r}}",
+                 DimensionTooLargeError)
+    j = _integer(j, 0, i, f"block exponent must satisfy 0 <= j <= i, got j={{!r}}, i={i}",
+                 BadBlockExponentError)
     entries = 1 - 2 * ((np.arange(1 << i, dtype=np.int64) >> j) & 1)
     return _readonly(entries)
 
@@ -137,7 +138,7 @@ def eigen_identity_check(n: int) -> dict:
     """Verify, in exact integer arithmetic, that the all-ones vector is an
     eigenvector of the cube distance matrix with eigenvalue n*2^(n-1) and
     each proper sign vector one with eigenvalue -2^(n-1)."""
-    _check_dimension("identity check", n)
+    n = _check_dimension("identity check", n)
     d = cube_distance_matrix(n)
     failures = []
     v = sign_vector(n, n)
@@ -155,7 +156,7 @@ def eigen_identity_check(n: int) -> dict:
 def sign_matrix(n: int) -> np.ndarray:
     """(n+1) x 2^n matrix whose rows are the sign vectors with block sizes
     2^n, 2^(n-1), ..., 1."""
-    _check_dimension("sign matrix", n)
+    n = _check_dimension("sign matrix", n)
     rows = [sign_vector(n, j) for j in range(n, -1, -1)]
     return _readonly(np.vstack(rows))
 
@@ -163,7 +164,7 @@ def sign_matrix(n: int) -> np.ndarray:
 def lifted_vertex_matrix(n: int) -> np.ndarray:
     """(n+1) x 2^n matrix whose column i is 1 followed by the bits of vertex
     i, most significant first."""
-    _check_dimension("vertex matrix", n)
+    n = _check_dimension("vertex matrix", n)
     idx = np.arange(1 << n, dtype=np.int64)
     rows = [np.ones(1 << n, dtype=np.int64)]
     for k in range(n):
@@ -175,7 +176,7 @@ def factor_matrix(n: int) -> np.ndarray:
     """The (n+1) x (n+1) lower-triangular factor relating lifted vertex
     coordinates to sign vectors: all-ones first column, -2 on the rest of
     the diagonal."""
-    _check_dimension("factor matrix", n)
+    n = _check_dimension("factor matrix", n)
     m = np.zeros((n + 1, n + 1), dtype=np.int64)
     m[:, 0] = 1
     for i in range(1, n + 1):
@@ -202,7 +203,7 @@ def null_dimension_check(n: int) -> dict:
     matrix, and the kernel of the sign matrix, whose rank is 2^n minus the
     kernel size.
     """
-    _check_dimension("rank check", n)
+    n = _check_dimension("rank check", n)
     d = cube_distance_matrix(n)
     size = 1 << n
     expected = size - n - 1
@@ -243,7 +244,7 @@ def classify_subset(n: int, indices) -> ClassificationResult:
     ranks of many subsets should pass them as one (m, s) index array to
     `_difference_ranks`, which takes 1-6 us per subset.
     """
-    idx = _subset_indices(n, indices)
+    n, idx = _subset_indices(n, indices)
     kernel = _kernel_basis(_differences(n, [idx])[0])
     return ClassificationResult(strict=not kernel, rank=len(idx) - 1 - len(kernel),
                                 dependency=tuple(kernel[0]) if kernel else None)
@@ -252,7 +253,7 @@ def classify_subset(n: int, indices) -> ClassificationResult:
 def subset_metric(n: int, indices) -> FiniteMetricSpace:
     """The induced Hamming metric on a nonempty subset of the n-cube,
     labelled by its vertices' n-bit strings in the given order."""
-    idx = _subset_indices(n, indices)
+    n, idx = _subset_indices(n, indices)
     d = np.array([[(i ^ j).bit_count() for j in idx] for i in idx], dtype=float)
     labels = tuple(format(i, f"0{n}b") for i in idx)
     return FiniteMetricSpace(labels=labels, dist=_readonly(d))
@@ -371,22 +372,20 @@ def scan_subsets(
     the metric of the lexicographically first subset of every class, which
     contains 0, in lock-step, on the class forms of its at most n
     distances, and each subset gets the q of its class: 6 solves for the
-    105 strict 3-subsets through 0 of the 4-cube. `jobs` below 1, and
-    root-search parameters the search would reject, raise BadParamsError
-    before any work. `negtype`, which holds the search, is imported here,
-    so the cube commands that do not scan never load it.
+    105 strict 3-subsets through 0 of the 4-cube. A max_size outside
+    1..2^n, `jobs` below 1, and root-search parameters the search would
+    reject raise BadParamsError before any work. `negtype`, which holds
+    the search, is imported here, so the cube commands that do not scan
+    never load it.
     """
     from .negtype import _check_search_params, roundness_search
 
-    _check_dimension("exhaustive scan", n)
+    n = _check_dimension("exhaustive scan", n)
     size_cap = 1 << n
-    if max_size is None:
-        max_size = min(n + 1, size_cap)  # larger subsets are never strict
-    if not 1 <= max_size <= size_cap:
-        raise BadParamsError(f"max_size must be in 1..{size_cap}")
-    if jobs < 1:
-        raise BadParamsError(f"jobs must be at least 1, got {jobs}")
-    _check_search_params(p_max, tol_p, tol_eig)
+    max_size = _integer(min(n + 1, size_cap) if max_size is None else max_size, 1, size_cap,
+                        f"max_size must be in 1..{size_cap}, got {{!r}}", BadParamsError)
+    _integer(jobs, 1, None, "jobs must be at least 1, got {!r}", BadParamsError)
+    p_max, tol_p, tol_eig = _check_search_params(p_max, tol_p, tol_eig)
 
     popcount = cube_distance_matrix(n)[0]
     counts: dict[tuple[int, bool], int] = {}
@@ -450,7 +449,7 @@ def tree_embedding_search(t: Graph, n: int) -> dict[int, int] | None:
     """
     from .graphs import _bfs, adjacency
 
-    _check_dimension("tree embedding", n)
+    n = _check_dimension("tree embedding", n)
     if len(t.edges) != t.n - 1:
         raise NotATreeError(f"a tree on {t.n} vertices has {t.n - 1} edges, got {len(t.edges)}")
     adj = adjacency(t)
@@ -473,12 +472,11 @@ def tree_embedding_search(t: Graph, n: int) -> dict[int, int] | None:
 def path_embedding_witness(k: int) -> list[int]:
     """Isometric embedding of the k-vertex path into the (k-1)-cube: vertex j
     maps to the index whose k-1 bits are j leading ones. Verified exactly
-    before returning. BadParamsError below 2 vertices, and
-    DimensionTooLargeError above MAX_WITNESS_PATH."""
-    if k < 2:
-        raise BadParamsError(f"path needs at least 2 vertices, got {k}")
-    if k > MAX_WITNESS_PATH:
-        raise DimensionTooLargeError(f"path witness supports k in 2..{MAX_WITNESS_PATH}, got {k}")
+    before returning. DimensionTooLargeError unless k is an integer up to
+    MAX_WITNESS_PATH, and BadParamsError below 2 vertices."""
+    k = _integer(k, None, MAX_WITNESS_PATH, f"path witness supports k in 2..{MAX_WITNESS_PATH}, "
+                 "got {!r}", DimensionTooLargeError)
+    k = _integer(k, 2, None, "path needs at least 2 vertices, got {!r}", BadParamsError)
     dim = k - 1
     images = [((1 << j) - 1) << (dim - j) for j in range(k)]
     for i in range(k):

@@ -24,6 +24,7 @@ from .errors import (
     NonzeroDiagonalError,
     TriangleViolationError,
     ZeroDistanceError,
+    _real,
 )
 from .spectral import SYMMETRY_RTOL, ClassSpectrum, _class_spectrum, _row0_order, symmetrized
 
@@ -31,32 +32,6 @@ from .spectral import SYMMETRY_RTOL, ClassSpectrum, _class_spectrum, _row0_order
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _is_int(g) -> bool:
-    """Whether g has an integer value, as 2, 2.0 and np.int64(2) have; not
-    0.7 or "1", which int() would read as 0 and 1, nor None, [1], "abc" or
-    inf, which int() rejects with an error of its own."""
-    try:
-        return int(g) == g
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
-def _int_indices(indices) -> list[int]:
-    """`indices` as ints, order kept; ValueError on one that is no integer
-    (`_is_int`)."""
-    given = list(indices)
-    for g in given:
-        if not _is_int(g):
-            raise ValueError(f"non-integer index {g!r}")
-    return [int(g) for g in given]
-
-
-def _check_tolerance(name: str, value: float) -> None:
-    """Reject a tolerance that has no meaning: NaN, infinite or negative."""
-    if not (math.isfinite(value) and value >= 0):
-        raise BadParamsError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -130,16 +105,14 @@ def build_metric_space(matrix, labels=None) -> FiniteMetricSpace:
     """
     try:
         d = np.array(matrix, dtype=float)
-    except TypeError as exc:  # an entry that is no number, such as a dict
+    except (TypeError, OverflowError) as exc:  # an entry that is no float, such as a dict
         raise ValueError(f"distance matrix entries must be numbers: {exc}") from exc
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
     if n < 2:
         raise ValueError("a metric space needs at least 2 points")
-    labels = tuple(str(x) for x in (range(n) if labels is None else labels))
-    if len(labels) != n:
-        raise ValueError(f"got {len(labels)} labels for {n} points")
+    labels = _labels(range(n) if labels is None else labels, n)
 
     zero = np.argwhere((d == 0.0) & ~np.eye(n, dtype=bool))
     if len(zero):  # first, so that an all-zero matrix is this error
@@ -148,13 +121,25 @@ def build_metric_space(matrix, labels=None) -> FiniteMetricSpace:
     d = symmetrized(d)
 
     slack = SYMMETRY_RTOL * float(np.max(d))
-    for k in range(n):
-        gap = d - (d[:, k][:, None] + d[k, :][None, :])
-        if np.any(gap > slack):
-            i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-            raise TriangleViolationError(i, k, j, d[i, j], d[i, k], d[k, j])
+    with np.errstate(over="ignore"):  # a sum past float range breaks no triangle
+        for k in range(n):
+            gap = d - (d[:, k][:, None] + d[k, :][None, :])
+            if np.any(gap > slack):
+                i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+                raise TriangleViolationError(i, k, j, d[i, j], d[i, k], d[k, j])
 
     return FiniteMetricSpace(labels=labels, dist=_readonly(d))
+
+
+def _labels(labels, n: int) -> tuple[str, ...]:
+    """`labels` as n strings; ValueError unless a sequence of n labels."""
+    try:
+        labels = tuple(str(x) for x in labels)
+    except TypeError:
+        raise ValueError(f"labels must be a sequence, got {labels!r}") from None
+    if len(labels) != n:
+        raise ValueError(f"got {len(labels)} labels for {n} points")
+    return labels
 
 
 def power_matrix(space, p: float) -> np.ndarray:
@@ -164,6 +149,7 @@ def power_matrix(space, p: float) -> np.ndarray:
     or a stack (m, k, k) of distance matrices, checked at each call
     (`_check_distances`), all raised to the one exponent p.
     """
+    p = _real(p, 0, "exponent must be a nonnegative real, got {!r}", NegativeExponentError)
     if isinstance(space, FiniteMetricSpace):
         space._max_d  # the check, cached on the space
         return _readonly(_power(space.dist, p))
@@ -196,8 +182,6 @@ def _first(d: np.ndarray, bad: np.ndarray, relation: str) -> str:
 
 
 def _power(d: np.ndarray, p: float) -> np.ndarray:
-    if not (p >= 0 and np.isfinite(p)):
-        raise NegativeExponentError(f"exponent must be a nonnegative real, got {p}")
     entries = np.where(d > 0, d, 1.0) ** p
     entries[d == 0] = 0.0
     return entries

@@ -82,13 +82,13 @@ from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NegativeExponentError,
+    _integers,
+    _real,
 )
 from .metric import (
     FiniteMetricSpace,
     NegativeTypeWitness,
     _check_distances,
-    _check_tolerance,
-    _int_indices,
     _power,
     hyperplane_basis,
     power_matrix,
@@ -291,12 +291,11 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
     overflows nor underflows at any unit of distance; `max_form_eigenvalue`
     and the witness's `form_value` are reported in the unit of d, as their
     value on d / max d times (max d)^p, which is inf or nan where that
-    product is out of float range. tol_eig must be finite and >= 0, else
-    BadParamsError.
+    product is out of float range. p must be a finite real >= 0, else
+    NegativeExponentError, and tol_eig too, else BadParamsError.
     """
-    if p < 0:
-        raise NegativeExponentError(f"exponent must be nonnegative, got {p}")
-    _check_tolerance("tol_eig", tol_eig)
+    p = _real(p, 0, "exponent must be a nonnegative real, got {!r}", NegativeExponentError)
+    tol_eig = _real(tol_eig, 0, "tol_eig must be finite and >= 0, got {!r}", BadParamsError)
     src = _source(space)(p)
     spectrum = src.spectrum
     values = spectrum.values[spectrum.start:]
@@ -338,14 +337,13 @@ def _unit_factor(max_d: float, p: float) -> float:
         return math.inf
 
 
-def _check_search_params(p_max: float, tol_p: float, tol_eig: float) -> None:
-    """Reject root-search parameters with which the search cannot end (tol_p
-    <= 0 narrows forever) or has no meaning (NaN, infinity, negative)."""
-    if not (math.isfinite(tol_p) and tol_p > 0):
-        raise BadParamsError(f"tol_p must be finite and > 0, got {tol_p}")
-    _check_tolerance("tol_eig", tol_eig)
-    if not (math.isfinite(p_max) and p_max > 0):
-        raise BadParamsError(f"p_max must be finite and > 0, got {p_max}")
+def _check_search_params(p_max, tol_p, tol_eig) -> tuple[float, float, float]:
+    """(p_max, tol_p, tol_eig) as floats; BadParamsError on values with which
+    the search cannot end (tol_p <= 0 narrows forever) or has no meaning."""
+    positive = "must be finite and > 0, got {!r}"
+    return (_real(p_max, 0, "p_max " + positive, BadParamsError, open_end=True),
+            _real(tol_p, 0, "tol_p " + positive, BadParamsError, open_end=True),
+            _real(tol_eig, 0, "tol_eig must be finite and >= 0, got {!r}", BadParamsError))
 
 
 def _itp(p_max: float, tol_p: float):
@@ -484,7 +482,7 @@ def roundness_search(
     NonFiniteMatrixError, NegativeEntryError, NonzeroDiagonalError,
     BadParamsError or NotSymmetricError, in that order, before any solve.
     """
-    _check_search_params(p_max, tol_p, tol_eig)
+    p_max, tol_p, tol_eig = _check_search_params(p_max, tol_p, tol_eig)
     d = np.asarray(dists, dtype=float)
     classes = _class_forms(d)
     steps: list[int] = []  # the members evaluated at each step
@@ -562,7 +560,7 @@ def _class_form_matrix(classes: np.ndarray,
 def _space_search(space: FiniteMetricSpace, p_max: float, tol_p: float, tol_eig: float):
     """The root search of `roundness_search` for one space, each step on
     the spectrum of M(p) of its source (`_source`)."""
-    _check_search_params(p_max, tol_p, tol_eig)
+    p_max, tol_p, tol_eig = _check_search_params(p_max, tol_p, tol_eig)
 
     def extremes(sources, p):
         spectrum = sources[0](p[0]).spectrum
@@ -642,12 +640,11 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
     the forward defect max |D_q u|, by the source's product, not by the
     eigensolver, and the backward defect |sum u| / sqrt(n), for u must be
     zero-sum; the verdict holds when both are within CERTIFICATE_TOL. A
-    space with an order makes no n x n array. Requires the row-permutation
-    property (`_require_rows_permute`) and a finite q.
+    space with an order makes no n x n array. Requires a finite q >= 0
+    (ValueError) and the row-permutation property (`_require_rows_permute`).
     """
+    q = _real(q, 0, "kernel coincidence requires a finite roundness exponent q >= 0, got {!r}")
     _require_rows_permute(space)
-    if q is None or not np.isfinite(q):
-        raise ValueError("kernel coincidence requires a finite roundness exponent")
     src = _source(space)(q)
     spectrum = src.spectrum  # D_q's, with r(q) >= 1 at entry 0, never in the kernel
     kernel = np.flatnonzero(np.abs(spectrum.values) <= CERTIFICATE_TOL)
@@ -677,19 +674,18 @@ def gr_inequality_check(
     when lhs <= rhs + tol * max(lhs, rhs), decided on d / max d, so the
     verdict does not depend on the unit of distance and no power overflows;
     lhs and rhs are reported in the unit of d, as their value on d / max d
-    times (max d)^p, inf or nan where that is out of float range. tol must
-    be finite and >= 0, else BadParamsError, and d passes `_source`'s check.
-    An index that is no integer, such as 0.7 or "1", is a ValueError.
+    times (max d)^p, inf or nan where that is out of float range. p and tol
+    are finite reals >= 0 (else NegativeExponentError, BadParamsError), each
+    index an integer in 0..n-1 (IndexOutOfRangeError); d passes `_source`'s.
     """
-    _check_tolerance("tol", tol)
-    a, bb = _int_indices(a_idx), _int_indices(b_idx)
+    p = _real(p, 0, "exponent must be a nonnegative real, got {!r}", NegativeExponentError)
+    tol = _real(tol, 0, "tol must be finite and >= 0, got {!r}", BadParamsError)
+    a, bb = (_integers(x, 0, space.n - 1, f"point index {{!r}} out of range for {space.n} points",
+                       IndexOutOfRangeError) for x in (a_idx, b_idx))
     if len(a) != len(bb):
         raise LengthMismatchError(f"family sizes differ: {len(a)} vs {len(bb)}")
     if len(a) < 1:
         raise LengthMismatchError("families must contain at least one point")
-    for i in a + bb:
-        if not 0 <= i < space.n:
-            raise IndexOutOfRangeError(f"point index {i} out of range for {space.n} points")
     max_d = space._max_d
     m = len(a)
     within = [(k, l) for k in range(m) for l in range(k + 1, m)]

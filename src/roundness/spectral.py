@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonFiniteMatrixError, NotSymmetricError
+from .errors import NoConvergenceError, NonFiniteMatrixError, NotSymmetricError, _integers
 
 SYMMETRY_RTOL = 1e-12
 RESIDUAL_RTOL = 1e-9
@@ -78,7 +78,7 @@ def symmetrized(a: np.ndarray) -> np.ndarray:
         a, gap = a[first], gap[first]
         i, j = np.unravel_index(int(gap.argmax()), a.shape)
         raise NotSymmetricError(f"matrix[{i}][{j}] = {a[i, j]} != matrix[{j}][{i}] = {a[j, i]}")
-    return (a + at) / 2.0
+    return a / 2.0 + at / 2.0  # halved first, so no sum overflows
 
 
 def eigensym(a) -> SpectralData:
@@ -373,22 +373,14 @@ INT64_ENTRY_LIMIT = 1 << 31
 
 
 def _int_rows(mat) -> np.ndarray:
-    """`mat` as an (r, c) integer array: an integer ndarray as it is, anything
-    else as Python ints; ValueError on a non-integer entry or ragged rows. A
-    2-D array keeps its column count when it has no rows; an empty list is
-    (0, 0)."""
+    """`mat` as an (r, c) integer array: an integer or boolean ndarray as it
+    is, anything else as Python ints (`errors._integers`); ValueError on a
+    non-integer entry, ragged rows or no sequence of rows. A 2-D array keeps
+    its column count when it has no rows; an empty list is (0, 0)."""
     # an integer array needs no per-entry check, nor an empty one
-    if isinstance(mat, np.ndarray) and mat.ndim == 2 and (mat.dtype.kind in "iu" or not len(mat)):
+    if isinstance(mat, np.ndarray) and mat.ndim == 2 and (mat.dtype.kind in "biu" or not len(mat)):
         return mat
-    rows = []
-    for row in mat:
-        out = []
-        for x in row:
-            xi = int(x)
-            if xi != x:
-                raise ValueError(f"non-integer entry {x!r}")
-            out.append(xi)
-        rows.append(out)
+    rows = _integers(mat, None, None, "non-integer entry {!r}", depth=2)
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
     return np.array(rows, dtype=object).reshape(len(rows), len(rows[0]) if rows else 0)

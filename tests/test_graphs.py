@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 
@@ -70,18 +71,22 @@ def test_unknown_family_and_bad_params():
         gen_family("hypercube", 13)
 
 
-@pytest.mark.parametrize("family, params", [
-    ("cycle", (5.5,)),
-    ("complete", ("4",)),
-    ("hypercube", (None,)),
-    ("circulant", (7.9, (1,))),
-    ("circulant", (7, (1.5,))),
-    ("circulant", (7.9, (1.5,))),
-])
+FAMILY_PARAMETER_ERRORS = {
+    ("cycle", (5.5,)): "cycle needs an integer n >= 3, got 5.5",
+    ("complete", ("4",)): "complete needs an integer n >= 2, got '4'",
+    ("hypercube", (None,)): "hypercube needs an integer n in 1..12, got None",
+    ("circulant", (7.9, (1,))): "circulant needs an integer n >= 3, got 7.9",
+    ("circulant", (7, (1.5,))): "circulant offsets must be integers in 1..3, got 1.5",
+    ("circulant", (7.9, (1.5,))): "circulant needs an integer n >= 3, got 7.9",
+}
+
+
+@pytest.mark.parametrize("family, params", list(FAMILY_PARAMETER_ERRORS))
 def test_family_parameters_must_be_integers(family, params):
     # int() would build cycle:5 from 5.5 and circulant:7 with offset 1 from
-    # (7.9, (1.5,))
-    with pytest.raises(BadParamsError, match=f"^{family} takes integer parameters, got "):
+    # (7.9, (1.5,)); each parameter has one check, of its type and its range
+    message = FAMILY_PARAMETER_ERRORS[family, params]
+    with pytest.raises(BadParamsError, match=f"^{re.escape(message)}$"):
         gen_family(family, *params)
 
 

@@ -75,6 +75,16 @@ def test_near_symmetric_input_is_symmetrized():
         build_metric_space(far)
 
 
+def test_distances_near_float_max_build_without_overflow():
+    # d_ik + d_kj and d_ij + d_ji can pass float range, which made numpy warn
+    # (an error in this suite) and averaged a near-symmetric pair to inf
+    big = np.finfo(float).max
+    sp = build_metric_space([[0, big], [big, 0]])
+    assert sp.dist[0, 1] == big
+    near = build_metric_space([[0, 1.7e308], [1.7000000000001e308, 0]])
+    assert near.dist[0, 1] == near.dist[1, 0] and np.isfinite(near.dist).all()
+
+
 def test_triangle_check_always_runs():
     # there is no switch that skips the triangle check
     with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 import logging
 import math
 import pathlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -990,11 +991,15 @@ def test_gr_inequality_errors(fleet):
 
 
 def test_gr_inequality_rejects_non_integer_indices():
-    # int() would read 0.7 as 0 and "1" as 1: the check's ValueError is the
-    # one the cube subsets raise for the same entries
+    # int() would read 0.7 as 0 and "1" as 1: one check holds each index to
+    # the integers in 0..n-1, and its IndexOutOfRangeError is a ValueError
     sp = space("cycle:5")
-    for a, b in (([0.7, 2.9], [1.2, 3.5]), (["1"], [2]), ([0], [np.float64(1.5)])):
-        with pytest.raises(ValueError, match="^non-integer index "):
+    for a, b, bad in (([0.7, 2.9], [1.2, 3.5], 0.7), (["1"], [2], "1"),
+                      ([0], [np.float64(1.5)], np.float64(1.5))):
+        message = f"point index {bad!r} out of range for 5 points"
+        with pytest.raises(IndexOutOfRangeError, match=f"^{re.escape(message)}$"):
+            gr_inequality_check(sp, 1.0, a, b)
+        with pytest.raises(ValueError):
             gr_inequality_check(sp, 1.0, a, b)
     assert gr_inequality_check(sp, 1.0, [0.0, np.int64(2)], [1, 3]) \
         == gr_inequality_check(sp, 1.0, [0, 2], [1, 3])
