@@ -48,8 +48,10 @@ class Graph:
         message = f"edge vertex {{!r}} out of range for {n} vertices"
         seen, norm = set(), []
         try:
-            for u, v in self.edges:  # a TypeError where edges, or an edge, is no sequence
-                u, v = _integer(u, 0, n - 1, message), _integer(v, 0, n - 1, message)
+            for edge in self.edges:  # a TypeError where edges, or an edge, is no sequence
+                if len(edge) != 2:
+                    raise ValueError(f"edge {edge!r} is not a pair of vertices")
+                u, v = _integer(edge[0], 0, n - 1, message), _integer(edge[1], 0, n - 1, message)
                 if u == v:
                     raise ValueError(f"self-loop at vertex {u}")
                 key = (min(u, v), max(u, v))

@@ -24,6 +24,7 @@ from .errors import (
     NonzeroDiagonalError,
     TriangleViolationError,
     ZeroDistanceError,
+    _integer,
     _real,
 )
 from .spectral import SYMMETRY_RTOL, ClassSpectrum, _class_spectrum, _row0_order, symmetrized
@@ -146,15 +147,22 @@ def power_matrix(space, p: float) -> np.ndarray:
     """Raise all distances to the power p, with 0^p = 0 for every p >= 0.
 
     `space` is a FiniteMetricSpace, checked once (`FiniteMetricSpace._max_d`),
-    or a stack (m, k, k) of distance matrices, checked at each call
-    (`_check_distances`), all raised to the one exponent p.
+    or anything numpy reads as a float matrix (k, k) or stack (m, k, k) of
+    distance matrices, checked at each call (`_check_distances`), all raised
+    to the one exponent p; ValueError on anything else.
     """
     p = _real(p, 0, "exponent must be a nonnegative real, got {!r}", NegativeExponentError)
     if isinstance(space, FiniteMetricSpace):
         space._max_d  # the check, cached on the space
         return _readonly(_power(space.dist, p))
-    _check_distances(space)
-    return _readonly(_power(space, p))
+    try:
+        d = np.asarray(space, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # a dict, ragged rows, 10**400
+        raise ValueError(f"distance matrix entries must be numbers: {exc}") from exc
+    if d.ndim < 2 or d.shape[-1] != d.shape[-2]:
+        raise ValueError(f"distance matrices must be square, got shape {d.shape}")
+    _check_distances(d)
+    return _readonly(_power(d, p))
 
 
 def _check_distances(d: np.ndarray) -> np.ndarray:
@@ -200,14 +208,17 @@ def _rows_permute(d: np.ndarray) -> bool:
     return bool(np.all(np.abs(rows - rows[0]) <= SYMMETRY_RTOL * float(np.max(d))))
 
 
-@lru_cache(maxsize=None)
 def hyperplane_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the zero-sum hyperplane, as the read-only
     n x (n-1) Helmert matrix: column j (1-based) is (1, ..., 1, -j, 0, ..., 0)
     / sqrt(j (j+1)) with j leading ones, which is what Gram-Schmidt on
-    e_0 - e_1, e_0 - e_2, ... gives in exact arithmetic."""
-    if n < 2:
-        raise ValueError("hyperplane basis needs n >= 2")
+    e_0 - e_1, e_0 - e_2, ... gives in exact arithmetic. n is checked
+    (`errors._integer`) before the cache of bases is read."""
+    return _helmert(_integer(n, 2, None, "hyperplane basis needs an integer n >= 2, got {!r}"))
+
+
+@lru_cache(maxsize=None)
+def _helmert(n: int) -> np.ndarray:
     j = np.arange(1, n)
     cols = np.triu(np.ones((n, n - 1)))
     cols[j, j - 1] = -j

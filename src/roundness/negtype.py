@@ -23,20 +23,21 @@ G_uv = <F_u, F_v>, so a step powers s distances per matrix, not k^2
 entries, and reads tr M(p) = sum_v w_v^p tr F_v and ||M(p)||_F^2 = w^T G w
 off them. Distances are checked once per space or stack, never per step.
 
-Everything else a single space needs comes from one source per (space, p),
-built by `_source`: D_p of d / max d, its product with a vector, and one
-spectrum, as values, multiplicities and unit modes by index, with the entry
-where the form's spectrum starts. On a space whose rows are permutations of
-row 0 (`FiniteMetricSpace.rows_permute`), D_p 1 = r(p) 1 makes 1^perp
-invariant, so M(p) has exactly the spectrum of D_p without r(p): the source
-gives D_p's, r(p) at entry 0 and the form from entry 1; on any other space
-it gives M(p)'s, the form from entry 0. There are three sources, chosen
-once per space by what the space caches about itself:
+Everything else a single space needs comes from one record per (space, p),
+`_Spectrum`: a spectrum of D_p of d / max d, as values, multiplicities and
+unit modes by index, and D_p's product with a vector. On a space whose
+rows are permutations of row 0 (`FiniteMetricSpace.rows_permute`), D_p 1 =
+r(p) 1 makes 1^perp invariant, so M(p) has exactly the spectrum of D_p
+without r(p): the record holds D_p's, r(p) at entry 0; on any other space
+it holds M(p)'s. So every consumer reads the form's spectrum from entry
+int(rows_permute), and max d from the space. `_source` picks one of three
+builders of the record once per space, by what the space caches about
+itself:
 
 - Row 0, on a circulant or cube-order space (`FiniteMetricSpace.order`).
   The values are the transform of row 0 (`spectral._row0_spectrum`), the
   modes its cosine or Walsh vectors (`spectral._row0_modes`), and D_p u a
-  convolution (`spectral._row0_product`), with no n x n matrix built.
+  convolution (`spectral._row0_product`), with no n x n array built.
 - Commuting distance classes, on any other space whose rows are
   permutations of row 0 and whose distance classes commute, as on Petersen,
   the solids or a relabelled circulant (`FiniteMetricSpace.classes`). D_p =
@@ -44,18 +45,19 @@ once per space by what the space caches about itself:
   eigenbasis, so one eigendecomposition per space gives the eigenmatrix
   Theta, and the values of D_p at every p are Theta (d / max d)^p, r(p)
   first: each search step is a small product. The modes are one stored
-  vector per joint eigenspace, and D_p u stays a dense product, so the
-  certificate and the kernel defects are residuals of D_p itself.
+  vector per joint eigenspace, and D_p u stays a dense product, with D_p
+  powered on the first product, so the certificate and the kernel defects
+  are residuals of D_p itself.
 - Dense, on every other space: D_p on a row-permutation space, whose
   classes do not commute (the truncated tetrahedron), M(p) on the rest. The
   values come from `spectral._eigvals`, held to the trace and the squared
-  Frobenius norm of that matrix, and the modes from `eigensym`, run once,
-  when a mode is first asked for. So the search, a strict verdict,
-  `det_normalized` and the kernel mask solve for values alone, and only the
-  witness, the certificate and the kernel modes eigendecompose.
+  Frobenius norm of that matrix, and the modes from `eigensym`, run once
+  per record, when a mode is first asked for. So the search, a strict
+  verdict, `det_normalized` and the kernel mask solve for values alone, and
+  only the witness, the certificate and the kernel modes eigendecompose.
 
 The one-space search, `check_negative_type`, the certificate and
-`kernel_coincidence_check` each have one body over the source. On a
+`kernel_coincidence_check` each have one body over the record. On a
 row-permutation space (every vertex-transitive graph) q is also the first
 exponent where an eigenvalue of D_p other than r(p) reaches 0, which gives
 a null-vector certificate, and at q the zero-sum vectors nullifying the
@@ -70,7 +72,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -95,7 +96,6 @@ from .metric import (
 )
 from .spectral import (
     ROW0_BLOCK,
-    ClassSpectrum,
     _eigvals,
     _row0_modes,
     _row0_multiplicities,
@@ -166,116 +166,88 @@ def negtype_form_matrix(space, p) -> np.ndarray:
     return _form(power_matrix(space, p))
 
 
-def _form(dp: np.ndarray) -> np.ndarray:
-    """`negtype_form_matrix` of D_p, or of a stack of them, unchecked."""
-    b = hyperplane_basis(dp.shape[-1])
-    m = b.T @ dp @ b
+def _form(x: np.ndarray) -> np.ndarray:
+    """B^T x B symmetrized, B the zero-sum basis (`hyperplane_basis`), of a
+    matrix x or a stack of them, unchecked: `negtype_form_matrix` of D_p,
+    and the class forms F_v of `_class_forms`."""
+    b = hyperplane_basis(x.shape[-1])
+    m = b.T @ x @ b
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 class _Spectrum(NamedTuple):
-    """The eigenvalues of a symmetric matrix, how many eigenvalues each
-    entry stands for, `modes(idx)`: a unit eigenvector at each entry of idx,
-    signed by `spectral._sign_fixed`, as columns, and `start`, the entry
-    where the form's spectrum begins: 1 on D_p of a row-permutation space,
-    whose entry 0 is r(p), and 0 on M(p)."""
+    """The record of D_p of d / max d at one p that every builder of
+    `_source` returns: the eigenvalues of D_p on a row-permutation space,
+    r(p) at entry 0, and of M(p) on any other; how many eigenvalues each
+    entry stands for; `modes(idx)`, a unit eigenvector at each entry of
+    idx, signed by `spectral._sign_fixed`, as columns; and `product(u)` =
+    D_p u. The form's spectrum starts at entry int(`rows_permute`)."""
 
     values: np.ndarray
     multiplicities: np.ndarray
     modes: Callable[[np.ndarray], np.ndarray]
-    start: int
+    product: Callable[[np.ndarray], np.ndarray]
 
 
-def _source(space: FiniteMetricSpace):
-    """The source of D_p of d / max d for `space`, as a function of p: read
-    on row 0 for a space with an order (`FiniteMetricSpace.order`), off the
-    joint spectrum of its distance classes when they commute
-    (`FiniteMetricSpace.classes`), else densely. A source has `max_d`,
-    `product(u)` = D_p u, and one `spectrum`: D_p's on a row-permutation
-    space (`FiniteMetricSpace.rows_permute`), M(p)'s on any other. The
-    distances are checked first, once per space (`FiniteMetricSpace._max_d`)."""
-    max_d = space._max_d
+def _source(space: FiniteMetricSpace) -> Callable[[float], _Spectrum]:
+    """The builder of `space`'s record (`_Spectrum`) at p, picked once per
+    space: on row 0, off the commuting distance classes, or dense, as the
+    module docstring says. The distances are checked first, once per space
+    (`FiniteMetricSpace._max_d`)."""
+    max_d, n = space._max_d, space.n
     if space.order is not None:
-        order, row = space.order, space.dist[0]
-        unit, counts = row / max_d, _row0_multiplicities(order, space.n)
-        return lambda p: _Row0Source(order, unit, counts, max_d, p)
-    unit, classes = space.dist / max_d, space.classes
-    if classes is not None:
-        distances = classes.distances / max_d
-        return lambda p: _ClassSource(classes, distances, unit, max_d, p)
+        order, unit = space.order, space.dist[0] / max_d
+        counts = _row0_multiplicities(order, n)
+
+        def row0(p):
+            """D_p's spectrum as the transform of its row 0, r(p) first."""
+            row = _power(unit, p)
+            return _Spectrum(_row0_spectrum(order, row), counts,
+                             lambda ts: _row0_modes(order, n, ts),
+                             lambda u: _row0_product(order, row, u))
+
+        return row0
+    unit, joint = space.dist / max_d, space.classes
+    if joint is not None:
+        distances = joint.distances / max_d
+
+        def classes(p):
+            """D_p's spectrum as Theta (d_k / max d)^p, r(p) first; D_p u is
+            the dense product, so a certificate or a kernel defect is a
+            residual of D_p itself, not of the spectrum it is read against."""
+            dp = []  # D_p, powered once a product is asked for
+
+            def product(u):
+                if not dp:
+                    dp.append(_power(unit, p))
+                return dp[0] @ u
+
+            return _Spectrum(joint.eigenmatrix @ _power(distances, p), joint.dims,
+                             lambda idx: joint.modes[:, idx], product)
+
+        return classes
     rows_permute = space.rows_permute
-    return lambda p: _DenseSource(unit, max_d, p, rows_permute)
+    ones = np.ones(n if rows_permute else n - 1, dtype=np.int64)
 
-
-class _Row0Source:
-    """The source of a circulant or cube-order space: row 0 of D_p, whose
-    transform is the spectrum of D_p, value r(p) first."""
-
-    def __init__(self, order: str, unit_row: np.ndarray, counts: np.ndarray, max_d: float,
-                 p: float):
-        self.order, self.max_d, n = order, max_d, len(unit_row)
-        self.row = _power(unit_row, p)
-        self.spectrum = _Spectrum(_row0_spectrum(order, self.row), counts,
-                                  lambda ts: _row0_modes(order, n, ts), 1)
-
-    def product(self, u: np.ndarray) -> np.ndarray:
-        return _row0_product(self.order, self.row, u)
-
-
-class _DenseProduct:
-    """D_p of the distances `unit` (d / max d), built on first use, and its
-    product with a vector."""
-
-    def __init__(self, unit: np.ndarray, max_d: float, p: float):
-        self.unit, self.max_d, self.p = unit, max_d, p
-
-    @cached_property
-    def dp(self) -> np.ndarray:
-        return _power(self.unit, self.p)
-
-    def product(self, u: np.ndarray) -> np.ndarray:
-        return self.dp @ u
-
-
-class _ClassSource(_DenseProduct):
-    """The source of a space whose distance classes commute: the
-    eigenvalues of D_p are the eigenmatrix of the classes times the powered
-    class distances, r(p) first, and each joint eigenspace has one stored
-    mode. D_p u is the dense product, so a certificate or a kernel defect
-    is a residual of D_p itself, not of the spectrum it is read against."""
-
-    def __init__(self, classes: ClassSpectrum, unit_distances: np.ndarray, unit: np.ndarray,
-                 max_d: float, p: float):
-        super().__init__(unit, max_d, p)
-        modes = classes.modes
-        self.spectrum = _Spectrum(classes.eigenmatrix @ _power(unit_distances, p), classes.dims,
-                                  lambda idx: modes[:, idx], 1)
-
-
-class _DenseSource(_DenseProduct):
-    """The source of any other space: the spectrum of D_p on a
-    row-permutation space and of M(p) on any other, each value counted
-    once. The values come from `spectral._eigvals`, held to the trace and
-    the squared Frobenius norm of the matrix solved, reversed, so r(p), the
-    largest of D_p's (Perron-Frobenius), is entry 0. The modes come from
-    `eigensym`, run once, when a mode is first asked for, in the same
-    order, lifted by the zero-sum basis on M(p), signed by `_sign_fixed`."""
-
-    def __init__(self, unit: np.ndarray, max_d: float, p: float, rows_permute: bool):
-        super().__init__(unit, max_d, p)
-        a = self.dp if rows_permute else _form(self.dp)
+    def dense(p):
+        """The values of D_p or M(p) by `spectral._eigvals`, reversed, so
+        r(p), the largest of D_p's (Perron-Frobenius), is entry 0; the modes
+        by `eigensym`, in the same order, lifted by the basis on M(p)."""
+        dp = _power(unit, p)
+        a = dp if rows_permute else _form(dp)
         solved = []  # eigensym(a), once a mode is asked for
 
         def modes(idx):
             if not solved:
                 solved.append(eigensym(a))
             u = solved[0].eigenvectors[:, idx]
-            u = u if rows_permute else hyperplane_basis(len(unit)) @ u
+            u = u if rows_permute else hyperplane_basis(n) @ u
             return _sign_fixed(u / np.linalg.norm(u, axis=0))
 
-        values = _eigvals(a, [np.trace(a)], [np.vdot(a, a)])[::-1]
-        self.spectrum = _Spectrum(values, np.ones(len(values), dtype=np.int64), modes,
-                                  int(rows_permute))
+        return _Spectrum(_eigvals(a, [np.trace(a)], [np.vdot(a, a)])[::-1], ones, modes,
+                         lambda u: dp @ u)
+
+    return dense
 
 
 def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-9) -> NegTypeVerdict:
@@ -296,18 +268,19 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
     """
     p = _real(p, 0, "exponent must be a nonnegative real, got {!r}", NegativeExponentError)
     tol_eig = _real(tol_eig, 0, "tol_eig must be finite and >= 0, got {!r}", BadParamsError)
-    src = _source(space)(p)
-    spectrum = src.spectrum
-    values = spectrum.values[spectrum.start:]
+    spectrum = _source(space)(p)
+    start = int(space.rows_permute)
+    values = spectrum.values[start:]
     top = int(values.argmax())
     lmax = float(values[top])
     holds, strict, _ = _predicate(lmax, float(values.min()), tol_eig)
-    factor = _unit_factor(src.max_d, p)
+    factor = _unit_factor(space._max_d, p)
     witness = None
     if not strict:
-        eta = spectrum.modes([spectrum.start + top])[:, 0]
+        eta = spectrum.modes([start + top])[:, 0]
         eta.setflags(write=False)
-        witness = NegativeTypeWitness(eta=eta, form_value=float(eta @ src.product(eta)) * factor)
+        form_value = float(eta @ spectrum.product(eta)) * factor
+        witness = NegativeTypeWitness(eta=eta, form_value=form_value)
     return NegTypeVerdict(p=float(p), holds=holds, strict=strict,
                           max_form_eigenvalue=lmax * factor, witness=witness)
 
@@ -529,14 +502,12 @@ def _class_forms(d: np.ndarray) -> np.ndarray:
                              f"distances, got {len(values)}")
     m, s, k = len(d), len(values), d.shape[-1]
     members = d[:, None] == values[:, None, None]  # (m, s, k, k)
-    b = hyperplane_basis(k)
-    square = b.T @ members @ b
     end = 1 + (k - 1) ** 2
     classes = np.empty((m, s, end + 1 + s))
     classes[:, :, 0] = values / max_d.reshape(m, 1)
     classes[:, :, 0][~members.reshape(m, s, k * k).any(axis=-1)] = 1.0
     forms = classes[:, :, 1:end]
-    forms[:] = ((square + square.swapaxes(-1, -2)) / 2.0).reshape(m, s, end - 1)
+    forms[:] = _form(members).reshape(m, s, end - 1)
     classes[:, :, end] = forms[:, :, ::k].sum(axis=-1)  # every k-th entry: the diagonal
     classes[:, :, end + 1:] = forms @ forms.swapaxes(1, 2)
     return classes
@@ -559,16 +530,16 @@ def _class_form_matrix(classes: np.ndarray,
 
 def _space_search(space: FiniteMetricSpace, p_max: float, tol_p: float, tol_eig: float):
     """The root search of `roundness_search` for one space, each step on
-    the spectrum of M(p) of its source (`_source`)."""
+    the spectrum of M(p) in its record (`_source`)."""
     p_max, tol_p, tol_eig = _check_search_params(p_max, tol_p, tol_eig)
+    source = _source(space)
+    start = int(space.rows_permute)
 
     def extremes(sources, p):
-        spectrum = sources[0](p[0]).spectrum
-        values = spectrum.values[spectrum.start:]
+        values = sources[0](p[0]).values[start:]
         return values.max(keepdims=True), values.min(keepdims=True)
 
-    (found,) = _lockstep(np.array([_source(space)], dtype=object), extremes,
-                         p_max, tol_p, tol_eig)
+    (found,) = _lockstep(np.array([source], dtype=object), extremes, p_max, tol_p, tol_eig)
     return found
 
 
@@ -611,14 +582,14 @@ def generalized_roundness(
     certificate = None
     det_norm = None
     if row_perm:
-        src = _source(space)(q)
-        magnitudes = np.abs(src.spectrum.values)  # D_q's: entry 0 is r(q), the rest M(q)'s
+        spectrum = _source(space)(q)
+        magnitudes = np.abs(spectrum.values)  # D_q's: entry 0 is r(q), the rest M(q)'s
         det_norm = float(np.min(magnitudes) / np.max(magnitudes))
         if det_norm > CERTIFICATE_TOL:
             log.warning("determinant cross-check at q=%.12g is %.3e, expected ~0", q, det_norm)
         # r(q)'s mode is 1, which is not zero-sum
-        u = src.spectrum.modes([1 + int(np.argmin(magnitudes[1:]))])[:, 0]
-        if np.max(np.abs(src.product(u))) <= CERTIFICATE_TOL:  # relative: max |D_q| is 1
+        u = spectrum.modes([1 + int(np.argmin(magnitudes[1:]))])[:, 0]
+        if np.max(np.abs(spectrum.product(u))) <= CERTIFICATE_TOL:  # relative: max |D_q| is 1
             u.setflags(write=False)
             certificate = u
     return RoundnessResult(status="Finite", q=q, bracket=bracket,
@@ -645,14 +616,13 @@ def kernel_coincidence_check(space: FiniteMetricSpace, q: float) -> KernelCoinci
     """
     q = _real(q, 0, "kernel coincidence requires a finite roundness exponent q >= 0, got {!r}")
     _require_rows_permute(space)
-    src = _source(space)(q)
-    spectrum = src.spectrum  # D_q's, with r(q) >= 1 at entry 0, never in the kernel
+    spectrum = _source(space)(q)  # D_q's, with r(q) >= 1 at entry 0, never in the kernel
     kernel = np.flatnonzero(np.abs(spectrum.values) <= CERTIFICATE_TOL)
     step = max(1, ROW0_BLOCK // space.n)
     max_defect = 0.0
     for k in range(0, len(kernel), step):
         u = spectrum.modes(kernel[k:k + step])
-        max_defect = max(max_defect, float(np.abs(src.product(u)).max()),
+        max_defect = max(max_defect, float(np.abs(spectrum.product(u)).max()),
                          float(np.abs(u.sum(axis=0)).max() / np.sqrt(space.n)))
     dim = int(spectrum.multiplicities[kernel].sum())
     return KernelCoincidenceReport(holds=max_defect <= CERTIFICATE_TOL, max_defect=max_defect,

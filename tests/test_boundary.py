@@ -32,8 +32,20 @@ from roundness import (
     sign_vector,
     tree_embedding_search,
 )
-from roundness import cli, graphs, hamming
-from roundness.errors import BadParamsError, DimensionTooLargeError, RoundnessError
+from roundness import (
+    build_metric_space,
+    check_negative_type,
+    cli,
+    graphs,
+    hamming,
+)
+from roundness.errors import (
+    BadParamsError,
+    DimensionTooLargeError,
+    NegativeExponentError,
+    RoundnessError,
+)
+from roundness.metric import hyperplane_basis, power_matrix
 
 EDGE_FILE = str(resources.files("roundness.data").joinpath("icosahedron.txt"))
 
@@ -47,6 +59,33 @@ EDGE_FILE = str(resources.files("roundness.data").joinpath("icosahedron.txt"))
 ], ids=["circulant-offsets-1", "subset-None", "subset-5"])
 def test_a_non_iterable_sequence_is_a_library_error(call, error, message):
     # each was a bare TypeError, "'int' object is not iterable" or the like
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # a bare AttributeError in the distance check
+    (lambda: power_matrix([[0, "x"], ["x", 0]], 1),
+     ValueError, "distance matrix entries must be numbers: could not convert string to float: 'x'"),
+    (lambda: power_matrix([0, 1], 1), ValueError, "distance matrices must be square, got shape (2,)"),
+    # lru_cache's TypeError: unhashable type: 'list'
+    (lambda: hyperplane_basis([2]), ValueError, "hyperplane basis needs an integer n >= 2, got [2]"),
+    # Python's own "too many values to unpack (expected 2)"
+    (lambda: Graph(3, [(0, 1, 2)]), ValueError, "edge (0, 1, 2) is not a pair of vertices"),
+    # paths that already raised their library error, untested until now
+    (lambda: hyperplane_basis(1), ValueError, "hyperplane basis needs an integer n >= 2, got 1"),
+    (lambda: Graph(3, (5,)), ValueError, "edges must be a sequence of pairs, got (5,)"),
+    (lambda: path_metric(Graph(1, ())), ValueError, "a metric space needs at least 2 vertices"),
+    (lambda: build_metric_space([[0, 1], [1, 0]], labels=["a"]),
+     ValueError, "got 1 labels for 2 points"),
+    (lambda: build_metric_space([[0, 1], [1, 0]], labels=5),
+     ValueError, "labels must be a sequence, got 5"),
+    (lambda: check_negative_type(SPACE, 10**400),  # an int past float range
+     NegativeExponentError, f"exponent must be a nonnegative real, got {10**400}"),
+], ids=["power_matrix-string", "power_matrix-vector", "hyperplane_basis-list", "graph-triple-edge",
+        "hyperplane_basis-1", "graph-edge-5", "path_metric-one-vertex", "labels-too-few",
+        "labels-5", "negtype-p-huge-int"])
+def test_a_bad_argument_is_named_by_a_library_error(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
@@ -102,6 +141,7 @@ def test_sign_vector_is_capped_before_anything_is_built(monkeypatch):
     (det_exact, 5, "expected a sequence, got 5"),  # was a TypeError
     (rank_exact, [1, 2], "expected a sequence, got 1"),  # was a TypeError
     (kernel_basis_exact, [[1.5]], "non-integer entry 1.5"),
+    (det_exact, [[1, 2]], "matrix must be square"),
 ])
 def test_exact_entry_points_take_rows_of_integers(fn, mat, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -310,6 +310,11 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code, report = run_cli(capsys, "roundness")
     assert code == 2
 
+    # a subset of separators alone names no vertex
+    code, report = run_cli(capsys, "cube", "classify", "--n", "3", "--subset", ",")
+    assert code == 2
+    assert report["error"] == {"type": "RoundnessError", "message": "empty subset"}
+
     # labels that are not a list: a JSON error, not a traceback
     for labels in (5, "abc", {"a": 1}):
         f = tmp_path / "labels.json"

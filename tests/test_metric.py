@@ -97,6 +97,10 @@ def test_power_matrix_two_point_p1():
     sp = build_metric_space([[0, 1], [1, 0]])
     pm = power_matrix(sp, 1.0)
     assert np.array_equal(pm, [[0, 1], [1, 0]])
+    # a list is read as a float matrix (was a bare AttributeError in the check)
+    listed = power_matrix([[0, 2], [2, 0]], 2)
+    assert listed.dtype == float and not listed.flags.writeable
+    assert np.array_equal(listed, [[0, 4], [4, 0]])
 
 
 def test_power_matrix_p0_is_ones_minus_identity():

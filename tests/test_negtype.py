@@ -560,7 +560,7 @@ def test_structured_search_agrees_with_dense_search(monkeypatch, spec):
     # relabelled, each of these spaces is neither circulant nor in cube
     # order, and its search reads the spectrum of its distance classes; the
     # search of a dense copy, which solves D_p densely, is the reference for
-    # both
+    # both. `_source` picks one builder per space, named for its structure
     kinds = []
     source = negtype._source
 
@@ -568,9 +568,8 @@ def test_structured_search_agrees_with_dense_search(monkeypatch, spec):
         at = source(metric)
 
         def recorded(p):
-            src = at(p)
-            kinds.append(type(src).__name__)
-            return src
+            kinds.append(at.__name__)
+            return at(p)
 
         return recorded
 
@@ -578,11 +577,13 @@ def test_structured_search_agrees_with_dense_search(monkeypatch, spec):
     sp = space(spec)
     moved = relabelled(sp)
     found = negtype._space_search(sp, 64.0, 1e-9, 1e-9)
-    assert set(kinds) == {"_Row0Source" if spec in STRUCTURED else "_ClassSource"}
+    assert set(kinds) == {"row0" if spec in STRUCTURED else "classes"}
     kinds.clear()
     found_moved = negtype._space_search(moved, 64.0, 1e-9, 1e-9)
-    assert set(kinds) == {"_ClassSource"}
+    assert set(kinds) == {"classes"}
+    kinds.clear()
     q_dense, (lo_dense, hi_dense), _ = negtype._space_search(dense_copy(moved), 64.0, 1e-9, 1e-9)
+    assert set(kinds) == {"dense"}
     for q, (lo, hi), _ in (found, found_moved):
         assert abs(q - q_dense) <= 1e-9
         assert lo <= hi_dense and lo_dense <= hi
@@ -630,7 +631,7 @@ def test_dense_row_permutation_spectrum_is_the_form_after_r(make):
     res = generalized_roundness(sp)
     unit = sp.dist / sp.dist.max()
     for p in (res.q / 2, res.q, res.q + 0.5):
-        values = negtype._source(sp)(p).spectrum.values
+        values = negtype._source(sp)(p).values
         assert values[0] == pytest.approx(power_matrix(unit, p)[0].sum(), rel=1e-12)
         form = form_values(negtype_form_matrix(unit, p))
         assert np.abs(values[1:] - form).max() <= 1e-12 * np.abs(form).max()
