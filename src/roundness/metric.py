@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -212,13 +212,9 @@ def hyperplane_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the zero-sum hyperplane, as the read-only
     n x (n-1) Helmert matrix: column j (1-based) is (1, ..., 1, -j, 0, ..., 0)
     / sqrt(j (j+1)) with j leading ones, which is what Gram-Schmidt on
-    e_0 - e_1, e_0 - e_2, ... gives in exact arithmetic. n is checked
-    (`errors._integer`) before the cache of bases is read."""
-    return _helmert(_integer(n, 2, None, "hyperplane basis needs an integer n >= 2, got {!r}"))
-
-
-@lru_cache(maxsize=None)
-def _helmert(n: int) -> np.ndarray:
+    e_0 - e_1, e_0 - e_2, ... gives in exact arithmetic. n is checked by
+    `errors._integer`; each call builds the basis anew."""
+    n = _integer(n, 2, None, "hyperplane basis needs an integer n >= 2, got {!r}")
     j = np.arange(1, n)
     cols = np.triu(np.ones((n, n - 1)))
     cols[j, j - 1] = -j

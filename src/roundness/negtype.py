@@ -24,15 +24,18 @@ entries, and reads tr M(p) = sum_v w_v^p tr F_v and ||M(p)||_F^2 = w^T G w
 off them. Distances are checked once per space or stack, never per step.
 
 Everything else a single space needs comes from one record per (space, p),
-`_Spectrum`: a spectrum of D_p of d / max d, as values, multiplicities and
-unit modes by index, and D_p's product with a vector. On a space whose
-rows are permutations of row 0 (`FiniteMetricSpace.rows_permute`), D_p 1 =
-r(p) 1 makes 1^perp invariant, so M(p) has exactly the spectrum of D_p
-without r(p): the record holds D_p's, r(p) at entry 0; on any other space
-it holds M(p)'s. So every consumer reads the form's spectrum from entry
-int(rows_permute), and max d from the space. `_source` picks one of three
-builders of the record once per space, by what the space caches about
-itself:
+`_Spectrum`, of d / max d: a spectrum, as values, multiplicities and unit
+modes by index, and D_p's product with a vector. On every space entry 0 is
+the eigenvalue of 1 and the entries after it are M(p)'s spectrum, so every
+consumer reads the form from entry 1. On a space whose rows are
+permutations of row 0 (`FiniteMetricSpace.rows_permute`), D_p 1 = r(p) 1
+makes 1^perp invariant, and the record holds D_p's spectrum. On any other
+it holds that of A(p) = J_c D_p J_c + (R / n) 1 1^T, J_c = I - 1 1^T / n, R
+the largest row sum of D_p (Schoenberg 1938; Gower, Biometrika 1966): A(p)
+acts as M(p) on 1^perp, and A(p) 1 = R 1 with R its largest eigenvalue, as
+no zero-sum vector is the Perron vector of D_p. `_source` picks one of
+three builders of the record once per space, by what the space caches
+about itself:
 
 - Row 0, on a circulant or cube-order space (`FiniteMetricSpace.order`).
   The values are the transform of row 0 (`spectral._row0_spectrum`), the
@@ -49,7 +52,7 @@ itself:
   powered on the first product, so the certificate and the kernel defects
   are residuals of D_p itself.
 - Dense, on every other space: D_p on a row-permutation space, whose
-  classes do not commute (the truncated tetrahedron), M(p) on the rest. The
+  classes do not commute (the truncated tetrahedron), A(p) on the rest. The
   values come from `spectral._eigvals`, held to the trace and the squared
   Frobenius norm of that matrix, and the modes from `eigensym`, run once
   per record, when a mode is first asked for. So the search, a strict
@@ -177,11 +180,10 @@ def _form(x: np.ndarray) -> np.ndarray:
 
 class _Spectrum(NamedTuple):
     """The record of D_p of d / max d at one p that every builder of
-    `_source` returns: the eigenvalues of D_p on a row-permutation space,
-    r(p) at entry 0, and of M(p) on any other; how many eigenvalues each
-    entry stands for; `modes(idx)`, a unit eigenvector at each entry of
-    idx, signed by `spectral._sign_fixed`, as columns; and `product(u)` =
-    D_p u. The form's spectrum starts at entry int(`rows_permute`)."""
+    `_source` returns, laid out alike on every space: the eigenvalues, that
+    of 1 at entry 0 and M(p)'s after it; how many eigenvalues each entry
+    stands for; `modes(idx)`, a unit eigenvector at each entry of idx,
+    signed by `spectral._sign_fixed`, as columns; and `product(u)` = D_p u."""
 
     values: np.ndarray
     multiplicities: np.ndarray
@@ -226,22 +228,22 @@ def _source(space: FiniteMetricSpace) -> Callable[[float], _Spectrum]:
                              lambda idx: joint.modes[:, idx], product)
 
         return classes
-    rows_permute = space.rows_permute
-    ones = np.ones(n if rows_permute else n - 1, dtype=np.int64)
+    rows_permute, ones = space.rows_permute, np.ones(n, dtype=np.int64)
 
     def dense(p):
-        """The values of D_p or M(p) by `spectral._eigvals`, reversed, so
-        r(p), the largest of D_p's (Perron-Frobenius), is entry 0; the modes
-        by `eigensym`, in the same order, lifted by the basis on M(p)."""
-        dp = _power(unit, p)
-        a = dp if rows_permute else _form(dp)
+        """The values of A(p), D_p on a row-permutation space, by
+        `spectral._eigvals`, reversed, so that of 1 is entry 0; the modes by
+        `eigensym`, in the same order."""
+        a = dp = _power(unit, p)
+        if not rows_permute:  # centred, with r the row means and R = n max r
+            r = dp.sum(axis=1) / n
+            a = dp - (r[:, None] + r) + (r.sum() / n + r.max())
         solved = []  # eigensym(a), once a mode is asked for
 
         def modes(idx):
             if not solved:
                 solved.append(eigensym(a))
             u = solved[0].eigenvectors[:, idx]
-            u = u if rows_permute else hyperplane_basis(n) @ u
             return _sign_fixed(u / np.linalg.norm(u, axis=0))
 
         return _Spectrum(_eigvals(a, [np.trace(a)], [np.vdot(a, a)])[::-1], ones, modes,
@@ -255,29 +257,29 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
 
     The largest eigenvalue lmax of M(p) decides: holds iff lmax <= tol,
     strict iff lmax < -tol (tolerances relative to the spectral radius of
-    M(p)). When not strict, the witness is the unit zero-sum mode at the
-    form's largest value (the first such entry of the source's spectrum,
-    past r(p) on a row-permutation space), first nonzero entry positive,
-    and its form value is eta^T (D_p eta). Both come from the space's source
-    (`_source`), on row 0 for a space with an order. The form is built on d / max d, so the verdict neither
-    overflows nor underflows at any unit of distance; `max_form_eigenvalue`
-    and the witness's `form_value` are reported in the unit of d, as their
-    value on d / max d times (max d)^p, which is inf or nan where that
-    product is out of float range. p must be a finite real >= 0, else
-    NegativeExponentError, and tol_eig too, else BadParamsError.
+    M(p)). M(p)'s spectrum is the record of the space's source (`_source`)
+    from entry 1 on, past the eigenvalue of 1, on row 0 for a space with an
+    order. When not strict, the witness is the unit zero-sum mode at the
+    form's largest value (the first such entry), first nonzero entry
+    positive, and its form value is eta^T (D_p eta). The form is built on
+    d / max d, so the verdict neither overflows nor underflows at any unit
+    of distance; `max_form_eigenvalue` and the witness's `form_value` are
+    reported in the unit of d, as their value on d / max d times (max d)^p,
+    which is inf or nan where that product is out of float range. p must be
+    a finite real >= 0, else NegativeExponentError, and tol_eig too, else
+    BadParamsError.
     """
     p = _real(p, 0, "exponent must be a nonnegative real, got {!r}", NegativeExponentError)
     tol_eig = _real(tol_eig, 0, "tol_eig must be finite and >= 0, got {!r}", BadParamsError)
     spectrum = _source(space)(p)
-    start = int(space.rows_permute)
-    values = spectrum.values[start:]
+    values = spectrum.values[1:]
     top = int(values.argmax())
     lmax = float(values[top])
     holds, strict, _ = _predicate(lmax, float(values.min()), tol_eig)
     factor = _unit_factor(space._max_d, p)
     witness = None
     if not strict:
-        eta = spectrum.modes([start + top])[:, 0]
+        eta = spectrum.modes([1 + top])[:, 0]
         eta.setflags(write=False)
         form_value = float(eta @ spectrum.product(eta)) * factor
         witness = NegativeTypeWitness(eta=eta, form_value=form_value)
@@ -530,13 +532,12 @@ def _class_form_matrix(classes: np.ndarray,
 
 def _space_search(space: FiniteMetricSpace, p_max: float, tol_p: float, tol_eig: float):
     """The root search of `roundness_search` for one space, each step on
-    the spectrum of M(p) in its record (`_source`)."""
+    the spectrum of M(p), its record's (`_source`) from entry 1 on."""
     p_max, tol_p, tol_eig = _check_search_params(p_max, tol_p, tol_eig)
     source = _source(space)
-    start = int(space.rows_permute)
 
     def extremes(sources, p):
-        values = sources[0](p[0]).values[start:]
+        values = sources[0](p[0]).values[1:]
         return values.max(keepdims=True), values.min(keepdims=True)
 
     (found,) = _lockstep(np.array([source], dtype=object), extremes, p_max, tol_p, tol_eig)

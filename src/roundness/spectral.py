@@ -125,11 +125,12 @@ def _eigvals(a: np.ndarray, traces: list, squares: list) -> np.ndarray:
     No other guard runs, as none can fire on the matrices the library builds
     from distances checked once per space or stack (`metric`'s
     `FiniteMetricSpace._max_d`, `negtype._class_forms`): the entries of D_p
-    of d / max d lie in [0, 1] and those of M(p) are bounded by n, so all
-    are finite; all are symmetric to within SYMMETRY_RTOL, LAPACK reads one
-    triangle, and a matrix that is not what its caller's invariants say
-    fails the Frobenius identity; and none needs rescaling for its squares
-    to stay in float range, as max D_p = 1 and tr M(p) = -sum(D_p) / n < 0.
+    of d / max d lie in [0, 1] and those of M(p) and the centred A(p) are
+    bounded by n, so all are finite; all are symmetric to within
+    SYMMETRY_RTOL, LAPACK reads one triangle, and a matrix that is not what
+    its caller's invariants say fails the Frobenius identity; and none needs
+    rescaling for its squares to stay in float range, as max D_p = 1, tr
+    M(p) = -sum(D_p) / n < 0 and A(p) 1 = R 1 with R >= 1.
     """
     try:
         w = np.linalg.eigvalsh(a)

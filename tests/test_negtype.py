@@ -524,9 +524,9 @@ def test_search_decisions_are_golden(name):
                          ids=["truncated_tetrahedron", "eucl:24"])
 def test_dense_search_and_strict_verdict_solve_for_values_only(monkeypatch, make):
     # the search and a strict verdict read eigenvalues alone; only a witness
-    # asks for modes, and then `eigensym` runs once: on D_p for the truncated
-    # tetrahedron, whose rows are permutations of each other, on M(p) for
-    # the Euclidean space
+    # asks for modes, and then `eigensym` runs once on an n x n matrix: D_p
+    # for the truncated tetrahedron, whose rows are permutations of each
+    # other, and the centred D_p for the Euclidean space
     sp = make()
     assert sp.order is None and sp.classes is None
     calls = []
@@ -543,8 +543,41 @@ def test_dense_search_and_strict_verdict_solve_for_values_only(monkeypatch, make
     assert calls == []
     verdict = check_negative_type(sp, q + 0.5)
     assert not verdict.strict and verdict.witness is not None
-    k = sp.n if has_row_permutation_property(sp) else sp.n - 1
-    assert calls == [(k, k)]
+    assert calls == [(sp.n, sp.n)]
+
+
+@pytest.mark.parametrize("make", [lambda: euclidean_space(24),
+                                  lambda: path_metric(truncated_tetrahedron())],
+                         ids=["eucl:24", "truncated_tetrahedron"])
+def test_single_space_consumers_build_no_zero_sum_basis(monkeypatch, make):
+    # every record of one space holds the eigenvalue of 1 at entry 0 and the
+    # form past it, the centred D_p's where the rows do not permute, so the
+    # search, the verdicts and the kernel check build no zero-sum basis
+    def fail(n):
+        raise AssertionError(f"a zero-sum basis of {n} points was built")
+
+    monkeypatch.setattr(negtype, "hyperplane_basis", fail)
+    monkeypatch.setattr(metric, "hyperplane_basis", fail)
+    sp = make()
+    res = generalized_roundness(sp)
+    assert check_negative_type(sp, res.q / 2).strict
+    verdict = check_negative_type(sp, res.q + 0.5)
+    assert not verdict.holds and verdict.witness.form_value > 0
+    if has_row_permutation_property(sp):
+        assert kernel_coincidence_check(sp, res.q).holds
+    else:
+        with pytest.raises(HypothesisViolatedError):
+            kernel_coincidence_check(sp, res.q)
+
+
+@pytest.mark.parametrize("spec", ["hypercube:2", "cycle:6"])
+def test_a_zero_top_form_eigenvalue_holds_but_not_strictly(spec):
+    # M(1) of these spaces has the largest eigenvalue 0.0 exactly, so with
+    # tol_eig = 0 the verdict rests on the predicate's `lmax <= 0`
+    verdict = check_negative_type(space(spec), 1.0, tol_eig=0.0)
+    assert verdict.max_form_eigenvalue == 0.0
+    assert verdict.holds and not verdict.strict
+    assert verdict.witness is not None
 
 
 # the graphs of the benchmark's fleet_q workload, and three larger ones;

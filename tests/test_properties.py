@@ -5,7 +5,7 @@ graph of Z_2^k, whose rows are permutations of each other). The root search
 reads the circulants' spectra off an FFT and the Z_2^k metrics' off a
 Walsh-Hadamard transform, and a relabelled copy, which in general has
 neither structure, off the joint spectrum of its distance classes (dense
-inputs off the dense form), so the relabelling property pits them against
+inputs off the dense source), so the relabelling property pits them against
 each other. Relabelled circulant graphs of up to 64 vertices check the
 class spectrum against the dense source consumer by consumer."""
 
@@ -300,6 +300,26 @@ def test_structured_consumers_agree_with_dense(g, data):
             assert_unit_zero_sum(verdict.witness.eta, unit_power(sp, p))
             assert abs(verdict.witness.form_value - verdict_dense.max_form_eigenvalue) <= (
                 1e-9 * sp.n * sp.dist.max() ** p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=metrics, p=st.floats(0.0, 4.0), data=st.data())
+def test_every_record_holds_the_eigenvalue_of_one_then_the_form(d, p, data):
+    # one layout on every source: entry 0 is the eigenvalue of 1, the
+    # largest row sum of D_p, and the entries after it, each repeated by its
+    # multiplicity, are the spectrum of M(p) = B^T D_p B; a relabelled copy
+    # takes the class source or the dense one
+    if data.draw(st.booleans()):
+        d = relabelled(d, data.draw(st.permutations(range(len(d)))))
+    sp = build_metric_space(d)
+    record = negtype._source(sp)(p)
+    assert record.values[0] == pytest.approx(unit_power(sp, p).sum(axis=1).max(), rel=1e-12)
+    form = np.linalg.eigvalsh(negtype_form_matrix(sp.dist / sp.dist.max(), p))
+    values = np.sort(np.repeat(record.values[1:], record.multiplicities[1:]))
+    assert values.shape == form.shape
+    assert np.abs(values - form).max() <= 1e-12 * np.abs(form).max()
+    top = record.modes([1 + int(record.values[1:].argmax())])[:, 0]
+    assert abs(np.linalg.norm(top) - 1) <= 1e-12 and abs(top.sum()) <= 1e-12
 
 
 @st.composite

@@ -23,6 +23,7 @@ from roundness.errors import (
     NotSymmetricError,
 )
 from roundness import spectral
+from roundness.negtype import negtype_form_matrix
 from roundness.spectral import (INT64_ENTRY_LIMIT, _eigvals, _eliminate, _exact, _row0_order,
                                 eigensym)
 
@@ -251,6 +252,26 @@ def test_eigvals_trace_and_frobenius_checks_per_member(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: true_eigvalsh(a) + [-1e-6, 0.0, 1e-6])
     with pytest.raises(NoConvergenceError):
         solve(np.stack([GOOD, bad]))
+
+
+def test_eigvals_trace_identity_sees_a_shifted_zero_eigenvalue(monkeypatch):
+    # M(1) of the 4-cycle has the spectrum {-2, -2, 0}: its 0 moved by 1e-6
+    # of ||a||_F moves the squared norm by only 1e-12 of ||a||_F^2, within
+    # the Frobenius identity's bound, so the trace identity alone rejects it
+    a = negtype_form_matrix(path_metric(gen_family("cycle", 4)), 1.0)
+    norm = np.linalg.norm(a)
+    true_eigvalsh = np.linalg.eigvalsh
+
+    def shifted(m):
+        w = true_eigvalsh(m)
+        w[np.argmin(np.abs(w))] += 1e-6 * norm
+        return w
+
+    w = shifted(a)
+    assert abs(w @ w - norm**2) <= spectral.RESIDUAL_RTOL * norm**2
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    with pytest.raises(NoConvergenceError, match="miss the trace"):
+        solve(a)
 
 
 def test_eigvals_rejects_a_nan_eigenvalue(monkeypatch):
