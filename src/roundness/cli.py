@@ -14,8 +14,10 @@ Inputs, exactly one per command, are graph specs (``cycle:5``,
 (first line the vertex count, then ``u v`` lines). Reports are
 byte-identical for identical inputs and flags. Flags are read only as
 spelled in full. Exit codes: 0 success/holds, 1 semantic negative (violated,
-hypothesis failed, none found), 2 input error. Set ROUNDNESS_LOG=DEBUG for
-diagnostics on stderr.
+hypothesis failed, none found), 2 input error, and 141 (128 + SIGPIPE, as a
+shell reports a filter that SIGPIPE ended) when the reader of stdout goes
+away before the report is written, which ends `gr` quietly, with nothing on
+stderr. Set ROUNDNESS_LOG=DEBUG for diagnostics on stderr.
 
 A `gr` process compiles and imports only the modules its command runs.
 `metric` and `spectral`, which every command uses, load with this module;
@@ -47,6 +49,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import BadParamsError, HypothesisViolatedError, RoundnessError
 from .metric import build_metric_space
 from .spectral import det_exact
+
+EXIT_READER_GONE = 141  # 128 + SIGPIPE's 13, without loading `signal`
 
 
 # -- input handling -----------------------------------------------------------
@@ -398,6 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # here, so that a reader gone early is seen below, not at exit
+    except BrokenPipeError:
+        # the null device takes what is still buffered, so the flush at exit
+        # raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_READER_GONE
+    return code
+
+
+def _main(argv) -> int:
     level = os.environ.get("ROUNDNESS_LOG")
     if level:
         import logging

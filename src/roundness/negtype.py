@@ -94,10 +94,12 @@ from .metric import (
     NegativeTypeWitness,
     _check_distances,
     _power,
+    _powers,
     hyperplane_basis,
     power_matrix,
 )
 from .spectral import (
+    CLASS_GAP_RTOL,
     ROW0_BLOCK,
     _eigvals,
     _row0_modes,
@@ -195,23 +197,24 @@ def _source(space: FiniteMetricSpace) -> Callable[[float], _Spectrum]:
     """The builder of `space`'s record (`_Spectrum`) at p, picked once per
     space: on row 0, off the commuting distance classes, or dense, as the
     module docstring says. The distances are checked first, once per space
-    (`FiniteMetricSpace._max_d`)."""
+    (`FiniteMetricSpace._max_d`), and each builder prepares the base of the
+    powers it takes once (`metric._powers`), so a p costs one power."""
     max_d, n = space._max_d, space.n
     if space.order is not None:
-        order, unit = space.order, space.dist[0] / max_d
+        order, power = space.order, _powers(space.dist[0] / max_d)
         counts = _row0_multiplicities(order, n)
 
         def row0(p):
             """D_p's spectrum as the transform of its row 0, r(p) first."""
-            row = _power(unit, p)
+            row = power(p)
             return _Spectrum(_row0_spectrum(order, row), counts,
                              lambda ts: _row0_modes(order, n, ts),
                              lambda u: _row0_product(order, row, u))
 
         return row0
-    unit, joint = space.dist / max_d, space.classes
+    power, joint = _powers(space.dist / max_d), space.classes
     if joint is not None:
-        distances = joint.distances / max_d
+        weights = _powers(joint.distances / max_d)
 
         def classes(p):
             """D_p's spectrum as Theta (d_k / max d)^p, r(p) first; D_p u is
@@ -221,10 +224,10 @@ def _source(space: FiniteMetricSpace) -> Callable[[float], _Spectrum]:
 
             def product(u):
                 if not dp:
-                    dp.append(_power(unit, p))
+                    dp.append(power(p))
                 return dp[0] @ u
 
-            return _Spectrum(joint.eigenmatrix @ _power(distances, p), joint.dims,
+            return _Spectrum(joint.eigenmatrix @ weights(p), joint.dims,
                              lambda idx: joint.modes[:, idx], product)
 
         return classes
@@ -234,7 +237,7 @@ def _source(space: FiniteMetricSpace) -> Callable[[float], _Spectrum]:
         """The values of A(p), D_p on a row-permutation space, by
         `spectral._eigvals`, reversed, so that of 1 is entry 0; the modes by
         `eigensym`, in the same order."""
-        a = dp = _power(unit, p)
+        a = dp = power(p)
         if not rows_permute:  # centred, with r the row means and R = n max r
             r = dp.sum(axis=1) / n
             a = dp - (r[:, None] + r) + (r.sum() / n + r.max())
@@ -260,25 +263,27 @@ def check_negative_type(space: FiniteMetricSpace, p: float, tol_eig: float = 1e-
     M(p)). M(p)'s spectrum is the record of the space's source (`_source`)
     from entry 1 on, past the eigenvalue of 1, on row 0 for a space with an
     order. When not strict, the witness is the unit zero-sum mode at the
-    form's largest value (the first such entry), first nonzero entry
-    positive, and its form value is eta^T (D_p eta). The form is built on
-    d / max d, so the verdict neither overflows nor underflows at any unit
-    of distance; `max_form_eigenvalue` and the witness's `form_value` are
-    reported in the unit of d, as their value on d / max d times (max d)^p,
-    which is inf or nan where that product is out of float range. p must be
-    a finite real >= 0, else NegativeExponentError, and tol_eig too, else
-    BadParamsError.
+    first entry within CLASS_GAP_RTOL times the spectral radius of the
+    form's largest value, so that rounding does not pick among tied modes,
+    first nonzero entry positive, and its form value is eta^T (D_p eta).
+    The form is built on d / max d, so the verdict neither overflows nor
+    underflows at any unit of distance; `max_form_eigenvalue` and the
+    witness's `form_value` are reported in the unit of d, as their value on
+    d / max d times (max d)^p, which is inf or nan where that product is out
+    of float range. p must be a finite real >= 0, else NegativeExponentError,
+    and tol_eig too, else BadParamsError.
     """
     p = _real(p, 0, "exponent must be a nonnegative real, got {!r}", NegativeExponentError)
     tol_eig = _real(tol_eig, 0, "tol_eig must be finite and >= 0, got {!r}", BadParamsError)
     spectrum = _source(space)(p)
     values = spectrum.values[1:]
-    top = int(values.argmax())
-    lmax = float(values[top])
-    holds, strict, _ = _predicate(lmax, float(values.min()), tol_eig)
+    lmax, lmin = float(values.max()), float(values.min())
+    holds, strict, _ = _predicate(lmax, lmin, tol_eig)
     factor = _unit_factor(space._max_d, p)
     witness = None
     if not strict:
+        # the first entry tied with lmax, not the one that rounds highest
+        top = int((values >= lmax - CLASS_GAP_RTOL * max(lmax, -lmin)).argmax())
         eta = spectrum.modes([1 + top])[:, 0]
         eta.setflags(write=False)
         form_value = float(eta @ spectrum.product(eta)) * factor

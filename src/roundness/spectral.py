@@ -14,7 +14,10 @@ matrix (d[i, j] = f((j - i) mod n)) or one in cube order (d[i, j] = f(i xor
 j)) is row 0 read through one (n, n) index. The FFT or the Walsh-Hadamard
 transform of row 0 gives its spectrum, the cosine or Walsh modes its
 eigenvectors, and a convolution of row 0 its product with a vector, so no
-such matrix need be built to be used.
+such matrix need be built to be used. The Walsh-Hadamard transform of order
+n = a b is two matrix products, with the Sylvester-Hadamard factors H_a and
+H_b of order about sqrt(n), each built once per order (`_sylvester`), as
+H_n = H_a (x) H_b.
 
 Commuting distance classes: when the rows of a matrix are permutations of
 row 0 and its class matrices A_k (1 where the entry is the k-th distinct
@@ -206,19 +209,40 @@ def _row0_spectrum(order: str, row: np.ndarray) -> np.ndarray:
     """Each distinct eigenvalue of the symmetric matrix in `order` with row 0
     `row` at least once, the row sum first: the real part of its `rfft`
     (circulant), or its Walsh-Hadamard transform (cube), y[t] = sum_j row[j]
-    (-1)^popcount(j & t), by in-place butterflies on a copy of row. An
-    (n, k) array is transformed column by column, along axis 0."""
+    (-1)^popcount(j & t). An (n, m) array is transformed column by column,
+    along axis 0.
+
+    The Walsh-Hadamard matrix of order n = 2^k is H_a (x) H_b, a = 2^floor(k/2)
+    and b = 2^ceil(k/2), as popcount(j & t) splits over the high and the low
+    bits of j and t (Sylvester's construction). So with row read as (a, b, m),
+    y = H_a x along axis 0, then H_b along axis 1: two matrix products of
+    sqrt(n)-sized factors (`_sylvester`), one body for a vector and a block.
+    Integer input whose sums stay below 2^53 comes out exact."""
     if order == "circulant":
         return np.fft.rfft(row, axis=0).real
-    y = np.array(row, dtype=float)
-    h = 1
-    while h < len(y):
-        v = y.reshape(-1, 2, h, *y.shape[1:])
-        top = v[:, 0].copy()
-        v[:, 0] += v[:, 1]
-        v[:, 1] = top - v[:, 1]
-        h *= 2
-    return y
+    x = np.asarray(row, dtype=float)
+    k = len(x).bit_length() - 1
+    a, b = 1 << k // 2, 1 << (k + 1) // 2
+    y = np.matmul(_sylvester(b), (_sylvester(a) @ x.reshape(a, -1)).reshape(a, b, -1))
+    return y.reshape(x.shape)
+
+
+# order -> Sylvester-Hadamard matrix: the two of a cube order n hold about n floats each
+_SYLVESTER: dict[int, np.ndarray] = {}
+
+
+def _sylvester(m: int) -> np.ndarray:
+    """The read-only Walsh-Hadamard matrix of order m, a power of two, with
+    entries (-1)^popcount(i & j), by Sylvester's doubling H_2m = [[H_m, H_m],
+    [H_m, -H_m]]; built once per order."""
+    h = _SYLVESTER.get(m)
+    if h is None:
+        h = np.ones((1, 1))
+        while len(h) < m:
+            h = np.block([[h, h], [h, -h]])
+        h.setflags(write=False)
+        _SYLVESTER[m] = h
+    return h
 
 
 def _row0_multiplicities(order: str, n: int) -> np.ndarray:

@@ -557,3 +557,20 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["q"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("argv, head", [
+    (["cube", "lemmas", "--n", "10", "--dump-matrices", "--pretty"], 50),  # 300 KB, past a pipe
+    (["roundness", "--graph", "nope"], 0),  # an error report to a reader already gone
+])
+def test_a_reader_gone_early_ends_gr_quietly(argv, head):
+    # as `gr ... | head -c 50`: no traceback, and not the exit status of a
+    # semantic negative or an input error
+    proc = subprocess.Popen([sys.executable, "-m", "roundness.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(head)) == head
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_READER_GONE == 141
+    assert err == b""

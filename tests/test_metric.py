@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roundness import build_metric_space, cube_distance_matrix, generalized_roundness
 from roundness.errors import (
@@ -12,7 +16,15 @@ from roundness.errors import (
     TriangleViolationError,
     ZeroDistanceError,
 )
-from roundness.metric import has_row_permutation_property, hyperplane_basis, power_matrix
+from roundness import metric
+from roundness.metric import (
+    FiniteMetricSpace,
+    has_row_permutation_property,
+    hyperplane_basis,
+    power_matrix,
+)
+from roundness.negtype import _source
+from roundness.spectral import _row0_spectrum
 
 C4_MATRIX = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]  # BFS on the 4-cycle
 P3_MATRIX = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -279,3 +291,115 @@ def test_hyperplane_basis_invariants(n):
     assert np.max(np.abs(b - gram_schmidt_basis(n))) <= 1e-12
     assert np.max(np.abs(b.T @ b - np.eye(n - 1))) <= 1e-12
     assert np.max(np.abs(b.T @ np.ones(n))) <= 1e-12
+
+
+def triangle_oracle(d):
+    """The triangle check one k at a time: the first k with a gap
+    d_ij - (d_ik + d_kj) above the slack, and the (i, j) of its largest gap,
+    as (i, k, j, d_ij, d_ik, d_kj), or None."""
+    slack = 1e-12 * float(np.max(d))
+    for k in range(len(d)):
+        gap = d - (d[:, k][:, None] + d[k, :][None, :])
+        if np.any(gap > slack):
+            i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            return i, k, j, d[i, j], d[i, k], d[k, j]
+    return None
+
+
+@st.composite
+def planted_triangles(draw):
+    """A symmetric n x n matrix, n = 2..12, of distances in 5..10, which
+    keep every triangle, with 0 to 3 pairs raised to 11..40, which may
+    break some, and the block size of the check: one k, several k a block,
+    or every k in one block."""
+    n = draw(st.integers(2, 12))
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = draw(st.integers(5, 10))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            d[i, j] = d[j, i] = draw(st.integers(11, 40))
+    block = draw(st.sampled_from([1, 2 * n * n, 3 * n * n + 1, metric.TRIANGLE_BLOCK]))
+    return d, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=planted_triangles())
+def test_blocked_triangle_check_names_the_loops_first_violation(case):
+    d, block = case
+    expected = triangle_oracle(d)
+    with mock.patch.object(metric, "TRIANGLE_BLOCK", block):
+        if expected is None:
+            build_metric_space(d)
+            return
+        with pytest.raises(TriangleViolationError) as exc:
+            build_metric_space(d)
+    i, k, j, dij, dik, dkj = expected
+    assert exc.value.triple == (i, k, j)
+    assert str(exc.value) == (f"triangle inequality violated: d[{i}][{j}] = {dij} > "
+                              f"d[{i}][{k}] + d[{k}][{j}] = {dik} + {dkj}")
+
+
+def test_triangle_check_in_several_blocks_finds_the_first_k():
+    # n = 9 in blocks of two k: d[0][3] = 19 breaks a triangle only through
+    # k = 4 (4 + 4) and k = 7 (5 + 5), in the third and the fourth block
+    d = np.full((9, 9), 10.0)
+    np.fill_diagonal(d, 0.0)
+    for i, j, v in ((0, 3, 19), (0, 4, 4), (3, 4, 4), (0, 7, 5), (3, 7, 5), (4, 7, 9)):
+        d[i, j] = d[j, i] = v
+    with mock.patch.object(metric, "TRIANGLE_BLOCK", 2 * 81):
+        with pytest.raises(TriangleViolationError) as exc:
+            build_metric_space(d)
+    assert exc.value.triple == triangle_oracle(d)[:3] == (0, 4, 3)
+    assert "d[0][3] = 19.0 > d[0][4] + d[4][3] = 4.0 + 4.0" in str(exc.value)
+    d[0, 4] = d[4, 0] = d[3, 4] = d[4, 3] = 10.0  # then k = 7, in the fourth block
+    d[4, 7] = d[7, 4] = 10.0
+    with mock.patch.object(metric, "TRIANGLE_BLOCK", 2 * 81):
+        with pytest.raises(TriangleViolationError) as exc:
+            build_metric_space(d)
+    assert exc.value.triple == triangle_oracle(d)[:3] == (0, 7, 3)
+
+
+POWER_EXPONENTS = [0.0, 1e-300, 1.0, 64.0]
+
+
+def power_oracle(d, p):
+    entries = np.where(d > 0, d, 1.0) ** p
+    entries[d == 0] = 0.0
+    return entries
+
+
+def hand_built(d):
+    return FiniteMetricSpace(labels=tuple(map(str, range(len(d)))), dist=np.asarray(d, float))
+
+
+@pytest.mark.parametrize("p", POWER_EXPONENTS)
+def test_prepared_powers_are_bit_identical_to_one_power(p):
+    # hand-built spaces with zeros off the diagonal, which
+    # `build_metric_space` would reject; 0^p = 0 at p = 0 too
+    index = np.arange(6)
+    cube_row = np.array([0.0, 0.0, 0.5, 1.0])
+    relabelled = np.array([0.0, 0.0, 1.0, 2.0, 1.0, 0.0])[(index - index[:, None]) % 6]
+    relabelled = relabelled[np.ix_([0, 2, 1, 3, 4, 5], [0, 2, 1, 3, 4, 5])]
+    cube, classes, dense = (hand_built(cube_row[index[:4] ^ index[:4, None]]),
+                            hand_built(relabelled), hand_built([[0, 0, 1], [0, 0, 2], [1, 2, 0]]))
+    assert (cube.order, classes.order) == ("cube", None) and classes.classes is not None
+    assert not dense.rows_permute
+    for x in (cube.dist, cube_row, np.stack([cube.dist, cube.dist / 2]), relabelled):
+        got = metric._powers(x)(p)
+        assert got.tobytes() == power_oracle(x, p).tobytes()
+        assert metric._power(x, p).tobytes() == got.tobytes()
+    assert power_matrix(cube, p).tobytes() == power_oracle(cube.dist, p).tobytes()
+    assert np.count_nonzero(power_oracle(cube.dist, p)) == 8  # its zeros stay 0, at p = 0 too
+    # each builder powers from the base it prepared once per space
+    record = _source(cube)(p)
+    assert record.values.tobytes() == _row0_spectrum("cube", power_oracle(cube_row, p)).tobytes()
+    record = _source(classes)(p)
+    weights = power_oracle(classes.classes.distances / 2.0, p)
+    assert record.values.tobytes() == (classes.classes.eigenmatrix @ weights).tobytes()
+    for space in (classes, dense):
+        unit = space.dist / space.dist.max()
+        product = _source(space)(p).product(np.eye(space.n))
+        assert product.tobytes() == power_oracle(unit, p).tobytes()

@@ -1101,3 +1101,26 @@ def test_sampled_instances_respect_negative_type(fleet):
                 a = rng.integers(0, sp.n, size=m).tolist()
                 b = rng.integers(0, sp.n, size=m).tolist()
                 assert gr_inequality_check(sp, p, a, b, tol=tol).holds
+
+
+@pytest.mark.parametrize("k, p", [(4, 1.5), (6, 1.0), (6, 2.0)])
+def test_witness_on_a_tied_top_eigenvalue_does_not_follow_rounding(monkeypatch, k, p):
+    # the top Walsh frequencies of a cube tie; values moved in their last
+    # bits, as another transform would round them, keep the witness
+    space = path_metric(gen_family("hypercube", k))
+    verdict = check_negative_type(space, p)
+    values = negtype._source(space)(p).values[1:]
+    top = values.max()
+    assert np.count_nonzero(np.abs(values - top) <= 1e-12 * np.abs(values).max()) > 1
+    rng = np.random.default_rng(k)
+    transform = negtype._row0_spectrum
+
+    def rounded_otherwise(order, row):
+        y = transform(order, row)
+        return y + 1e-15 * np.abs(y).max() * rng.standard_normal(y.shape)
+
+    monkeypatch.setattr(negtype, "_row0_spectrum", rounded_otherwise)
+    for _ in range(5):
+        again = check_negative_type(space, p)
+        assert (again.holds, again.strict) == (verdict.holds, verdict.strict)
+        assert np.array_equal(again.witness.eta, verdict.witness.eta)

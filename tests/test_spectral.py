@@ -647,3 +647,66 @@ def test_row0_order_matches_entrywise_definition(a, block):
     # matrices into several, so a mismatch in any block must be found
     with mock.patch.object(spectral, "ROW0_BLOCK", block):
         assert _row0_order(a) == row0_order_reference(a.tolist())
+
+
+def walsh_rows(ts, n):
+    """Rows ts of the Walsh-Hadamard matrix of order n, H[t, j] =
+    (-1)^popcount(t & j), as int64, the parity summed bit by bit."""
+    both = np.asarray(ts, dtype=np.int64)[:, None] & np.arange(n, dtype=np.int64)
+    parity = np.zeros(both.shape, dtype=np.int64)
+    for b in range(n.bit_length()):
+        parity ^= (both >> b) & 1
+    return 1 - 2 * parity
+
+
+def walsh_oracle(x):
+    """H x, column by column, from `walsh_rows` in exact integer or float
+    arithmetic, 256 rows of H at a time."""
+    n = len(x)
+    return np.concatenate([walsh_rows(range(t, min(n, t + 256)), n) @ x for t in range(0, n, 256)])
+
+
+CUBE_ORDERS = [1 << k for k in range(1, 13)]  # n = 2 .. 4096, odd and even k
+
+
+@pytest.mark.parametrize("n", CUBE_ORDERS)
+def test_walsh_transform_of_integers_is_the_oracle_exactly(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.integers(-1000, 1001, size=n), rng.integers(-1000, 1001, size=(n, 3))):
+        y = spectral._row0_spectrum("cube", x)
+        assert y.shape == x.shape and y.dtype == float
+        assert np.array_equal(y, walsh_oracle(x).astype(float))
+
+
+@pytest.mark.parametrize("n", CUBE_ORDERS)
+def test_walsh_transform_of_floats_matches_the_oracle(n):
+    rng = np.random.default_rng(n + 1)
+    for x in (rng.normal(size=n), rng.normal(size=(n, 4))):
+        y = spectral._row0_spectrum("cube", x)
+        assert np.all(np.abs(y - walsh_oracle(x)) <= 1e-12 * np.abs(x).sum(axis=0))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 32, 64, 512, 2048])
+def test_walsh_modes_are_the_oracle_columns_over_sqrt_n(n):
+    ts = np.unique(np.random.default_rng(n).integers(0, n, size=min(n, 40)))
+    modes = spectral._row0_modes("cube", n, ts)
+    assert np.array_equal(modes, walsh_rows(ts, n).T / np.sqrt(n))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 128, 256])
+def test_walsh_product_is_the_dense_product(n):
+    rng = np.random.default_rng(n + 2)
+    row = rng.random(n)
+    row[0] = 0.0
+    index = np.arange(n)
+    dense = row[index ^ index[:, None]]
+    for u in (rng.normal(size=n), rng.normal(size=(n, 5))):
+        product = spectral._row0_product("cube", row, u)
+        assert product.shape == u.shape
+        np.testing.assert_allclose(product, dense @ u, rtol=0, atol=1e-12 * n)
+
+
+def test_sylvester_factors_are_built_once_and_read_only():
+    h = spectral._sylvester(16)
+    assert spectral._sylvester(16) is h and not h.flags.writeable
+    assert np.array_equal(h, walsh_rows(range(16), 16))
